@@ -18,6 +18,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import __version__
 from .data_model import MomentSpec, OutcomeKind, load_agd, load_ipd, pooled_target_moments
 from .errors import MaicError, NonConvergence, SeparationError
 from .estimators import Method, Scale
@@ -25,8 +26,6 @@ from .inference import build_comparison_report, negative_control_test
 from .simulation import ScenarioConfig, run_study
 from .variance import SeStrategy
 from .weighting import SolverConfig, balance_check, overlap_diagnostics, solve_weights
-
-_VERSION = "0.1.0"
 
 
 def _round_trip_floats(obj):
@@ -80,7 +79,7 @@ def write_manifest(out_dir: Path, command: str, config: dict, inputs: list, seed
         command=command,
         config=config,
         input_digests={str(p): _sha256(p) for p in inputs},
-        version=_VERSION,
+        version=__version__,
         seed=seed,
         timestamp=datetime.datetime.now(datetime.timezone.utc).isoformat(),
     )
@@ -213,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Population-adjusted indirect comparisons from IPD and "
                     "aggregate trial data.",
     )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {_VERSION}")
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_io(p, need_pair=True):

@@ -12,6 +12,8 @@ from __future__ import annotations
 import csv
 import enum
 import json
+import math
+import re
 import warnings
 from dataclasses import dataclass, field
 
@@ -281,6 +283,15 @@ class TrialRecords:
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
 
 
+# a decimal or scientific number in ASCII digits, or nan/inf; the columnar
+# parse rejects every other cell, including digit separators and non-ASCII
+# digits that float() would accept
+_NUMBER = re.compile(
+    r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?|nan|inf(?:inity)?)",
+    re.ASCII | re.IGNORECASE,
+)
+
+
 def load_ipd(
     path,
     outcome: str = "y",
@@ -292,50 +303,78 @@ def load_ipd(
 
     `covariates` selects and orders the covariate columns; by default every
     column other than the outcome and arm columns is used, in file order.
-    Missing or non-numeric values in mapped columns are rejected.
+    Missing, non-numeric or non-finite values in mapped columns and arm
+    codes other than 0/1 are rejected, naming the file, line and column.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        header = next(csv.reader(fh), None)
+        if header is None:
             raise EmptyStudy(f"{path}: empty file")
-        header = [h.strip() for h in reader.fieldnames]
+        index = {name.strip(): i for i, name in enumerate(header)}
         if covariates is None:
-            covariates = [c for c in header if c not in (outcome, arm)]
-        for col in [outcome, arm, *covariates]:
-            if col not in header:
+            covariates = [c for c in index if c not in (outcome, arm)]
+        columns = [arm, outcome, *covariates]
+        for col in columns:
+            if col not in index:
                 raise MissingColumn(f"{path}: column {col!r} not found")
-        rows_y, rows_z, rows_x = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            def grab(col):
-                raw = (row.get(col) or "").strip()
-                if raw == "":
-                    raise NonNumericValue(f"{path}:{lineno}: missing value in {col!r}")
-                try:
-                    return float(raw)
-                except ValueError:
-                    raise NonNumericValue(
-                        f"{path}:{lineno}: non-numeric value {raw!r} in {col!r}"
-                    ) from None
-
-            zi = grab(arm)
-            if zi not in (0.0, 1.0):
-                raise InvalidArmCode(f"{path}:{lineno}: arm code {zi} not in {{0, 1}}")
-            rows_y.append(grab(outcome))
-            rows_z.append(int(zi))
-            rows_x.append([grab(c) for c in covariates])
-    if not rows_y:
+        usecols = [index[col] for col in columns]
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(fh, delimiter=",", usecols=usecols, ndmin=2,
+                                  comments=None, quotechar='"')
+        except ValueError as e:
+            _raise_first_bad_cell(path, columns, usecols, str(e))
+    if len(data) == 0:
         raise EmptyStudy(f"{path}: no data rows")
+    z = data[:, 0]
+    if not (np.isfinite(data).all() and ((z == 0.0) | (z == 1.0)).all()):
+        _raise_first_bad_cell(path, columns, usecols,
+                              "non-finite value or arm code outside {0, 1}")
+    # contiguous copies: a strided view would change reduction order downstream
     return IpdStudy(
-        np.array(rows_y), np.array(rows_z), np.array(rows_x),
-        tuple(covariates), outcome_kind,
+        np.ascontiguousarray(data[:, 1]), z.astype(int),
+        np.ascontiguousarray(data[:, 2:]), tuple(covariates), outcome_kind,
     )
+
+
+def _raise_first_bad_cell(path, columns, usecols, message):
+    """Re-read the file row by row and raise the error for its first bad
+    cell, on its physical line; the checks reject everything the columnar
+    parse rejects.  `columns[0]` is the arm column."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
+            if not row:
+                continue
+            where = f"{path}:{reader.line_num}"
+            for j, (col, i) in enumerate(zip(columns, usecols)):
+                raw = row[i].strip() if i < len(row) else ""
+                if raw == "":
+                    raise NonNumericValue(f"{where}: missing value in {col!r}")
+                if not _NUMBER.fullmatch(raw):
+                    raise NonNumericValue(f"{where}: non-numeric value {raw!r} in {col!r}")
+                value = float(raw)
+                if not math.isfinite(value):
+                    raise NonNumericValue(f"{where}: non-finite value {raw!r} in {col!r}")
+                if j == 0 and value not in (0.0, 1.0):
+                    raise InvalidArmCode(f"{where}: arm code {value} not in {{0, 1}}")
+    raise NonNumericValue(f"{path}: {message}")
 
 
 def load_agd(path) -> AgdStudy:
     """Load an AGD study from its JSON document."""
+
+    def finite(token: str) -> float:
+        value = float(token)
+        if not math.isfinite(value):
+            raise SchemaError(f"{path}: non-finite number {token} is not allowed")
+        return value
+
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_float=finite, parse_constant=finite)
         except json.JSONDecodeError as e:
             raise SchemaError(f"{path}: invalid JSON ({e})") from None
     if not isinstance(doc, dict):

@@ -222,19 +222,23 @@ def build_comparison_report(
         report.estimates[method.value] = est
         if method is Method.STC:
             continue
-        se_model = _unit_model(model, ipd) if method is Method.BUCHER else model
+        # without a fitted model, naive SEs use the unit-weight model as Bucher's do
+        unit = method is Method.BUCHER or model is None
+        se_model = _unit_model(model, ipd) if unit else model
         se_est = est if method is not Method.BUCHER else _bucher_as_acb(est)
         method_strategies = list(strategies)
         if method in (Method.BUCHER, Method.NAIVE):
             # no weight coefficients are estimated; only the direct strategies apply
             method_strategies = [s for s in method_strategies
                                  if s in (SeStrategy.FO, SeStrategy.SW)]
+        pieces = None  # shared by fo/po/cs; recomputed after a failure
         for strategy in method_strategies:
             try:
                 if strategy is SeStrategy.SW:
                     se = sigma2_sw(ipd, agd, se_model, se_est, scale)
                 else:
-                    pieces = influence_components(ipd, agd, se_model, se_est, scale)
+                    if pieces is None:
+                        pieces = influence_components(ipd, agd, se_model, se_est, scale)
                     se = {SeStrategy.FO: sigma2_fo, SeStrategy.PO: sigma2_po,
                           SeStrategy.CS: sigma2_cs}[strategy](pieces)
             except MaicError as e:

@@ -101,8 +101,10 @@ class TestCompare:
     def test_matched_populations_have_null_deltas(self, io_pair, tmp_path):
         ipd, agd = io_pair
         # align the AGD outcome means with the IPD arms exactly
-        y = [int(r["y"]) for r in csv.DictReader(open(ipd))]
-        z = [int(r["z"]) for r in csv.DictReader(open(ipd))]
+        with open(ipd, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        y = [int(r["y"]) for r in rows]
+        z = [int(r["z"]) for r in rows]
         mu1 = np.mean([yi for yi, zi in zip(y, z) if zi == 1])
         mu0 = np.mean([yi for yi, zi in zip(y, z) if zi == 0])
         doc = json.loads(agd.read_text())
@@ -126,6 +128,18 @@ class TestCompare:
         assert code == 0
         doc = json.loads((out / "report.json").read_text())
         assert set(doc["methods"]["maic-nab"]["se"]) == {"fo", "po", "cs", "sw"}
+
+    def test_naive_alone_gets_unit_weight_ses(self, io_pair, tmp_path, capsys):
+        # no MAIC method means no fitted weight model
+        ipd, agd = io_pair
+        out = tmp_path / "cmp3"
+        code = main(["compare", "--ipd", str(ipd), "--agd", str(agd),
+                     "--methods", "naive", "--se", "fo", "--out", str(out)])
+        assert "Traceback" not in capsys.readouterr().err
+        assert code == 0
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["methods"]["naive"]["se"]["fo"]["se"] > 0
+        assert doc["errors"] == {}
 
 
 class TestNegControl:

@@ -1,7 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maic.data_model import (
     AgdArm,
@@ -44,8 +47,8 @@ class TestLoadIpd:
         np.testing.assert_allclose(study.x[:, 0], [0.2, -0.1])
 
     def test_invalid_arm_code(self, tmp_path):
-        p = write(tmp_path / "ipd.csv", "y,z,x1\n1,3,0.2\n")
-        with pytest.raises(InvalidArmCode):
+        p = write(tmp_path / "ipd.csv", "y,z,x1\n1,1,0.2\n1,3,0.2\n")
+        with pytest.raises(InvalidArmCode, match=re.escape(f"{p}:3: arm code 3.0")):
             load_ipd(p)
 
     def test_single_arm_study_is_valid(self, tmp_path):
@@ -79,6 +82,113 @@ class TestLoadIpd:
         p = write(tmp_path / "ipd.csv", "y,z,x1\n" + rows + "\n")
         study = load_ipd(p)
         np.testing.assert_allclose(study.x[:, 0], np.arange(10))
+
+    def test_spaces_around_header_names(self, tmp_path):
+        p = write(tmp_path / "ipd.csv", "y, z, x1\n1,1,0.2\n0,0,-0.1\n")
+        study = load_ipd(p)
+        assert study.covariate_names == ("x1",)
+        np.testing.assert_array_equal(study.z, [1, 0])
+
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "Infinity", "1e400"])
+    def test_non_finite_value_names_line_and_column(self, tmp_path, cell):
+        p = write(tmp_path / "ipd.csv", f"y,z,x1\n1,1,0.2\n0,0,{cell}\n")
+        with pytest.raises(NonNumericValue, match=re.escape(f"{p}:3: non-finite") + ".*'x1'"):
+            load_ipd(p)
+
+    @pytest.mark.parametrize("cell", ["1_000", "\u0661", "0x10", "1e"])
+    def test_cells_float_would_accept_or_half_numbers_rejected(self, tmp_path, cell):
+        p = write(tmp_path / "ipd.csv", f"y,z,x1\n1,1,{cell}\n")
+        with pytest.raises(NonNumericValue, match=re.escape(f"{p}:2: non-numeric")):
+            load_ipd(p)
+
+    def test_error_line_is_physical_line_after_blank_lines(self, tmp_path):
+        p = write(tmp_path / "ipd.csv", "y,z,x1\n1,1,0.2\n\n\n0,0,oops\n")
+        with pytest.raises(NonNumericValue, match=re.escape(f"{p}:5: ") + ".*'oops'"):
+            load_ipd(p)
+
+    def test_header_only_file_is_empty(self, tmp_path):
+        p = write(tmp_path / "ipd.csv", "y,z,x1\n")
+        with pytest.raises(EmptyStudy, match="no data rows"):
+            load_ipd(p)
+
+    def test_empty_file(self, tmp_path):
+        p = write(tmp_path / "ipd.csv", "")
+        with pytest.raises(EmptyStudy, match="empty file"):
+            load_ipd(p)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+PAD = st.sampled_from(["", " ", "  ", "\t"])
+BAD_CELLS = {
+    NonNumericValue: ["", "abc", "1_000", "\u0661\u0662", "0x1p3", "1e", "+-1",
+                      "nan", "-inf", "Infinity", "1e400"],
+    InvalidArmCode: ["2", "-1", "0.5", "1.5"],
+}
+
+
+@st.composite
+def ipd_tables(draw):
+    """A random finite IPD table written as CSV text: shuffled columns, padded
+    cells, blank lines, and an optional covariate subset.  Returns the lines,
+    the physical line number of each data row, the `covariates` argument,
+    the expected covariate names and the expected arrays."""
+    p = draw(st.integers(0, 4))
+    n = draw(st.integers(1, 12))
+    names = draw(st.permutations(["y", "z", *(f"x{j}" for j in range(p))]))
+    covs_in_file = [c for c in names if c not in ("y", "z")]
+    subset = draw(st.none() | st.permutations(covs_in_file).flatmap(
+        lambda perm: st.integers(0, len(perm)).map(lambda k: list(perm[:k]))))
+    selected = covs_in_file if subset is None else subset
+    rows = [{"y": draw(FINITE), "z": 1 if i == 0 else draw(st.sampled_from([0, 1])),
+             **{c: draw(FINITE) for c in covs_in_file}} for i in range(n)]
+    lines = [",".join(draw(PAD) + c + draw(PAD) for c in names)]
+    row_lines = []
+    for row in rows:
+        lines += [""] * draw(st.integers(0, 2))
+        cells = [str(row[c]) if c == "z" else repr(row[c]) for c in names]
+        lines.append(",".join(draw(PAD) + cell + draw(PAD) for cell in cells))
+        row_lines.append(len(lines))
+    expected = (
+        np.array([r["y"] for r in rows]),
+        np.array([r["z"] for r in rows]),
+        np.array([[r[c] for c in selected] for r in rows]).reshape(n, len(selected)),
+    )
+    return lines, row_lines, subset, tuple(selected), expected
+
+
+class TestLoadIpdProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(table=ipd_tables())
+    def test_round_trip_is_bit_identical(self, tmp_path_factory, table):
+        lines, _, subset, selected, (y, z, x) = table
+        p = write(tmp_path_factory.mktemp("ipd") / "ipd.csv", "\n".join(lines) + "\n")
+        study = load_ipd(p, covariates=subset)
+        assert study.covariate_names == selected
+        np.testing.assert_array_equal(study.y.view(np.uint64), y.view(np.uint64))
+        np.testing.assert_array_equal(study.z, z)
+        np.testing.assert_array_equal(study.x.view(np.uint64), x.view(np.uint64))
+        for arr in (study.y, study.z, study.x):
+            assert arr.flags.c_contiguous
+
+    @settings(max_examples=100, deadline=None)
+    @given(table=ipd_tables(), data=st.data())
+    def test_one_bad_cell_raises_named_error_on_its_line(self, tmp_path_factory, table, data):
+        lines, row_lines, subset, selected, _ = table
+        error = data.draw(st.sampled_from(sorted(BAD_CELLS, key=lambda e: e.__name__)))
+        col = "z" if error is InvalidArmCode else data.draw(
+            st.sampled_from(["y", "z", *selected]))
+        cell = data.draw(st.sampled_from(BAD_CELLS[error]))
+        line = data.draw(st.sampled_from(row_lines))
+        header = [h.strip() for h in lines[0].split(",")]
+        cells = lines[line - 1].split(",")
+        cells[header.index(col)] = data.draw(PAD) + cell
+        lines = [*lines[:line - 1], ",".join(cells), *lines[line:]]
+        p = write(tmp_path_factory.mktemp("ipd") / "ipd.csv", "\n".join(lines) + "\n")
+        with pytest.raises(error) as info:
+            load_ipd(p, covariates=subset)
+        assert str(info.value).startswith(f"{p}:{line}: ")
+        if error is NonNumericValue:
+            assert repr(col) in str(info.value)
 
 
 class TestIpdStudy:
@@ -151,6 +261,14 @@ class TestAgd:
                "arms": {"active": {"n": 90, "y_mean": 0.4, "x_mean": [0.1]}}}
         p = write(tmp_path / "agd.json", json.dumps(doc))
         with pytest.warns(UserWarning, match="y_var"):
+            load_agd(p)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_number_rejected(self, tmp_path, token):
+        text = ('{"covariates": ["x1"], "arms": {"active": '
+                f'{{"n": 90, "y_mean": {token}, "y_var": 0.24, "x_mean": [0.1]}}}}}}')
+        p = write(tmp_path / "agd.json", text)
+        with pytest.raises(SchemaError, match=re.escape(f"{p}: non-finite")):
             load_agd(p)
 
     def test_schema_error_on_missing_field(self, tmp_path):

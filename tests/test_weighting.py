@@ -57,7 +57,8 @@ class TestSolveWeights:
 
     def test_constant_on_target_covariate_is_fine(self):
         ipd = make_ipd([0.0, 1.0], [1, 1], [[2.0, 0.0], [2.0, 1.0]])
-        model = solve_weights(ipd, np.array([2.0, 0.25]))
+        with pytest.warns(UserWarning, match="singular Hessian"):
+            model = solve_weights(ipd, np.array([2.0, 0.25]))
         assert model.converged
 
     @pytest.mark.parametrize("seed", range(10))
