@@ -9,7 +9,6 @@ with influence-function standard errors and a Monte Carlo study harness.
 from .data_model import (
     AgdArm,
     AgdStudy,
-    IpdRecord,
     IpdStudy,
     MomentSpec,
     OutcomeKind,
@@ -72,7 +71,6 @@ __all__ = [
     "ComparisonReport",
     "Confounding",
     "Estimate",
-    "IpdRecord",
     "IpdStudy",
     "MaicError",
     "Method",

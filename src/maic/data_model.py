@@ -48,15 +48,6 @@ class MomentSpec(enum.Enum):
 
 
 @dataclass(frozen=True)
-class IpdRecord:
-    """One patient: outcome, arm code (0 comparator, 1 active), covariates."""
-
-    y: float
-    z: int
-    x: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class IpdStudy:
     """Patient-level study.  Arm codes are 0 (common comparator, optional)
     and 1 (active treatment).  Row order is preserved from the source."""
@@ -107,22 +98,6 @@ class IpdStudy:
     @property
     def has_comparator(self) -> bool:
         return bool(np.any(self.z == 0))
-
-    @property
-    def records(self) -> list[IpdRecord]:
-        return [
-            IpdRecord(float(yi), int(zi), tuple(xi))
-            for yi, zi, xi in zip(self.y, self.z, self.x)
-        ]
-
-    @classmethod
-    def from_records(cls, records, covariate_names, outcome_kind=OutcomeKind.CONTINUOUS):
-        if not records:
-            raise EmptyStudy("no records supplied")
-        y = np.array([r.y for r in records], dtype=float)
-        z = np.array([r.z for r in records], dtype=int)
-        x = np.array([r.x for r in records], dtype=float)
-        return cls(y, z, x, tuple(covariate_names), outcome_kind)
 
     def to_dict(self) -> dict:
         return {
@@ -303,9 +278,11 @@ def load_ipd(
 
     `covariates` selects and orders the covariate columns; by default every
     column other than the outcome and arm columns is used, in file order.
-    Missing, non-numeric or non-finite values in mapped columns and arm
-    codes other than 0/1 are rejected, naming the file, line and column.
+    Missing, non-numeric or non-finite values in mapped columns, arm codes
+    other than 0/1 and, for a binary outcome, outcomes not coded 0/1 are
+    rejected, naming the file, line and column.
     """
+    binary = outcome_kind is OutcomeKind.BINARY
     with open(path, newline="", encoding="utf-8") as fh:
         header = next(csv.reader(fh), None)
         if header is None:
@@ -324,13 +301,14 @@ def load_ipd(
                 data = np.loadtxt(fh, delimiter=",", usecols=usecols, ndmin=2,
                                   comments=None, quotechar='"')
         except ValueError as e:
-            _raise_first_bad_cell(path, columns, usecols, str(e))
+            _raise_first_bad_cell(path, columns, usecols, binary, str(e))
     if len(data) == 0:
         raise EmptyStudy(f"{path}: no data rows")
     z = data[:, 0]
-    if not (np.isfinite(data).all() and ((z == 0.0) | (z == 1.0)).all()):
-        _raise_first_bad_cell(path, columns, usecols,
-                              "non-finite value or arm code outside {0, 1}")
+    codes = data[:, :2] if binary else data[:, :1]
+    if not (np.isfinite(data).all() and ((codes == 0.0) | (codes == 1.0)).all()):
+        _raise_first_bad_cell(path, columns, usecols, binary,
+                              "non-finite value or code outside {0, 1}")
     # contiguous copies: a strided view would change reduction order downstream
     return IpdStudy(
         np.ascontiguousarray(data[:, 1]), z.astype(int),
@@ -338,10 +316,11 @@ def load_ipd(
     )
 
 
-def _raise_first_bad_cell(path, columns, usecols, message):
+def _raise_first_bad_cell(path, columns, usecols, binary, message):
     """Re-read the file row by row and raise the error for its first bad
     cell, on its physical line; the checks reject everything the columnar
-    parse rejects.  `columns[0]` is the arm column."""
+    parse rejects.  `columns[0]` is the arm column and `columns[1]` the
+    outcome, which must be coded 0/1 when `binary`."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader)
@@ -360,6 +339,10 @@ def _raise_first_bad_cell(path, columns, usecols, message):
                     raise NonNumericValue(f"{where}: non-finite value {raw!r} in {col!r}")
                 if j == 0 and value not in (0.0, 1.0):
                     raise InvalidArmCode(f"{where}: arm code {value} not in {{0, 1}}")
+                if j == 1 and binary and value not in (0.0, 1.0):
+                    raise NonNumericValue(
+                        f"{where}: binary outcome {raw!r} not coded 0/1 in {col!r}"
+                    )
     raise NonNumericValue(f"{path}: {message}")
 
 

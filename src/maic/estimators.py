@@ -105,8 +105,6 @@ def maic_nab(
     ipd: IpdStudy, agd: AgdStudy, model: WeightModel, scale: Scale = Scale.IDENTITY
 ) -> Estimate:
     """Weighted IPD active-arm mean contrasted with the AGD active arm."""
-    if agd.active_arm is None:
-        raise NoActiveArm("AGD study has no active arm")
     mu1 = weighted_arm_mean(ipd, model.weights, z=1)
     mu2 = agd.active_arm.y_mean
     delta = scale.g(mu1) - scale.g(mu2)

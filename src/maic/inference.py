@@ -8,8 +8,6 @@ import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
-import numpy as np
-
 from .data_model import AgdStudy, IpdStudy
 from .errors import InvalidLevel, MaicError, NoComparatorArm, ZeroSe
 from .estimators import (
@@ -26,7 +24,8 @@ from .estimators import (
 from .variance import (
     SeEstimate,
     SeStrategy,
-    arm_outcome_variance,
+    _pair_influence,
+    _var_over_n,
     influence_components,
     sigma2_cs,
     sigma2_fo,
@@ -103,17 +102,10 @@ def negative_control_test(
     mu0_agd = agd.comparator_arm.y_mean
     delta0 = scale.g(mu0_ipd) - scale.g(mu0_agd)
 
-    w = model.weights
-    mask = (ipd.z == 0).astype(float)
     n_total = ipd.n + agd.n_total
-    j0 = (w * mask).sum() / n_total
-    g0 = scale.g_prime(mu0_ipd)
-    phi0 = g0 * (ipd.y - mu0_ipd) * w * mask / j0
-    sigma2 = float((phi0**2).sum() / n_total - (phi0.sum() / n_total) ** 2)
-    g20 = scale.g_prime(mu0_agd)
-    sigma2 += g20**2 * arm_outcome_variance(agd.comparator_arm, ipd.outcome_kind) / (
-        agd.comparator_arm.n / n_total
-    )
+    pair = (1.0, 0, mu0_ipd, agd.comparator_arm, mu0_agd)
+    phi0, var_agd, _ = _pair_influence(ipd, model.weights, [pair], scale, n_total)
+    sigma2 = _var_over_n(phi0, n_total) + var_agd
     se0 = math.sqrt(sigma2 / n_total)
     z, p = wald_test(delta0, se0) if se0 > 0 else (0.0, 1.0)
     zcrit = norm_quantile(1.0 - alpha_level / 2.0)
@@ -192,9 +184,6 @@ class ComparisonReport:
             writer.writerows(self.rows())
 
 
-_SE_METHODS = {Method.MAIC_NAB, Method.MAIC_ACB, Method.NAIVE, Method.BUCHER}
-
-
 def build_comparison_report(
     ipd: IpdStudy,
     agd: AgdStudy,
@@ -208,8 +197,8 @@ def build_comparison_report(
     """Run the requested methods, attach SEs/CIs/p-values per strategy, and
     collect per-method failures without aborting the remaining methods.
 
-    STC carries a point estimate only.  Bucher SEs are computed as the
-    anchored comparison with unit weights.
+    STC carries a point estimate only.  Bucher and naive SEs use unit
+    weights and need no fitted model; only fo and sw apply to them.
     """
     report = ComparisonReport(scale=scale, level=level)
     agd.check_alignment(ipd)
@@ -222,10 +211,6 @@ def build_comparison_report(
         report.estimates[method.value] = est
         if method is Method.STC:
             continue
-        # without a fitted model, naive SEs use the unit-weight model as Bucher's do
-        unit = method is Method.BUCHER or model is None
-        se_model = _unit_model(model, ipd) if unit else model
-        se_est = est if method is not Method.BUCHER else _bucher_as_acb(est)
         method_strategies = list(strategies)
         if method in (Method.BUCHER, Method.NAIVE):
             # no weight coefficients are estimated; only the direct strategies apply
@@ -235,10 +220,10 @@ def build_comparison_report(
         for strategy in method_strategies:
             try:
                 if strategy is SeStrategy.SW:
-                    se = sigma2_sw(ipd, agd, se_model, se_est, scale)
+                    se = sigma2_sw(ipd, agd, model, est, scale)
                 else:
                     if pieces is None:
-                        pieces = influence_components(ipd, agd, se_model, se_est, scale)
+                        pieces = influence_components(ipd, agd, model, est, scale)
                     se = {SeStrategy.FO: sigma2_fo, SeStrategy.PO: sigma2_po,
                           SeStrategy.CS: sigma2_cs}[strategy](pieces)
             except MaicError as e:
@@ -282,30 +267,3 @@ def _run_method(ipd, agd, model, method: Method, scale: Scale) -> Estimate:
         return stc(ipd, agd, scale)
     return naive(ipd, agd, scale)
 
-
-def _unit_model(model: WeightModel | None, ipd: IpdStudy) -> WeightModel:
-    """Unit-weight stand-in so the anchored influence machinery covers the
-    Bucher contrast (no covariate adjustment)."""
-    from .data_model import MomentSpec
-    from .weighting import effective_sample_size
-
-    centering = model.centering if model is not None else np.zeros(ipd.p)
-    spec = model.spec if model is not None else MomentSpec.FIRST
-    k = len(centering)
-    return WeightModel(
-        alpha1=np.zeros(k),
-        centering=centering,
-        weights=np.ones(ipd.n),
-        spec=spec,
-        converged=True,
-        iterations=0,
-        objective=1.0,
-        ess={int(z): effective_sample_size(np.ones((ipd.z == z).sum()))
-             for z in np.unique(ipd.z)},
-    )
-
-
-def _bucher_as_acb(est: Estimate) -> Estimate:
-    return Estimate(
-        Method.MAIC_ACB, est.scale, est.delta, est.mu1, est.mu2, est.anchor_terms
-    )

@@ -17,6 +17,14 @@ available only when the aggregate study's raw records are at hand (the
 simulation benchmark).  All estimators return sigma2 on the asymptotic
 scale; the standard error of the contrast is sqrt(sigma2 / N) with N the
 combined size of both trials.
+
+Each contrast with an SE is a signed list of arm pairs read off the
+Estimate alone, (sign, IPD arm code, IPD mean, AGD arm, AGD mean): the
+active pair with sign +1 and, for anchored estimates, the comparator pair
+with sign -1; the null check is one comparator pair.  One core maps IPD
+weights and a pair list to the per-record phi, the AGD-variance term and,
+given centred moments, ctilde.  Bucher and naive use unit weights, need no
+fitted model, and have zero weight-coefficient and target-mean terms.
 """
 
 from __future__ import annotations
@@ -60,14 +68,14 @@ class InfluencePieces:
 
     phi_mu1 and phi_alpha are per-IPD-record arrays (zero on the aggregate
     side); variances are taken over the combined size n_total.  For anchored
-    estimates phi_mu1 and ctilde fold in the comparator-arm analogues.
+    estimates phi_mu1 and ctilde fold in the comparator-arm analogues.  For
+    unweighted methods phi_alpha is zero, v_mu_x2 is zero, and ctilde and
+    j_alpha_inv_ctilde are empty.
     """
 
     phi_mu1: np.ndarray
     phi_alpha: np.ndarray
-    j_mu1: float
     ctilde: np.ndarray
-    j_alpha: np.ndarray
     var_phi_mu2: float
     v_mu_x2: float
     n_total: int
@@ -106,70 +114,92 @@ def _solve_neg_definite(j_alpha: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise SingularJacobian("moment Jacobian is singular") from None
 
 
+_UNWEIGHTED = (Method.BUCHER, Method.NAIVE)
+
+
+def _arm_pairs(agd: AgdStudy, est: Estimate) -> list[tuple]:
+    """(sign, IPD arm code, IPD arm mean, AGD arm, AGD arm mean) per arm pair."""
+    pairs = [(1.0, 1, est.mu1, agd.active_arm, est.mu2)]
+    if est.anchor_terms is not None:
+        mu0_ipd, mu0_agd = est.anchor_terms
+        pairs.append((-1.0, 0, mu0_ipd, agd.comparator_arm, mu0_agd))
+    return pairs
+
+
+def _ipd_weights(ipd: IpdStudy, model: WeightModel | None, est: Estimate, what: str):
+    """Fitted weights for the MAIC methods, unit weights for the unweighted
+    ones; `model` is not read for the latter and may be None."""
+    if est.method in _UNWEIGHTED:
+        return np.ones(ipd.n)
+    if est.method in (Method.MAIC_NAB, Method.MAIC_ACB):
+        return model.weights
+    raise ValueError(f"{what} unavailable for {est.method.value}")
+
+
+def _agd_variance(arm: AgdArm, mu: float, scale: Scale, outcome_kind: OutcomeKind,
+                  n_total: int) -> float:
+    """Variance contribution of one reported AGD arm mean."""
+    g = scale.g_prime(mu)
+    return g**2 * arm_outcome_variance(arm, outcome_kind) / (arm.n / n_total)
+
+
+def _pair_influence(ipd: IpdStudy, w: np.ndarray, pairs: list[tuple], scale: Scale,
+                    n_total: int, c: np.ndarray | None = None):
+    """Per-record phi, the AGD-variance term and, when the centred moments `c`
+    are given, ctilde, summed over the signed arm pairs."""
+    phi = np.zeros(ipd.n)
+    var_agd = 0.0
+    ctilde = None if c is None else np.zeros(c.shape[1])
+    for sign, z, mu_ipd, agd_arm, mu_agd in pairs:
+        g = scale.g_prime(mu_ipd)
+        mask = (ipd.z == z).astype(float)
+        j = float((w * mask).sum() / n_total)
+        resid = (ipd.y - mu_ipd) * w * mask
+        phi += (sign * g) * (resid / j)
+        if c is not None:
+            ctilde += ((sign * g) * (c.T @ resid / n_total)) / j
+        var_agd += _agd_variance(agd_arm, mu_agd, scale, ipd.outcome_kind, n_total)
+    return phi, var_agd, ctilde
+
+
 def influence_components(
     ipd: IpdStudy,
     agd: AgdStudy,
-    model: WeightModel,
+    model: WeightModel | None,
     est: Estimate,
     scale: Scale = Scale.IDENTITY,
 ) -> InfluencePieces:
-    """Evaluate the empirical influence components for a fitted estimate.
+    """Evaluate the empirical influence components for an estimate.
 
-    Supported methods: maic-nab, maic-acb, and naive (unit weights).  The
-    anchored method extends the weight-coefficient contribution with the
-    comparator-arm analogue of the outcome-covariate moment vector.
+    Supported methods: maic-nab and maic-acb (fitted weights), bucher and
+    naive (unit weights; `model` is not read).  Anchored estimates extend
+    the weight-coefficient contribution with the comparator-arm analogue of
+    the outcome-covariate moment vector.
     """
-    if est.method not in (Method.MAIC_NAB, Method.MAIC_ACB, Method.NAIVE):
-        raise ValueError(f"influence components unavailable for {est.method.value}")
-    w = np.ones(ipd.n) if est.method is Method.NAIVE else model.weights
-    t = moment_matrix(ipd.x, model.spec)
-    c = t - model.centering
+    w = _ipd_weights(ipd, model, est, "influence components")
     n_total = ipd.n + agd.n_total
     p_t2 = agd.n_total / n_total
     ew_t1 = float(w.sum() / n_total)
+    pairs = _arm_pairs(agd, est)
 
-    j_alpha = -(w[:, None] * c).T @ c / n_total
-
-    def arm_pieces(z: int, mu: float):
-        mask = (ipd.z == z).astype(float)
-        j = float((w * mask).sum() / n_total)
-        resid = (ipd.y - mu) * w * mask
-        phi = resid / j
-        ctilde = c.T @ resid / n_total
-        return j, phi, ctilde
-
-    g1 = scale.g_prime(est.mu1)
-    j_mu1, phi1, ctilde1 = arm_pieces(1, est.mu1)
-    phi_mu1 = g1 * phi1
-    ctilde_eff = g1 * ctilde1 / j_mu1
-
-    g2 = scale.g_prime(est.mu2)
-    var_phi_mu2 = g2**2 * arm_outcome_variance(agd.active_arm, ipd.outcome_kind) / (
-        agd.active_arm.n / n_total
-    )
-
-    if est.method is Method.MAIC_ACB:
-        mu0_ipd, mu0_agd = est.anchor_terms
-        g0 = scale.g_prime(mu0_ipd)
-        j_mu0, phi0, ctilde0 = arm_pieces(0, mu0_ipd)
-        phi_mu1 = phi_mu1 - g0 * phi0
-        ctilde_eff = ctilde_eff - g0 * ctilde0 / j_mu0
-        g20 = scale.g_prime(mu0_agd)
-        var_phi_mu2 += g20**2 * arm_outcome_variance(
-            agd.comparator_arm, ipd.outcome_kind
-        ) / (agd.comparator_arm.n / n_total)
-
-    b = _solve_neg_definite(j_alpha, ctilde_eff)
-    phi_alpha = (w[:, None] * c) @ b
-    v_mu_x2 = float(-(ew_t1 / p_t2) * (ctilde_eff @ b))
-    v_mu_x2 = max(v_mu_x2, 0.0)
+    if est.method in _UNWEIGHTED:
+        phi_mu1, var_phi_mu2, _ = _pair_influence(ipd, w, pairs, scale, n_total)
+        ctilde = b = np.zeros(0)
+        phi_alpha = np.zeros(ipd.n)
+        v_mu_x2 = 0.0
+    else:
+        c = moment_matrix(ipd.x, model.spec) - model.centering
+        j_alpha = -(w[:, None] * c).T @ c / n_total
+        phi_mu1, var_phi_mu2, ctilde = _pair_influence(ipd, w, pairs, scale, n_total, c)
+        b = _solve_neg_definite(j_alpha, ctilde)
+        phi_alpha = (w[:, None] * c) @ b
+        v_mu_x2 = float(-(ew_t1 / p_t2) * (ctilde @ b))
+        v_mu_x2 = max(v_mu_x2, 0.0)
 
     return InfluencePieces(
         phi_mu1=phi_mu1,
         phi_alpha=phi_alpha,
-        j_mu1=j_mu1,
-        ctilde=ctilde_eff,
-        j_alpha=j_alpha,
+        ctilde=ctilde,
         var_phi_mu2=var_phi_mu2,
         v_mu_x2=v_mu_x2,
         n_total=n_total,
@@ -215,34 +245,21 @@ def sigma2_cs(pieces: InfluencePieces) -> SeEstimate:
 def sigma2_sw(
     ipd: IpdStudy,
     agd: AgdStudy,
-    model: WeightModel,
+    model: WeightModel | None,
     est: Estimate,
     scale: Scale = Scale.IDENTITY,
 ) -> SeEstimate:
     """HC0 sandwich variance of the weighted mean(s), weights fixed."""
-    if est.method not in (Method.MAIC_NAB, Method.MAIC_ACB, Method.NAIVE):
-        raise ValueError(f"sandwich variance unavailable for {est.method.value}")
-    w = np.ones(ipd.n) if est.method is Method.NAIVE else model.weights
+    w = _ipd_weights(ipd, model, est, "sandwich variance")
     n_total = ipd.n + agd.n_total
-
-    def arm_term(z: int, mu: float, g: float) -> float:
+    sigma2 = 0.0
+    for _, z, mu_ipd, agd_arm, mu_agd in _arm_pairs(agd, est):
         mask = ipd.z == z
         wz = w[mask]
-        rz = ipd.y[mask] - mu
-        return g**2 * float(np.sum(wz**2 * rz**2) / np.sum(wz) ** 2)
-
-    sigma2 = n_total * arm_term(1, est.mu1, scale.g_prime(est.mu1))
-    g2 = scale.g_prime(est.mu2)
-    sigma2 += g2**2 * arm_outcome_variance(agd.active_arm, ipd.outcome_kind) / (
-        agd.active_arm.n / n_total
-    )
-    if est.method is Method.MAIC_ACB:
-        mu0_ipd, mu0_agd = est.anchor_terms
-        sigma2 += n_total * arm_term(0, mu0_ipd, scale.g_prime(mu0_ipd))
-        g20 = scale.g_prime(mu0_agd)
-        sigma2 += g20**2 * arm_outcome_variance(
-            agd.comparator_arm, ipd.outcome_kind
-        ) / (agd.comparator_arm.n / n_total)
+        rz = ipd.y[mask] - mu_ipd
+        g = scale.g_prime(mu_ipd)
+        sigma2 += n_total * (g**2 * float(np.sum(wz**2 * rz**2) / np.sum(wz) ** 2))
+        sigma2 += _agd_variance(agd_arm, mu_agd, scale, ipd.outcome_kind, n_total)
     return SeEstimate(SeStrategy.SW, float(sigma2), np.sqrt(sigma2 / n_total))
 
 

@@ -44,7 +44,6 @@ class SolverConfig:
     grad_tol: float = 1e-10
     max_iter: int = 200
     step_halvings_max: int = 60
-    weight_cap_warn: float = 0.5
 
     def __post_init__(self):
         if self.grad_tol <= 0:
@@ -220,6 +219,12 @@ def effective_sample_size(weights) -> float:
     return float(w.sum() ** 2 / (w**2).sum())
 
 
+# overlap diagnostics: how many of the largest weights to list, and the share
+# of the total weight at which a single weight is flagged as dominant
+K_LARGEST = 5
+WEIGHT_SHARE_WARN = 0.5
+
+
 @dataclass(frozen=True)
 class OverlapReport:
     ess: dict[int, float]
@@ -229,21 +234,18 @@ class OverlapReport:
     largest_weights: list[float]
 
 
-def overlap_diagnostics(
-    model: WeightModel, ipd: IpdStudy, k_largest: int = 5,
-    weight_cap_warn: float = 0.5,
-) -> OverlapReport:
+def overlap_diagnostics(model: WeightModel, ipd: IpdStudy) -> OverlapReport:
     """Flag arms whose effective sample size drops to p or below, and weights
     that individually dominate the total."""
     p = ipd.p
     low = [z for z, e in model.ess.items() if e <= p]
     w = model.weights
     share = float(w.max() / w.sum())
-    top = sorted(w, reverse=True)[:k_largest]
+    top = sorted(w, reverse=True)[:K_LARGEST]
     return OverlapReport(
         ess=dict(model.ess),
         low_ess_arms=sorted(low),
         max_weight_share=share,
-        share_warning=share >= weight_cap_warn,
+        share_warning=share >= WEIGHT_SHARE_WARN,
         largest_weights=[float(v) for v in top],
     )

@@ -82,6 +82,19 @@ class TestFit:
         assert "InvalidArmCode" in capsys.readouterr().err
 
 
+    def test_binary_outcome_not_coded_01_exits_1(self, io_pair, tmp_path, capsys):
+        _, agd = io_pair
+        bad = tmp_path / "half.csv"
+        bad.write_text("y,z,x1,x2\n1,1,0.1,0.2\n0.5,0,0.3,0.1\n")
+        code = main(["fit", "--ipd", str(bad), "--agd", str(agd),
+                     "--out", str(tmp_path / "f5")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        assert f"NonNumericValue: {bad}:3: binary outcome '0.5'" in err
+        assert "in 'y'" in err
+
+
 class TestCompare:
     def test_full_report(self, io_pair, tmp_path):
         ipd, agd = io_pair

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from maic.data_model import (
     AgdArm,
     AgdStudy,
-    IpdRecord,
     IpdStudy,
     MomentSpec,
     OutcomeKind,
@@ -50,6 +49,14 @@ class TestLoadIpd:
         p = write(tmp_path / "ipd.csv", "y,z,x1\n1,1,0.2\n1,3,0.2\n")
         with pytest.raises(InvalidArmCode, match=re.escape(f"{p}:3: arm code 3.0")):
             load_ipd(p)
+
+    @pytest.mark.parametrize("cell", ["0.5", "2", "-1"])
+    def test_binary_outcome_not_coded_01_names_line_and_column(self, tmp_path, cell):
+        p = write(tmp_path / "ipd.csv", f"y,z,x1\n1,1,0.2\n{cell},0,0.1\n")
+        with pytest.raises(NonNumericValue,
+                           match=re.escape(f"{p}:3: binary outcome {cell!r}") + ".*'y'"):
+            load_ipd(p, outcome_kind=OutcomeKind.BINARY)
+        assert load_ipd(p).y[1] == float(cell)
 
     def test_single_arm_study_is_valid(self, tmp_path):
         p = write(tmp_path / "ipd.csv", "y,z,x1\n1,1,0.2\n0,1,0.4\n")
@@ -218,11 +225,6 @@ class TestIpdStudy:
         np.testing.assert_array_equal(back.y, study.y)
         np.testing.assert_array_equal(back.z, study.z)
         np.testing.assert_array_equal(back.x, study.x)
-
-    def test_from_records_round_trip(self):
-        records = [IpdRecord(1.0, 1, (0.1,)), IpdRecord(0.0, 0, (0.2,))]
-        study = IpdStudy.from_records(records, ("x1",))
-        assert study.records == records
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatch):

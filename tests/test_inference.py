@@ -175,6 +175,29 @@ class TestComparisonReport:
         for name, est in report.estimates.items():
             assert abs(est.delta) < 0.1, name
 
+    def test_unweighted_ses_survive_a_singular_moment_jacobian(self, rng):
+        # x2 is constant and on target, so the moment Jacobian is singular;
+        # bucher and naive estimate no weight coefficients and never need it
+        n = 60
+        x = np.column_stack([rng.normal(size=n), np.full(n, 0.5)])
+        y = (rng.random(n) < 0.5).astype(float)
+        z = np.concatenate([np.ones(n // 2, int), np.zeros(n // 2, int)])
+        ipd = make_ipd(y, z, x, outcome_kind=OutcomeKind.BINARY)
+        target = np.array([float(x[:, 0].mean()) + 0.1, 0.5])
+        agd = make_agd(
+            active=make_arm(n=80, y_mean=0.55, y_var=0.25, x_mean=target),
+            comparator=make_arm(n=80, y_mean=0.45, y_var=None, x_mean=target),
+            names=ipd.covariate_names,
+        )
+        with pytest.warns(UserWarning, match="singular Hessian"):
+            model = solve_weights(ipd, target)
+        methods = [Method.BUCHER, Method.NAIVE]
+        fitted = build_comparison_report(ipd, agd, model, methods)
+        unfitted = build_comparison_report(ipd, agd, None, methods)
+        assert fitted.errors == {}
+        assert set(fitted.ses) == {(m.value, s) for m in methods for s in ("fo", "sw")}
+        assert fitted.to_dict()["methods"] == unfitted.to_dict()["methods"]
+
     def test_json_round_trip_and_csv(self, rng, tmp_path):
         import csv
         import json

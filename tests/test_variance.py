@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from maic.data_model import OutcomeKind, TrialRecords
 from maic.errors import MissingAgdVariance, RequiresFullIpd
-from maic.estimators import Scale, maic_acb, maic_nab, naive
+from maic.estimators import Method, Scale, bucher, maic_acb, maic_nab, naive
 from maic.variance import (
     InfluencePieces,
     SeStrategy,
@@ -50,7 +51,7 @@ def manual_pieces(phi_mu1, phi_alpha, var_phi_mu2, v_mu_x2, n_total):
     k = 1
     return InfluencePieces(
         phi_mu1=np.asarray(phi_mu1, float), phi_alpha=np.asarray(phi_alpha, float),
-        j_mu1=1.0, ctilde=np.zeros(k), j_alpha=-np.eye(k),
+        ctilde=np.zeros(k),
         var_phi_mu2=var_phi_mu2, v_mu_x2=v_mu_x2, n_total=n_total,
         p_t2=0.5, ew_t1=1.0, j_alpha_inv_ctilde=np.zeros(k),
     )
@@ -113,6 +114,29 @@ class TestInfluenceComponents:
         j = mask.mean() * ipd.n / pieces.n_total
         expected = (ipd.y - est.mu1) * mask / j
         np.testing.assert_allclose(pieces.phi_mu1, expected)
+
+
+class TestUnweightedMethods:
+    @pytest.mark.parametrize("scale", list(Scale))
+    def test_bucher_equals_relabelled_unit_weight_model(self, rng, scale):
+        # the public path to the same sums: a unit-weight model with the
+        # estimate relabelled maic-acb; fo and sw must agree bit for bit
+        ipd, agd, model = random_problem(rng)
+        est = bucher(ipd, agd, scale)
+        unit = dataclasses.replace(model, weights=np.ones(ipd.n))
+        acb = dataclasses.replace(est, method=Method.MAIC_ACB)
+        pieces = influence_components(ipd, agd, None, est, scale)
+        pairs = [
+            (sigma2_fo(pieces),
+             sigma2_fo(influence_components(ipd, agd, unit, acb, scale))),
+            (sigma2_sw(ipd, agd, None, est, scale),
+             sigma2_sw(ipd, agd, unit, acb, scale)),
+        ]
+        for direct, relabelled in pairs:
+            assert float(direct.sigma2).hex() == float(relabelled.sigma2).hex()
+            assert float(direct.se).hex() == float(relabelled.se).hex()
+        assert pieces.v_mu_x2 == 0.0
+        assert not pieces.phi_alpha.any()
 
 
 class TestStrategies:
