@@ -258,6 +258,32 @@ class TrialRecords:
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
 
 
+def stack_ipd(ipds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Outcomes (B, n), arm codes (B, n) and covariates (B, n, p) of a block
+    of B IPD studies of one shape whose arms have the same sizes."""
+    if len(ipds) == 1:
+        return ipds[0].y[None], ipds[0].z[None], ipds[0].x[None]
+    y = np.stack([ipd.y for ipd in ipds])
+    z = np.stack([ipd.z for ipd in ipds])
+    x = np.stack([ipd.x for ipd in ipds])
+    active = (z == 1).sum(axis=1)
+    if (active != active[0]).any():
+        raise ValueError("the studies of a block must have the same arm sizes")
+    return y, z, x
+
+
+def take_rows(values: np.ndarray, rows) -> np.ndarray:
+    """values[rows] for ascending block rows; no copy when all are taken."""
+    return values if len(rows) == len(values) else values[rows]
+
+
+def arm_rows(z: np.ndarray, values: np.ndarray, code: int) -> np.ndarray:
+    """values[z == code] per replicate of a block, as a (B, m, ...) array."""
+    mask = z == code
+    m = np.count_nonzero(mask) // max(len(z), 1)
+    return values[mask].reshape((len(z), m) + values.shape[2:])
+
+
 # a decimal or scientific number in ASCII digits, or nan/inf; the columnar
 # parse rejects every other cell, including digit separators and non-ASCII
 # digits that float() would accept

@@ -5,6 +5,27 @@ class MaicError(Exception):
     """Base class for all errors raised by this package."""
 
 
+def capture(fn, *args):
+    """fn(*args), or the MaicError it raised: one replicate's outcome in a
+    block of replicates, where one failure must not stop the others."""
+    try:
+        return fn(*args)
+    except MaicError as e:
+        return e
+
+
+def succeeded(outcomes) -> list[int]:
+    """Positions of the outcomes that are not captured errors."""
+    return [b for b, out in enumerate(outcomes) if not isinstance(out, MaicError)]
+
+
+def unwrap(outcome):
+    """The value of a captured outcome; re-raises a captured MaicError."""
+    if isinstance(outcome, MaicError):
+        raise outcome
+    return outcome
+
+
 # --- data ingestion ---------------------------------------------------------
 
 class MissingColumn(MaicError):
@@ -61,10 +82,6 @@ class EmptyWeights(MaicError):
 # --- estimation -------------------------------------------------------------
 
 class BoundaryProportion(MaicError):
-    pass
-
-
-class NoActiveArm(MaicError):
     pass
 
 

@@ -16,15 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import AgdStudy, IpdStudy
+from .data_model import AgdStudy, IpdStudy, arm_rows, stack_ipd, take_rows
 from .errors import (
     BoundaryProportion,
-    NoActiveArm,
     NoComparatorArm,
     SeparationError,
     SingularDesign,
+    capture,
+    unwrap,
 )
-from .weighting import WeightModel
+from .weighting import WeightModel, solve_each
 
 
 class Scale(enum.Enum):
@@ -93,61 +94,70 @@ class Estimate:
         return d
 
 
-def weighted_arm_mean(ipd: IpdStudy, weights: np.ndarray, z: int) -> float:
-    mask = ipd.z == z
-    if not mask.any():
-        raise NoComparatorArm(f"IPD study has no z={z} records")
-    w = weights[mask]
-    return float(np.sum(w * ipd.y[mask]) / np.sum(w))
+def _weighted_means(y: np.ndarray, z: np.ndarray, w: np.ndarray | None,
+                    code: int) -> np.ndarray:
+    """Mean outcome of arm `code` per replicate of a block, weighted by w
+    unless w is None."""
+    if w is None:
+        return arm_rows(z, y, code).mean(axis=1)
+    wz = arm_rows(z, w, code)
+    return (wz * arm_rows(z, y, code)).sum(axis=1) / wz.sum(axis=1)
 
 
 def maic_nab(
     ipd: IpdStudy, agd: AgdStudy, model: WeightModel, scale: Scale = Scale.IDENTITY
 ) -> Estimate:
     """Weighted IPD active-arm mean contrasted with the AGD active arm."""
-    mu1 = weighted_arm_mean(ipd, model.weights, z=1)
-    mu2 = agd.active_arm.y_mean
-    delta = scale.g(mu1) - scale.g(mu2)
-    return Estimate(Method.MAIC_NAB, scale, delta, mu1, mu2)
+    return unwrap(estimate_block([ipd], [agd], model.weights[None], scale, Method.MAIC_NAB)[0])
+
 
 def maic_acb(
     ipd: IpdStudy, agd: AgdStudy, model: WeightModel, scale: Scale = Scale.IDENTITY
 ) -> Estimate:
     """Anchored variant: subtracts the weighted-vs-reported contrast of the
     common comparator arms from the maic_nab contrast."""
-    if agd.comparator_arm is None:
-        raise NoComparatorArm("AGD study has no comparator arm")
-    if not ipd.has_comparator:
-        raise NoComparatorArm("IPD study has no comparator (z=0) records")
-    nab = maic_nab(ipd, agd, model, scale)
-    mu0_ipd = weighted_arm_mean(ipd, model.weights, z=0)
-    mu0_agd = agd.comparator_arm.y_mean
-    delta = nab.delta - (scale.g(mu0_ipd) - scale.g(mu0_agd))
-    return Estimate(
-        Method.MAIC_ACB, scale, delta, nab.mu1, nab.mu2,
-        anchor_terms=(mu0_ipd, mu0_agd),
-    )
+    return unwrap(estimate_block([ipd], [agd], model.weights[None], scale, Method.MAIC_ACB)[0])
 
 
 def bucher(ipd: IpdStudy, agd: AgdStudy, scale: Scale = Scale.IDENTITY) -> Estimate:
     """Anchored indirect comparison of unadjusted within-trial effects."""
-    if agd.comparator_arm is None:
-        raise NoComparatorArm("AGD study has no comparator arm")
-    if not ipd.has_comparator:
-        raise NoComparatorArm("IPD study has no comparator (z=0) records")
-    y11 = float(ipd.y[ipd.z == 1].mean())
-    y10 = float(ipd.y[ipd.z == 0].mean())
-    y22 = agd.active_arm.y_mean
-    y20 = agd.comparator_arm.y_mean
-    delta = (scale.g(y11) - scale.g(y10)) - (scale.g(y22) - scale.g(y20))
-    return Estimate(Method.BUCHER, scale, delta, y11, y22, anchor_terms=(y10, y20))
+    return unwrap(estimate_block([ipd], [agd], None, scale, Method.BUCHER)[0])
 
 
 def naive(ipd: IpdStudy, agd: AgdStudy, scale: Scale = Scale.IDENTITY) -> Estimate:
     """Unweighted IPD active-arm mean vs the AGD active arm."""
-    mu1 = float(ipd.y[ipd.z == 1].mean())
-    mu2 = agd.active_arm.y_mean
-    return Estimate(Method.NAIVE, scale, scale.g(mu1) - scale.g(mu2), mu1, mu2)
+    return unwrap(estimate_block([ipd], [agd], None, scale, Method.NAIVE)[0])
+
+
+def estimate_block(ipds, agds, weights: np.ndarray | None, scale: Scale, method: Method) -> list:
+    """maic_nab or maic_acb with weights (B, n), or bucher or naive with
+    weights None, for a block of same-shaped studies (see stack_ipd): an
+    Estimate or the MaicError per study."""
+    y, z, _ = stack_ipd(ipds)
+    anchored = method in (Method.MAIC_ACB, Method.BUCHER)
+    mu1 = _weighted_means(y, z, weights, 1)
+    mu0 = _weighted_means(y, z, weights, 0) if anchored and ipds[0].has_comparator else None
+
+    def estimate(b):
+        agd = agds[b]
+        if anchored:
+            if agd.comparator_arm is None:
+                raise NoComparatorArm("AGD study has no comparator arm")
+            if not ipds[b].has_comparator:
+                raise NoComparatorArm("IPD study has no comparator (z=0) records")
+        m1, m2 = float(mu1[b]), agd.active_arm.y_mean
+        if method is Method.BUCHER:
+            m0, m0_agd = float(mu0[b]), agd.comparator_arm.y_mean
+            delta = (scale.g(m1) - scale.g(m0)) - (scale.g(m2) - scale.g(m0_agd))
+            return Estimate(method, scale, delta, m1, m2, anchor_terms=(m0, m0_agd))
+        delta = scale.g(m1) - scale.g(m2)
+        if method is Method.MAIC_ACB:
+            m0, m0_agd = float(mu0[b]), agd.comparator_arm.y_mean
+            delta = delta - (scale.g(m0) - scale.g(m0_agd))
+            return Estimate(method, scale, delta, m1, m2, anchor_terms=(m0, m0_agd))
+        return Estimate(method, scale, delta, m1, m2)
+
+    return [capture(estimate, b) for b in range(len(ipds))]
 
 
 class OutcomeLink(enum.Enum):
@@ -167,26 +177,45 @@ def fit_logistic_irls(
     Divergence of any coefficient beyond coef_cap is treated as complete
     (or quasi-complete) separation.
     """
-    n, k = design.shape
-    gamma = np.zeros(k)
+    return unwrap(_irls(design[None], y[None], max_iter, tol, coef_cap)[0])
+
+
+def _irls(design: np.ndarray, y: np.ndarray, max_iter: int, tol: float,
+          coef_cap: float) -> list:
+    """fit_logistic_irls for each replicate of a (B, n, k) design stack, in
+    lockstep: the coefficients or the MaicError per replicate."""
+    gamma = np.zeros(design.shape[::2])
+    outcome = [None] * len(design)
+    live = np.arange(len(design))
     for _ in range(max_iter):
-        eta = design @ gamma
+        if not len(live):
+            break
+        d = take_rows(design, live)
+        eta = np.matmul(d, gamma[live][:, :, None])[:, :, 0]
         mu = 1.0 / (1.0 + np.exp(-eta))
         wt = mu * (1.0 - mu)
-        grad = design.T @ (y - mu)
-        hess = (design * wt[:, None]).T @ design
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            raise SingularDesign("singular design in logistic fit") from None
-        gamma = gamma + step
-        if np.max(np.abs(gamma)) > coef_cap:
-            raise SeparationError(
-                "logistic fit diverged (complete separation suspected)"
-            )
-        if np.max(np.abs(step)) < tol:
-            return gamma
-    raise SeparationError("logistic fit failed to converge")
+        grad = np.matmul(d.transpose(0, 2, 1), (take_rows(y, live) - mu)[:, :, None])[:, :, 0]
+        hess = np.matmul((d * wt[:, :, None]).transpose(0, 2, 1), d)
+        step, singular = solve_each(hess, grad)
+        if singular.any():
+            for b in live[singular]:
+                outcome[b] = SingularDesign("singular design in logistic fit")
+            live, step = live[~singular], step[~singular]
+        gamma[live] = gamma[live] + step
+        diverged = np.abs(gamma[live]).max(axis=1) > coef_cap
+        if diverged.any():
+            for b in live[diverged]:
+                outcome[b] = SeparationError(
+                    "logistic fit diverged (complete separation suspected)")
+            live, step = live[~diverged], step[~diverged]
+        done = np.abs(step).max(axis=1) < tol
+        if done.any():
+            for b in live[done]:
+                outcome[b] = gamma[b]
+            live = live[~done]
+    for b in live:
+        outcome[b] = SeparationError("logistic fit failed to converge")
+    return outcome
 
 
 def stc(
@@ -201,33 +230,44 @@ def stc(
     When the AGD means lie outside the IPD covariate range the prediction
     extrapolates; a warning is emitted rather than refusing.
     """
-    mask = ipd.z == 1
-    if not mask.any():
-        raise NoActiveArm("IPD study has no active-arm records")
-    x = ipd.x[mask]
-    y = ipd.y[mask]
-    design = np.hstack([np.ones((len(y), 1)), x])
+    return unwrap(stc_block([ipd], [agd], scale, outcome_link)[0])
 
-    arms = agd.arms
-    ns = np.array([a.n for a in arms], dtype=float)
-    xbar2 = np.sum([a.x_mean * n for a, n in zip(arms, ns)], axis=0) / ns.sum()
-    lo, hi = x.min(axis=0), x.max(axis=0)
-    if np.any(xbar2 < lo) or np.any(xbar2 > hi):
-        warnings.warn(
-            "AGD covariate means lie outside the IPD active-arm support; "
-            "the outcome model is extrapolating",
-            stacklevel=2,
-        )
 
-    row = np.concatenate([[1.0], xbar2])
-    if outcome_link is OutcomeLink.LINEAR:
-        gamma, *_ = np.linalg.lstsq(design, y, rcond=None)
-        rank = np.linalg.matrix_rank(design)
-        if rank < design.shape[1]:
-            raise SingularDesign("rank-deficient design in linear outcome model")
-        mu1 = float(row @ gamma)
-    else:
-        gamma = fit_logistic_irls(design, y)
-        mu1 = 1.0 / (1.0 + math.exp(-float(row @ gamma)))
-    mu2 = agd.active_arm.y_mean
-    return Estimate(Method.STC, scale, scale.g(mu1) - scale.g(mu2), mu1, mu2)
+def stc_block(ipds, agds, scale: Scale = Scale.IDENTITY,
+              outcome_link: OutcomeLink = OutcomeLink.LOGISTIC) -> list:
+    """stc for a block of same-shaped studies (see stack_ipd): an Estimate
+    or the MaicError per study."""
+    y, z, x = stack_ipd(ipds)
+    x, y = arm_rows(z, x, 1), arm_rows(z, y, 1)
+    design = np.concatenate([np.ones(y.shape + (1,)), x], axis=2)
+    lo, hi = x.min(axis=1), x.max(axis=1)
+    rows = []
+    for b, agd in enumerate(agds):
+        arms = agd.arms
+        ns = np.array([a.n for a in arms], dtype=float)
+        xbar2 = np.sum([a.x_mean * n for a, n in zip(arms, ns)], axis=0) / ns.sum()
+        if np.any(xbar2 < lo[b]) or np.any(xbar2 > hi[b]):
+            warnings.warn(
+                "AGD covariate means lie outside the IPD active-arm support; "
+                "the outcome model is extrapolating",
+                stacklevel=3,
+            )
+        rows.append(np.concatenate([[1.0], xbar2]))
+
+    fits = _irls(design, y, 100, 1e-10, 30.0) if outcome_link is OutcomeLink.LOGISTIC else None
+
+    def estimate(b):
+        row = rows[b]
+        if outcome_link is OutcomeLink.LINEAR:
+            gamma, *_ = np.linalg.lstsq(design[b], y[b], rcond=None)
+            rank = np.linalg.matrix_rank(design[b])
+            if rank < design.shape[2]:
+                raise SingularDesign("rank-deficient design in linear outcome model")
+            mu1 = float(row @ gamma)
+        else:
+            gamma = unwrap(fits[b])
+            mu1 = 1.0 / (1.0 + math.exp(-float(row @ gamma)))
+        mu2 = agds[b].active_arm.y_mean
+        return Estimate(Method.STC, scale, scale.g(mu1) - scale.g(mu2), mu1, mu2)
+
+    return [capture(estimate, b) for b in range(len(ipds))]

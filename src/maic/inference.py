@@ -8,23 +8,26 @@ import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
-from .data_model import AgdStudy, IpdStudy
-from .errors import InvalidLevel, MaicError, NoComparatorArm, ZeroSe
+import numpy as np
+
+from .data_model import AgdStudy, IpdStudy, stack_ipd, take_rows
+from .errors import InvalidLevel, MaicError, NoComparatorArm, ZeroSe, capture, succeeded, unwrap
 from .estimators import (
     Estimate,
     Method,
     Scale,
+    _weighted_means,
     bucher,
     maic_acb,
     maic_nab,
     naive,
     stc,
-    weighted_arm_mean,
 )
 from .variance import (
     SeEstimate,
     SeStrategy,
     _pair_influence,
+    _pair_terms,
     _var_over_n,
     influence_components,
     sigma2_cs,
@@ -96,20 +99,42 @@ def negative_control_test(
     """Compare the weighted IPD comparator mean with the reported AGD
     comparator mean; the standard error omits weight-estimation terms
     (the conservative strategy), so the test size leans conservative."""
-    if agd.comparator_arm is None or not ipd.has_comparator:
-        raise NoComparatorArm("negative-control test needs comparator arms on both sides")
-    mu0_ipd = weighted_arm_mean(ipd, model.weights, z=0)
-    mu0_agd = agd.comparator_arm.y_mean
-    delta0 = scale.g(mu0_ipd) - scale.g(mu0_agd)
+    return unwrap(negative_control_block([ipd], [agd], [model], scale, alpha_level)[0])
 
-    n_total = ipd.n + agd.n_total
-    pair = (1.0, 0, mu0_ipd, agd.comparator_arm, mu0_agd)
-    phi0, var_agd, _ = _pair_influence(ipd, model.weights, [pair], scale, n_total)
-    sigma2 = _var_over_n(phi0, n_total) + var_agd
-    se0 = math.sqrt(sigma2 / n_total)
-    z, p = wald_test(delta0, se0) if se0 > 0 else (0.0, 1.0)
+
+def negative_control_block(ipds, agds, models, scale: Scale = Scale.IDENTITY,
+                           alpha_level: float = 0.05) -> list:
+    """negative_control_test for a block of same-shaped studies (see
+    stack_ipd): a NegControlResult or the MaicError per study."""
+    y, z, _ = stack_ipd(ipds)
+    w = np.stack([m.weights for m in models])
+    mu0 = _weighted_means(y, z, w, 0) if ipds[0].has_comparator else None
+
+    def prepare(b):
+        ipd, agd = ipds[b], agds[b]
+        if agd.comparator_arm is None or not ipd.has_comparator:
+            raise NoComparatorArm("negative-control test needs comparator arms on both sides")
+        mu0_ipd = float(mu0[b])
+        mu0_agd = agd.comparator_arm.y_mean
+        delta0 = scale.g(mu0_ipd) - scale.g(mu0_agd)
+        n_total = ipd.n + agd.n_total
+        pair = (1.0, 0, mu0_ipd, agd.comparator_arm, mu0_agd)
+        return delta0, n_total, _pair_terms([pair], scale, ipd.outcome_kind, n_total)
+
+    out = [capture(prepare, b) for b in range(len(ipds))]
+    ok = succeeded(out)
+    if not ok:
+        return out
+    n_total = [out[b][1] for b in ok]
+    phi0, _ = _pair_influence(*(take_rows(a, ok) for a in (y, z, w)),
+                              [out[b][2][0] for b in ok], n_total)
     zcrit = norm_quantile(1.0 - alpha_level / 2.0)
-    return NegControlResult(delta0, se0, z, p, abs(z) > zcrit, alpha_level)
+    for var, b in zip(_var_over_n(phi0, n_total), ok):
+        delta0, nt, (_, var_agd) = out[b]
+        se0 = math.sqrt((var + var_agd) / nt)
+        z0, p = wald_test(delta0, se0) if se0 > 0 else (0.0, 1.0)
+        out[b] = NegControlResult(delta0, se0, z0, p, abs(z0) > zcrit, alpha_level)
+    return out
 
 
 @dataclass

@@ -10,7 +10,10 @@ number of patients per (trial, arm) cell, collapses the second trial to
 aggregate summaries, and runs every estimator and SE strategy.
 
 Replicate r of a study draws from an independent RNG stream keyed by
-(seed, r), so serial and parallel execution produce identical output.
+(seed, r).  Replicates run in blocks: each is generated on its own stream,
+then the block goes through one stacked solve/estimate/SE core whose
+arithmetic per replicate is that of a lone replicate, so the output is the
+same for any thread count and any block size.
 """
 
 from __future__ import annotations
@@ -32,19 +35,11 @@ from .data_model import (
     TrialRecords,
     pooled_target_moments,
 )
-from .errors import InsufficientCell, MaicError
-from .estimators import Method, Scale, bucher, maic_acb, maic_nab, stc
-from .inference import negative_control_test, norm_quantile
-from .variance import (
-    SeStrategy,
-    influence_components,
-    sigma2_cs,
-    sigma2_fo,
-    sigma2_full,
-    sigma2_po,
-    sigma2_sw,
-)
-from .weighting import SolverConfig, solve_weights
+from .errors import InsufficientCell, MaicError, SchemaError
+from .estimators import Method, Scale, estimate_block, stc_block
+from .inference import negative_control_block, norm_quantile
+from .variance import SeStrategy, full_block, influence_block, influence_ses, sw_block
+from .weighting import SolverConfig, solve_weights_block
 
 BETA0 = -1.0
 BETA2 = 0.1
@@ -117,6 +112,9 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
+        unknown = sorted(set(d) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise SchemaError(f"unknown scenario key {unknown[0]!r}")
         return cls(
             p=int(d.get("p", 5)),
             n_per_arm=int(d.get("n_per_arm", 500)),
@@ -131,7 +129,11 @@ class ScenarioConfig:
     @classmethod
     def from_json_file(cls, path) -> "ScenarioConfig":
         with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            doc = json.load(fh)
+        try:
+            return cls.from_dict(doc)
+        except SchemaError as e:
+            raise SchemaError(f"{path}: {e}") from None
 
 
 @dataclass(frozen=True)
@@ -188,11 +190,13 @@ def true_delta(cfg: ScenarioConfig, n_oracle: int = 2_000_000, rng=None) -> floa
         rng = np.random.default_rng([cfg.seed, 0xFFFFFFFF])
     p = cfg.p
     a1, b1, b3 = _config_vectors(cfg)
-    x = math.sqrt(0.8) * rng.standard_normal((n_oracle, p))
+    # x is scaled in place and the trial-2 rows are taken after the product,
+    # so no second (n_oracle, p) array is held; every element is unchanged
+    x = rng.standard_normal((n_oracle, p))
+    x *= math.sqrt(0.8)
     x += math.sqrt(0.2) * rng.standard_normal((n_oracle, 1))
     t2 = rng.random(n_oracle) < _expit(ALPHA0 + x @ a1)
-    xt2 = x[t2]
-    active = xt2 @ (b1 + b3) + BETA0 + BETA2
+    active = (x @ (b1 + b3))[t2] + BETA0 + BETA2
     m1 = float(_expit(active).mean())            # had they received the IPD treatment
     m2 = float(_expit(active + BETA4).mean())    # their own trial's treatment
     return cfg.scale.g(m1) - cfg.scale.g(m2)
@@ -208,6 +212,10 @@ class ReplicateResult:
 
 
 _SOLVER = SolverConfig()
+
+# cap on the patient rows (4 * n_per_arm per replicate) that run_study puts
+# in one block of replicates; it bounds the stacked arrays' memory
+BLOCK_ROWS = 16_384
 
 
 def replicate_datasets(
@@ -252,55 +260,78 @@ def run_replicate(cfg: ScenarioConfig, replicate_index: int) -> ReplicateResult:
     """One replicate: draw, subsample, collapse trial 2 to summaries, and
     run all estimators and SE strategies.  Deterministic given
     (cfg.seed, replicate_index); failures are recorded, not raised."""
-    ipd, agd, agd_records = replicate_datasets(cfg, replicate_index)
-    res = ReplicateResult()
-    target = pooled_target_moments(agd, MomentSpec.FIRST)
-    try:
-        model = solve_weights(ipd, target, MomentSpec.FIRST, _SOLVER)
-    except MaicError as e:
-        res.errors["weights"] = f"{type(e).__name__}: {e}"
-        model = None
+    return run_block(cfg, [replicate_index])[0]
 
-    runners = {
-        Method.MAIC_NAB: lambda: maic_nab(ipd, agd, model, cfg.scale),
-        Method.MAIC_ACB: lambda: maic_acb(ipd, agd, model, cfg.scale),
-        Method.BUCHER: lambda: bucher(ipd, agd, cfg.scale),
-        Method.STC: lambda: stc(ipd, agd, cfg.scale),
-    }
-    nab = None
-    for method, run in runners.items():
-        if model is None and method in (Method.MAIC_NAB, Method.MAIC_ACB):
-            continue
-        try:
-            est = run()
-        except MaicError as e:
-            res.errors[method.value] = f"{type(e).__name__}: {e}"
-            continue
-        res.deltas[method.value] = est.delta
-        if method is Method.MAIC_NAB:
-            nab = est
 
-    if nab is not None:
-        res.ess_active = model.ess.get(1)
-        try:
-            pieces = influence_components(ipd, agd, model, nab, cfg.scale)
-            for strategy, fn in ((SeStrategy.FO, sigma2_fo),
-                                 (SeStrategy.PO, sigma2_po),
-                                 (SeStrategy.CS, sigma2_cs)):
-                res.ses[strategy.value] = fn(pieces).se
-            res.ses[SeStrategy.SW.value] = sigma2_sw(ipd, agd, model, nab, cfg.scale).se
-            res.ses[SeStrategy.FULL.value] = sigma2_full(
-                ipd, agd, agd_records, model, nab, cfg.scale
-            ).se
-        except MaicError as e:
-            res.errors["variance"] = f"{type(e).__name__}: {e}"
-        try:
-            res.negcontrol_reject = negative_control_test(
-                ipd, agd, model, cfg.scale
-            ).reject_at_level
-        except MaicError as e:
-            res.errors["negcontrol"] = f"{type(e).__name__}: {e}"
-    return res
+def run_block(cfg: ScenarioConfig, indices) -> list[ReplicateResult]:
+    """run_replicate for each replicate index, with the weight solves, the
+    estimators, the SEs and the null checks of the whole block computed
+    stacked; each result equals its lone run_replicate bit for bit."""
+    ipds, agds, records = zip(*(replicate_datasets(cfg, i) for i in indices))
+    results = [ReplicateResult() for _ in indices]
+    scale = cfg.scale
+
+    def pick(members, *seqs):
+        return [[seq[b] for b in members] for seq in seqs]
+
+    def record(members, outcomes, key, store=lambda res, out: None) -> list[int]:
+        """Hand each success to `store` and file each MaicError under `key`,
+        in the order run_replicate meets them; returns the members that
+        succeeded."""
+        kept = []
+        for b, out in zip(members, outcomes):
+            if isinstance(out, MaicError):
+                results[b].errors[key] = f"{type(out).__name__}: {out}"
+            else:
+                store(results[b], out)
+                kept.append(b)
+        return kept
+
+    def delta(key):
+        return lambda res, est: res.deltas.update({key: est.delta})
+
+    everyone = list(range(len(indices)))
+    targets = np.stack([pooled_target_moments(agd, MomentSpec.FIRST) for agd in agds])
+    models = solve_weights_block(ipds, targets, MomentSpec.FIRST, _SOLVER)
+    fitted = record(everyone, models, "weights")
+    ests = [None] * len(indices)  # the maic-nab estimates
+    nab = []
+    if fitted:
+        weights = np.stack([models[b].weights for b in fitted])
+        for method in (Method.MAIC_NAB, Method.MAIC_ACB):
+            outs = estimate_block(*pick(fitted, ipds, agds), weights, scale, method)
+            kept = record(fitted, outs, method.value, delta(method.value))
+            if method is Method.MAIC_NAB:
+                nab = kept
+                for b, est in zip(fitted, outs):
+                    ests[b] = est
+    record(everyone, estimate_block(ipds, agds, None, scale, Method.BUCHER),
+           Method.BUCHER.value, delta(Method.BUCHER.value))
+    record(everyone, stc_block(ipds, agds, scale), Method.STC.value, delta(Method.STC.value))
+    if not nab:
+        return results
+
+    for b in nab:
+        results[b].ess_active = models[b].ess.get(1)
+    pieces = dict(zip(nab, influence_block(*pick(nab, ipds, agds, models, ests), scale)))
+    live = record(nab, [pieces[b] for b in nab], "variance")
+    for strategy in SeStrategy:
+        if not live:
+            break
+        if strategy is SeStrategy.SW:
+            outs = sw_block(*pick(live, ipds, agds, models, ests), scale)
+        elif strategy is SeStrategy.FULL:
+            outs = full_block(*pick(live, agds, records, models, ests), scale,
+                              [pieces[b] for b in live])
+        else:
+            outs = influence_ses(strategy, [pieces[b] for b in live])
+        live = record(live, outs, "variance",
+                      lambda res, se, key=strategy.value: res.ses.update({key: se.se}))
+
+    outs = negative_control_block(*pick(nab, ipds, agds, models), scale)
+    record(nab, outs, "negcontrol",
+           lambda res, result: setattr(res, "negcontrol_reject", result.reject_at_level))
+    return results
 
 
 @dataclass
@@ -357,27 +388,34 @@ class SimulationReport:
         return rows
 
 
-def _replicate_task(args) -> ReplicateResult:
-    cfg_dict, idx = args
-    return run_replicate(ScenarioConfig.from_dict(cfg_dict), idx)
+def _block_task(args) -> list[ReplicateResult]:
+    cfg_dict, indices = args
+    return run_block(ScenarioConfig.from_dict(cfg_dict), indices)
+
+
+def block_size(cfg: ScenarioConfig) -> int:
+    """Replicates per block: as many as fit in BLOCK_ROWS patient rows."""
+    return max(1, BLOCK_ROWS // (4 * cfg.n_per_arm))
 
 
 def run_study(cfg: ScenarioConfig, threads: int = 1, n_oracle: int = 2_000_000) -> SimulationReport:
     """Run all replicates and aggregate bias, coverage, and length metrics.
 
+    Replicates run in blocks of block_size(cfg), each through run_block.
     Replicates with estimator failures are excluded from the affected cell
     averages and tallied in failure_counts.  Output is a pure function of
-    cfg regardless of thread count.
+    cfg regardless of thread count and block size.
     """
     delta = true_delta(cfg, n_oracle=n_oracle)
-    indices = range(cfg.replicates)
+    size = block_size(cfg)
+    blocks = [list(range(i, min(i + size, cfg.replicates)))
+              for i in range(0, cfg.replicates, size)]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                _replicate_task, ((cfg.to_dict(), i) for i in indices), chunksize=16,
-            ))
+            done = list(pool.map(_block_task, ((cfg.to_dict(), b) for b in blocks)))
     else:
-        results = [run_replicate(cfg, i) for i in indices]
+        done = [run_block(cfg, b) for b in blocks]
+    results = [r for block in done for r in block]
 
     methods = [m.value for m in (Method.MAIC_NAB, Method.MAIC_ACB, Method.BUCHER, Method.STC)]
     strategies = [s.value for s in SeStrategy]

@@ -25,6 +25,10 @@ with sign -1; the null check is one comparator pair.  One core maps IPD
 weights and a pair list to the per-record phi, the AGD-variance term and,
 given centred moments, ctilde.  Bucher and naive use unit weights, need no
 fitted model, and have zero weight-coefficient and target-mean terms.
+
+The *_block functions run a block of same-shaped replicates through stacked
+arrays and return a result or the MaicError per replicate; the single-study
+functions are blocks of one.
 """
 
 from __future__ import annotations
@@ -35,10 +39,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import AgdArm, AgdStudy, IpdStudy, MomentSpec, OutcomeKind, TrialRecords
-from .errors import MissingAgdVariance, RequiresFullIpd, SingularJacobian
+from .data_model import (
+    AgdArm,
+    AgdStudy,
+    IpdStudy,
+    MomentSpec,
+    OutcomeKind,
+    TrialRecords,
+    arm_rows,
+    stack_ipd,
+    take_rows,
+)
+from .errors import (
+    MissingAgdVariance,
+    RequiresFullIpd,
+    SingularJacobian,
+    capture,
+    succeeded,
+    unwrap,
+)
 from .estimators import Estimate, Method, Scale
-from .weighting import WeightModel, moment_matrix
+from .weighting import WeightModel, moment_matrix, solve_each
 
 COND_WARN = 1e12
 
@@ -70,18 +91,27 @@ class InfluencePieces:
     side); variances are taken over the combined size n_total.  For anchored
     estimates phi_mu1 and ctilde fold in the comparator-arm analogues.  For
     unweighted methods phi_alpha is zero, v_mu_x2 is zero, and ctilde and
-    j_alpha_inv_ctilde are empty.
+    j_alpha_inv_ctilde are empty.  When the moment Jacobian is singular,
+    jacobian_error holds the SingularJacobian that the strategies needing
+    the weight-coefficient terms (po, cs, full) raise; phi_alpha, v_mu_x2
+    and j_alpha_inv_ctilde are then None.
     """
 
     phi_mu1: np.ndarray
-    phi_alpha: np.ndarray
+    phi_alpha: np.ndarray | None
     ctilde: np.ndarray
     var_phi_mu2: float
-    v_mu_x2: float
+    v_mu_x2: float | None
     n_total: int
     p_t2: float
     ew_t1: float
-    j_alpha_inv_ctilde: np.ndarray
+    j_alpha_inv_ctilde: np.ndarray | None
+    jacobian_error: SingularJacobian | None = None
+
+    def require_weight_terms(self) -> None:
+        """Raise the Jacobian error when the weight-coefficient terms are missing."""
+        if self.jacobian_error is not None:
+            raise self.jacobian_error
 
 
 def arm_outcome_variance(arm: AgdArm, outcome_kind: OutcomeKind) -> float:
@@ -97,21 +127,24 @@ def arm_outcome_variance(arm: AgdArm, outcome_kind: OutcomeKind) -> float:
     )
 
 
-def _solve_neg_definite(j_alpha: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve j_alpha @ x = rhs for the (negative definite) moment Jacobian."""
+def _solve_neg_definite(j_alpha: np.ndarray, rhs: np.ndarray):
+    """Solve j_alpha @ x = rhs for each (negative definite) moment Jacobian
+    of a block: x, and a SingularJacobian or None per replicate."""
     cond = np.linalg.cond(j_alpha)
-    if not np.isfinite(cond):
-        raise SingularJacobian("moment Jacobian is singular")
-    if cond > COND_WARN:
+    errors = [None if np.isfinite(v) else SingularJacobian("moment Jacobian is singular")
+              for v in cond]
+    for v in cond[np.isfinite(cond) & (cond > COND_WARN)]:
         warnings.warn(
-            f"moment Jacobian condition number {cond:.3g} exceeds {COND_WARN:.0e}; "
+            f"moment Jacobian condition number {v:.3g} exceeds {COND_WARN:.0e}; "
             "heavily correlated covariates suspected",
-            stacklevel=3,
+            stacklevel=4,
         )
-    try:
-        return np.linalg.solve(j_alpha, rhs)
-    except np.linalg.LinAlgError:
-        raise SingularJacobian("moment Jacobian is singular") from None
+    finite = np.flatnonzero(np.isfinite(cond))
+    x = np.zeros_like(rhs)
+    x[finite], singular = solve_each(j_alpha[finite], rhs[finite])
+    for b in finite[singular]:
+        errors[b] = SingularJacobian("moment Jacobian is singular")
+    return x, errors
 
 
 _UNWEIGHTED = (Method.BUCHER, Method.NAIVE)
@@ -126,14 +159,15 @@ def _arm_pairs(agd: AgdStudy, est: Estimate) -> list[tuple]:
     return pairs
 
 
-def _ipd_weights(ipd: IpdStudy, model: WeightModel | None, est: Estimate, what: str):
-    """Fitted weights for the MAIC methods, unit weights for the unweighted
-    ones; `model` is not read for the latter and may be None."""
-    if est.method in _UNWEIGHTED:
-        return np.ones(ipd.n)
-    if est.method in (Method.MAIC_NAB, Method.MAIC_ACB):
-        return model.weights
-    raise ValueError(f"{what} unavailable for {est.method.value}")
+def _block_weights(ipds, models, ests, what: str) -> np.ndarray:
+    """Fitted weights (B, n) for the MAIC methods, unit weights for the
+    unweighted ones; `models` is not read for the latter and may hold None."""
+    method = ests[0].method
+    if method in _UNWEIGHTED:
+        return np.ones((len(ipds), ipds[0].n))
+    if method in (Method.MAIC_NAB, Method.MAIC_ACB):
+        return np.stack([m.weights for m in models])
+    raise ValueError(f"{what} unavailable for {method.value}")
 
 
 def _agd_variance(arm: AgdArm, mu: float, scale: Scale, outcome_kind: OutcomeKind,
@@ -143,23 +177,37 @@ def _agd_variance(arm: AgdArm, mu: float, scale: Scale, outcome_kind: OutcomeKin
     return g**2 * arm_outcome_variance(arm, outcome_kind) / (arm.n / n_total)
 
 
-def _pair_influence(ipd: IpdStudy, w: np.ndarray, pairs: list[tuple], scale: Scale,
-                    n_total: int, c: np.ndarray | None = None):
-    """Per-record phi, the AGD-variance term and, when the centred moments `c`
-    are given, ctilde, summed over the signed arm pairs."""
-    phi = np.zeros(ipd.n)
+def _pair_terms(pairs: list[tuple], scale: Scale, outcome_kind: OutcomeKind,
+                n_total: int):
+    """One replicate's (sign * g', IPD arm code, IPD mean) per arm pair and
+    its AGD-variance term, summed over the pairs."""
+    terms = []
     var_agd = 0.0
-    ctilde = None if c is None else np.zeros(c.shape[1])
     for sign, z, mu_ipd, agd_arm, mu_agd in pairs:
-        g = scale.g_prime(mu_ipd)
-        mask = (ipd.z == z).astype(float)
-        j = float((w * mask).sum() / n_total)
-        resid = (ipd.y - mu_ipd) * w * mask
-        phi += (sign * g) * (resid / j)
+        terms.append((sign * scale.g_prime(mu_ipd), z, mu_ipd))
+        var_agd += _agd_variance(agd_arm, mu_agd, scale, outcome_kind, n_total)
+    return terms, var_agd
+
+
+def _pair_influence(y: np.ndarray, z: np.ndarray, w: np.ndarray, terms: list,
+                    n_total: list[int], c: np.ndarray | None = None):
+    """Per-record phi (B, n) and, when the centred moments c (B, n, k) are
+    given, ctilde (B, k), summed over the signed arm pairs of each replicate
+    of a block; terms[b] comes from _pair_terms."""
+    phi = np.zeros(y.shape)
+    ctilde = None if c is None else np.zeros((len(y), c.shape[2]))
+    nt = np.array(n_total)[:, None]
+    for i, (_, code, _) in enumerate(terms[0]):
+        sg = np.array([t[i][0] for t in terms])[:, None]
+        mu = np.array([t[i][2] for t in terms])[:, None]
+        mask = (z == code).astype(float)
+        j = (w * mask).sum(axis=1)[:, None] / nt
+        resid = (y - mu) * w * mask
+        phi += sg * (resid / j)
         if c is not None:
-            ctilde += ((sign * g) * (c.T @ resid / n_total)) / j
-        var_agd += _agd_variance(agd_arm, mu_agd, scale, ipd.outcome_kind, n_total)
-    return phi, var_agd, ctilde
+            ctilde += (sg * (np.matmul(c.transpose(0, 2, 1), resid[:, :, None])[:, :, 0]
+                             / nt)) / j
+    return phi, ctilde
 
 
 def influence_components(
@@ -176,70 +224,106 @@ def influence_components(
     the weight-coefficient contribution with the comparator-arm analogue of
     the outcome-covariate moment vector.
     """
-    w = _ipd_weights(ipd, model, est, "influence components")
-    n_total = ipd.n + agd.n_total
-    p_t2 = agd.n_total / n_total
-    ew_t1 = float(w.sum() / n_total)
-    pairs = _arm_pairs(agd, est)
+    return unwrap(influence_block([ipd], [agd], [model], [est], scale)[0])
 
-    if est.method in _UNWEIGHTED:
-        phi_mu1, var_phi_mu2, _ = _pair_influence(ipd, w, pairs, scale, n_total)
-        ctilde = b = np.zeros(0)
-        phi_alpha = np.zeros(ipd.n)
-        v_mu_x2 = 0.0
+
+def influence_block(ipds, agds, models, ests, scale: Scale) -> list:
+    """influence_components for a block of same-shaped studies (see
+    stack_ipd) whose estimates share one method and whose models share one
+    moment spec: InfluencePieces or the MaicError per study."""
+    w = _block_weights(ipds, models, ests, "influence components")
+    n_total = [ipd.n + agd.n_total for ipd, agd in zip(ipds, agds)]
+    prep = [capture(_pair_terms, _arm_pairs(agd, est), scale, ipd.outcome_kind, nt)
+            for ipd, agd, est, nt in zip(ipds, agds, ests, n_total)]
+    ok = succeeded(prep)
+    if not ok:
+        return prep
+    y, z, x = (take_rows(a, ok) for a in stack_ipd(ipds))
+    w, nts = take_rows(w, ok), [n_total[b] for b in ok]
+    terms = [prep[b][0] for b in ok]
+    sums = w.sum(axis=1)
+
+    unweighted = ests[0].method in _UNWEIGHTED
+    if unweighted:
+        phi, _ = _pair_influence(y, z, w, terms, nts)
+        ctilde = sol = np.zeros((len(ok), 0))
+        phi_alpha = np.zeros(phi.shape)
+        errors = [None] * len(ok)
     else:
-        c = moment_matrix(ipd.x, model.spec) - model.centering
-        j_alpha = -(w[:, None] * c).T @ c / n_total
-        phi_mu1, var_phi_mu2, ctilde = _pair_influence(ipd, w, pairs, scale, n_total, c)
-        b = _solve_neg_definite(j_alpha, ctilde)
-        phi_alpha = (w[:, None] * c) @ b
-        v_mu_x2 = float(-(ew_t1 / p_t2) * (ctilde @ b))
-        v_mu_x2 = max(v_mu_x2, 0.0)
+        centering = np.stack([models[b].centering for b in ok])
+        c = moment_matrix(x, models[ok[0]].spec) - centering[:, None, :]
+        wc = w[:, :, None] * c
+        j_alpha = np.matmul(-wc.transpose(0, 2, 1), c) / np.array(nts)[:, None, None]
+        phi, ctilde = _pair_influence(y, z, w, terms, nts, c)
+        sol, errors = _solve_neg_definite(j_alpha, ctilde)
+        phi_alpha = np.matmul(wc, sol[:, :, None])[:, :, 0]
+        dots = np.matmul(ctilde[:, None, :], sol[:, :, None])[:, 0, 0]
 
-    return InfluencePieces(
-        phi_mu1=phi_mu1,
-        phi_alpha=phi_alpha,
-        ctilde=ctilde,
-        var_phi_mu2=var_phi_mu2,
-        v_mu_x2=v_mu_x2,
-        n_total=n_total,
-        p_t2=p_t2,
-        ew_t1=ew_t1,
-        j_alpha_inv_ctilde=b,
-    )
+    out = list(prep)
+    for i, b in enumerate(ok):
+        nt = n_total[b]
+        p_t2 = agds[b].n_total / nt
+        ew_t1 = float(sums[i] / nt)
+        solved = errors[i] is None
+        if unweighted:
+            v_mu_x2 = 0.0
+        elif solved:
+            v_mu_x2 = max(float(-(ew_t1 / p_t2) * dots[i]), 0.0)
+        out[b] = InfluencePieces(
+            phi_mu1=phi[i],
+            phi_alpha=phi_alpha[i] if solved else None,
+            ctilde=ctilde[i],
+            var_phi_mu2=prep[b][1],
+            v_mu_x2=v_mu_x2 if solved else None,
+            n_total=nt,
+            p_t2=p_t2,
+            ew_t1=ew_t1,
+            j_alpha_inv_ctilde=sol[i] if solved else None,
+            jacobian_error=errors[i],
+        )
+    return out
 
 
-def _var_over_n(values: np.ndarray, n_total: int) -> float:
-    """Sample variance over the combined size; records absent from `values`
-    (the aggregate side) contribute exactly zero."""
-    s = values.sum()
-    return float((values**2).sum() / n_total - (s / n_total) ** 2)
+def _var_over_n(values: np.ndarray, n_total: list[int]) -> list[float]:
+    """Sample variance of each row of `values` over its combined size;
+    records absent from `values` (the aggregate side) contribute exactly
+    zero."""
+    s = values.sum(axis=1)
+    sq = (values**2).sum(axis=1)
+    return [float(sq[b] / n_total[b] - (s[b] / n_total[b]) ** 2) for b in range(len(values))]
 
 
 def sigma2_fo(pieces: InfluencePieces) -> SeEstimate:
-    sigma2 = _var_over_n(pieces.phi_mu1, pieces.n_total) + pieces.var_phi_mu2
-    return SeEstimate(SeStrategy.FO, sigma2, np.sqrt(sigma2 / pieces.n_total))
+    return unwrap(influence_ses(SeStrategy.FO, [pieces])[0])
 
 
 def sigma2_po(pieces: InfluencePieces) -> SeEstimate:
-    sigma2 = (
-        _var_over_n(pieces.phi_mu1 + pieces.phi_alpha, pieces.n_total)
-        + pieces.var_phi_mu2
-    )
-    return SeEstimate(SeStrategy.PO, sigma2, np.sqrt(sigma2 / pieces.n_total))
+    return unwrap(influence_ses(SeStrategy.PO, [pieces])[0])
 
 
 def sigma2_cs(pieces: InfluencePieces) -> SeEstimate:
-    base = (
-        _var_over_n(pieces.phi_mu1 + pieces.phi_alpha, pieces.n_total)
-        + pieces.var_phi_mu2
-    )
-    sigma2 = (
-        base
-        + pieces.v_mu_x2
-        + 2.0 * np.sqrt(pieces.var_phi_mu2 * pieces.v_mu_x2)
-    )
-    return SeEstimate(SeStrategy.CS, sigma2, np.sqrt(sigma2 / pieces.n_total))
+    return unwrap(influence_ses(SeStrategy.CS, [pieces])[0])
+
+
+def influence_ses(strategy: SeStrategy, pieces: list) -> list:
+    """The fo, po or cs variance of each InfluencePieces of a block: a
+    SeEstimate or the MaicError per replicate."""
+    out = [capture(p.require_weight_terms) if strategy is not SeStrategy.FO else None
+           for p in pieces]
+    ok = [b for b in range(len(pieces)) if out[b] is None]
+    if not ok:
+        return out
+    phi = np.stack([pieces[b].phi_mu1 for b in ok])
+    if strategy is not SeStrategy.FO:
+        phi = phi + np.stack([pieces[b].phi_alpha for b in ok])
+    var = _var_over_n(phi, [pieces[b].n_total for b in ok])
+    for v, b in zip(var, ok):
+        p = pieces[b]
+        sigma2 = v + p.var_phi_mu2
+        if strategy is SeStrategy.CS:
+            sigma2 = sigma2 + p.v_mu_x2 + 2.0 * np.sqrt(p.var_phi_mu2 * p.v_mu_x2)
+        out[b] = SeEstimate(strategy, sigma2, np.sqrt(sigma2 / p.n_total))
+    return out
 
 
 def sigma2_sw(
@@ -250,17 +334,31 @@ def sigma2_sw(
     scale: Scale = Scale.IDENTITY,
 ) -> SeEstimate:
     """HC0 sandwich variance of the weighted mean(s), weights fixed."""
-    w = _ipd_weights(ipd, model, est, "sandwich variance")
-    n_total = ipd.n + agd.n_total
-    sigma2 = 0.0
-    for _, z, mu_ipd, agd_arm, mu_agd in _arm_pairs(agd, est):
-        mask = ipd.z == z
-        wz = w[mask]
-        rz = ipd.y[mask] - mu_ipd
-        g = scale.g_prime(mu_ipd)
-        sigma2 += n_total * (g**2 * float(np.sum(wz**2 * rz**2) / np.sum(wz) ** 2))
-        sigma2 += _agd_variance(agd_arm, mu_agd, scale, ipd.outcome_kind, n_total)
-    return SeEstimate(SeStrategy.SW, float(sigma2), np.sqrt(sigma2 / n_total))
+    return unwrap(sw_block([ipd], [agd], [model], [est], scale)[0])
+
+
+def sw_block(ipds, agds, models, ests, scale: Scale) -> list:
+    """sigma2_sw for a block of same-shaped studies whose estimates share
+    one method: a SeEstimate or the MaicError per study."""
+    w = _block_weights(ipds, models, ests, "sandwich variance")
+    y, z, _ = stack_ipd(ipds)
+    pairs = [_arm_pairs(agd, est) for agd, est in zip(agds, ests)]
+    sums = []
+    for i, (_, code, _, _, _) in enumerate(pairs[0]):
+        wz = arm_rows(z, w, code)
+        rz = arm_rows(z, y, code) - np.array([p[i][2] for p in pairs])[:, None]
+        sums.append((np.sum(wz**2 * rz**2, axis=1), np.sum(wz, axis=1)))
+
+    def se(b):
+        n_total = ipds[b].n + agds[b].n_total
+        sigma2 = 0.0
+        for (_, _, mu_ipd, agd_arm, mu_agd), (num, den) in zip(pairs[b], sums):
+            g = scale.g_prime(mu_ipd)
+            sigma2 += n_total * (g**2 * float(num[b] / den[b] ** 2))
+            sigma2 += _agd_variance(agd_arm, mu_agd, scale, ipds[b].outcome_kind, n_total)
+        return SeEstimate(SeStrategy.SW, float(sigma2), np.sqrt(sigma2 / n_total))
+
+    return [capture(se, b) for b in range(len(ipds))]
 
 
 def full_influence_arrays(
@@ -278,32 +376,56 @@ def full_influence_arrays(
     if est.method is not Method.MAIC_NAB:
         raise ValueError("full influence benchmark is defined for maic-nab")
     pieces = influence_components(ipd, agd, model, est, scale)
-    n_ipd = ipd.n
-    n2 = len(agd_records.y)
-    n_total = n_ipd + n2
-    if n_total != pieces.n_total:
-        raise RequiresFullIpd(
-            "aggregate records inconsistent with the AGD summary sample sizes"
-        )
+    return unwrap(_full_arrays([agd], [agd_records], [model], [est], scale, [pieces])[0])
 
-    z2 = agd_records.z == 2
-    p_z2t2 = z2.sum() / n_total
-    g2 = scale.g_prime(est.mu2)
-    phi_mu2_t2 = g2 * (est.mu2 - agd_records.y) * z2 / p_z2t2
 
-    c2 = moment_matrix(agd_records.x, model.spec) - model.centering
+def _full_arrays(agds, records, models, ests, scale: Scale, pieces: list) -> list:
+    """full_influence_arrays for a block whose influence pieces are given: a
+    dict of arrays or the MaicError per replicate."""
+    n2 = len(records[0].y)
+
+    def check(b):
+        if pieces[b].n_total != len(pieces[b].phi_mu1) + n2:
+            raise RequiresFullIpd(
+                "aggregate records inconsistent with the AGD summary sample sizes"
+            )
+        g2 = scale.g_prime(ests[b].mu2)
+        pieces[b].require_weight_terms()
+        return g2
+
+    out = [capture(check, b) for b in range(len(pieces))]
+    ok = succeeded(out)
+    if not ok:
+        return out
+    n_total = np.array([pieces[b].n_total for b in ok])[:, None]
+    ry = np.stack([records[b].y for b in ok])
+    z2 = np.stack([records[b].z for b in ok]) == 2
+    p_z2t2 = z2.sum(axis=1)[:, None] / n_total
+    g2 = np.array([out[b] for b in ok])[:, None]
+    mu2 = np.array([ests[b].mu2 for b in ok])[:, None]
+    phi_mu2_t2 = g2 * (mu2 - ry) * z2 / p_z2t2
+
+    rx = np.stack([records[b].x for b in ok])
+    centering = np.stack([models[b].centering for b in ok])
+    c2 = moment_matrix(rx, models[ok[0]].spec) - centering[:, None, :]
     # ctilde already carries g'(mu1) and 1/J^{mu1}; only U^{muX2} remains
-    u2 = -(pieces.ew_t1 / pieces.p_t2) * c2
-    phi_mu_x2_t2 = u2 @ pieces.j_alpha_inv_ctilde
+    coef = np.array([-(pieces[b].ew_t1 / pieces[b].p_t2) for b in ok])[:, None, None]
+    sol = np.stack([pieces[b].j_alpha_inv_ctilde for b in ok])
+    phi_mu_x2_t2 = np.matmul(coef * c2, sol[:, :, None])[:, :, 0]
 
-    zeros_ipd = np.zeros(n_ipd)
-    zeros_t2 = np.zeros(n2)
-    return {
-        "phi_mu2": np.concatenate([zeros_ipd, phi_mu2_t2]),
-        "phi_mu1": np.concatenate([pieces.phi_mu1, zeros_t2]),
-        "phi_alpha": np.concatenate([pieces.phi_alpha, zeros_t2]),
-        "phi_mu_x2": np.concatenate([zeros_ipd, phi_mu_x2_t2]),
+    phi_mu1 = np.stack([pieces[b].phi_mu1 for b in ok])
+    zeros_ipd = np.zeros(phi_mu1.shape)
+    zeros_t2 = np.zeros((len(ok), n2))
+    arrays = {
+        "phi_mu2": np.concatenate([zeros_ipd, phi_mu2_t2], axis=1),
+        "phi_mu1": np.concatenate([phi_mu1, zeros_t2], axis=1),
+        "phi_alpha": np.concatenate([np.stack([pieces[b].phi_alpha for b in ok]), zeros_t2],
+                                    axis=1),
+        "phi_mu_x2": np.concatenate([zeros_ipd, phi_mu_x2_t2], axis=1),
     }
+    for i, b in enumerate(ok):
+        out[b] = {key: a[i] for key, a in arrays.items()}
+    return out
 
 
 def sigma2_full(
@@ -314,11 +436,29 @@ def sigma2_full(
     est: Estimate,
     scale: Scale = Scale.IDENTITY,
 ) -> SeEstimate:
-    arrays = full_influence_arrays(ipd, agd, agd_records, model, est, scale)
-    phi = sum(arrays.values())
-    n_total = len(phi)
-    sigma2 = float(np.var(phi))
-    return SeEstimate(SeStrategy.FULL, sigma2, np.sqrt(sigma2 / n_total))
+    return _full_ses([full_influence_arrays(ipd, agd, agd_records, model, est, scale)])[0]
+
+
+def full_block(agds, records, models, ests, scale: Scale, pieces: list) -> list:
+    """sigma2_full for a block of maic-nab estimates whose influence pieces
+    are given: a SeEstimate or the MaicError per replicate."""
+    return _full_ses(_full_arrays(agds, records, models, ests, scale, pieces))
+
+
+def _full_ses(arrays: list) -> list:
+    """The variance of the summed influence arrays of each replicate whose
+    arrays are not a captured error."""
+    out = list(arrays)
+    ok = succeeded(arrays)
+    if not ok:
+        return out
+    phi = 0
+    for key in arrays[ok[0]]:
+        phi = phi + np.stack([arrays[b][key] for b in ok])
+    n_total = phi.shape[1]
+    for b, sigma2 in zip(ok, map(float, np.var(phi, axis=1))):
+        out[b] = SeEstimate(SeStrategy.FULL, sigma2, np.sqrt(sigma2 / n_total))
+    return out
 
 
 @dataclass(frozen=True)

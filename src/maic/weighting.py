@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data_model import IpdStudy, MomentSpec
-from .errors import DegenerateCovariate, EmptyWeights, NonConvergence
+from .data_model import IpdStudy, MomentSpec, arm_rows, stack_ipd, take_rows
+from .errors import DegenerateCovariate, EmptyWeights, NonConvergence, capture, unwrap
 
 __all__ = [
     "MomentSpec",
@@ -81,11 +81,12 @@ class WeightModel:
 
 
 def moment_matrix(x: np.ndarray, spec: MomentSpec) -> np.ndarray:
-    """t(X): covariates for FIRST, covariates and their squares otherwise."""
+    """t(X): covariates for FIRST, covariates and their squares otherwise;
+    x may carry leading block axes."""
     x = np.asarray(x, dtype=float)
     if spec is MomentSpec.FIRST:
         return x
-    return np.hstack([x, x**2])
+    return np.concatenate([x, x**2], axis=-1)
 
 
 def solve_weights(
@@ -107,98 +108,178 @@ def solve_weights(
     DegenerateCovariate when a coordinate is constant but off-target.
     """
     target = np.asarray(target, dtype=float)
-    t = moment_matrix(ipd.x, spec)
-    k = t.shape[1]
+    k = moment_matrix(ipd.x[:1], spec).shape[1]
     if len(target) != k:
         raise ValueError(f"target has length {len(target)}, expected {k}")
+    return unwrap(solve_weights_block([ipd], target[None], spec, cfg)[0])
 
-    span = t.max(axis=0) - t.min(axis=0)
-    off = np.abs(t.mean(axis=0) - target)
-    for j in np.nonzero((span == 0) & (off > 1e-12))[0]:
-        raise DegenerateCovariate(
-            f"moment coordinate {j} is constant in the IPD but its target differs"
-        )
 
-    c = t - target
-    alpha = np.zeros(k)
-    n = len(c)
+def solve_weights_block(ipds, targets: np.ndarray, spec: MomentSpec,
+                        cfg: SolverConfig) -> list:
+    """solve_weights for a block of same-shaped IPD studies (see stack_ipd),
+    one target row each: a WeightModel or the MaicError per study."""
+    _, z, x = stack_ipd(ipds)
+    t = moment_matrix(x, spec)
+    span = t.max(axis=1) - t.min(axis=1)
+    degenerate = (span == 0) & (np.abs(t.mean(axis=1) - targets) > 1e-12)
+    solvable = np.flatnonzero(~degenerate.any(axis=1))
+    c = take_rows(t - targets[:, None, :], solvable)
+    alpha, w, q, iterations, converged, residual = _newton(c, cfg)
+    # effective sample sizes per arm, for the converged replicates only
+    done = np.flatnonzero(converged)
+    ess = {int(code): _ess(arm_rows(take_rows(z, solvable[done]), take_rows(w, done), code))
+           for code in np.unique(z)}
 
-    def evaluate(a):
-        expo = c @ a
-        if expo.max() > 700.0:  # exp overflow: treat as invalid trial point
-            return None, None
-        w = np.exp(expo)
-        return w, w.mean()
-
-    w, q = evaluate(alpha)
-    converged = False
-    iterations = 0
-    residual = c.mean(axis=0)
-    for iterations in range(1, cfg.max_iter + 1):
-        grad = (w[:, None] * c).mean(axis=0)
-        sw = w.sum()
-        if not np.isfinite(sw) or sw <= 0:
-            break
-        residual = grad * n / sw
-        if np.max(np.abs(residual)) <= cfg.grad_tol:
-            converged = True
-            break
-        hess = (w[:, None] * c).T @ c / n
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            warnings.warn(
-                "singular Hessian (collinear moments); using least-squares step",
-                stacklevel=2,
+    def outcome(b):
+        if degenerate[b].any():
+            j = int(np.flatnonzero(degenerate[b])[0])
+            raise DegenerateCovariate(
+                f"moment coordinate {j} is constant in the IPD but its target differs"
             )
-            step = np.linalg.lstsq(hess, grad, rcond=None)[0]
-        # backtracking: halve until the strictly convex objective decreases
-        scale = 1.0
-        accepted = False
-        for _ in range(cfg.step_halvings_max):
-            trial = alpha - scale * step
-            w_new, q_new = evaluate(trial)
-            if w_new is not None and q_new < q:
-                alpha, w, q = trial, w_new, q_new
-                accepted = True
-                break
-            scale *= 0.5
-        if not accepted:
-            # objective is flat to machine precision; take the full Newton
-            # step anyway if it still tightens the balance residual
-            trial = alpha - step
-            w_new, q_new = evaluate(trial)
-            if w_new is None or w_new.sum() <= 0:
-                break
-            res_new = (w_new[:, None] * c).mean(axis=0) * n / w_new.sum()
-            if np.max(np.abs(res_new)) < np.max(np.abs(residual)):
-                alpha, w, q = trial, w_new, q_new
-            else:
-                break
-    if not converged:
-        worst = int(np.argmax(np.abs(residual)))
-        raise NonConvergence(
-            "weight solver failed to balance moments (target may lie outside "
-            "the convex hull of the IPD moments); worst imbalance at moment "
-            f"coordinate {worst} with residual max-norm "
-            f"{np.max(np.abs(residual)):.3g}",
-            residual=residual,
+        s = int(np.searchsorted(solvable, b))
+        if not converged[s]:
+            worst = int(np.argmax(np.abs(residual[s])))
+            raise NonConvergence(
+                "weight solver failed to balance moments (target may lie outside "
+                "the convex hull of the IPD moments); worst imbalance at moment "
+                f"coordinate {worst} with residual max-norm "
+                f"{np.max(np.abs(residual[s])):.3g}",
+                residual=residual[s],
+            )
+        return WeightModel(
+            alpha1=alpha[s],
+            centering=targets[b],
+            weights=w[s],
+            spec=spec,
+            converged=True,
+            iterations=int(iterations[s]),
+            objective=float(q[s]),
+            ess={code: unwrap(arm[np.searchsorted(done, s)]) for code, arm in ess.items()},
         )
 
-    ess = {
-        int(z): effective_sample_size(w[ipd.z == z])
-        for z in np.unique(ipd.z)
-    }
-    return WeightModel(
-        alpha1=alpha,
-        centering=target,
-        weights=w,
-        spec=spec,
-        converged=True,
-        iterations=iterations,
-        objective=float(q),
-        ess=ess,
-    )
+    return [capture(outcome, b) for b in range(len(ipds))]
+
+
+def _evaluate(c: np.ndarray, a: np.ndarray):
+    """Weights exp(c_i'a) and objective mean per replicate; `ok` is False
+    where an exponent exceeds 700 (exp would overflow: an invalid trial
+    point, whose weights are left at 1)."""
+    expo = np.matmul(c, a[:, :, None])[:, :, 0]
+    ok = ~(expo.max(axis=1) > 700.0)
+    if ok.all():
+        w = np.exp(expo)
+    else:
+        w = np.ones_like(expo)
+        w[ok] = np.exp(expo[ok])
+    return w, w.mean(axis=1), ok
+
+
+def solve_each(a: np.ndarray, rhs: np.ndarray):
+    """x with a[b] @ x[b] = rhs[b] for each replicate of a (B, k, k) stack,
+    and a mask of the replicates whose matrix is singular (x left at 0)."""
+    singular = np.zeros(len(a), dtype=bool)
+    try:
+        return np.linalg.solve(a, rhs[:, :, None])[:, :, 0], singular
+    except np.linalg.LinAlgError:
+        pass
+    x = np.zeros_like(rhs)
+    for b in range(len(a)):
+        try:
+            x[b] = np.linalg.solve(a[b], rhs[b])
+        except np.linalg.LinAlgError:
+            singular[b] = True
+    return x, singular
+
+
+def _newton_steps(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Newton steps hess^-1 grad, least squares where a Hessian is singular."""
+    steps, singular = solve_each(hess, grad)
+    for b in np.flatnonzero(singular):
+        warnings.warn(
+            "singular Hessian (collinear moments); using least-squares step",
+            stacklevel=5,
+        )
+        steps[b] = np.linalg.lstsq(hess[b], grad[b], rcond=None)[0]
+    return steps
+
+
+def _newton(c: np.ndarray, cfg: SolverConfig):
+    """Damped Newton on Q(a) = mean exp(a'c_i) for each replicate of the
+    (B, n, k) centred moments c, in lockstep: a replicate leaves the loop
+    when it converges or fails and the rest carry on, each through the same
+    arithmetic as a lone solve.  Returns alpha, weights, objective,
+    iterations, convergence and the last balance residual per replicate."""
+    n_rep, n, k = c.shape
+    alpha = np.zeros((n_rep, k))
+    w, q, _ = _evaluate(c, alpha)
+    residual = c.mean(axis=1)
+    iterations = np.zeros(n_rep, dtype=int)
+    converged = np.zeros(n_rep, dtype=bool)
+    live = np.arange(n_rep)
+    for it in range(1, cfg.max_iter + 1):
+        if not len(live):
+            break
+        iterations[live] = it
+        sw = take_rows(w, live).sum(axis=1)
+        usable = np.isfinite(sw) & (sw > 0)
+        if not usable.all():
+            live, sw = live[usable], sw[usable]
+        cl = take_rows(c, live)
+        wc = take_rows(w, live)[:, :, None] * cl
+        grad = wc.mean(axis=1)
+        res = grad * n / sw[:, None]
+        residual[live] = res
+        done = np.abs(res).max(axis=1) <= cfg.grad_tol
+        if done.any():
+            converged[live[done]] = True
+            live, cl, wc, grad = live[~done], cl[~done], wc[~done], grad[~done]
+            if not len(live):
+                break
+        step = _newton_steps(np.matmul(wc.transpose(0, 2, 1), cl) / n, grad)
+
+        # backtracking: halve until the strictly convex objective decreases;
+        # once the trial point rounds to alpha it does so at every smaller
+        # scale, so that replicate stops searching
+        accepted = np.zeros(len(live), dtype=bool)
+        at = np.arange(len(live))  # positions in live still searching
+        a0, st, q0, cs = alpha[live], step, q[live], cl
+        scale = 1.0
+        for _ in range(cfg.step_halvings_max):
+            trial = a0 - scale * st
+            keep = (trial != a0).any(axis=1)
+            if not keep.all():
+                at, a0, st, q0, cs, trial = at[keep], a0[keep], st[keep], q0[keep], cs[keep], trial[keep]
+                if not len(at):
+                    break
+            w_new, q_new, ok = _evaluate(cs, trial)
+            better = ok & (q_new < q0)
+            if better.any():
+                took = live[at[better]]
+                alpha[took], w[took], q[took] = trial[better], w_new[better], q_new[better]
+                accepted[at[better]] = True
+                keep = ~better
+                at, a0, st, q0, cs = at[keep], a0[keep], st[keep], q0[keep], cs[keep]
+                if not len(at):
+                    break
+            scale *= 0.5
+
+        # objective flat to machine precision: take the full Newton step
+        # anyway if it still tightens the balance residual
+        if not accepted.all():
+            flat = np.flatnonzero(~accepted)
+            trial = alpha[live[flat]] - step[flat]
+            cf = take_rows(cl, flat)
+            w_new, q_new, ok = _evaluate(cf, trial)
+            sw_new = w_new.sum(axis=1)
+            valid = np.flatnonzero(ok & ~(sw_new <= 0))
+            res_new = ((w_new[valid][:, :, None] * cf[valid]).mean(axis=1) * n
+                       / sw_new[valid][:, None])
+            tighter = valid[np.abs(res_new).max(axis=1)
+                            < np.abs(residual[live[flat[valid]]]).max(axis=1)]
+            took = live[flat[tighter]]
+            alpha[took], w[took], q[took] = trial[tighter], w_new[tighter], q_new[tighter]
+            live = np.delete(live, np.setdiff1d(flat, flat[tighter]))
+    return alpha, w, q, iterations, converged, residual
 
 
 def balance_check(model: WeightModel, ipd: IpdStudy, target: np.ndarray):
@@ -211,12 +292,18 @@ def balance_check(model: WeightModel, ipd: IpdStudy, target: np.ndarray):
 
 def effective_sample_size(weights) -> float:
     """(sum w)^2 / sum w^2: the importance-sampling effective sample size."""
-    w = np.asarray(weights, dtype=float)
-    if w.size == 0:
-        raise EmptyWeights("effective sample size of an empty weight vector")
-    if np.any(w <= 0):
-        raise EmptyWeights("weights must be strictly positive")
-    return float(w.sum() ** 2 / (w**2).sum())
+    return unwrap(_ess(np.asarray(weights, dtype=float)[None])[0])
+
+
+def _ess(w: np.ndarray) -> list:
+    """Effective sample size of each row of w, or EmptyWeights."""
+    if w.shape[1] == 0:
+        return [EmptyWeights("effective sample size of an empty weight vector")] * len(w)
+    s = w.sum(axis=1)
+    sq = (w**2).sum(axis=1)
+    positive = ~(w <= 0).any(axis=1)
+    return [float(s[b] ** 2 / sq[b]) if positive[b]
+            else EmptyWeights("weights must be strictly positive") for b in range(len(w))]
 
 
 # overlap diagnostics: how many of the largest weights to list, and the share

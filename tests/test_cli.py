@@ -213,6 +213,17 @@ class TestSimulate:
         assert code == 1
         assert "covariates" in capsys.readouterr().err
 
+    def test_unknown_config_key_exits_1(self, tmp_path, capsys):
+        cfg = self._config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        doc["replicate"] = doc.pop("replicates")
+        cfg.write_text(json.dumps(doc))
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "typo")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "SchemaError" in err and "'replicate'" in err and str(cfg) in err
+        assert "Traceback" not in err
+
     def test_seed_override(self, tmp_path):
         cfg = self._config(tmp_path)
         out = tmp_path / "seeded"

@@ -19,7 +19,6 @@ from maic.estimators import (
     maic_nab,
     naive,
     stc,
-    weighted_arm_mean,
 )
 from maic.weighting import WeightModel, solve_weights
 
@@ -241,13 +240,6 @@ class TestStc:
         agd = make_agd(active=make_arm(y_mean=0.5, x_mean=[0.0]))
         with pytest.raises(SeparationError):
             stc(ipd, agd)
-
-
-class TestWeightedArmMean:
-    def test_missing_arm(self):
-        ipd = make_ipd([1.0], [1], [[0.0]])
-        with pytest.raises(NoComparatorArm):
-            weighted_arm_mean(ipd, np.ones(1), z=0)
 
 
 class TestLogisticIrls:

@@ -175,9 +175,9 @@ class TestComparisonReport:
         for name, est in report.estimates.items():
             assert abs(est.delta) < 0.1, name
 
-    def test_unweighted_ses_survive_a_singular_moment_jacobian(self, rng):
-        # x2 is constant and on target, so the moment Jacobian is singular;
-        # bucher and naive estimate no weight coefficients and never need it
+    @staticmethod
+    def singular_jacobian_problem(rng):
+        # x2 is constant and on target, so the moment Jacobian is singular
         n = 60
         x = np.column_stack([rng.normal(size=n), np.full(n, 0.5)])
         y = (rng.random(n) < 0.5).astype(float)
@@ -191,12 +191,27 @@ class TestComparisonReport:
         )
         with pytest.warns(UserWarning, match="singular Hessian"):
             model = solve_weights(ipd, target)
+        return ipd, agd, model
+
+    def test_unweighted_ses_survive_a_singular_moment_jacobian(self, rng):
+        # bucher and naive estimate no weight coefficients and never need it
+        ipd, agd, model = self.singular_jacobian_problem(rng)
         methods = [Method.BUCHER, Method.NAIVE]
         fitted = build_comparison_report(ipd, agd, model, methods)
         unfitted = build_comparison_report(ipd, agd, None, methods)
         assert fitted.errors == {}
         assert set(fitted.ses) == {(m.value, s) for m in methods for s in ("fo", "sw")}
         assert fitted.to_dict()["methods"] == unfitted.to_dict()["methods"]
+
+    def test_fo_and_sw_survive_a_singular_moment_jacobian(self, rng):
+        # fo and sw omit the weight-coefficient terms, so only po and cs,
+        # which solve the moment Jacobian, fail
+        ipd, agd, model = self.singular_jacobian_problem(rng)
+        methods = [Method.MAIC_NAB, Method.MAIC_ACB]
+        report = build_comparison_report(ipd, agd, model, methods)
+        assert set(report.ses) == {(m.value, s) for m in methods for s in ("fo", "sw")}
+        assert set(report.errors) == {f"{m.value}/{s}" for m in methods for s in ("po", "cs")}
+        assert all(e.startswith("SingularJacobian") for e in report.errors.values())
 
     def test_json_round_trip_and_csv(self, rng, tmp_path):
         import csv

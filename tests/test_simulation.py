@@ -1,14 +1,22 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from maic.errors import InsufficientCell
+from maic import simulation
+from maic.cli import write_json
+from maic.errors import InsufficientCell, SchemaError
 from maic.estimators import Scale
 from maic.simulation import (
+    ALPHA0,
+    BETA0,
+    BETA2,
+    BETA4,
     Confounding,
     ScenarioConfig,
     generate_population,
+    run_block,
     run_replicate,
     run_study,
     scenario_vectors,
@@ -35,6 +43,11 @@ class TestScenarioConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg_with().to_dict()))
         assert ScenarioConfig.from_json_file(path) == cfg_with()
+
+    def test_unknown_key_is_rejected(self):
+        # a typo must not silently fall back to the default 2000 replicates
+        with pytest.raises(SchemaError, match="'replicate'"):
+            ScenarioConfig.from_dict({"replicate": 5})
 
     def test_needs_four_covariates(self):
         with pytest.raises(ValueError):
@@ -125,6 +138,28 @@ class TestTrueDelta:
         cfg = cfg_with(confounding=Confounding.NONE, scale=Scale.LOGIT)
         assert true_delta(cfg, n_oracle=10_000) == pytest.approx(-0.5, abs=1e-12)
 
+    @staticmethod
+    def reference_true_delta(cfg, n_oracle, rng):
+        """The oracle as first written, copying x[t2] before the product."""
+        a1, b1, b3 = simulation._config_vectors(cfg)
+        x = math.sqrt(0.8) * rng.standard_normal((n_oracle, cfg.p))
+        x += math.sqrt(0.2) * rng.standard_normal((n_oracle, 1))
+        t2 = rng.random(n_oracle) < 1.0 / (1.0 + np.exp(-(ALPHA0 + x @ a1)))
+        xt2 = x[t2]
+        active = xt2 @ (b1 + b3) + BETA0 + BETA2
+        m1 = float((1.0 / (1.0 + np.exp(-active))).mean())
+        m2 = float((1.0 / (1.0 + np.exp(-(active + BETA4)))).mean())
+        return cfg.scale.g(m1) - cfg.scale.g(m2)
+
+    @pytest.mark.parametrize("confounding", list(Confounding))
+    @pytest.mark.parametrize("scale", list(Scale))
+    def test_equals_reference_formula(self, confounding, scale):
+        cfg = cfg_with(confounding=confounding, scale=scale, p=6, alpha_slope=0.7)
+        for seed in (1, 2):
+            got = true_delta(cfg, n_oracle=30_001, rng=np.random.default_rng(seed))
+            want = self.reference_true_delta(cfg, 30_001, np.random.default_rng(seed))
+            assert got == want
+
     def test_moderate_oracle_is_stable(self):
         cfg = cfg_with(scale=Scale.LOGIT)
         a = true_delta(cfg, n_oracle=1_000_000, rng=np.random.default_rng(1))
@@ -186,3 +221,40 @@ class TestRunStudy:
         report = run_study(cfg_with(replicates=2), n_oracle=50_000)
         doc = json.loads(report.to_json())
         assert doc["config"]["n_per_arm"] == 100
+
+
+class TestBlocks:
+    """Replicates run in blocks through one stacked core; the output must not
+    depend on the block size or the thread count."""
+
+    @staticmethod
+    def failing_cfg():
+        # 10 patients per arm under severe confounding: most replicates have
+        # some failure (weights, estimators, null check), one has none
+        return cfg_with(p=4, n_per_arm=10, confounding=Confounding.SEVERE,
+                        scale=Scale.LOGIT, replicates=12, seed=1)
+
+    def test_report_bytes_independent_of_block_size_and_threads(self, monkeypatch, tmp_path):
+        cfg = self.failing_cfg()
+        rows_per_replicate = 4 * cfg.n_per_arm
+        reports = set()
+        for rows, size in ((rows_per_replicate, 1), (3 * rows_per_replicate, 3),
+                           (simulation.BLOCK_ROWS, None)):
+            monkeypatch.setattr(simulation, "BLOCK_ROWS", rows)
+            if size is not None:
+                assert simulation.block_size(cfg) == size
+            for threads in (1, 2):
+                report = run_study(cfg, threads=threads, n_oracle=20_000)
+                path = tmp_path / f"report-{rows}-{threads}.json"
+                write_json(path, report.to_dict())
+                reports.add(path.read_bytes())
+        assert len(reports) == 1
+        assert any(report.failure_counts.values())
+
+    def test_lone_replicate_equals_its_place_in_a_block(self):
+        cfg = self.failing_cfg()
+        for indices in (list(range(cfg.replicates)), [0, 1, 3]):
+            block = run_block(cfg, indices)
+            assert sum(bool(r.errors) for r in block) not in (0, len(block))
+            for i, res in zip(indices, block):
+                assert pickle.dumps(run_replicate(cfg, i)) == pickle.dumps(res)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from maic.data_model import MomentSpec
-from maic.errors import DegenerateCovariate, EmptyWeights, NonConvergence
+from maic.data_model import MomentSpec, pooled_target_moments
+from maic.errors import DegenerateCovariate, EmptyWeights, MaicError, NonConvergence
+from maic.simulation import ScenarioConfig, replicate_datasets
 from maic.weighting import (
     SolverConfig,
     balance_check,
@@ -12,9 +13,61 @@ from maic.weighting import (
     moment_matrix,
     overlap_diagnostics,
     solve_weights,
+    solve_weights_block,
 )
 
 from conftest import make_ipd
+
+
+def reference_newton(c, cfg=SolverConfig()):
+    """The lone damped-Newton loop as first written, which halves the step
+    all step_halvings_max times even once the trial point equals alpha.
+    Returns alpha, weights, iterations and how many trial points equalled
+    alpha."""
+    n, k = c.shape
+    alpha = np.zeros(k)
+    idle = 0
+
+    def evaluate(a):
+        expo = c @ a
+        if expo.max() > 700.0:
+            return None, None
+        w = np.exp(expo)
+        return w, w.mean()
+
+    w, q = evaluate(alpha)
+    residual = c.mean(axis=0)
+    for iterations in range(1, cfg.max_iter + 1):
+        grad = (w[:, None] * c).mean(axis=0)
+        sw = w.sum()
+        if not np.isfinite(sw) or sw <= 0:
+            break
+        residual = grad * n / sw
+        if np.max(np.abs(residual)) <= cfg.grad_tol:
+            return alpha, w, iterations, idle
+        step = np.linalg.solve((w[:, None] * c).T @ c / n, grad)
+        scale = 1.0
+        accepted = False
+        for _ in range(cfg.step_halvings_max):
+            trial = alpha - scale * step
+            idle += bool((trial == alpha).all())
+            w_new, q_new = evaluate(trial)
+            if w_new is not None and q_new < q:
+                alpha, w, q = trial, w_new, q_new
+                accepted = True
+                break
+            scale *= 0.5
+        if not accepted:
+            trial = alpha - step
+            w_new, q_new = evaluate(trial)
+            if w_new is None or w_new.sum() <= 0:
+                break
+            res_new = (w_new[:, None] * c).mean(axis=0) * n / w_new.sum()
+            if np.max(np.abs(res_new)) < np.max(np.abs(residual)):
+                alpha, w, q = trial, w_new, q_new
+            else:
+                break
+    raise NonConvergence("reference solve failed")
 
 
 def grid_minimize_q(c, lo=-12.0, hi=12.0):
@@ -207,3 +260,61 @@ class TestOverlapDiagnostics:
         assert report.share_warning
         assert report.max_weight_share > 0.95
         assert len(report.largest_weights) == 5
+
+
+class TestSolverBlocks:
+    def test_flat_objective_solves_match_the_reference_bit_for_bit(self):
+        # at 100 patients per arm most solves end on a flat objective, where
+        # the trial point rounds to alpha before the halvings run out
+        cfg = ScenarioConfig(n_per_arm=100, replicates=12, seed=4)
+        idle = 0
+        for i in range(cfg.replicates):
+            ipd, agd, _ = replicate_datasets(cfg, i)
+            target = pooled_target_moments(agd, MomentSpec.FIRST)
+            alpha, w, iterations, flat = reference_newton(ipd.x - target)
+            model = solve_weights(ipd, target)
+            assert model.alpha1.tobytes() == alpha.tobytes()
+            assert model.weights.tobytes() == w.tobytes()
+            assert model.iterations == iterations
+            idle += flat
+        assert idle > 0
+
+    def test_block_outcomes_equal_lone_solves(self):
+        rng = np.random.default_rng(12)
+        z = np.repeat([1, 0], 20)
+        problems = []
+        for kind in ("plain", "collinear", "outside", "degenerate", "plain"):
+            x = rng.normal(size=(40, 2))
+            target = x.mean(axis=0) + 0.2
+            if kind == "collinear":
+                x[:, 1] = 0.5
+                target[1] = 0.5
+            elif kind == "outside":
+                target[0] = x[:, 0].max() + 1.0
+            elif kind == "degenerate":
+                x[:, 1] = 2.0
+            problems.append((make_ipd(rng.normal(size=40), z, x), target))
+
+        def lone(ipd, target):
+            try:
+                return solve_weights(ipd, target)
+            except MaicError as e:
+                return e
+
+        with pytest.warns(UserWarning, match="singular Hessian"):
+            block = solve_weights_block([p[0] for p in problems],
+                                        np.stack([p[1] for p in problems]),
+                                        MomentSpec.FIRST, SolverConfig())
+        with pytest.warns(UserWarning, match="singular Hessian"):
+            alone = [lone(*p) for p in problems]
+        for got, want in zip(block, alone):
+            assert type(got) is type(want)
+            if isinstance(want, MaicError):
+                assert str(got) == str(want)
+            else:
+                assert got.alpha1.tobytes() == want.alpha1.tobytes()
+                assert got.weights.tobytes() == want.weights.tobytes()
+                assert (got.iterations, got.objective, got.ess) == (
+                    want.iterations, want.objective, want.ess)
+        assert [type(o).__name__ for o in block] == [
+            "WeightModel", "WeightModel", "NonConvergence", "DegenerateCovariate", "WeightModel"]
