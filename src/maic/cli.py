@@ -13,14 +13,12 @@ import csv
 import datetime
 import hashlib
 import json
-import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
 from .data_model import MomentSpec, OutcomeKind, load_agd, load_ipd, pooled_target_moments
-from .errors import MaicError, NonConvergence, SeparationError
+from .errors import MaicError, NonConvergence, SchemaError, SeparationError
 from .estimators import Method, Scale
 from .inference import build_comparison_report, negative_control_test
 from .simulation import ScenarioConfig, run_study
@@ -28,21 +26,11 @@ from .variance import SeStrategy
 from .weighting import SolverConfig, balance_check, overlap_diagnostics, solve_weights
 
 
-def _round_trip_floats(obj):
-    """Pass floats through 17-significant-digit formatting so serialized
-    numbers identify their doubles exactly (bit-stable round trips)."""
-    if isinstance(obj, float):
-        return float(format(obj, ".17g"))
-    if isinstance(obj, dict):
-        return {k: _round_trip_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_trip_floats(v) for v in obj]
-    return obj
-
-
 def write_json(path: Path, obj) -> None:
+    # json writes the shortest repr of each float, which reads back to the
+    # same double
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_round_trip_floats(obj), fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -54,36 +42,15 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    config: dict
-    input_digests: dict[str, str]
-    version: str
-    seed: int | None
-    timestamp: str
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config": self.config,
-            "input_digests": self.input_digests,
-            "version": self.version,
-            "seed": self.seed,
-            "timestamp": self.timestamp,
-        }
-
-
 def write_manifest(out_dir: Path, command: str, config: dict, inputs: list, seed=None) -> None:
-    manifest = RunManifest(
-        command=command,
-        config=config,
-        input_digests={str(p): _sha256(p) for p in inputs},
-        version=__version__,
-        seed=seed,
-        timestamp=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    )
-    write_json(out_dir / "manifest.json", manifest.to_dict())
+    write_json(out_dir / "manifest.json", {
+        "command": command,
+        "config": config,
+        "input_digests": {str(p): _sha256(p) for p in inputs},
+        "version": __version__,
+        "seed": seed,
+        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+    })
 
 
 def _out_dir(args) -> Path:
@@ -95,7 +62,10 @@ def _out_dir(args) -> Path:
 def _load_pair(args):
     ipd = load_ipd(args.ipd, outcome_kind=OutcomeKind(args.outcome_kind))
     agd = load_agd(args.agd)
-    agd.check_alignment(ipd)
+    try:
+        agd.check_alignment(ipd)
+    except SchemaError as e:
+        raise SchemaError(f"{args.agd}: {e}") from None
     return ipd, agd
 
 
@@ -196,16 +166,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _default_threads() -> int:
-    env = os.environ.get("MAIC_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="maic",
@@ -252,8 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", required=True, help="scenario JSON")
     p_sim.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-    p_sim.add_argument("--threads", type=int, default=_default_threads(),
-                       help="worker processes (env MAIC_THREADS)")
+    p_sim.add_argument("--threads", type=int, default=1, help="worker processes")
     add_io(p_sim, need_pair=False)
     p_sim.set_defaults(func=cmd_simulate)
     return parser

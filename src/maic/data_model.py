@@ -15,7 +15,7 @@ import json
 import math
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -201,10 +201,6 @@ class AgdStudy:
             )
 
     @property
-    def p(self) -> int:
-        return len(self.covariate_names)
-
-    @property
     def arms(self) -> list[AgdArm]:
         out = [self.active_arm]
         if self.comparator_arm is not None:
@@ -216,12 +212,19 @@ class AgdStudy:
         return sum(a.n for a in self.arms)
 
     def check_alignment(self, ipd: IpdStudy) -> None:
-        """Covariate names (and order) must match the paired IPD study."""
+        """Covariate names (and order) must match the paired IPD study, and
+        for a binary outcome every arm's y_mean must lie in [0, 1]."""
         if tuple(self.covariate_names) != tuple(ipd.covariate_names):
             raise DimensionMismatch(
                 "IPD/AGD covariate names differ: "
                 f"{list(ipd.covariate_names)} vs {list(self.covariate_names)}"
             )
+        if ipd.outcome_kind is OutcomeKind.BINARY:
+            for name, arm in (("active", self.active_arm), ("comparator", self.comparator_arm)):
+                if arm is not None and not 0.0 <= arm.y_mean <= 1.0:
+                    raise SchemaError(
+                        f"{name} arm y_mean {arm.y_mean} of a binary outcome is outside [0, 1]"
+                    )
 
     def to_dict(self) -> dict:
         arms = {"active": self.active_arm.to_dict()}

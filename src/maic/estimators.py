@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import AgdStudy, IpdStudy, arm_rows, stack_ipd, take_rows
+from .data_model import AgdStudy, IpdStudy, OutcomeKind, arm_rows, stack_ipd, take_rows
 from .errors import (
     BoundaryProportion,
     NoComparatorArm,
@@ -45,11 +45,6 @@ class Scale(enum.Enum):
             return 1.0
         _require_interior(u)
         return 1.0 / (u * (1.0 - u))
-
-    def g_inverse(self, v: float) -> float:
-        if self is Scale.IDENTITY:
-            return v
-        return 1.0 / (1.0 + math.exp(-v))
 
 
 def _require_interior(u: float) -> None:
@@ -160,34 +155,22 @@ def estimate_block(ipds, agds, weights: np.ndarray | None, scale: Scale, method:
     return [capture(estimate, b) for b in range(len(ipds))]
 
 
-class OutcomeLink(enum.Enum):
-    LINEAR = "linear"
-    LOGISTIC = "logistic"
+# logistic IRLS controls: iteration cap, convergence threshold on the step
+# max-norm, and the coefficient size taken as (quasi-)complete separation
+IRLS_MAX_ITER = 100
+IRLS_TOL = 1e-10
+IRLS_COEF_CAP = 30.0
 
 
-def fit_logistic_irls(
-    design: np.ndarray,
-    y: np.ndarray,
-    max_iter: int = 100,
-    tol: float = 1e-10,
-    coef_cap: float = 30.0,
-) -> np.ndarray:
-    """Logistic regression by iteratively reweighted least squares.
-
-    Divergence of any coefficient beyond coef_cap is treated as complete
-    (or quasi-complete) separation.
-    """
-    return unwrap(_irls(design[None], y[None], max_iter, tol, coef_cap)[0])
-
-
-def _irls(design: np.ndarray, y: np.ndarray, max_iter: int, tol: float,
-          coef_cap: float) -> list:
-    """fit_logistic_irls for each replicate of a (B, n, k) design stack, in
-    lockstep: the coefficients or the MaicError per replicate."""
+def _irls(design: np.ndarray, y: np.ndarray) -> list:
+    """Logistic regression by iteratively reweighted least squares for each
+    replicate of a (B, n, k) design stack, in lockstep: the coefficients or
+    the MaicError per replicate.  A coefficient beyond IRLS_COEF_CAP is
+    taken as complete (or quasi-complete) separation."""
     gamma = np.zeros(design.shape[::2])
     outcome = [None] * len(design)
     live = np.arange(len(design))
-    for _ in range(max_iter):
+    for _ in range(IRLS_MAX_ITER):
         if not len(live):
             break
         d = take_rows(design, live)
@@ -202,13 +185,13 @@ def _irls(design: np.ndarray, y: np.ndarray, max_iter: int, tol: float,
                 outcome[b] = SingularDesign("singular design in logistic fit")
             live, step = live[~singular], step[~singular]
         gamma[live] = gamma[live] + step
-        diverged = np.abs(gamma[live]).max(axis=1) > coef_cap
+        diverged = np.abs(gamma[live]).max(axis=1) > IRLS_COEF_CAP
         if diverged.any():
             for b in live[diverged]:
                 outcome[b] = SeparationError(
                     "logistic fit diverged (complete separation suspected)")
             live, step = live[~diverged], step[~diverged]
-        done = np.abs(step).max(axis=1) < tol
+        done = np.abs(step).max(axis=1) < IRLS_TOL
         if done.any():
             for b in live[done]:
                 outcome[b] = gamma[b]
@@ -218,25 +201,22 @@ def _irls(design: np.ndarray, y: np.ndarray, max_iter: int, tol: float,
     return outcome
 
 
-def stc(
-    ipd: IpdStudy,
-    agd: AgdStudy,
-    scale: Scale = Scale.IDENTITY,
-    outcome_link: OutcomeLink = OutcomeLink.LOGISTIC,
-) -> Estimate:
+def stc(ipd: IpdStudy, agd: AgdStudy, scale: Scale = Scale.IDENTITY) -> Estimate:
     """Outcome regression on the IPD active arm evaluated at the pooled AGD
-    covariate means, contrasted with the AGD active arm.
+    covariate means, contrasted with the AGD active arm.  The model follows
+    the outcome kind: logistic for a binary outcome, linear least squares
+    for a continuous one.
 
     When the AGD means lie outside the IPD covariate range the prediction
     extrapolates; a warning is emitted rather than refusing.
     """
-    return unwrap(stc_block([ipd], [agd], scale, outcome_link)[0])
+    return unwrap(stc_block([ipd], [agd], scale)[0])
 
 
-def stc_block(ipds, agds, scale: Scale = Scale.IDENTITY,
-              outcome_link: OutcomeLink = OutcomeLink.LOGISTIC) -> list:
-    """stc for a block of same-shaped studies (see stack_ipd): an Estimate
-    or the MaicError per study."""
+def stc_block(ipds, agds, scale: Scale = Scale.IDENTITY) -> list:
+    """stc for a block of same-shaped studies of one outcome kind (see
+    stack_ipd): an Estimate or the MaicError per study."""
+    binary = ipds[0].outcome_kind is OutcomeKind.BINARY
     y, z, x = stack_ipd(ipds)
     x, y = arm_rows(z, x, 1), arm_rows(z, y, 1)
     design = np.concatenate([np.ones(y.shape + (1,)), x], axis=2)
@@ -254,19 +234,18 @@ def stc_block(ipds, agds, scale: Scale = Scale.IDENTITY,
             )
         rows.append(np.concatenate([[1.0], xbar2]))
 
-    fits = _irls(design, y, 100, 1e-10, 30.0) if outcome_link is OutcomeLink.LOGISTIC else None
+    fits = _irls(design, y) if binary else None
 
     def estimate(b):
         row = rows[b]
-        if outcome_link is OutcomeLink.LINEAR:
-            gamma, *_ = np.linalg.lstsq(design[b], y[b], rcond=None)
-            rank = np.linalg.matrix_rank(design[b])
-            if rank < design.shape[2]:
-                raise SingularDesign("rank-deficient design in linear outcome model")
-            mu1 = float(row @ gamma)
-        else:
+        if binary:
             gamma = unwrap(fits[b])
             mu1 = 1.0 / (1.0 + math.exp(-float(row @ gamma)))
+        else:
+            if np.linalg.matrix_rank(design[b]) < design.shape[2]:
+                raise SingularDesign("rank-deficient design in linear outcome model")
+            gamma, *_ = np.linalg.lstsq(design[b], y[b], rcond=None)
+            mu1 = float(row @ gamma)
         mu2 = agds[b].active_arm.y_mean
         return Estimate(Method.STC, scale, scale.g(mu1) - scale.g(mu2), mu1, mu2)
 

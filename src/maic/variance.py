@@ -10,7 +10,10 @@ data from the aggregate study, so four feasible strategies are offered:
 - po: include the weight-coefficient contribution, omit the target-mean one,
 - cs: additionally bound the target-mean contribution via Cauchy-Schwarz,
 - sw: heteroskedasticity-robust (HC0) variance of the weighted mean with
-  weights treated as fixed.
+  weights treated as fixed.  It equals fo: each arm's weighted residuals
+  sum to zero, so the variance of phi_mu1 is its uncentred second moment,
+  which is exactly the HC0 sum.  sw_block computes that number a second
+  way, and the two agree to rounding.
 
 A fifth strategy (full) evaluates the complete influence function and is
 available only when the aggregate study's raw records are at hand (the

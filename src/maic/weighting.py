@@ -11,9 +11,8 @@ model is never estimated; centering on the target removes it.
 
 from __future__ import annotations
 
-import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,9 +74,6 @@ class WeightModel:
             "objective": self.objective,
             "ess": {str(k): v for k, v in self.ess.items()},
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 def moment_matrix(x: np.ndarray, spec: MomentSpec) -> np.ndarray:
@@ -296,43 +292,37 @@ def effective_sample_size(weights) -> float:
 
 
 def _ess(w: np.ndarray) -> list:
-    """Effective sample size of each row of w, or EmptyWeights."""
+    """Effective sample size of each row of w, or EmptyWeights for a row
+    with a negative weight or none that is positive.  A zero weight (an
+    exponent that underflowed) is allowed."""
     if w.shape[1] == 0:
         return [EmptyWeights("effective sample size of an empty weight vector")] * len(w)
     s = w.sum(axis=1)
     sq = (w**2).sum(axis=1)
-    positive = ~(w <= 0).any(axis=1)
-    return [float(s[b] ** 2 / sq[b]) if positive[b]
-            else EmptyWeights("weights must be strictly positive") for b in range(len(w))]
+    valid = ~(w < 0).any(axis=1) & (w != 0).any(axis=1)
+    return [float(s[b] ** 2 / sq[b]) if valid[b]
+            else EmptyWeights("weights must be nonnegative and not all zero")
+            for b in range(len(w))]
 
 
-# overlap diagnostics: how many of the largest weights to list, and the share
-# of the total weight at which a single weight is flagged as dominant
+# overlap diagnostics: how many of the largest weights to list
 K_LARGEST = 5
-WEIGHT_SHARE_WARN = 0.5
 
 
 @dataclass(frozen=True)
 class OverlapReport:
-    ess: dict[int, float]
     low_ess_arms: list[int]
     max_weight_share: float
-    share_warning: bool
     largest_weights: list[float]
 
 
 def overlap_diagnostics(model: WeightModel, ipd: IpdStudy) -> OverlapReport:
-    """Flag arms whose effective sample size drops to p or below, and weights
-    that individually dominate the total."""
-    p = ipd.p
-    low = [z for z, e in model.ess.items() if e <= p]
+    """Arms whose effective sample size drops to p or below, the largest
+    weight's share of the total, and the largest weights."""
+    low = [z for z, e in model.ess.items() if e <= ipd.p]
     w = model.weights
-    share = float(w.max() / w.sum())
-    top = sorted(w, reverse=True)[:K_LARGEST]
     return OverlapReport(
-        ess=dict(model.ess),
         low_ess_arms=sorted(low),
-        max_weight_share=share,
-        share_warning=share >= WEIGHT_SHARE_WARN,
-        largest_weights=[float(v) for v in top],
+        max_weight_share=float(w.max() / w.sum()),
+        largest_weights=np.sort(w)[::-1][:K_LARGEST].tolist(),
     )

@@ -95,7 +95,69 @@ class TestFit:
         assert "in 'y'" in err
 
 
+    def test_weight_underflowing_to_zero_exits_0(self, tmp_path):
+        rng = np.random.default_rng(3)
+        x = np.concatenate([rng.normal(size=200), [-1500.0]])
+        ipd = tmp_path / "far.csv"
+        ipd.write_text("y,z,x1\n" + "".join(f"{i % 2},1,{v}\n" for i, v in enumerate(x.tolist())))
+        agd = tmp_path / "far.json"
+        agd.write_text(json.dumps({"covariates": ["x1"], "arms": {
+            "active": {"n": 50, "y_mean": 0.5, "y_var": 0.25, "x_mean": [1.0]}}}))
+        out = tmp_path / "f6"
+        code = main(["fit", "--ipd", str(ipd), "--agd", str(agd), "--out", str(out)])
+        assert code == 0
+        doc = json.loads((out / "model.json").read_text())
+        assert doc["diagnostics"]["balance_max_norm"] <= 1e-10
+        assert min(doc["diagnostics"]["largest_weights"]) > 0.0
+        with open(out / "weights.csv", newline="") as fh:
+            weights = [float(r["weight"]) for r in csv.DictReader(fh)]
+        assert weights.count(0.0) == 1 and weights[-1] == 0.0
+
+
 class TestCompare:
+    def test_binary_mean_outside_unit_interval_exits_1(self, io_pair, tmp_path, capsys):
+        ipd, agd = io_pair
+        doc = json.loads(agd.read_text())
+        doc["arms"]["active"]["y_mean"] = 1.5
+        del doc["arms"]["active"]["y_var"]
+        agd.write_text(json.dumps(doc))
+        out = tmp_path / "cmp_bad"
+        with pytest.warns(UserWarning, match="without y_var"):
+            code = main(["compare", "--ipd", str(ipd), "--agd", str(agd), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        assert f"SchemaError: {agd}: active arm y_mean 1.5" in err
+        assert not (out / "report.json").exists()
+
+    def test_continuous_stc_is_least_squares(self, tmp_path):
+        rng = np.random.default_rng(11)
+        n = 60
+        x = rng.normal(size=(n, 2))
+        z = np.repeat([1, 0], n // 2)
+        y = 0.4 + x @ np.array([1.3, -0.7]) + rng.normal(size=n)
+        ipd = tmp_path / "cont.csv"
+        ipd.write_text("y,z,x1,x2\n" + "".join(
+            f"{yi},{zi},{x1},{x2}\n" for yi, zi, (x1, x2) in zip(y.tolist(), z, x.tolist())))
+        agd = tmp_path / "cont.json"
+        agd.write_text(json.dumps({"covariates": ["x1", "x2"], "arms": {
+            "active": {"n": 40, "y_mean": 0.9, "y_var": 1.2, "x_mean": [0.2, -0.1]},
+            "comparator": {"n": 60, "y_mean": 0.3, "y_var": 1.1, "x_mean": [0.1, 0.3]}}}))
+        out = tmp_path / "cmp_stc"
+        code = main(["compare", "--ipd", str(ipd), "--agd", str(agd),
+                     "--outcome-kind", "continuous", "--methods", "stc", "--out", str(out)])
+        assert code == 0
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["errors"] == {}
+        # normal equations on the active arm, evaluated at the pooled AGD means
+        design = np.column_stack([np.ones(n // 2), x[z == 1]])
+        coef = np.linalg.solve(design.T @ design, design.T @ y[z == 1])
+        xbar = (40 * np.array([0.2, -0.1]) + 60 * np.array([0.1, 0.3])) / 100
+        mu1 = coef[0] + xbar @ coef[1:]
+        stc = doc["methods"]["stc"]
+        assert stc["mu1"] == pytest.approx(mu1, rel=1e-12)
+        assert stc["delta"] == pytest.approx(mu1 - 0.9, rel=1e-12)
+
     def test_full_report(self, io_pair, tmp_path):
         ipd, agd = io_pair
         out = tmp_path / "cmp"

@@ -292,6 +292,22 @@ class TestAgd:
         with pytest.raises(DimensionMismatch):
             study.check_alignment(ipd)
 
+    @pytest.mark.parametrize("arm", ["active", "comparator"])
+    @pytest.mark.parametrize("y_mean", [1.5, -0.25])
+    def test_binary_mean_outside_unit_interval(self, arm, y_mean):
+        ipd = make_ipd([1.0, 0.0], [1, 0], [[0.0], [1.0]], outcome_kind=OutcomeKind.BINARY)
+        arms = {"active": make_arm(), "comparator": make_arm()}
+        arms[arm] = make_arm(y_mean=y_mean, y_var=None)
+        study = make_agd(**arms)
+        with pytest.raises(SchemaError, match=rf"{arm} arm y_mean {y_mean} .*\[0, 1\]"):
+            study.check_alignment(ipd)
+
+    def test_binary_mean_bounds_are_inclusive(self):
+        ipd = make_ipd([1.0, 0.0], [1, 0], [[0.0], [1.0]], outcome_kind=OutcomeKind.BINARY)
+        make_agd(make_arm(y_mean=1.0), make_arm(y_mean=0.0)).check_alignment(ipd)
+        # a continuous outcome mean is not bounded
+        make_agd(make_arm(y_mean=1.5)).check_alignment(make_ipd([1.0], [1], [[0.0]]))
+
 
 class TestPooledTargetMoments:
     def test_single_arm_first_moment_is_exact(self):

@@ -2,19 +2,19 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from maic.data_model import MomentSpec, OutcomeKind
 from maic.errors import (
     BoundaryProportion,
     NoComparatorArm,
     SeparationError,
+    SingularDesign,
 )
 from maic.estimators import (
     Method,
-    OutcomeLink,
     Scale,
     bucher,
-    fit_logistic_irls,
     maic_acb,
     maic_nab,
     naive,
@@ -41,11 +41,10 @@ class TestScale:
     def test_identity_is_pass_through(self):
         assert Scale.IDENTITY.g(0.3) == 0.3
         assert Scale.IDENTITY.g_prime(0.3) == 1.0
-        assert Scale.IDENTITY.g_inverse(0.3) == 0.3
 
     def test_logit_round_trip(self):
         for u in (0.01, 0.25, 0.5, 0.99):
-            assert Scale.LOGIT.g_inverse(Scale.LOGIT.g(u)) == pytest.approx(u)
+            assert 1.0 / (1.0 + math.exp(-Scale.LOGIT.g(u))) == pytest.approx(u)
 
     def test_logit_derivative(self):
         u, h = 0.3, 1e-7
@@ -199,16 +198,17 @@ class TestStc:
     def test_null_logistic_model_predicts_half(self):
         # y split 50/50 with no covariate signal: fitted curve is flat at .5
         ipd = make_ipd([0.0, 1.0, 0.0, 1.0], [1] * 4,
-                       [[-1.0], [-1.0], [1.0], [1.0]])
+                       [[-1.0], [-1.0], [1.0], [1.0]], outcome_kind=OutcomeKind.BINARY)
         agd = make_agd(active=make_arm(y_mean=0.4, x_mean=[5.0]))
         with pytest.warns(UserWarning, match="extrapolat"):
             est = stc(ipd, agd)
         assert est.mu1 == pytest.approx(0.5, abs=1e-8)
 
     def test_linear_link_exact_interpolation(self):
+        # a continuous outcome gets the linear model
         ipd = make_ipd([0.0, 1.0], [1, 1], [[0.0], [1.0]])
         agd = make_agd(active=make_arm(y_mean=0.5, x_mean=[0.75]))
-        est = stc(ipd, agd, outcome_link=OutcomeLink.LINEAR)
+        est = stc(ipd, agd)
         assert est.mu1 == pytest.approx(0.75, abs=1e-10)
         assert est.delta == pytest.approx(0.25, abs=1e-10)
 
@@ -216,7 +216,7 @@ class TestStc:
         ipd = make_ipd([0.0, 1.0], [1, 1], [[0.0], [1.0]])
         agd = make_agd(active=make_arm(n=10, y_mean=0.5, x_mean=[0.5]),
                        comparator=make_arm(n=30, y_mean=0.4, x_mean=[0.9]))
-        est = stc(ipd, agd, outcome_link=OutcomeLink.LINEAR)
+        est = stc(ipd, agd)
         assert est.mu1 == pytest.approx(0.8, abs=1e-10)  # pooled mean 0.8
 
     def test_differs_from_weighting_under_nonlinearity(self, rng):
@@ -233,21 +233,44 @@ class TestStc:
         b = stc(ipd, agd).delta
         assert abs(a - b) > 1e-3
 
+    def test_rank_deficient_linear_design(self):
+        ipd = make_ipd([0.2, 0.7, 1.1], [1, 1, 1], [[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
+        agd = make_agd(active=make_arm(x_mean=[2.0, 4.0]), names=("x1", "x2"))
+        with pytest.raises(SingularDesign):
+            stc(ipd, agd)
+
+    def test_logistic_model_matches_likelihood_oracle(self, rng):
+        # a binary outcome gets the logistic model: its maximum-likelihood fit,
+        # evaluated at the pooled AGD means
+        n = 400
+        x = rng.normal(size=(n, 2))
+        truth = np.array([-0.4, 0.9, -0.5])
+        design = np.column_stack([np.ones(n), x])
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-design @ truth))).astype(float)
+        ipd = make_ipd(y, np.ones(n, int), x, outcome_kind=OutcomeKind.BINARY)
+        agd = make_agd(active=make_arm(n=80, y_mean=0.45, x_mean=[0.3, -0.2]),
+                       comparator=make_arm(n=120, y_mean=0.4, x_mean=[0.1, 0.4]),
+                       names=("x1", "x2"))
+
+        def nll(b):
+            eta = design @ b
+            return np.sum(np.logaddexp(0.0, eta) - y * eta)
+
+        def grad(b):
+            return design.T @ (1.0 / (1.0 + np.exp(-design @ b)) - y)
+
+        fit = scipy.optimize.minimize(nll, np.zeros(3), jac=grad, method="BFGS",
+                                      options={"gtol": 1e-10})
+        row = np.concatenate([[1.0], (80 * np.array([0.3, -0.2]) + 120 * np.array([0.1, 0.4])) / 200])
+        mu1 = 1.0 / (1.0 + math.exp(-row @ fit.x))
+        est = stc(ipd, agd, Scale.LOGIT)
+        assert est.mu1 == pytest.approx(mu1, rel=1e-8)
+        assert est.delta == pytest.approx(logit(mu1) - logit(0.45), rel=1e-7)
+
     def test_separation_raises(self):
         x = np.concatenate([-np.ones(10), np.ones(10)])[:, None]
         y = (x[:, 0] > 0).astype(float)
-        ipd = make_ipd(y, np.ones(20, int), x)
+        ipd = make_ipd(y, np.ones(20, int), x, outcome_kind=OutcomeKind.BINARY)
         agd = make_agd(active=make_arm(y_mean=0.5, x_mean=[0.0]))
         with pytest.raises(SeparationError):
             stc(ipd, agd)
-
-
-class TestLogisticIrls:
-    def test_recovers_known_coefficients(self, rng):
-        n = 20_000
-        x = rng.normal(size=(n, 1))
-        design = np.hstack([np.ones((n, 1)), x])
-        truth = np.array([-0.4, 0.9])
-        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-design @ truth))).astype(float)
-        fit = fit_logistic_irls(design, y)
-        np.testing.assert_allclose(fit, truth, atol=0.08)

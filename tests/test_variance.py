@@ -139,6 +139,28 @@ class TestUnweightedMethods:
         assert not pieces.phi_alpha.any()
 
 
+class TestSwEqualsFo:
+    """Each arm's weighted residuals sum to zero, so the variance of phi_mu1
+    is its uncentred second moment, which is exactly the HC0 sum of sw: the
+    two strategies give one number by two routes."""
+
+    @pytest.mark.parametrize("scale", list(Scale))
+    @pytest.mark.parametrize("method", [maic_nab, maic_acb, bucher, naive])
+    def test_sw_equals_fo(self, rng, scale, method):
+        for _ in range(25):
+            binary = scale is Scale.LOGIT or rng.random() < 0.5
+            ipd, agd, model = random_problem(rng, n=int(rng.integers(30, 200)),
+                                             p=int(rng.integers(1, 4)), binary=binary)
+            if method in (maic_nab, maic_acb):
+                est = method(ipd, agd, model, scale)
+            else:
+                est = method(ipd, agd, scale)
+                model = None
+            fo = sigma2_fo(influence_components(ipd, agd, model, est, scale))
+            sw = sigma2_sw(ipd, agd, model, est, scale)
+            assert sw.sigma2 == pytest.approx(fo.sigma2, rel=1e-12, abs=0.0)
+
+
 class TestStrategies:
     def test_cs_arithmetic(self):
         s = math.sqrt(2.0)
