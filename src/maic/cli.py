@@ -18,11 +18,11 @@ from pathlib import Path
 
 from . import __version__
 from .data_model import MomentSpec, OutcomeKind, load_agd, load_ipd, pooled_target_moments
-from .errors import MaicError, NonConvergence, SchemaError, SeparationError
+from .errors import MaicError, NonConvergence, SeparationError
 from .estimators import Method, Scale
 from .inference import build_comparison_report, negative_control_test
 from .simulation import ScenarioConfig, run_study
-from .variance import SeStrategy
+from .variance import REPORT_STRATEGIES, SeStrategy
 from .weighting import SolverConfig, balance_check, overlap_diagnostics, solve_weights
 
 
@@ -64,8 +64,8 @@ def _load_pair(args):
     agd = load_agd(args.agd)
     try:
         agd.check_alignment(ipd)
-    except SchemaError as e:
-        raise SchemaError(f"{args.agd}: {e}") from None
+    except MaicError as e:
+        raise type(e)(f"{args.agd}: {e}") from None
     return ipd, agd
 
 
@@ -103,8 +103,13 @@ def _parse_methods(text: str) -> list[Method]:
 
 def _parse_strategies(text: str) -> list[SeStrategy]:
     if text.strip() == "all":
-        return [SeStrategy.FO, SeStrategy.PO, SeStrategy.CS, SeStrategy.SW]
-    return [SeStrategy(tok.strip()) for tok in text.split(",") if tok.strip()]
+        return list(REPORT_STRATEGIES)
+    strategies = [SeStrategy(tok.strip()) for tok in text.split(",") if tok.strip()]
+    for s in strategies:
+        if s not in REPORT_STRATEGIES:
+            raise ValueError(f"--se {s.value} needs the aggregate trial's raw records and "
+                             "is available in simulation only")
+    return strategies
 
 
 def cmd_compare(args) -> int:
@@ -116,7 +121,7 @@ def cmd_compare(args) -> int:
     spec = MomentSpec(args.moments)
 
     model = None
-    if Method.MAIC_NAB in methods or Method.MAIC_ACB in methods:
+    if any(m.weighted for m in methods):
         target = pooled_target_moments(agd, spec)
         model = solve_weights(ipd, target, spec, SolverConfig())
     report = build_comparison_report(
@@ -194,8 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--methods", default="maic-nab,maic-acb,bucher,stc,naive")
     p_cmp.add_argument("--scale", choices=[s.value for s in Scale],
                        default=Scale.IDENTITY.value)
-    p_cmp.add_argument("--se", default="fo,po,cs,sw",
-                       help="comma list of fo,po,cs,sw or 'all'")
+    p_cmp.add_argument("--se", default="all",
+                       help="comma list of fo,po,cs,sw or 'all' (all four)")
     p_cmp.add_argument("--level", type=float, default=0.95)
     p_cmp.add_argument("--negcontrol", action="store_true",
                        help="also run the comparator-arm null check")

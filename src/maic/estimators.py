@@ -59,6 +59,16 @@ class Method(enum.Enum):
     STC = "stc"
     NAIVE = "naive"
 
+    @property
+    def weighted(self) -> bool:
+        """Weights the IPD arms with a fitted weight model (the MAIC methods)."""
+        return self in (Method.MAIC_NAB, Method.MAIC_ACB)
+
+    @property
+    def anchored(self) -> bool:
+        """Contrasts through the common comparator arms."""
+        return self in (Method.MAIC_ACB, Method.BUCHER)
+
 
 @dataclass(frozen=True)
 class Estimate:
@@ -89,21 +99,29 @@ class Estimate:
         return d
 
 
-def _weighted_means(y: np.ndarray, z: np.ndarray, w: np.ndarray | None,
-                    code: int) -> np.ndarray:
-    """Mean outcome of arm `code` per replicate of a block, weighted by w
-    unless w is None."""
-    if w is None:
-        return arm_rows(z, y, code).mean(axis=1)
+def _weighted_means(y: np.ndarray, z: np.ndarray, w: np.ndarray, code: int) -> np.ndarray:
+    """Weighted mean outcome of arm `code` per replicate of a block."""
     wz = arm_rows(z, w, code)
     return (wz * arm_rows(z, y, code)).sum(axis=1) / wz.sum(axis=1)
+
+
+def _block_weights(ipds, models, method: Method) -> np.ndarray:
+    """Fitted weights (B, n) for the MAIC methods, unit weights for bucher
+    and naive; `models` is read only for the MAIC methods."""
+    if method is Method.STC:
+        raise ValueError("stc is an outcome-model estimator and weights no records")
+    if not method.weighted:
+        return np.ones((len(ipds), ipds[0].n))
+    if any(m is None for m in models):
+        raise NoComparatorArm("weight model required for MAIC methods")
+    return np.stack([m.weights for m in models])
 
 
 def maic_nab(
     ipd: IpdStudy, agd: AgdStudy, model: WeightModel, scale: Scale = Scale.IDENTITY
 ) -> Estimate:
     """Weighted IPD active-arm mean contrasted with the AGD active arm."""
-    return unwrap(estimate_block([ipd], [agd], model.weights[None], scale, Method.MAIC_NAB)[0])
+    return unwrap(estimate_block([ipd], [agd], [model], scale, Method.MAIC_NAB)[0])
 
 
 def maic_acb(
@@ -111,7 +129,7 @@ def maic_acb(
 ) -> Estimate:
     """Anchored variant: subtracts the weighted-vs-reported contrast of the
     common comparator arms from the maic_nab contrast."""
-    return unwrap(estimate_block([ipd], [agd], model.weights[None], scale, Method.MAIC_ACB)[0])
+    return unwrap(estimate_block([ipd], [agd], [model], scale, Method.MAIC_ACB)[0])
 
 
 def bucher(ipd: IpdStudy, agd: AgdStudy, scale: Scale = Scale.IDENTITY) -> Estimate:
@@ -124,33 +142,36 @@ def naive(ipd: IpdStudy, agd: AgdStudy, scale: Scale = Scale.IDENTITY) -> Estima
     return unwrap(estimate_block([ipd], [agd], None, scale, Method.NAIVE)[0])
 
 
-def estimate_block(ipds, agds, weights: np.ndarray | None, scale: Scale, method: Method) -> list:
-    """maic_nab or maic_acb with weights (B, n), or bucher or naive with
-    weights None, for a block of same-shaped studies (see stack_ipd): an
-    Estimate or the MaicError per study."""
+def estimate_block(ipds, agds, models, scale: Scale, method: Method) -> list:
+    """Any method for a block of same-shaped studies (see stack_ipd): an
+    Estimate or the MaicError per study.  `models` holds the fitted weight
+    model of each study; it is read only for the MAIC methods and may be
+    None for the others."""
+    if method is Method.STC:
+        return stc_block(ipds, agds, scale)
+    try:
+        w = _block_weights(ipds, models, method)
+    except NoComparatorArm as e:
+        return [e] * len(ipds)
     y, z, _ = stack_ipd(ipds)
-    anchored = method in (Method.MAIC_ACB, Method.BUCHER)
-    mu1 = _weighted_means(y, z, weights, 1)
-    mu0 = _weighted_means(y, z, weights, 0) if anchored and ipds[0].has_comparator else None
+    mu1 = _weighted_means(y, z, w, 1)
+    mu0 = _weighted_means(y, z, w, 0) if method.anchored and ipds[0].has_comparator else None
 
     def estimate(b):
         agd = agds[b]
-        if anchored:
-            if agd.comparator_arm is None:
-                raise NoComparatorArm("AGD study has no comparator arm")
-            if not ipds[b].has_comparator:
-                raise NoComparatorArm("IPD study has no comparator (z=0) records")
         m1, m2 = float(mu1[b]), agd.active_arm.y_mean
+        if not method.anchored:
+            return Estimate(method, scale, scale.g(m1) - scale.g(m2), m1, m2)
+        if agd.comparator_arm is None:
+            raise NoComparatorArm("AGD study has no comparator arm")
+        if not ipds[b].has_comparator:
+            raise NoComparatorArm("IPD study has no comparator (z=0) records")
+        m0, m0_agd = float(mu0[b]), agd.comparator_arm.y_mean
         if method is Method.BUCHER:
-            m0, m0_agd = float(mu0[b]), agd.comparator_arm.y_mean
             delta = (scale.g(m1) - scale.g(m0)) - (scale.g(m2) - scale.g(m0_agd))
-            return Estimate(method, scale, delta, m1, m2, anchor_terms=(m0, m0_agd))
-        delta = scale.g(m1) - scale.g(m2)
-        if method is Method.MAIC_ACB:
-            m0, m0_agd = float(mu0[b]), agd.comparator_arm.y_mean
-            delta = delta - (scale.g(m0) - scale.g(m0_agd))
-            return Estimate(method, scale, delta, m1, m2, anchor_terms=(m0, m0_agd))
-        return Estimate(method, scale, delta, m1, m2)
+        else:
+            delta = (scale.g(m1) - scale.g(m2)) - (scale.g(m0) - scale.g(m0_agd))
+        return Estimate(method, scale, delta, m1, m2, anchor_terms=(m0, m0_agd))
 
     return [capture(estimate, b) for b in range(len(ipds))]
 
@@ -239,8 +260,12 @@ def stc_block(ipds, agds, scale: Scale = Scale.IDENTITY) -> list:
     def estimate(b):
         row = rows[b]
         if binary:
-            gamma = unwrap(fits[b])
-            mu1 = 1.0 / (1.0 + math.exp(-float(row @ gamma)))
+            v = float(row @ unwrap(fits[b]))
+            try:
+                mu1 = 1.0 / (1.0 + math.exp(-v))
+            except OverflowError:
+                # v < -709: 1 / (1 + exp(-v)) is exp(v) to double precision
+                mu1 = math.exp(v)
         else:
             if np.linalg.matrix_rank(design[b]) < design.shape[2]:
                 raise SingularDesign("rank-deficient design in linear outcome model")

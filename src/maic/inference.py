@@ -12,28 +12,15 @@ import numpy as np
 
 from .data_model import AgdStudy, IpdStudy, stack_ipd, take_rows
 from .errors import InvalidLevel, MaicError, NoComparatorArm, ZeroSe, capture, succeeded, unwrap
-from .estimators import (
-    Estimate,
-    Method,
-    Scale,
-    _weighted_means,
-    bucher,
-    maic_acb,
-    maic_nab,
-    naive,
-    stc,
-)
+from .estimators import Estimate, Method, Scale, _weighted_means, estimate_block
 from .variance import (
+    REPORT_STRATEGIES,
     SeEstimate,
     SeStrategy,
     _pair_influence,
     _pair_terms,
     _var_over_n,
-    influence_components,
-    sigma2_cs,
-    sigma2_fo,
-    sigma2_po,
-    sigma2_sw,
+    se_block,
 )
 from .weighting import WeightModel, balance_check, overlap_diagnostics
 
@@ -215,48 +202,26 @@ def build_comparison_report(
     model: WeightModel | None,
     methods: list[Method],
     scale: Scale = Scale.IDENTITY,
-    strategies: list[SeStrategy] = (SeStrategy.FO, SeStrategy.PO, SeStrategy.CS, SeStrategy.SW),
+    strategies: list[SeStrategy] = REPORT_STRATEGIES,
     level: float = 0.95,
     run_negative_control: bool = False,
 ) -> ComparisonReport:
-    """Run the requested methods, attach SEs/CIs/p-values per strategy, and
-    collect per-method failures without aborting the remaining methods.
-
-    STC carries a point estimate only.  Bucher and naive SEs use unit
-    weights and need no fitted model; only fo and sw apply to them.
-    """
+    """Run the requested methods, attach SEs/CIs/p-values for each requested
+    strategy that applies to the method (see variance.se_block), and collect
+    per-method failures without aborting the remaining methods."""
     report = ComparisonReport(scale=scale, level=level)
     agd.check_alignment(ipd)
     for method in methods:
-        try:
-            est = _run_method(ipd, agd, model, method, scale)
-        except MaicError as e:
-            report.errors[method.value] = f"{type(e).__name__}: {e}"
+        (est,) = estimate_block([ipd], [agd], [model], scale, method)
+        if isinstance(est, MaicError):
+            report.errors[method.value] = f"{type(est).__name__}: {est}"
             continue
         report.estimates[method.value] = est
-        if method is Method.STC:
-            continue
-        method_strategies = list(strategies)
-        if method in (Method.BUCHER, Method.NAIVE):
-            # no weight coefficients are estimated; only the direct strategies apply
-            method_strategies = [s for s in method_strategies
-                                 if s in (SeStrategy.FO, SeStrategy.SW)]
-        pieces = None  # shared by fo/po/cs; recomputed after a failure
-        for strategy in method_strategies:
-            try:
-                if strategy is SeStrategy.SW:
-                    se = sigma2_sw(ipd, agd, model, est, scale)
-                else:
-                    if pieces is None:
-                        pieces = influence_components(ipd, agd, model, est, scale)
-                    se = {SeStrategy.FO: sigma2_fo, SeStrategy.PO: sigma2_po,
-                          SeStrategy.CS: sigma2_cs}[strategy](pieces)
-            except MaicError as e:
-                report.errors[f"{method.value}/{strategy.value}"] = (
-                    f"{type(e).__name__}: {e}"
-                )
-                continue
+        for strategy, (se,) in se_block([ipd], [agd], [model], [est], scale, strategies).items():
             key = (method.value, strategy.value)
+            if isinstance(se, MaicError):
+                report.errors["/".join(key)] = f"{type(se).__name__}: {se}"
+                continue
             report.ses[key] = se
             report.cis[key] = wald_ci(est.delta, se.se, level)
             report.p_values[key] = wald_test(est.delta, se.se)[1] if se.se > 0 else 1.0
@@ -277,18 +242,3 @@ def build_comparison_report(
         except MaicError as e:
             report.errors["negative_control"] = f"{type(e).__name__}: {e}"
     return report
-
-
-def _run_method(ipd, agd, model, method: Method, scale: Scale) -> Estimate:
-    if method in (Method.MAIC_NAB, Method.MAIC_ACB) and model is None:
-        raise NoComparatorArm("weight model required for MAIC methods")
-    if method is Method.MAIC_NAB:
-        return maic_nab(ipd, agd, model, scale)
-    if method is Method.MAIC_ACB:
-        return maic_acb(ipd, agd, model, scale)
-    if method is Method.BUCHER:
-        return bucher(ipd, agd, scale)
-    if method is Method.STC:
-        return stc(ipd, agd, scale)
-    return naive(ipd, agd, scale)
-

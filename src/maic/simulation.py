@@ -36,9 +36,9 @@ from .data_model import (
     pooled_target_moments,
 )
 from .errors import InsufficientCell, MaicError, SchemaError
-from .estimators import Method, Scale, estimate_block, stc_block
+from .estimators import Method, Scale, estimate_block
 from .inference import negative_control_block, norm_quantile
-from .variance import SeStrategy, full_block, influence_block, influence_ses, sw_block
+from .variance import SeStrategy, se_block
 from .weighting import SolverConfig, solve_weights_block
 
 BETA0 = -1.0
@@ -112,19 +112,11 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
+        """The config of a JSON document; absent keys keep the field defaults."""
         unknown = sorted(set(d) - set(cls.__dataclass_fields__))
         if unknown:
             raise SchemaError(f"unknown scenario key {unknown[0]!r}")
-        return cls(
-            p=int(d.get("p", 5)),
-            n_per_arm=int(d.get("n_per_arm", 500)),
-            confounding=Confounding(d.get("confounding", "moderate")),
-            scale=Scale(d.get("scale", "logit")),
-            replicates=int(d.get("replicates", 2000)),
-            seed=int(d.get("seed", 0)),
-            oversample_factor=int(d.get("oversample_factor", 4)),
-            alpha_slope=None if d.get("alpha_slope") is None else float(d["alpha_slope"]),
-        )
+        return cls(**{key: _COERCE[key](value) for key, value in d.items()})
 
     @classmethod
     def from_json_file(cls, path) -> "ScenarioConfig":
@@ -134,6 +126,14 @@ class ScenarioConfig:
             return cls.from_dict(doc)
         except SchemaError as e:
             raise SchemaError(f"{path}: {e}") from None
+
+
+# the type of each ScenarioConfig field, applied to a JSON value
+_COERCE = {
+    "p": int, "n_per_arm": int, "confounding": Confounding, "scale": Scale,
+    "replicates": int, "seed": int, "oversample_factor": int,
+    "alpha_slope": lambda v: None if v is None else float(v),
+}
 
 
 @dataclass(frozen=True)
@@ -213,6 +213,9 @@ class ReplicateResult:
 
 _SOLVER = SolverConfig()
 
+# the estimators a replicate runs, in the order its results are filed
+SIM_METHODS = (Method.MAIC_NAB, Method.MAIC_ACB, Method.BUCHER, Method.STC)
+
 # cap on the patient rows (4 * n_per_arm per replicate) that run_study puts
 # in one block of replicates; it bounds the stacked arrays' memory
 BLOCK_ROWS = 16_384
@@ -287,46 +290,33 @@ def run_block(cfg: ScenarioConfig, indices) -> list[ReplicateResult]:
                 kept.append(b)
         return kept
 
-    def delta(key):
-        return lambda res, est: res.deltas.update({key: est.delta})
-
     everyone = list(range(len(indices)))
     targets = np.stack([pooled_target_moments(agd, MomentSpec.FIRST) for agd in agds])
     models = solve_weights_block(ipds, targets, MomentSpec.FIRST, _SOLVER)
     fitted = record(everyone, models, "weights")
-    ests = [None] * len(indices)  # the maic-nab estimates
-    nab = []
-    if fitted:
-        weights = np.stack([models[b].weights for b in fitted])
-        for method in (Method.MAIC_NAB, Method.MAIC_ACB):
-            outs = estimate_block(*pick(fitted, ipds, agds), weights, scale, method)
-            kept = record(fitted, outs, method.value, delta(method.value))
-            if method is Method.MAIC_NAB:
-                nab = kept
-                for b, est in zip(fitted, outs):
-                    ests[b] = est
-    record(everyone, estimate_block(ipds, agds, None, scale, Method.BUCHER),
-           Method.BUCHER.value, delta(Method.BUCHER.value))
-    record(everyone, stc_block(ipds, agds, scale), Method.STC.value, delta(Method.STC.value))
+    nab, ests = [], {}  # the replicates with a maic-nab estimate, and the estimates
+    for method in SIM_METHODS:
+        members = fitted if method.weighted else everyone
+        if not members:
+            continue
+        outs = estimate_block(*pick(members, ipds, agds, models), scale, method)
+        kept = record(members, outs, method.value,
+                      lambda res, est: res.deltas.update({est.method.value: est.delta}))
+        if method is Method.MAIC_NAB:
+            nab, ests = kept, dict(zip(members, outs))
     if not nab:
         return results
 
     for b in nab:
         results[b].ess_active = models[b].ess.get(1)
-    pieces = dict(zip(nab, influence_block(*pick(nab, ipds, agds, models, ests), scale)))
-    live = record(nab, [pieces[b] for b in nab], "variance")
-    for strategy in SeStrategy:
-        if not live:
-            break
-        if strategy is SeStrategy.SW:
-            outs = sw_block(*pick(live, ipds, agds, models, ests), scale)
-        elif strategy is SeStrategy.FULL:
-            outs = full_block(*pick(live, agds, records, models, ests), scale,
-                              [pieces[b] for b in live])
-        else:
-            outs = influence_ses(strategy, [pieces[b] for b in live])
-        live = record(live, outs, "variance",
-                      lambda res, se, key=strategy.value: res.ses.update({key: se.se}))
+    ses = se_block(*pick(nab, ipds, agds, models, ests), scale, tuple(SeStrategy),
+                   records=[records[b] for b in nab])
+    for i, b in enumerate(nab):
+        # a replicate's first failing strategy is filed and ends its SEs
+        for strategy, outs in ses.items():
+            if not record([b], [outs[i]], "variance",
+                          lambda res, se, key=strategy.value: res.ses.update({key: se.se})):
+                break
 
     outs = negative_control_block(*pick(nab, ipds, agds, models), scale)
     record(nab, outs, "negcontrol",
@@ -417,7 +407,7 @@ def run_study(cfg: ScenarioConfig, threads: int = 1, n_oracle: int = 2_000_000) 
         done = [run_block(cfg, b) for b in blocks]
     results = [r for block in done for r in block]
 
-    methods = [m.value for m in (Method.MAIC_NAB, Method.MAIC_ACB, Method.BUCHER, Method.STC)]
+    methods = [m.value for m in SIM_METHODS]
     strategies = [s.value for s in SeStrategy]
 
     percent_bias, bias_mc_se, n_used, failures = {}, {}, {}, {}

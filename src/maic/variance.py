@@ -29,6 +29,12 @@ weights and a pair list to the per-record phi, the AGD-variance term and,
 given centred moments, ctilde.  Bucher and naive use unit weights, need no
 fitted model, and have zero weight-coefficient and target-mean terms.
 
+se_block is the one map from strategy to computation: it owns which
+strategies apply to which method (none to stc; fo and sw to bucher and
+naive; fo, po, cs and sw to the MAIC methods; full to maic-nab alone, given
+the aggregate trial's records) and computes fo, po, cs and full from one
+influence_block call.
+
 The *_block functions run a block of same-shaped replicates through stacked
 arrays and return a result or the MaicError per replicate; the single-study
 functions are blocks of one.
@@ -61,7 +67,7 @@ from .errors import (
     succeeded,
     unwrap,
 )
-from .estimators import Estimate, Method, Scale
+from .estimators import Estimate, Method, Scale, _block_weights
 from .weighting import WeightModel, moment_matrix, solve_each
 
 COND_WARN = 1e12
@@ -75,14 +81,23 @@ class SeStrategy(enum.Enum):
     FULL = "full"
 
 
+# the strategies a comparison report can compute: every one but full, which
+# needs the aggregate trial's raw records
+REPORT_STRATEGIES = (SeStrategy.FO, SeStrategy.PO, SeStrategy.CS, SeStrategy.SW)
+
+# the strategies that apply to each method: stc carries a point estimate
+# only, bucher and naive estimate no weight coefficients (fo and sw), and
+# the full influence function is derived for maic-nab
+_APPLICABLE = {Method.MAIC_NAB: tuple(SeStrategy), Method.MAIC_ACB: REPORT_STRATEGIES,
+               Method.BUCHER: (SeStrategy.FO, SeStrategy.SW),
+               Method.NAIVE: (SeStrategy.FO, SeStrategy.SW), Method.STC: ()}
+
+
 @dataclass(frozen=True)
 class SeEstimate:
     strategy: SeStrategy
     sigma2: float
     se: float
-
-    def to_dict(self) -> dict:
-        return {"strategy": self.strategy.value, "sigma2": self.sigma2, "se": self.se}
 
 
 @dataclass(frozen=True)
@@ -150,9 +165,6 @@ def _solve_neg_definite(j_alpha: np.ndarray, rhs: np.ndarray):
     return x, errors
 
 
-_UNWEIGHTED = (Method.BUCHER, Method.NAIVE)
-
-
 def _arm_pairs(agd: AgdStudy, est: Estimate) -> list[tuple]:
     """(sign, IPD arm code, IPD arm mean, AGD arm, AGD arm mean) per arm pair."""
     pairs = [(1.0, 1, est.mu1, agd.active_arm, est.mu2)]
@@ -160,17 +172,6 @@ def _arm_pairs(agd: AgdStudy, est: Estimate) -> list[tuple]:
         mu0_ipd, mu0_agd = est.anchor_terms
         pairs.append((-1.0, 0, mu0_ipd, agd.comparator_arm, mu0_agd))
     return pairs
-
-
-def _block_weights(ipds, models, ests, what: str) -> np.ndarray:
-    """Fitted weights (B, n) for the MAIC methods, unit weights for the
-    unweighted ones; `models` is not read for the latter and may hold None."""
-    method = ests[0].method
-    if method in _UNWEIGHTED:
-        return np.ones((len(ipds), ipds[0].n))
-    if method in (Method.MAIC_NAB, Method.MAIC_ACB):
-        return np.stack([m.weights for m in models])
-    raise ValueError(f"{what} unavailable for {method.value}")
 
 
 def _agd_variance(arm: AgdArm, mu: float, scale: Scale, outcome_kind: OutcomeKind,
@@ -234,7 +235,7 @@ def influence_block(ipds, agds, models, ests, scale: Scale) -> list:
     """influence_components for a block of same-shaped studies (see
     stack_ipd) whose estimates share one method and whose models share one
     moment spec: InfluencePieces or the MaicError per study."""
-    w = _block_weights(ipds, models, ests, "influence components")
+    w = _block_weights(ipds, models, ests[0].method)
     n_total = [ipd.n + agd.n_total for ipd, agd in zip(ipds, agds)]
     prep = [capture(_pair_terms, _arm_pairs(agd, est), scale, ipd.outcome_kind, nt)
             for ipd, agd, est, nt in zip(ipds, agds, ests, n_total)]
@@ -246,7 +247,7 @@ def influence_block(ipds, agds, models, ests, scale: Scale) -> list:
     terms = [prep[b][0] for b in ok]
     sums = w.sum(axis=1)
 
-    unweighted = ests[0].method in _UNWEIGHTED
+    unweighted = not ests[0].method.weighted
     if unweighted:
         phi, _ = _pair_influence(y, z, w, terms, nts)
         ctilde = sol = np.zeros((len(ok), 0))
@@ -309,10 +310,14 @@ def sigma2_cs(pieces: InfluencePieces) -> SeEstimate:
 
 
 def influence_ses(strategy: SeStrategy, pieces: list) -> list:
-    """The fo, po or cs variance of each InfluencePieces of a block: a
-    SeEstimate or the MaicError per replicate."""
-    out = [capture(p.require_weight_terms) if strategy is not SeStrategy.FO else None
-           for p in pieces]
+    """The fo, po or cs variance of each InfluencePieces of a block, or of
+    the MaicError in its place: a SeEstimate or the MaicError per replicate."""
+    def check(p):
+        unwrap(p)
+        if strategy is not SeStrategy.FO:
+            p.require_weight_terms()
+
+    out = [capture(check, p) for p in pieces]
     ok = [b for b in range(len(pieces)) if out[b] is None]
     if not ok:
         return out
@@ -343,7 +348,7 @@ def sigma2_sw(
 def sw_block(ipds, agds, models, ests, scale: Scale) -> list:
     """sigma2_sw for a block of same-shaped studies whose estimates share
     one method: a SeEstimate or the MaicError per study."""
-    w = _block_weights(ipds, models, ests, "sandwich variance")
+    w = _block_weights(ipds, models, ests[0].method)
     y, z, _ = stack_ipd(ipds)
     pairs = [_arm_pairs(agd, est) for agd, est in zip(agds, ests)]
     sums = []
@@ -364,6 +369,28 @@ def sw_block(ipds, agds, models, ests, scale: Scale) -> list:
     return [capture(se, b) for b in range(len(ipds))]
 
 
+def se_block(ipds, agds, models, ests, scale: Scale, strategies, records=None) -> dict:
+    """Each requested strategy that applies to the estimates' method (see
+    _APPLICABLE), in the order requested, mapped to a SeEstimate or the
+    MaicError per replicate, for a block of same-shaped studies whose
+    estimates share one method and whose models share one moment spec.
+    `records` holds the aggregate trial's raw records per replicate, which
+    full needs; without them full gives RequiresFullIpd."""
+    wanted = [s for s in strategies if s in _APPLICABLE[ests[0].method]]
+    out, pieces = {}, None
+    for strategy in wanted:
+        if strategy is SeStrategy.SW:
+            out[strategy] = sw_block(ipds, agds, models, ests, scale)
+            continue
+        if pieces is None:
+            pieces = influence_block(ipds, agds, models, ests, scale)
+        if strategy is SeStrategy.FULL:
+            out[strategy] = _full_ses(records, models, ests, scale, pieces)
+        else:
+            out[strategy] = influence_ses(strategy, pieces)
+    return out
+
+
 def full_influence_arrays(
     ipd: IpdStudy,
     agd: AgdStudy,
@@ -374,32 +401,35 @@ def full_influence_arrays(
 ) -> dict[str, np.ndarray]:
     """Per-record influence arrays over both trials (IPD rows first, then the
     aggregate trial's raw records), link-scaled.  Simulation benchmark only."""
-    if agd_records is None:
-        raise RequiresFullIpd("full influence function needs the aggregate trial's records")
-    if est.method is not Method.MAIC_NAB:
-        raise ValueError("full influence benchmark is defined for maic-nab")
-    pieces = influence_components(ipd, agd, model, est, scale)
-    return unwrap(_full_arrays([agd], [agd_records], [model], [est], scale, [pieces])[0])
+    pieces = influence_block([ipd], [agd], [model], [est], scale)
+    outcomes, arrays = _full_arrays([agd_records], [model], [est], scale, pieces)
+    unwrap(outcomes[0])
+    return {key: a[0] for key, a in arrays.items()}
 
 
-def _full_arrays(agds, records, models, ests, scale: Scale, pieces: list) -> list:
-    """full_influence_arrays for a block whose influence pieces are given: a
-    dict of arrays or the MaicError per replicate."""
-    n2 = len(records[0].y)
-
+def _full_arrays(records, models, ests, scale: Scale, pieces: list):
+    """The full influence arrays of a block whose influence pieces (or
+    their MaicErrors) are given: the outcomes, g'(mu2) or the MaicError per
+    replicate, and a dict of arrays (len(ok), n_total) stacked over the
+    replicates ok that succeeded."""
     def check(b):
-        if pieces[b].n_total != len(pieces[b].phi_mu1) + n2:
+        if ests[b].method is not Method.MAIC_NAB:
+            raise ValueError("full influence benchmark is defined for maic-nab")
+        p = unwrap(pieces[b])
+        if records is None or records[b] is None:
+            raise RequiresFullIpd("full influence function needs the aggregate trial's records")
+        if p.n_total != len(p.phi_mu1) + len(records[b].y):
             raise RequiresFullIpd(
                 "aggregate records inconsistent with the AGD summary sample sizes"
             )
         g2 = scale.g_prime(ests[b].mu2)
-        pieces[b].require_weight_terms()
+        p.require_weight_terms()
         return g2
 
     out = [capture(check, b) for b in range(len(pieces))]
     ok = succeeded(out)
     if not ok:
-        return out
+        return out, {}
     n_total = np.array([pieces[b].n_total for b in ok])[:, None]
     ry = np.stack([records[b].y for b in ok])
     z2 = np.stack([records[b].z for b in ok]) == 2
@@ -418,17 +448,14 @@ def _full_arrays(agds, records, models, ests, scale: Scale, pieces: list) -> lis
 
     phi_mu1 = np.stack([pieces[b].phi_mu1 for b in ok])
     zeros_ipd = np.zeros(phi_mu1.shape)
-    zeros_t2 = np.zeros((len(ok), n2))
-    arrays = {
+    zeros_t2 = np.zeros(ry.shape)
+    return out, {
         "phi_mu2": np.concatenate([zeros_ipd, phi_mu2_t2], axis=1),
         "phi_mu1": np.concatenate([phi_mu1, zeros_t2], axis=1),
         "phi_alpha": np.concatenate([np.stack([pieces[b].phi_alpha for b in ok]), zeros_t2],
                                     axis=1),
         "phi_mu_x2": np.concatenate([zeros_ipd, phi_mu_x2_t2], axis=1),
     }
-    for i, b in enumerate(ok):
-        out[b] = {key: a[i] for key, a in arrays.items()}
-    return out
 
 
 def sigma2_full(
@@ -439,25 +466,21 @@ def sigma2_full(
     est: Estimate,
     scale: Scale = Scale.IDENTITY,
 ) -> SeEstimate:
-    return _full_ses([full_influence_arrays(ipd, agd, agd_records, model, est, scale)])[0]
+    pieces = influence_block([ipd], [agd], [model], [est], scale)
+    return unwrap(_full_ses([agd_records], [model], [est], scale, pieces)[0])
 
 
-def full_block(agds, records, models, ests, scale: Scale, pieces: list) -> list:
+def _full_ses(records, models, ests, scale: Scale, pieces: list) -> list:
     """sigma2_full for a block of maic-nab estimates whose influence pieces
-    are given: a SeEstimate or the MaicError per replicate."""
-    return _full_ses(_full_arrays(agds, records, models, ests, scale, pieces))
-
-
-def _full_ses(arrays: list) -> list:
-    """The variance of the summed influence arrays of each replicate whose
-    arrays are not a captured error."""
-    out = list(arrays)
-    ok = succeeded(arrays)
+    are given: the variance of each replicate's summed influence arrays, a
+    SeEstimate or the MaicError per replicate."""
+    out, arrays = _full_arrays(records, models, ests, scale, pieces)
+    ok = succeeded(out)
     if not ok:
         return out
     phi = 0
-    for key in arrays[ok[0]]:
-        phi = phi + np.stack([arrays[b][key] for b in ok])
+    for a in arrays.values():
+        phi = phi + a
     n_total = phi.shape[1]
     for b, sigma2 in zip(ok, map(float, np.var(phi, axis=1))):
         out[b] = SeEstimate(SeStrategy.FULL, sigma2, np.sqrt(sigma2 / n_total))

@@ -81,6 +81,17 @@ class TestFit:
         assert code == 1
         assert "InvalidArmCode" in capsys.readouterr().err
 
+    def test_covariate_name_mismatch_names_the_agd_file(self, io_pair, tmp_path, capsys):
+        ipd, agd = io_pair
+        doc = json.loads(agd.read_text())
+        doc["covariates"] = ["age", "x2"]
+        agd.write_text(json.dumps(doc))
+        code = main(["fit", "--ipd", str(ipd), "--agd", str(agd),
+                     "--out", str(tmp_path / "f5")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        assert f"DimensionMismatch: {agd}: IPD/AGD covariate names differ" in err
 
     def test_binary_outcome_not_coded_01_exits_1(self, io_pair, tmp_path, capsys):
         _, agd = io_pair
@@ -157,6 +168,40 @@ class TestCompare:
         stc = doc["methods"]["stc"]
         assert stc["mu1"] == pytest.approx(mu1, rel=1e-12)
         assert stc["delta"] == pytest.approx(mu1 - 0.9, rel=1e-12)
+
+    def test_stc_far_outside_the_ipd_support_exits_0(self, tmp_path, capsys):
+        # the logistic prediction at x = -500 has a linear predictor far
+        # below -709, where exp(-v) overflows a double
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=200)
+        y = (rng.random(200) < 1.0 / (1.0 + np.exp(-3.0 * x))).astype(int)
+        ipd = tmp_path / "steep.csv"
+        ipd.write_text("y,z,x1\n" + "".join(f"{yi},1,{xi}\n" for yi, xi in zip(y, x.tolist())))
+        agd = tmp_path / "far.json"
+        agd.write_text(json.dumps({"covariates": ["x1"], "arms": {
+            "active": {"n": 50, "y_mean": 0.4, "y_var": 0.24, "x_mean": [-500.0]}}}))
+        out = tmp_path / "cmp_far"
+        with pytest.warns(UserWarning, match="extrapolating"):
+            code = main(["compare", "--ipd", str(ipd), "--agd", str(agd),
+                         "--methods", "stc", "--out", str(out)])
+        assert "Traceback" not in capsys.readouterr().err
+        assert code == 0
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["errors"] == {}
+        mu1 = doc["methods"]["stc"]["mu1"]
+        assert 0.0 <= mu1 < 1e-300
+        assert doc["methods"]["stc"]["delta"] == mu1 - 0.4
+
+    def test_se_full_is_rejected_by_name(self, io_pair, tmp_path, capsys):
+        # full needs the aggregate trial's raw records, which compare never has
+        ipd, agd = io_pair
+        code = main(["compare", "--ipd", str(ipd), "--agd", str(agd),
+                     "--se", "fo,full", "--out", str(tmp_path / "cmp_full")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "KeyError" not in err and "Traceback" not in err
+        assert "full" in err and "simulation" in err
+        assert not (tmp_path / "cmp_full" / "report.json").exists()
 
     def test_full_report(self, io_pair, tmp_path):
         ipd, agd = io_pair

@@ -1,0 +1,135 @@
+"""The two stage functions against the lone estimators and SE functions.
+
+estimate_block and se_block are the only code that picks a computation by
+method or strategy.  In a block of one or of three same-shaped studies,
+every outcome (an Estimate, a SeEstimate or a MaicError) must equal, bit for
+bit, what the lone public function gives for that study.
+"""
+
+import pickle
+import warnings
+
+import numpy as np
+import pytest
+
+from maic.data_model import MomentSpec, OutcomeKind, TrialRecords, pooled_target_moments
+from maic.errors import MaicError, capture
+from maic.estimators import Method, Scale, bucher, estimate_block, maic_acb, maic_nab, naive, stc
+from maic.variance import (
+    SeStrategy,
+    influence_components,
+    se_block,
+    sigma2_cs,
+    sigma2_fo,
+    sigma2_full,
+    sigma2_po,
+    sigma2_sw,
+)
+from maic.weighting import solve_weights
+
+from conftest import make_agd, make_arm, make_ipd
+
+N_IPD, N_AGD = 60, 50
+
+LONE_ESTIMATE = {
+    Method.MAIC_NAB: lambda ipd, agd, model, scale: maic_nab(ipd, agd, model, scale),
+    Method.MAIC_ACB: lambda ipd, agd, model, scale: maic_acb(ipd, agd, model, scale),
+    Method.BUCHER: lambda ipd, agd, model, scale: bucher(ipd, agd, scale),
+    Method.NAIVE: lambda ipd, agd, model, scale: naive(ipd, agd, scale),
+    Method.STC: lambda ipd, agd, model, scale: stc(ipd, agd, scale),
+}
+FROM_PIECES = {SeStrategy.FO: sigma2_fo, SeStrategy.PO: sigma2_po, SeStrategy.CS: sigma2_cs}
+# the strategies that apply to each method (README table)
+APPLICABLE = {
+    Method.MAIC_NAB: set(SeStrategy),
+    Method.MAIC_ACB: set(SeStrategy) - {SeStrategy.FULL},
+    Method.BUCHER: {SeStrategy.FO, SeStrategy.SW},
+    Method.NAIVE: {SeStrategy.FO, SeStrategy.SW},
+    Method.STC: set(),
+}
+
+
+def study(rng, scale, comparator, singular=False):
+    """An IPD study, an AGD study collapsed from the aggregate trial's
+    records, those records, and the weight model fitted to the AGD means.
+    When `singular`, the last covariate is the constant 0.5 in both trials,
+    so the moment Jacobian is singular."""
+    binary = scale is Scale.LOGIT
+
+    def draw(n, shift):
+        x = rng.normal(size=(n, 2)) + shift
+        if singular:
+            x[:, -1] = 0.5
+        lin = x @ np.array([0.5, -0.3])
+        if binary:
+            return (rng.random(n) < 1.0 / (1.0 + np.exp(-lin))).astype(float), x
+        return lin + rng.normal(size=n), x
+
+    y, x = draw(N_IPD, 0.0)
+    kind = OutcomeKind.BINARY if binary else OutcomeKind.CONTINUOUS
+    ipd = make_ipd(y, np.repeat([1, 0], N_IPD // 2), x, outcome_kind=kind)
+    y2, x2 = draw(N_AGD, 0.2)
+    z2 = np.where(np.arange(N_AGD) % 2 == 0, 2, 0) if comparator else np.full(N_AGD, 2)
+
+    def arm(code):
+        m = z2 == code
+        return make_arm(n=int(m.sum()), y_mean=float(y2[m].mean()),
+                        y_var=float(y2[m].var(ddof=1)), x_mean=x2[m].mean(axis=0))
+
+    agd = make_agd(active=arm(2), comparator=arm(0) if comparator else None,
+                   names=ipd.covariate_names)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the singular Hessian
+        model = solve_weights(ipd, pooled_target_moments(agd, MomentSpec.FIRST))
+    return ipd, agd, TrialRecords(y2, z2, x2), model
+
+
+def lone_se(strategy, ipd, agd, model, est, scale, records):
+    """The lone public SE function's result for one strategy, or its MaicError."""
+    if strategy is SeStrategy.SW:
+        return capture(sigma2_sw, ipd, agd, model, est, scale)
+    if strategy is SeStrategy.FULL:
+        return capture(sigma2_full, ipd, agd, records, model, est, scale)
+    pieces = capture(influence_components, ipd, agd, model, est, scale)
+    return pieces if isinstance(pieces, MaicError) else capture(FROM_PIECES[strategy], pieces)
+
+
+def same(a, b) -> bool:
+    """Bit-for-bit equality of outcomes (pickle keeps float bits and types)."""
+    return pickle.dumps(a) == pickle.dumps(b)
+
+
+@pytest.mark.parametrize("size", [1, 3])
+@pytest.mark.parametrize("scale", list(Scale))
+@pytest.mark.parametrize("comparator", [True, False])
+@pytest.mark.parametrize("singular", [False, True])
+def test_blocks_equal_lone_results(rng, size, scale, comparator, singular):
+    # with `singular`, the middle study of a block of three (the only study
+    # of a block of one) has the singular moment Jacobian
+    flags = [singular] if size == 1 else [False, singular, False]
+    studies = [study(rng, scale, comparator, s) for s in flags]
+    ipds, agds, records, models = (list(t) for t in zip(*studies))
+    strategies = list(SeStrategy)[::-1]  # any requested order is kept
+    for method in Method:
+        block_models = models if method.weighted else [None] * size
+        ests = estimate_block(ipds, agds, block_models, scale, method)
+        lone = [capture(LONE_ESTIMATE[method], *s[:2], s[3], scale) for s in studies]
+        assert all(same(a, b) for a, b in zip(ests, lone)), method
+        if any(isinstance(e, MaicError) for e in ests):
+            # a single-arm AGD fails the anchored methods; a constant
+            # covariate leaves stc's outcome-model design rank deficient
+            assert ((method.anchored and not comparator)
+                    or (method is Method.STC and singular))
+            continue
+        ses = se_block(ipds, agds, block_models, ests, scale, strategies, records)
+        assert list(ses) == [s for s in strategies if s in APPLICABLE[method]]
+        for strategy, outcomes in ses.items():
+            for (ipd, agd, recs, _), model, est, got in zip(studies, block_models, ests,
+                                                            outcomes):
+                want = lone_se(strategy, ipd, agd, model, est, scale, recs)
+                assert same(got, want), (method, strategy)
+        if singular and method.weighted:
+            failed = [s for s, outs in ses.items() if isinstance(outs[size // 2], MaicError)]
+            assert set(failed) == APPLICABLE[method] - {SeStrategy.FO, SeStrategy.SW}
+            assert all(type(ses[s][size // 2]).__name__ == "SingularJacobian" for s in failed)
+

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from maic.data_model import MomentSpec, OutcomeKind
+from maic.data_model import MomentSpec, OutcomeKind, arm_rows
 from maic.errors import (
     BoundaryProportion,
     NoComparatorArm,
@@ -14,6 +16,7 @@ from maic.errors import (
 from maic.estimators import (
     Method,
     Scale,
+    _weighted_means,
     bucher,
     maic_acb,
     maic_nab,
@@ -55,6 +58,23 @@ class TestScale:
     def test_boundary_proportion(self, u):
         with pytest.raises(BoundaryProportion):
             Scale.LOGIT.g(u)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_unit_weight_mean_is_the_plain_mean(data):
+    # bucher and naive take their arm means through the weighted-mean
+    # formula with unit weights; the bits must be those of the plain mean
+    b = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(1, 40))
+    m = data.draw(st.integers(1, n))
+    finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    y = np.array(data.draw(st.lists(finite, min_size=b * n, max_size=b * n))).reshape(b, n)
+    z = np.array([data.draw(st.permutations([1] * m + [0] * (n - m))) for _ in range(b)])
+    for code in (1, 0) if m < n else (1,):
+        got = _weighted_means(y, z, np.ones((b, n)), code)
+        want = arm_rows(z, y, code).mean(axis=1)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestMaicNab:

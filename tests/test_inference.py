@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from maic.data_model import OutcomeKind
-from maic.errors import InvalidLevel, NoComparatorArm, ZeroSe
+from maic.errors import InvalidLevel, NoComparatorArm, RequiresFullIpd, ZeroSe
 from maic.estimators import Method, Scale
 from maic.inference import (
     build_comparison_report,
@@ -147,6 +147,17 @@ class TestComparisonReport:
             assert strategies == {SeStrategy.FO.value, SeStrategy.SW.value}
         maic_strats = {s for (m, s) in report.ses if m == Method.MAIC_NAB.value}
         assert maic_strats == {"fo", "po", "cs", "sw"}
+
+    def test_full_strategy_is_reported_as_requiring_the_aggregate_records(self, rng):
+        # a report has no aggregate-trial records; full applies to maic-nab only
+        ipd, agd, model = two_arm_problem(rng)
+        report = build_comparison_report(ipd, agd, model, ALL_METHODS,
+                                         strategies=[SeStrategy.FULL, SeStrategy.FO])
+        assert report.errors == {
+            "maic-nab/full": (f"{RequiresFullIpd.__name__}: full influence function "
+                              "needs the aggregate trial's records"),
+        }
+        assert set(report.ses) == {(m.value, "fo") for m in ALL_METHODS if m is not Method.STC}
 
     def test_single_arm_agd_flags_anchored_methods_only(self, rng):
         ipd, agd, model = two_arm_problem(rng)

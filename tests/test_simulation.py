@@ -44,6 +44,23 @@ class TestScenarioConfig:
         path.write_text(json.dumps(cfg_with().to_dict()))
         assert ScenarioConfig.from_json_file(path) == cfg_with()
 
+    def test_absent_keys_keep_the_field_defaults(self):
+        assert ScenarioConfig.from_dict({}) == ScenarioConfig()
+        assert ScenarioConfig.from_dict({"seed": 4}) == ScenarioConfig(seed=4)
+
+    def test_json_values_are_coerced_to_the_field_types(self):
+        cfg = ScenarioConfig.from_dict({
+            "p": 6.0, "n_per_arm": "50", "confounding": "severe", "scale": "identity",
+            "replicates": 3.0, "seed": "7", "oversample_factor": 2.0, "alpha_slope": 1,
+        })
+        assert cfg == ScenarioConfig(p=6, n_per_arm=50, confounding=Confounding.SEVERE,
+                                     scale=Scale.IDENTITY, replicates=3, seed=7,
+                                     oversample_factor=2, alpha_slope=1.0)
+        assert all(type(v) is int for v in (cfg.p, cfg.n_per_arm, cfg.replicates, cfg.seed,
+                                             cfg.oversample_factor))
+        assert type(cfg.alpha_slope) is float
+        assert ScenarioConfig.from_dict({"alpha_slope": None}).alpha_slope is None
+
     def test_unknown_key_is_rejected(self):
         # a typo must not silently fall back to the default 2000 replicates
         with pytest.raises(SchemaError, match="'replicate'"):
