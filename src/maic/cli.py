@@ -3,35 +3,40 @@
 Every command writes its artifacts (JSON reports, CSV tables) plus a run
 manifest into the directory named by --out, so a run can be audited and
 reproduced later.  Exit codes: 0 on success, 1 on input or schema errors,
-2 on numerical failure (weight non-convergence or separation).
+2 on numerical failure (weight non-convergence, separation, or a result
+holding a non-finite number).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .data_model import MomentSpec, OutcomeKind, load_agd, load_ipd, pooled_target_moments
-from .errors import MaicError, NonConvergence, SeparationError
+from .data_model import (MomentSpec, OutcomeKind, load_agd, load_ipd, pooled_target_moments,
+                         write_rows)
+from .errors import MaicError, NonConvergence, NonFiniteResult, SchemaError, SeparationError
 from .estimators import Method, Scale
 from .inference import build_comparison_report, negative_control_test
 from .simulation import ScenarioConfig, run_study
 from .variance import REPORT_STRATEGIES, SeStrategy
-from .weighting import SolverConfig, balance_check, overlap_diagnostics, solve_weights
+from .weighting import SolverConfig, fit_diagnostics, overlap_diagnostics, solve_weights
 
 
 def write_json(path: Path, obj) -> None:
     # json writes the shortest repr of each float, which reads back to the
-    # same double
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # same double; the text is built first, so a NaN or an infinity, which
+    # strict JSON cannot carry, leaves no partial file
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as e:
+        raise NonFiniteResult(f"{path}: the result holds a non-finite number ({e})") from None
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def _sha256(path) -> str:
@@ -69,30 +74,25 @@ def _load_pair(args):
     return ipd, agd
 
 
+def _fit_weights(args, ipd, agd):
+    """The weights that balance the IPD's --moments against the pooled AGD
+    target."""
+    spec = MomentSpec(args.moments)
+    return solve_weights(ipd, pooled_target_moments(agd, spec), spec, SolverConfig())
+
+
 def cmd_fit(args) -> int:
     out = _out_dir(args)
     ipd, agd = _load_pair(args)
-    spec = MomentSpec(args.moments)
-    target = pooled_target_moments(agd, spec)
-    model = solve_weights(ipd, target, spec, SolverConfig())
-
-    residual, max_norm = balance_check(model, ipd, target)
-    overlap = overlap_diagnostics(model, ipd)
+    model = _fit_weights(args, ipd, agd)
     doc = model.to_dict()
-    doc["diagnostics"] = {
-        "balance_residual": residual.tolist(),
-        "balance_max_norm": max_norm,
-        "low_ess_arms": overlap.low_ess_arms,
-        "max_weight_share": overlap.max_weight_share,
-        "largest_weights": overlap.largest_weights,
-    }
+    doc["diagnostics"] = {**fit_diagnostics(model, ipd),
+                          "largest_weights": overlap_diagnostics(model, ipd).largest_weights}
     write_json(out / "model.json", doc)
-    with open(out / "weights.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "arm", "weight"])
-        for i, (z, w) in enumerate(zip(ipd.z, model.weights)):
-            writer.writerow([i, int(z), repr(float(w))])
-    write_manifest(out, "fit", {"moments": spec.value, "outcome_kind": args.outcome_kind},
+    write_rows(out / "weights.csv", [{"index": i, "arm": int(z), "weight": repr(float(w))}
+                                     for i, (z, w) in enumerate(zip(ipd.z, model.weights))],
+               ["index", "arm", "weight"])
+    write_manifest(out, "fit", {"moments": args.moments, "outcome_kind": args.outcome_kind},
                    [args.ipd, args.agd])
     return 0
 
@@ -118,12 +118,7 @@ def cmd_compare(args) -> int:
     scale = Scale(args.scale)
     methods = _parse_methods(args.methods)
     strategies = _parse_strategies(args.se)
-    spec = MomentSpec(args.moments)
-
-    model = None
-    if any(m.weighted for m in methods):
-        target = pooled_target_moments(agd, spec)
-        model = solve_weights(ipd, target, spec, SolverConfig())
+    model = _fit_weights(args, ipd, agd) if any(m.weighted for m in methods) else None
     report = build_comparison_report(
         ipd, agd, model, methods, scale, strategies, level=args.level,
         run_negative_control=args.negcontrol,
@@ -133,7 +128,7 @@ def cmd_compare(args) -> int:
     write_manifest(out, "compare", {
         "methods": [m.value for m in methods],
         "se": [s.value for s in strategies],
-        "scale": scale.value, "moments": spec.value, "level": args.level,
+        "scale": scale.value, "moments": args.moments, "level": args.level,
         "outcome_kind": args.outcome_kind,
     }, [args.ipd, args.agd])
     return 0
@@ -143,13 +138,11 @@ def cmd_negcontrol(args) -> int:
     out = _out_dir(args)
     ipd, agd = _load_pair(args)
     scale = Scale(args.scale)
-    spec = MomentSpec(args.moments)
-    target = pooled_target_moments(agd, spec)
-    model = solve_weights(ipd, target, spec, SolverConfig())
+    model = _fit_weights(args, ipd, agd)
     result = negative_control_test(ipd, agd, model, scale, alpha_level=args.alpha)
     write_json(out / "negcontrol.json", result.to_dict())
     write_manifest(out, "negcontrol", {
-        "scale": scale.value, "moments": spec.value, "alpha": args.alpha,
+        "scale": scale.value, "moments": args.moments, "alpha": args.alpha,
         "outcome_kind": args.outcome_kind,
     }, [args.ipd, args.agd])
     return 0
@@ -159,14 +152,14 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
     cfg = ScenarioConfig.from_json_file(args.config)
     if args.seed is not None:
-        cfg = ScenarioConfig.from_dict({**cfg.to_dict(), "seed": args.seed})
+        try:
+            cfg = replace(cfg, seed=args.seed)
+        except ValueError as e:
+            raise SchemaError(f"--seed: {e}") from None
     report = run_study(cfg, threads=args.threads)
     write_json(out / "report.json", report.to_dict())
     rows = report.tidy_rows()
-    with open(out / "report.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+    write_rows(out / "report.csv", rows, list(rows[0]))
     write_manifest(out, "simulate", cfg.to_dict(), [args.config], seed=cfg.seed)
     return 0
 
@@ -197,8 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="run estimators with SEs and CIs")
     add_io(p_cmp)
     p_cmp.add_argument("--methods", default="maic-nab,maic-acb,bucher,stc,naive")
-    p_cmp.add_argument("--scale", choices=[s.value for s in Scale],
-                       default=Scale.IDENTITY.value)
     p_cmp.add_argument("--se", default="all",
                        help="comma list of fo,po,cs,sw or 'all' (all four)")
     p_cmp.add_argument("--level", type=float, default=0.95)
@@ -208,10 +199,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_neg = sub.add_parser("negcontrol", help="comparator-arm null check")
     add_io(p_neg)
-    p_neg.add_argument("--scale", choices=[s.value for s in Scale],
-                       default=Scale.IDENTITY.value)
     p_neg.add_argument("--alpha", type=float, default=0.05)
     p_neg.set_defaults(func=cmd_negcontrol)
+    for p in (p_cmp, p_neg):
+        p.add_argument("--scale", choices=[s.value for s in Scale], default=Scale.IDENTITY.value)
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo study")
     p_sim.add_argument("--config", required=True, help="scenario JSON")
@@ -232,10 +223,10 @@ def main(argv=None) -> int:
         if e.residual is not None:
             print(f"balance residual: {list(e.residual)}", file=sys.stderr)
         return 2
-    except SeparationError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (SeparationError, NonFiniteResult) as e:
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
-    except (MaicError, OSError, ValueError, KeyError, json.JSONDecodeError) as e:
+    except (MaicError, OSError, ValueError, KeyError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
 

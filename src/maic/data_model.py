@@ -1,4 +1,5 @@
-"""Containers and file ingestion for patient-level and aggregate study data.
+"""Containers and file ingestion for patient-level and aggregate study data,
+and the CSV writer for result tables.
 
 An indirect comparison pairs one study with individual patient data (IPD:
 per-patient outcome, arm code, covariates) with one study reported only as
@@ -60,12 +61,12 @@ class IpdStudy:
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float)
-        z = np.asarray(self.z, dtype=int)
+        z = np.asarray(self.z)
         x = np.asarray(self.x, dtype=float)
         if x.ndim != 2:
             raise DimensionMismatch("covariate matrix must be 2-dimensional")
         if len(y) == 0:
-            raise EmptyStudy("IPD study has no records")
+            raise EmptyStudy("IPD study has no data rows")
         if not (len(y) == len(z) == x.shape[0]):
             raise DimensionMismatch("y, z, x must have equal length")
         if x.shape[1] != len(self.covariate_names):
@@ -73,13 +74,17 @@ class IpdStudy:
                 f"{x.shape[1]} covariate columns vs "
                 f"{len(self.covariate_names)} covariate names"
             )
-        bad = set(np.unique(z)) - {0, 1}
-        if bad:
-            raise InvalidArmCode(f"arm codes must be 0 or 1, got {sorted(bad)}")
-        if not np.any(z == 1):
-            raise EmptyStudy("IPD study has no active-arm (z=1) records")
+        if not (np.isfinite(y).all() and np.isfinite(x).all()):
+            raise NonNumericValue("outcomes and covariates must be finite")
+        codes = np.unique(z)
+        bad = codes[(codes != 0) & (codes != 1)]
+        if len(bad):
+            raise InvalidArmCode(f"arm codes must be 0 or 1, got {bad.tolist()}")
+        z = z.astype(int, copy=False)
         if self.outcome_kind is OutcomeKind.BINARY and not np.isin(y, (0.0, 1.0)).all():
             raise NonNumericValue("binary outcome must be coded 0/1")
+        if not np.any(z == 1):
+            raise EmptyStudy("IPD study has no active-arm (z=1) records")
         for arr in (y, z, x):
             arr.setflags(write=False)
         object.__setattr__(self, "y", y)
@@ -110,13 +115,7 @@ class IpdStudy:
 
     @classmethod
     def from_dict(cls, d: dict) -> "IpdStudy":
-        return cls(
-            np.asarray(d["y"], dtype=float),
-            np.asarray(d["z"], dtype=int),
-            np.asarray(d["x"], dtype=float),
-            tuple(d["covariates"]),
-            OutcomeKind(d["outcome_kind"]),
-        )
+        return cls(d["y"], d["z"], d["x"], d["covariates"], OutcomeKind(d["outcome_kind"]))
 
 
 @dataclass(frozen=True)
@@ -240,6 +239,8 @@ class AgdStudy:
             active = AgdArm.from_dict(arms["active"])
         except KeyError as e:
             raise SchemaError(f"AGD document missing {e}") from None
+        except TypeError as e:
+            raise SchemaError(f"AGD document has a malformed field: {e}") from None
         comparator = None
         if "comparator" in arms and arms["comparator"] is not None:
             comparator = AgdArm.from_dict(arms["comparator"])
@@ -307,9 +308,9 @@ def load_ipd(
 
     `covariates` selects and orders the covariate columns; by default every
     column other than the outcome and arm columns is used, in file order.
-    Missing, non-numeric or non-finite values in mapped columns, arm codes
-    other than 0/1 and, for a binary outcome, outcomes not coded 0/1 are
-    rejected, naming the file, line and column.
+    The cells IpdStudy rejects (non-finite values, arm codes other than 0/1
+    and, for a binary outcome, outcomes not coded 0/1), and missing or
+    non-numeric cells in mapped columns, are named by file, line and column.
     """
     binary = outcome_kind is OutcomeKind.BINARY
     with open(path, newline="", encoding="utf-8") as fh:
@@ -331,25 +332,21 @@ def load_ipd(
                                   comments=None, quotechar='"')
         except ValueError as e:
             _raise_first_bad_cell(path, columns, usecols, binary, str(e))
-    if len(data) == 0:
-        raise EmptyStudy(f"{path}: no data rows")
-    z = data[:, 0]
-    codes = data[:, :2] if binary else data[:, :1]
-    if not (np.isfinite(data).all() and ((codes == 0.0) | (codes == 1.0)).all()):
-        _raise_first_bad_cell(path, columns, usecols, binary,
-                              "non-finite value or code outside {0, 1}")
-    # contiguous copies: a strided view would change reduction order downstream
-    return IpdStudy(
-        np.ascontiguousarray(data[:, 1]), z.astype(int),
-        np.ascontiguousarray(data[:, 2:]), tuple(covariates), outcome_kind,
-    )
+    try:
+        # contiguous copies: a strided view would change reduction order downstream
+        return IpdStudy(np.ascontiguousarray(data[:, 1]), data[:, 0],
+                        np.ascontiguousarray(data[:, 2:]), tuple(covariates), outcome_kind)
+    except (NonNumericValue, InvalidArmCode) as e:
+        _raise_first_bad_cell(path, columns, usecols, binary, str(e))
+    except EmptyStudy as e:
+        raise EmptyStudy(f"{path}: {e}") from None
 
 
 def _raise_first_bad_cell(path, columns, usecols, binary, message):
     """Re-read the file row by row and raise the error for its first bad
     cell, on its physical line; the checks reject everything the columnar
-    parse rejects.  `columns[0]` is the arm column and `columns[1]` the
-    outcome, which must be coded 0/1 when `binary`."""
+    parse and IpdStudy reject.  `columns[0]` is the arm column and
+    `columns[1]` the outcome, which must be coded 0/1 when `binary`."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader)
@@ -384,14 +381,7 @@ def load_agd(path) -> AgdStudy:
             raise SchemaError(f"{path}: non-finite number {token} is not allowed")
         return value
 
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh, parse_float=finite, parse_constant=finite)
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"{path}: invalid JSON ({e})") from None
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: top-level JSON value must be an object")
-    study = AgdStudy.from_dict(doc)
+    study = AgdStudy.from_dict(load_json_object(path, parse_float=finite, parse_constant=finite))
     for arm in study.arms:
         if arm.y_var is None:
             warnings.warn(
@@ -400,6 +390,27 @@ def load_agd(path) -> AgdStudy:
                 stacklevel=2,
             )
     return study
+
+
+def load_json_object(path, **kwargs) -> dict:
+    """The JSON object a file holds (`kwargs` go to json.load); SchemaError
+    naming the file for invalid JSON or another top-level value."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh, **kwargs)
+        except json.JSONDecodeError as e:
+            raise SchemaError(f"{path}: invalid JSON ({e})") from None
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: top-level JSON value must be an object")
+    return doc
+
+
+def write_rows(path, rows, fieldnames) -> None:
+    """Write dict rows as a CSV table with a header of `fieldnames`."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def pooled_target_moments(agd: AgdStudy, spec: MomentSpec) -> np.ndarray:

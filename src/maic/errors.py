@@ -121,6 +121,10 @@ class ZeroSe(MaicError):
     pass
 
 
+class NonFiniteResult(MaicError):
+    """A result to be written holds NaN or an infinity, which JSON cannot carry."""
+
+
 # --- simulation -------------------------------------------------------------
 
 class InsufficientCell(MaicError):

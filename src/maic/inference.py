@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
 import numpy as np
 
-from .data_model import AgdStudy, IpdStudy, stack_ipd, take_rows
+from .data_model import AgdStudy, IpdStudy, stack_ipd, take_rows, write_rows
 from .errors import InvalidLevel, MaicError, NoComparatorArm, ZeroSe, capture, succeeded, unwrap
 from .estimators import Estimate, Method, Scale, _weighted_means, estimate_block
 from .variance import (
@@ -22,7 +20,7 @@ from .variance import (
     _var_over_n,
     se_block,
 )
-from .weighting import WeightModel, balance_check, overlap_diagnostics
+from .weighting import WeightModel, fit_diagnostics
 
 _NORM = NormalDist()
 
@@ -114,10 +112,10 @@ def negative_control_block(ipds, agds, models, scale: Scale = Scale.IDENTITY,
         return out
     n_total = [out[b][1] for b in ok]
     phi0, _ = _pair_influence(*(take_rows(a, ok) for a in (y, z, w)),
-                              [out[b][2][0] for b in ok], n_total)
+                              [out[b][2] for b in ok], n_total)
     zcrit = norm_quantile(1.0 - alpha_level / 2.0)
     for var, b in zip(_var_over_n(phi0, n_total), ok):
-        delta0, nt, (_, var_agd) = out[b]
+        delta0, nt, [(_, _, _, var_agd)] = out[b]
         se0 = math.sqrt((var + var_agd) / nt)
         z0, p = wald_test(delta0, se0) if se0 > 0 else (0.0, 1.0)
         out[b] = NegControlResult(delta0, se0, z0, p, abs(z0) > zcrit, alpha_level)
@@ -164,36 +162,24 @@ class ComparisonReport:
             out["negative_control"] = self.negative_control.to_dict()
         return out
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
-
     def rows(self) -> list[dict]:
         """Flat rows (one per method x strategy) mirroring a results table."""
         rows = []
         for name, est in self.estimates.items():
+            base = {"method": name, "scale": self.scale.value, "estimate": est.delta}
             strategies = [s for (m, s) in self.ses if m == name]
             if not strategies:
-                rows.append({
-                    "method": name, "scale": self.scale.value, "estimate": est.delta,
-                    "strategy": "", "se": "", "ci_lo": "", "ci_hi": "", "p_value": "",
-                })
+                rows.append({**base, "strategy": "", "se": "", "ci_lo": "", "ci_hi": "",
+                             "p_value": ""})
             for s in strategies:
-                se = self.ses[(name, s)]
                 lo, hi = self.cis[(name, s)]
-                rows.append({
-                    "method": name, "scale": self.scale.value, "estimate": est.delta,
-                    "strategy": s, "se": se.se, "ci_lo": lo, "ci_hi": hi,
-                    "p_value": self.p_values[(name, s)],
-                })
+                rows.append({**base, "strategy": s, "se": self.ses[(name, s)].se, "ci_lo": lo,
+                             "ci_hi": hi, "p_value": self.p_values[(name, s)]})
         return rows
 
     def write_csv(self, path) -> None:
-        fieldnames = ["method", "scale", "estimate", "strategy", "se",
-                      "ci_lo", "ci_hi", "p_value"]
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fieldnames)
-            writer.writeheader()
-            writer.writerows(self.rows())
+        write_rows(path, self.rows(), ["method", "scale", "estimate", "strategy", "se",
+                                       "ci_lo", "ci_hi", "p_value"])
 
 
 def build_comparison_report(
@@ -227,15 +213,8 @@ def build_comparison_report(
             report.p_values[key] = wald_test(est.delta, se.se)[1] if se.se > 0 else 1.0
 
     if model is not None:
-        residual, max_norm = balance_check(model, ipd, model.centering)
-        overlap = overlap_diagnostics(model, ipd)
-        report.diagnostics = {
-            "ess": {str(k): v for k, v in model.ess.items()},
-            "balance_residual": residual.tolist(),
-            "balance_max_norm": max_norm,
-            "low_ess_arms": overlap.low_ess_arms,
-            "max_weight_share": overlap.max_weight_share,
-        }
+        report.diagnostics = {"ess": {str(k): v for k, v in model.ess.items()},
+                              **fit_diagnostics(model, ipd)}
     if run_negative_control and model is not None:
         try:
             report.negative_control = negative_control_test(ipd, agd, model, scale)

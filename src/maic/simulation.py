@@ -19,10 +19,10 @@ same for any thread count and any block size.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .data_model import (
     MomentSpec,
     OutcomeKind,
     TrialRecords,
+    load_json_object,
     pooled_target_moments,
 )
 from .errors import InsufficientCell, MaicError, SchemaError
@@ -93,37 +94,43 @@ class ScenarioConfig:
     alpha_slope: float | None = None
 
     def __post_init__(self):
-        if self.p < 4:
-            raise ValueError("scenario places signal on the first 4 covariates; p >= 4")
-        if self.replicates < 1:
-            raise ValueError("replicates must be at least 1")
+        for name, floor, why in (
+            ("p", 4, "the scenario places signal on the first 4 covariates"),
+            ("n_per_arm", 2, "each AGD arm reports a sample variance"),
+            ("replicates", 1, "a study runs at least one replicate"),
+            ("seed", 0, "RNG seeds are nonnegative"),
+            ("oversample_factor", 1, "each draw holds at least the kept patients"),
+        ):
+            if getattr(self, name) < floor:
+                raise ValueError(f"{name} must be at least {floor}: {why}")
 
     def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "n_per_arm": self.n_per_arm,
-            "confounding": self.confounding.value,
-            "scale": self.scale.value,
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "oversample_factor": self.oversample_factor,
-            "alpha_slope": self.alpha_slope,
-        }
+        """The fields by name, enums as their values."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: v.value if isinstance(v, enum.Enum) else v for k, v in values.items()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
-        """The config of a JSON document; absent keys keep the field defaults."""
-        unknown = sorted(set(d) - set(cls.__dataclass_fields__))
-        if unknown:
-            raise SchemaError(f"unknown scenario key {unknown[0]!r}")
-        return cls(**{key: _COERCE[key](value) for key, value in d.items()})
+        """The config of a JSON document; absent keys keep the field defaults.
+        A value that does not convert or is out of range is a SchemaError
+        naming its key."""
+        values = {}
+        for key, value in d.items():
+            if key not in _COERCE:
+                raise SchemaError(f"unknown scenario key {key!r}")
+            try:
+                values[key] = _COERCE[key](value)
+            except (TypeError, ValueError, OverflowError) as e:
+                raise SchemaError(f"scenario key {key!r}: {e}") from None
+        try:
+            return cls(**values)
+        except ValueError as e:
+            raise SchemaError(str(e)) from None
 
     @classmethod
     def from_json_file(cls, path) -> "ScenarioConfig":
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
         try:
-            return cls.from_dict(doc)
+            return cls.from_dict(load_json_object(path))
         except SchemaError as e:
             raise SchemaError(f"{path}: {e}") from None
 
@@ -340,23 +347,9 @@ class SimulationReport:
     failure_counts: dict[str, int]
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config.to_dict(),
-            "true_delta": self.true_delta,
-            "percent_bias": self.percent_bias,
-            "bias_mc_se": self.bias_mc_se,
-            "coverage": self.coverage,
-            "coverage_mc_se": self.coverage_mc_se,
-            "relative_length": self.relative_length,
-            "mean_se": self.mean_se,
-            "empirical_sd": self.empirical_sd,
-            "negcontrol_rejection_rate": self.negcontrol_rejection_rate,
-            "n_used": self.n_used,
-            "failure_counts": self.failure_counts,
-        }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
+        """The fields by name, with the config as its own dict."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return values | {"config": self.config.to_dict()}
 
     def tidy_rows(self) -> list[dict]:
         """One row per estimator/strategy and metric, for external plotting."""
@@ -378,11 +371,6 @@ class SimulationReport:
         return rows
 
 
-def _block_task(args) -> list[ReplicateResult]:
-    cfg_dict, indices = args
-    return run_block(ScenarioConfig.from_dict(cfg_dict), indices)
-
-
 def block_size(cfg: ScenarioConfig) -> int:
     """Replicates per block: as many as fit in BLOCK_ROWS patient rows."""
     return max(1, BLOCK_ROWS // (4 * cfg.n_per_arm))
@@ -402,7 +390,7 @@ def run_study(cfg: ScenarioConfig, threads: int = 1, n_oracle: int = 2_000_000) 
               for i in range(0, cfg.replicates, size)]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            done = list(pool.map(_block_task, ((cfg.to_dict(), b) for b in blocks)))
+            done = list(pool.map(run_block, repeat(cfg), blocks))
     else:
         done = [run_block(cfg, b) for b in blocks]
     results = [r for block in done for r in block]

@@ -174,23 +174,15 @@ def _arm_pairs(agd: AgdStudy, est: Estimate) -> list[tuple]:
     return pairs
 
 
-def _agd_variance(arm: AgdArm, mu: float, scale: Scale, outcome_kind: OutcomeKind,
-                  n_total: int) -> float:
-    """Variance contribution of one reported AGD arm mean."""
-    g = scale.g_prime(mu)
-    return g**2 * arm_outcome_variance(arm, outcome_kind) / (arm.n / n_total)
-
-
 def _pair_terms(pairs: list[tuple], scale: Scale, outcome_kind: OutcomeKind,
-                n_total: int):
-    """One replicate's (sign * g', IPD arm code, IPD mean) per arm pair and
-    its AGD-variance term, summed over the pairs."""
-    terms = []
-    var_agd = 0.0
-    for sign, z, mu_ipd, agd_arm, mu_agd in pairs:
-        terms.append((sign * scale.g_prime(mu_ipd), z, mu_ipd))
-        var_agd += _agd_variance(agd_arm, mu_agd, scale, outcome_kind, n_total)
-    return terms, var_agd
+                n_total: int) -> list[tuple]:
+    """One replicate's (sign * g'(IPD mean), IPD arm code, IPD mean, AGD
+    variance term) per arm pair; the AGD term is the variance contribution
+    of the reported AGD arm mean."""
+    return [(sign * scale.g_prime(mu_ipd), z, mu_ipd,
+             scale.g_prime(mu_agd) ** 2 * arm_outcome_variance(arm, outcome_kind)
+             / (arm.n / n_total))
+            for sign, z, mu_ipd, arm, mu_agd in pairs]
 
 
 def _pair_influence(y: np.ndarray, z: np.ndarray, w: np.ndarray, terms: list,
@@ -201,7 +193,7 @@ def _pair_influence(y: np.ndarray, z: np.ndarray, w: np.ndarray, terms: list,
     phi = np.zeros(y.shape)
     ctilde = None if c is None else np.zeros((len(y), c.shape[2]))
     nt = np.array(n_total)[:, None]
-    for i, (_, code, _) in enumerate(terms[0]):
+    for i, (_, code, _, _) in enumerate(terms[0]):
         sg = np.array([t[i][0] for t in terms])[:, None]
         mu = np.array([t[i][2] for t in terms])[:, None]
         mask = (z == code).astype(float)
@@ -244,7 +236,7 @@ def influence_block(ipds, agds, models, ests, scale: Scale) -> list:
         return prep
     y, z, x = (take_rows(a, ok) for a in stack_ipd(ipds))
     w, nts = take_rows(w, ok), [n_total[b] for b in ok]
-    terms = [prep[b][0] for b in ok]
+    terms = [prep[b] for b in ok]
     sums = w.sum(axis=1)
 
     unweighted = not ests[0].method.weighted
@@ -277,7 +269,7 @@ def influence_block(ipds, agds, models, ests, scale: Scale) -> list:
             phi_mu1=phi[i],
             phi_alpha=phi_alpha[i] if solved else None,
             ctilde=ctilde[i],
-            var_phi_mu2=prep[b][1],
+            var_phi_mu2=sum(t[3] for t in prep[b]),
             v_mu_x2=v_mu_x2 if solved else None,
             n_total=nt,
             p_t2=p_t2,
@@ -360,10 +352,10 @@ def sw_block(ipds, agds, models, ests, scale: Scale) -> list:
     def se(b):
         n_total = ipds[b].n + agds[b].n_total
         sigma2 = 0.0
-        for (_, _, mu_ipd, agd_arm, mu_agd), (num, den) in zip(pairs[b], sums):
-            g = scale.g_prime(mu_ipd)
+        terms = _pair_terms(pairs[b], scale, ipds[b].outcome_kind, n_total)
+        for (g, _, _, var_agd), (num, den) in zip(terms, sums):
             sigma2 += n_total * (g**2 * float(num[b] / den[b] ** 2))
-            sigma2 += _agd_variance(agd_arm, mu_agd, scale, ipds[b].outcome_kind, n_total)
+            sigma2 += var_agd
         return SeEstimate(SeStrategy.SW, float(sigma2), np.sqrt(sigma2 / n_total))
 
     return [capture(se, b) for b in range(len(ipds))]
@@ -478,9 +470,7 @@ def _full_ses(records, models, ests, scale: Scale, pieces: list) -> list:
     ok = succeeded(out)
     if not ok:
         return out
-    phi = 0
-    for a in arrays.values():
-        phi = phi + a
+    phi = sum(arrays.values())
     n_total = phi.shape[1]
     for b, sigma2 in zip(ok, map(float, np.var(phi, axis=1))):
         out[b] = SeEstimate(SeStrategy.FULL, sigma2, np.sqrt(sigma2 / n_total))

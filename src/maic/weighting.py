@@ -19,18 +19,6 @@ import numpy as np
 from .data_model import IpdStudy, MomentSpec, arm_rows, stack_ipd, take_rows
 from .errors import DegenerateCovariate, EmptyWeights, NonConvergence, capture, unwrap
 
-__all__ = [
-    "MomentSpec",
-    "SolverConfig",
-    "WeightModel",
-    "moment_matrix",
-    "solve_weights",
-    "balance_check",
-    "effective_sample_size",
-    "overlap_diagnostics",
-]
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Newton solver controls.
@@ -326,3 +314,13 @@ def overlap_diagnostics(model: WeightModel, ipd: IpdStudy) -> OverlapReport:
         max_weight_share=float(w.max() / w.sum()),
         largest_weights=np.sort(w)[::-1][:K_LARGEST].tolist(),
     )
+
+
+def fit_diagnostics(model: WeightModel, ipd: IpdStudy) -> dict:
+    """The balance and overlap diagnostics a report carries for a fitted
+    model: the balance residual against the model's target, its max-norm,
+    the low-ESS arms and the largest weight's share."""
+    residual, max_norm = balance_check(model, ipd, model.centering)
+    overlap = overlap_diagnostics(model, ipd)
+    return {"balance_residual": residual.tolist(), "balance_max_norm": max_norm,
+            "low_ess_arms": overlap.low_ess_arms, "max_weight_share": overlap.max_weight_share}

@@ -1,8 +1,13 @@
+import contextlib
 import csv
+import io
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maic.cli import main
 
@@ -106,6 +111,17 @@ class TestFit:
         assert "in 'y'" in err
 
 
+    def test_comparator_only_ipd_names_the_file(self, io_pair, tmp_path, capsys):
+        _, agd = io_pair
+        bad = tmp_path / "no_active.csv"
+        bad.write_text("y,z,x1,x2\n1,0,0.1,0.2\n0,0,0.3,0.1\n")
+        code = main(["fit", "--ipd", str(bad), "--agd", str(agd),
+                     "--out", str(tmp_path / "f7")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        assert f"EmptyStudy: {bad}: " in err
+
     def test_weight_underflowing_to_zero_exits_0(self, tmp_path):
         rng = np.random.default_rng(3)
         x = np.concatenate([rng.normal(size=200), [-1500.0]])
@@ -191,6 +207,29 @@ class TestCompare:
         mu1 = doc["methods"]["stc"]["mu1"]
         assert 0.0 <= mu1 < 1e-300
         assert doc["methods"]["stc"]["delta"] == mu1 - 0.4
+
+    # the outcome means overflow to inf on the way
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_result_exits_2_and_writes_no_report(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(40, 2))
+        z = np.repeat([1, 0], 20)
+        y = np.where(np.arange(40) % 2, 1.7e308, -1.7e308)
+        ipd = tmp_path / "huge.csv"
+        ipd.write_text("y,z,x1,x2\n" + "".join(
+            f"{yi!r},{zi},{x1!r},{x2!r}\n" for yi, zi, (x1, x2) in zip(y.tolist(), z, x.tolist())))
+        agd = tmp_path / "huge.json"
+        agd.write_text(json.dumps({"covariates": ["x1", "x2"], "arms": {
+            "active": {"n": 50, "y_mean": 0.5, "y_var": 1.0, "x_mean": [0.1, 0.0]},
+            "comparator": {"n": 50, "y_mean": 0.4, "y_var": 1.0, "x_mean": [0.1, 0.0]}}}))
+        out = tmp_path / "cmp_huge"
+        code = main(["compare", "--ipd", str(ipd), "--agd", str(agd),
+                     "--outcome-kind", "continuous", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert f"NonFiniteResult: {out / 'report.json'}: " in err
+        assert not (out / "report.json").exists()
 
     def test_se_full_is_rejected_by_name(self, io_pair, tmp_path, capsys):
         # full needs the aggregate trial's raw records, which compare never has
@@ -331,6 +370,39 @@ class TestSimulate:
         assert "SchemaError" in err and "'replicate'" in err and str(cfg) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("n_per_arm", 0), ("n_per_arm", 1), ("seed", -1), ("confounding", "bogus"),
+        ("scale", "probit"), ("replicates", "many"), ("p", 3),
+    ])
+    def test_bad_scenario_value_names_the_file_and_key(self, tmp_path, capsys, key, value):
+        cfg = self._config(tmp_path, **{key: value})
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "bad")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        assert f"SchemaError: {cfg}: " in err and key in err
+
+    @pytest.mark.parametrize("text, why", [
+        ('{"p": 4,', "invalid JSON"), ("[1, 2]", "must be an object"),
+    ])
+    def test_scenario_file_that_is_not_an_object_is_named(self, tmp_path, capsys, text, why):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "bad")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        assert f"SchemaError: {cfg}: " in err and why in err
+
+    def test_negative_seed_flag_is_named(self, tmp_path, capsys):
+        cfg = self._config(tmp_path)
+        code = main(["simulate", "--config", str(cfg), "--seed", "-3",
+                     "--out", str(tmp_path / "neg")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        assert "SchemaError: --seed: seed" in err
+
     def test_seed_override(self, tmp_path):
         cfg = self._config(tmp_path)
         out = tmp_path / "seeded"
@@ -346,3 +418,80 @@ class TestVersionFlag:
             main(["--version"])
         assert exc.value.code == 0
         assert "maic" in capsys.readouterr().out
+
+
+# cells and JSON values that a corrupted input file may hold
+FUZZ_CELLS = ["", "abc", "nan", "-inf", "1e400", "1e308", "-1e308", "2", "-1", "0.5", "1",
+              "0", "1e-320", '"1"', "1,2", "\u0661"]
+FUZZ_VALUES = [None, True, -1, 0, 1, 2, 0.5, 1e308, -1e308, "x", "", [], [1.0], [[1.0]],
+               [1.0, 2.0, 3.0], {}, {"n": 5}]
+AGD_PATHS = [("covariates",), ("arms",), ("arms", "active"), ("arms", "comparator"),
+             *(("arms", arm, key) for arm in ("active", "comparator")
+               for key in ("n", "y_mean", "y_var", "x_mean", "x_var"))]
+
+
+@st.composite
+def fuzz_runs(draw):
+    """A fit, compare or negcontrol command line over an IPD CSV and an AGD
+    JSON document, each valid or corrupted, with a random mix of flags."""
+    n = draw(st.integers(2, 12))
+    # y, z (the first row is active), x1, x2
+    rows = [[str(draw(st.sampled_from([0, 1]))),
+             str(1 if i == 0 else draw(st.sampled_from([0, 1]))),
+             *(repr(draw(st.floats(-3, 3))) for _ in range(2))] for i in range(n)]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, 3))] = draw(st.sampled_from(FUZZ_CELLS))
+    header = draw(st.sampled_from([["y", "z", "x1", "x2"]] * 4
+                                  + [["y", "z", "x1"], ["z", "x1", "x2"]]))
+    lines = [",".join(header)] + [",".join(r[:len(header)]) for r in rows]
+    if draw(st.integers(0, 7)) == 0:
+        lines = lines[:draw(st.integers(0, len(lines) - 1))]  # cut short, down to nothing
+    ipd = "\n".join(lines) + "\n"
+
+    arm = {"n": 30, "y_mean": 0.5, "y_var": 0.25, "x_mean": [0.1, -0.1], "x_var": [1.0, 1.0]}
+    agd = {"covariates": ["x1", "x2"], "arms": {"active": dict(arm), "comparator": dict(arm)}}
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        path, parent = draw(st.sampled_from(AGD_PATHS)), agd
+        for key in path[:-1]:
+            parent = parent.get(key) if isinstance(parent, dict) else None
+        if isinstance(parent, dict):
+            if draw(st.booleans()):
+                parent.pop(path[-1], None)
+            else:
+                parent[path[-1]] = draw(st.sampled_from(FUZZ_VALUES))
+    agd_text = draw(st.sampled_from([json.dumps(agd)] * 12 + ["", "[1]", "{", "NaN"]))
+
+    command = draw(st.sampled_from(["fit", "compare", "negcontrol"]))
+    flags = ["--moments", draw(st.sampled_from(["first", "first+second"])),
+             "--outcome-kind", draw(st.sampled_from(["binary", "continuous"]))]
+    if command != "fit":
+        flags += ["--scale", draw(st.sampled_from(["identity", "logit"]))]
+    if command == "compare":
+        flags += ["--methods", draw(st.sampled_from(
+                      ["maic-nab,maic-acb,bucher,stc,naive", "naive", "stc,bucher", "bogus"])),
+                  "--se", draw(st.sampled_from(["all", "fo", "po,cs", "sw", "full", "xx"])),
+                  "--level", draw(st.sampled_from(["0.95"] * 3 + ["0", "1.5", "nan"]))]
+        flags += ["--negcontrol"] if draw(st.booleans()) else []
+    if command == "negcontrol":
+        flags += ["--alpha", draw(st.sampled_from(["0.05"] * 3 + ["2", "nan"]))]
+    return command, ipd, agd_text, flags
+
+
+class TestCliFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(run=fuzz_runs())
+    def test_exit_code_is_0_1_or_2_and_no_traceback(self, tmp_path_factory, run):
+        command, ipd_text, agd_text, flags = run
+        tmp = tmp_path_factory.mktemp("fuzz")
+        ipd, agd = tmp / "ipd.csv", tmp / "agd.json"
+        ipd.write_text(ipd_text, encoding="utf-8")
+        agd.write_text(agd_text, encoding="utf-8")
+        argv = [command, "--ipd", str(ipd), "--agd", str(agd), *flags, "--out", str(tmp / "out")]
+        err = io.StringIO()
+        # the suite turns warnings into errors; a CLI run only reports them
+        with warnings.catch_warnings(record=True), contextlib.redirect_stderr(err):
+            warnings.simplefilter("default")
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()

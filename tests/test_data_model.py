@@ -113,6 +113,11 @@ class TestLoadIpd:
         with pytest.raises(NonNumericValue, match=re.escape(f"{p}:5: ") + ".*'oops'"):
             load_ipd(p)
 
+    def test_comparator_only_file_names_the_file(self, tmp_path):
+        p = write(tmp_path / "ipd.csv", "y,z,x1\n1,0,0.2\n0,0,0.1\n")
+        with pytest.raises(EmptyStudy, match=re.escape(f"{p}: ") + ".*active-arm"):
+            load_ipd(p)
+
     def test_header_only_file_is_empty(self, tmp_path):
         p = write(tmp_path / "ipd.csv", "y,z,x1\n")
         with pytest.raises(EmptyStudy, match="no data rows"):
@@ -229,6 +234,21 @@ class TestIpdStudy:
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
             make_ipd([1.0, 0.0], [1], [[0.1], [0.2]])
+
+    @pytest.mark.parametrize("code", [0.7, 1.9])
+    def test_rejects_arm_codes_that_are_not_exactly_0_or_1(self, code):
+        # a float arm code must not be truncated to a valid one
+        with pytest.raises(InvalidArmCode, match=re.escape(str(code))):
+            IpdStudy(np.array([1.0, 0.0]), np.array([1.0, code]), np.array([[0.1], [0.2]]),
+                     ("x1",))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["y", "x"])
+    def test_rejects_non_finite_outcomes_and_covariates(self, field, value):
+        arrays = {"y": np.array([1.0, 0.0]), "x": np.array([[0.1], [0.2]])}
+        arrays[field].flat[1] = value
+        with pytest.raises(NonNumericValue, match="finite"):
+            IpdStudy(arrays["y"], np.array([1, 0]), arrays["x"], ("x1",))
 
 
 class TestAgd:

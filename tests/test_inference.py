@@ -232,7 +232,7 @@ class TestComparisonReport:
         report = build_comparison_report(
             ipd, agd, model, ALL_METHODS, run_negative_control=True
         )
-        doc = json.loads(report.to_json())
+        doc = json.loads(json.dumps(report.to_dict()))
         assert "negative_control" in doc
         assert doc["diagnostics"]["balance_max_norm"] <= 1e-10
         out = tmp_path / "report.csv"

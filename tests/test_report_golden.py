@@ -92,7 +92,7 @@ def run_case(case: dict) -> dict:
             ipd, agd, m, ALL_METHODS, scale, ALL_STRATEGIES,
             run_negative_control=True,
         )
-        reports[label] = json.loads(report.to_json())
+        reports[label] = json.loads(json.dumps(report.to_dict()))
     return reports
 
 

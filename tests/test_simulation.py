@@ -70,6 +70,21 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             cfg_with(p=3)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_per_arm", 1), ("n_per_arm", 0), ("seed", -1), ("oversample_factor", 0),
+    ])
+    def test_rejects_values_below_the_floor(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            cfg_with(**{field: value})
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_per_arm", 0), ("seed", -1), ("confounding", "bogus"), ("scale", "probit"),
+        ("replicates", "many"), ("p", 3), ("replicates", [1]), ("seed", float("inf")),
+    ])
+    def test_bad_value_is_a_schema_error_naming_the_key(self, key, value):
+        with pytest.raises(SchemaError, match=key):
+            ScenarioConfig.from_dict({key: value})
+
     def test_scenario_signal_on_first_four(self):
         a1, b1, b3 = scenario_vectors(Confounding.SEVERE, 6)
         np.testing.assert_allclose(a1, [0.3, 0.3, 0.3, 0.3, 0.0, 0.0])
@@ -236,7 +251,7 @@ class TestRunStudy:
         import json
 
         report = run_study(cfg_with(replicates=2), n_oracle=50_000)
-        doc = json.loads(report.to_json())
+        doc = json.loads(json.dumps(report.to_dict()))
         assert doc["config"]["n_per_arm"] == 100
 
 
