@@ -20,9 +20,10 @@ from pathlib import Path
 from . import __version__
 from .data_model import (MomentSpec, OutcomeKind, load_agd, load_ipd, pooled_target_moments,
                          write_rows)
-from .errors import MaicError, NonConvergence, NonFiniteResult, SchemaError, SeparationError
+from .errors import (InvalidChoice, MaicError, NonConvergence, NonFiniteResult, SchemaError,
+                     SeparationError)
 from .estimators import Method, Scale
-from .inference import build_comparison_report, negative_control_test
+from .inference import build_comparison_report, check_level, negative_control_test
 from .simulation import ScenarioConfig, run_study
 from .variance import REPORT_STRATEGIES, SeStrategy
 from .weighting import SolverConfig, fit_diagnostics, overlap_diagnostics, solve_weights
@@ -97,27 +98,35 @@ def cmd_fit(args) -> int:
     return 0
 
 
+def _parse_choices(flag: str, text: str, accepted: dict, also: str = "") -> list:
+    """The values of a comma list of the names in `accepted`; for any other
+    token, InvalidChoice naming the flag and listing the names, then `also`."""
+    out = []
+    for tok in filter(None, (t.strip() for t in text.split(","))):
+        if tok not in accepted:
+            raise InvalidChoice(f"{flag}: {tok!r} is not one of {', '.join(accepted)}{also}")
+        out.append(accepted[tok])
+    return out
+
+
 def _parse_methods(text: str) -> list[Method]:
-    return [Method(tok.strip()) for tok in text.split(",") if tok.strip()]
+    return _parse_choices("--methods", text, {m.value: m for m in Method})
 
 
 def _parse_strategies(text: str) -> list[SeStrategy]:
     if text.strip() == "all":
         return list(REPORT_STRATEGIES)
-    strategies = [SeStrategy(tok.strip()) for tok in text.split(",") if tok.strip()]
-    for s in strategies:
-        if s not in REPORT_STRATEGIES:
-            raise ValueError(f"--se {s.value} needs the aggregate trial's raw records and "
-                             "is available in simulation only")
-    return strategies
+    return _parse_choices("--se", text, {s.value: s for s in REPORT_STRATEGIES},
+                          f" (or all alone; {SeStrategy.FULL.value} needs the aggregate "
+                          "trial's raw records and is available in simulation only)")
 
 
 def cmd_compare(args) -> int:
+    methods = _parse_methods(args.methods)
+    strategies = _parse_strategies(args.se)
     out = _out_dir(args)
     ipd, agd = _load_pair(args)
     scale = Scale(args.scale)
-    methods = _parse_methods(args.methods)
-    strategies = _parse_strategies(args.se)
     model = _fit_weights(args, ipd, agd) if any(m.weighted for m in methods) else None
     report = build_comparison_report(
         ipd, agd, model, methods, scale, strategies, level=args.level,
@@ -135,6 +144,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_negcontrol(args) -> int:
+    check_level(args.alpha, "--alpha")
     out = _out_dir(args)
     ipd, agd = _load_pair(args)
     scale = Scale(args.scale)

@@ -76,12 +76,11 @@ class IpdStudy:
             )
         if not (np.isfinite(y).all() and np.isfinite(x).all()):
             raise NonNumericValue("outcomes and covariates must be finite")
-        codes = np.unique(z)
-        bad = codes[(codes != 0) & (codes != 1)]
-        if len(bad):
-            raise InvalidArmCode(f"arm codes must be 0 or 1, got {bad.tolist()}")
+        bad = (z != 0) & (z != 1)
+        if bad.any():
+            raise InvalidArmCode(f"arm codes must be 0 or 1, got {np.unique(z[bad]).tolist()}")
         z = z.astype(int, copy=False)
-        if self.outcome_kind is OutcomeKind.BINARY and not np.isin(y, (0.0, 1.0)).all():
+        if self.outcome_kind is OutcomeKind.BINARY and not ((y == 0) | (y == 1)).all():
             raise NonNumericValue("binary outcome must be coded 0/1")
         if not np.any(z == 1):
             raise EmptyStudy("IPD study has no active-arm (z=1) records")
@@ -262,30 +261,73 @@ class TrialRecords:
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
 
 
-def stack_ipd(ipds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Outcomes (B, n), arm codes (B, n) and covariates (B, n, p) of a block
-    of B IPD studies of one shape whose arms have the same sizes."""
+class IpdBlock:
+    """B IPD studies of one shape and one outcome kind, stacked: outcomes
+    y (B, n), arm codes z (B, n) and covariates x (B, n, p).  Every study
+    has the same arm sizes, so the rows of arm `code` are arms[code], flat
+    indices into the B * n rows, (B, m) in row order; they are found once,
+    when the block is made, and every stage gathers arm rows through them."""
+
+    def __init__(self, y: np.ndarray, z: np.ndarray, x: np.ndarray,
+                 outcome_kind: OutcomeKind, arms: dict | None = None):
+        self.y, self.z, self.x, self.outcome_kind = y, z, x, outcome_kind
+        if arms is None:
+            arms = {}
+            for code in (0, 1):
+                mask = z == code
+                sizes = np.count_nonzero(mask, axis=1)
+                if (sizes != sizes[0]).any():
+                    raise ValueError("the studies of a block must have the same arm sizes")
+                if sizes[0]:
+                    arms[code] = np.flatnonzero(mask).reshape(len(z), sizes[0])
+        self.arms = arms
+
+    def __len__(self) -> int:
+        return len(self.y)
+
+    @property
+    def n(self) -> int:
+        return self.y.shape[1]
+
+    @property
+    def has_comparator(self) -> bool:
+        return 0 in self.arms
+
+    def take(self, rows) -> "IpdBlock":
+        """The studies at the ascending block rows `rows` as a block of
+        their own; the block itself when all are taken."""
+        if len(rows) == len(self):
+            return self
+        rows = np.asarray(rows, dtype=int)
+        shift = ((rows - np.arange(len(rows))) * self.n)[:, None]
+        return IpdBlock(self.y[rows], self.z[rows], self.x[rows], self.outcome_kind,
+                        {code: idx[rows] - shift for code, idx in self.arms.items()})
+
+    def arm_rows(self, values: np.ndarray, code: int) -> np.ndarray:
+        """The rows of arm `code` of each study, (B, m, ...), from values
+        (B, n, ...) laid out like y."""
+        return values.reshape((-1,) + values.shape[2:])[self.arms[code]]
+
+    def arm_mask(self, code: int) -> np.ndarray:
+        """1.0 on the rows of arm `code` and 0.0 elsewhere, (B, n)."""
+        mask = np.zeros(self.y.shape)
+        np.put(mask, self.arms[code], 1.0)
+        return mask
+
+
+def stack_ipd(ipds) -> IpdBlock:
+    """The block of a list of IPD studies of one shape and one outcome kind
+    whose arms have the same sizes."""
     if len(ipds) == 1:
-        return ipds[0].y[None], ipds[0].z[None], ipds[0].x[None]
-    y = np.stack([ipd.y for ipd in ipds])
-    z = np.stack([ipd.z for ipd in ipds])
-    x = np.stack([ipd.x for ipd in ipds])
-    active = (z == 1).sum(axis=1)
-    if (active != active[0]).any():
-        raise ValueError("the studies of a block must have the same arm sizes")
-    return y, z, x
+        ipd = ipds[0]
+        return IpdBlock(ipd.y[None], ipd.z[None], ipd.x[None], ipd.outcome_kind)
+    return IpdBlock(np.stack([ipd.y for ipd in ipds]), np.stack([ipd.z for ipd in ipds]),
+                    np.stack([ipd.x for ipd in ipds]), ipds[0].outcome_kind)
 
 
 def take_rows(values: np.ndarray, rows) -> np.ndarray:
     """values[rows] for ascending block rows; no copy when all are taken."""
     return values if len(rows) == len(values) else values[rows]
-
-
-def arm_rows(z: np.ndarray, values: np.ndarray, code: int) -> np.ndarray:
-    """values[z == code] per replicate of a block, as a (B, m, ...) array."""
-    mask = z == code
-    m = np.count_nonzero(mask) // max(len(z), 1)
-    return values[mask].reshape((len(z), m) + values.shape[2:])
 
 
 # a decimal or scientific number in ASCII digits, or nan/inf; the columnar

@@ -125,6 +125,12 @@ class NonFiniteResult(MaicError):
     """A result to be written holds NaN or an infinity, which JSON cannot carry."""
 
 
+# --- command line -----------------------------------------------------------
+
+class InvalidChoice(MaicError):
+    """A command-line value outside the set the flag accepts."""
+
+
 # --- simulation -------------------------------------------------------------
 
 class InsufficientCell(MaicError):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import AgdStudy, IpdStudy, OutcomeKind, arm_rows, stack_ipd, take_rows
+from .data_model import AgdStudy, IpdBlock, IpdStudy, OutcomeKind, stack_ipd, take_rows
 from .errors import (
     BoundaryProportion,
     NoComparatorArm,
@@ -99,19 +99,19 @@ class Estimate:
         return d
 
 
-def _weighted_means(y: np.ndarray, z: np.ndarray, w: np.ndarray, code: int) -> np.ndarray:
-    """Weighted mean outcome of arm `code` per replicate of a block."""
-    wz = arm_rows(z, w, code)
-    return (wz * arm_rows(z, y, code)).sum(axis=1) / wz.sum(axis=1)
+def _weighted_means(block: IpdBlock, w: np.ndarray, code: int) -> np.ndarray:
+    """Weighted mean outcome of arm `code` per study of a block."""
+    wz = block.arm_rows(w, code)
+    return (wz * block.arm_rows(block.y, code)).sum(axis=1) / wz.sum(axis=1)
 
 
-def _block_weights(ipds, models, method: Method) -> np.ndarray:
+def _block_weights(block: IpdBlock, models, method: Method) -> np.ndarray:
     """Fitted weights (B, n) for the MAIC methods, unit weights for bucher
     and naive; `models` is read only for the MAIC methods."""
     if method is Method.STC:
         raise ValueError("stc is an outcome-model estimator and weights no records")
     if not method.weighted:
-        return np.ones((len(ipds), ipds[0].n))
+        return np.ones((len(block), block.n))
     if any(m is None for m in models):
         raise NoComparatorArm("weight model required for MAIC methods")
     return np.stack([m.weights for m in models])
@@ -121,7 +121,7 @@ def maic_nab(
     ipd: IpdStudy, agd: AgdStudy, model: WeightModel, scale: Scale = Scale.IDENTITY
 ) -> Estimate:
     """Weighted IPD active-arm mean contrasted with the AGD active arm."""
-    return unwrap(estimate_block([ipd], [agd], [model], scale, Method.MAIC_NAB)[0])
+    return unwrap(estimate_block(stack_ipd([ipd]), [agd], [model], scale, Method.MAIC_NAB)[0])
 
 
 def maic_acb(
@@ -129,33 +129,32 @@ def maic_acb(
 ) -> Estimate:
     """Anchored variant: subtracts the weighted-vs-reported contrast of the
     common comparator arms from the maic_nab contrast."""
-    return unwrap(estimate_block([ipd], [agd], [model], scale, Method.MAIC_ACB)[0])
+    return unwrap(estimate_block(stack_ipd([ipd]), [agd], [model], scale, Method.MAIC_ACB)[0])
 
 
 def bucher(ipd: IpdStudy, agd: AgdStudy, scale: Scale = Scale.IDENTITY) -> Estimate:
     """Anchored indirect comparison of unadjusted within-trial effects."""
-    return unwrap(estimate_block([ipd], [agd], None, scale, Method.BUCHER)[0])
+    return unwrap(estimate_block(stack_ipd([ipd]), [agd], None, scale, Method.BUCHER)[0])
 
 
 def naive(ipd: IpdStudy, agd: AgdStudy, scale: Scale = Scale.IDENTITY) -> Estimate:
     """Unweighted IPD active-arm mean vs the AGD active arm."""
-    return unwrap(estimate_block([ipd], [agd], None, scale, Method.NAIVE)[0])
+    return unwrap(estimate_block(stack_ipd([ipd]), [agd], None, scale, Method.NAIVE)[0])
 
 
-def estimate_block(ipds, agds, models, scale: Scale, method: Method) -> list:
-    """Any method for a block of same-shaped studies (see stack_ipd): an
-    Estimate or the MaicError per study.  `models` holds the fitted weight
-    model of each study; it is read only for the MAIC methods and may be
-    None for the others."""
+def estimate_block(block: IpdBlock, agds, models, scale: Scale, method: Method) -> list:
+    """Any method for each study of a block, with its AGD study: an Estimate
+    or the MaicError per study.  `models` holds the fitted weight model of
+    each study; it is read only for the MAIC methods and may be None for the
+    others."""
     if method is Method.STC:
-        return stc_block(ipds, agds, scale)
+        return stc_block(block, agds, scale)
     try:
-        w = _block_weights(ipds, models, method)
+        w = _block_weights(block, models, method)
     except NoComparatorArm as e:
-        return [e] * len(ipds)
-    y, z, _ = stack_ipd(ipds)
-    mu1 = _weighted_means(y, z, w, 1)
-    mu0 = _weighted_means(y, z, w, 0) if method.anchored and ipds[0].has_comparator else None
+        return [e] * len(block)
+    mu1 = _weighted_means(block, w, 1)
+    mu0 = _weighted_means(block, w, 0) if method.anchored and block.has_comparator else None
 
     def estimate(b):
         agd = agds[b]
@@ -164,7 +163,7 @@ def estimate_block(ipds, agds, models, scale: Scale, method: Method) -> list:
             return Estimate(method, scale, scale.g(m1) - scale.g(m2), m1, m2)
         if agd.comparator_arm is None:
             raise NoComparatorArm("AGD study has no comparator arm")
-        if not ipds[b].has_comparator:
+        if not block.has_comparator:
             raise NoComparatorArm("IPD study has no comparator (z=0) records")
         m0, m0_agd = float(mu0[b]), agd.comparator_arm.y_mean
         if method is Method.BUCHER:
@@ -173,7 +172,7 @@ def estimate_block(ipds, agds, models, scale: Scale, method: Method) -> list:
             delta = (scale.g(m1) - scale.g(m2)) - (scale.g(m0) - scale.g(m0_agd))
         return Estimate(method, scale, delta, m1, m2, anchor_terms=(m0, m0_agd))
 
-    return [capture(estimate, b) for b in range(len(ipds))]
+    return [capture(estimate, b) for b in range(len(block))]
 
 
 # logistic IRLS controls: iteration cap, convergence threshold on the step
@@ -231,15 +230,13 @@ def stc(ipd: IpdStudy, agd: AgdStudy, scale: Scale = Scale.IDENTITY) -> Estimate
     When the AGD means lie outside the IPD covariate range the prediction
     extrapolates; a warning is emitted rather than refusing.
     """
-    return unwrap(stc_block([ipd], [agd], scale)[0])
+    return unwrap(stc_block(stack_ipd([ipd]), [agd], scale)[0])
 
 
-def stc_block(ipds, agds, scale: Scale = Scale.IDENTITY) -> list:
-    """stc for a block of same-shaped studies of one outcome kind (see
-    stack_ipd): an Estimate or the MaicError per study."""
-    binary = ipds[0].outcome_kind is OutcomeKind.BINARY
-    y, z, x = stack_ipd(ipds)
-    x, y = arm_rows(z, x, 1), arm_rows(z, y, 1)
+def stc_block(block: IpdBlock, agds, scale: Scale = Scale.IDENTITY) -> list:
+    """stc for each study of a block: an Estimate or the MaicError per study."""
+    binary = block.outcome_kind is OutcomeKind.BINARY
+    x, y = block.arm_rows(block.x, 1), block.arm_rows(block.y, 1)
     design = np.concatenate([np.ones(y.shape + (1,)), x], axis=2)
     lo, hi = x.min(axis=1), x.max(axis=1)
     rows = []
@@ -274,4 +271,4 @@ def stc_block(ipds, agds, scale: Scale = Scale.IDENTITY) -> list:
         mu2 = agds[b].active_arm.y_mean
         return Estimate(Method.STC, scale, scale.g(mu1) - scale.g(mu2), mu1, mu2)
 
-    return [capture(estimate, b) for b in range(len(ipds))]
+    return [capture(estimate, b) for b in range(len(block))]

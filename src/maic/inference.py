@@ -8,7 +8,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .data_model import AgdStudy, IpdStudy, stack_ipd, take_rows, write_rows
+from .data_model import AgdStudy, IpdBlock, IpdStudy, stack_ipd, take_rows, write_rows
 from .errors import InvalidLevel, MaicError, NoComparatorArm, ZeroSe, capture, succeeded, unwrap
 from .estimators import Estimate, Method, Scale, _weighted_means, estimate_block
 from .variance import (
@@ -33,9 +33,15 @@ def norm_quantile(q: float) -> float:
     return _NORM.inv_cdf(q)
 
 
-def wald_ci(delta: float, se: float, level: float = 0.95) -> tuple[float, float]:
+def check_level(level: float, name: str) -> None:
+    """InvalidLevel naming `name` unless level lies in (0, 1), which also
+    rejects NaN and the infinities."""
     if not 0.0 < level < 1.0:
-        raise InvalidLevel(f"confidence level must lie in (0, 1), got {level}")
+        raise InvalidLevel(f"{name} must lie in (0, 1), got {level}")
+
+
+def wald_ci(delta: float, se: float, level: float = 0.95) -> tuple[float, float]:
+    check_level(level, "confidence level")
     if se < 0:
         raise ZeroSe("standard error must be nonnegative")
     z = norm_quantile((1.0 + level) / 2.0)
@@ -84,34 +90,36 @@ def negative_control_test(
     """Compare the weighted IPD comparator mean with the reported AGD
     comparator mean; the standard error omits weight-estimation terms
     (the conservative strategy), so the test size leans conservative."""
-    return unwrap(negative_control_block([ipd], [agd], [model], scale, alpha_level)[0])
+    return unwrap(negative_control_block(stack_ipd([ipd]), [agd], [model], scale,
+                                         alpha_level)[0])
 
 
-def negative_control_block(ipds, agds, models, scale: Scale = Scale.IDENTITY,
+def negative_control_block(block: IpdBlock, agds, models, scale: Scale = Scale.IDENTITY,
                            alpha_level: float = 0.05) -> list:
-    """negative_control_test for a block of same-shaped studies (see
-    stack_ipd): a NegControlResult or the MaicError per study."""
-    y, z, _ = stack_ipd(ipds)
+    """negative_control_test for each study of a block: a NegControlResult or
+    the MaicError per study.  An alpha_level outside (0, 1) is an
+    InvalidLevel for the whole block."""
+    check_level(alpha_level, "alpha level")
     w = np.stack([m.weights for m in models])
-    mu0 = _weighted_means(y, z, w, 0) if ipds[0].has_comparator else None
+    mu0 = _weighted_means(block, w, 0) if block.has_comparator else None
 
     def prepare(b):
-        ipd, agd = ipds[b], agds[b]
-        if agd.comparator_arm is None or not ipd.has_comparator:
+        agd = agds[b]
+        if agd.comparator_arm is None or not block.has_comparator:
             raise NoComparatorArm("negative-control test needs comparator arms on both sides")
         mu0_ipd = float(mu0[b])
         mu0_agd = agd.comparator_arm.y_mean
         delta0 = scale.g(mu0_ipd) - scale.g(mu0_agd)
-        n_total = ipd.n + agd.n_total
+        n_total = block.n + agd.n_total
         pair = (1.0, 0, mu0_ipd, agd.comparator_arm, mu0_agd)
-        return delta0, n_total, _pair_terms([pair], scale, ipd.outcome_kind, n_total)
+        return delta0, n_total, _pair_terms([pair], scale, block.outcome_kind, n_total)
 
-    out = [capture(prepare, b) for b in range(len(ipds))]
+    out = [capture(prepare, b) for b in range(len(block))]
     ok = succeeded(out)
     if not ok:
         return out
     n_total = [out[b][1] for b in ok]
-    phi0, _ = _pair_influence(*(take_rows(a, ok) for a in (y, z, w)),
+    phi0, _ = _pair_influence(block.take(ok), take_rows(w, ok),
                               [out[b][2] for b in ok], n_total)
     zcrit = norm_quantile(1.0 - alpha_level / 2.0)
     for var, b in zip(_var_over_n(phi0, n_total), ok):
@@ -197,13 +205,14 @@ def build_comparison_report(
     per-method failures without aborting the remaining methods."""
     report = ComparisonReport(scale=scale, level=level)
     agd.check_alignment(ipd)
+    block = stack_ipd([ipd])
     for method in methods:
-        (est,) = estimate_block([ipd], [agd], [model], scale, method)
+        (est,) = estimate_block(block, [agd], [model], scale, method)
         if isinstance(est, MaicError):
             report.errors[method.value] = f"{type(est).__name__}: {est}"
             continue
         report.estimates[method.value] = est
-        for strategy, (se,) in se_block([ipd], [agd], [model], [est], scale, strategies).items():
+        for strategy, (se,) in se_block(block, [agd], [model], [est], scale, strategies).items():
             key = (method.value, strategy.value)
             if isinstance(se, MaicError):
                 report.errors["/".join(key)] = f"{type(se).__name__}: {se}"
@@ -216,8 +225,9 @@ def build_comparison_report(
         report.diagnostics = {"ess": {str(k): v for k, v in model.ess.items()},
                               **fit_diagnostics(model, ipd)}
     if run_negative_control and model is not None:
-        try:
-            report.negative_control = negative_control_test(ipd, agd, model, scale)
-        except MaicError as e:
-            report.errors["negative_control"] = f"{type(e).__name__}: {e}"
+        (result,) = negative_control_block(block, [agd], [model], scale)
+        if isinstance(result, MaicError):
+            report.errors["negative_control"] = f"{type(result).__name__}: {result}"
+        else:
+            report.negative_control = result
     return report

@@ -10,10 +10,14 @@ number of patients per (trial, arm) cell, collapses the second trial to
 aggregate summaries, and runs every estimator and SE strategy.
 
 Replicate r of a study draws from an independent RNG stream keyed by
-(seed, r).  Replicates run in blocks: each is generated on its own stream,
-then the block goes through one stacked solve/estimate/SE core whose
-arithmetic per replicate is that of a lone replicate, so the output is the
-same for any thread count and any block size.
+(seed, r).  Replicates run in blocks.  Each replicate draws its covariates,
+cells and outcome uniforms and picks its subsample on its own stream; then,
+for the whole block at once, the kept rows' outcomes are computed, trial 1
+is split off as one stacked IPD block (with the row indices of each arm,
+found once), trial 2's arms are collapsed to means and variances, and the
+block goes through one stacked solve/estimate/SE core.  The arithmetic per
+replicate is that of a lone replicate, so the output is the same for any
+thread count and any block size.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import numpy as np
 from .data_model import (
     AgdArm,
     AgdStudy,
+    IpdBlock,
     IpdStudy,
     MomentSpec,
     OutcomeKind,
@@ -157,36 +162,66 @@ def _expit(v):
     return 1.0 / (1.0 + np.exp(-v))
 
 
+# the (trial, arm) cells each replicate fills, in subsampling order; a row's
+# cell code is its cell's index here
+_CELLS = ((1, 0), (1, 1), (2, 0), (2, 2))
+
+
+def _draw(cfg: ScenarioConfig, n_star: int, rng: np.random.Generator):
+    """n_star rows of the scenario DGP up to the outcome: covariates (n_star,
+    p), cell codes and the outcome uniforms, in the DGP's stream order."""
+    a1, _, _ = _config_vectors(cfg)
+    # X = sqrt(.8) eps + sqrt(.2) u gives covariance .8*I + .2 exactly
+    x = rng.standard_normal((n_star, cfg.p))
+    x *= math.sqrt(0.8)
+    x += math.sqrt(0.2) * rng.standard_normal((n_star, 1))
+    trial2 = rng.random(n_star) < _expit(ALPHA0 + x @ a1)
+    treated = rng.random(n_star) < 0.5
+    return x, 2 * trial2 + treated, rng.random(n_star)
+
+
+def _trial_arm(cell: np.ndarray):
+    """The trial (1 or 2) and arm code (0, 1 or 2) of each cell code."""
+    t = 1 + (cell >> 1)
+    return t, t * (cell & 1)
+
+
+def _outcome(cfg: ScenarioConfig, x: np.ndarray, z: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Binary outcomes of rows with covariates x (..., p), arm codes z and
+    outcome uniforms u, over any leading axes; each row's arithmetic is the
+    same wherever it sits."""
+    _, b1, b3 = _config_vectors(cfg)
+    lin = BETA0 + x @ b1 + (z > 0) * (x @ b3 + BETA2) + (z == 2) * BETA4
+    return (u < _expit(lin)).astype(float)
+
+
+def _pick(cell: np.ndarray, n_per_arm: int, rng: np.random.Generator) -> np.ndarray:
+    """The ascending row indices of a uniform subsample of exactly n_per_arm
+    rows per cell, drawn cell by cell; InsufficientCell at the first short
+    cell."""
+    keep = []
+    for code, (t, z) in enumerate(_CELLS):
+        idx = np.flatnonzero(cell == code)
+        if len(idx) < n_per_arm:
+            raise InsufficientCell(
+                f"cell (trial={t}, arm={z}) has {len(idx)} < {n_per_arm} members"
+            )
+        keep.append(rng.choice(idx, size=n_per_arm, replace=False))
+    return np.sort(np.concatenate(keep))
+
+
 def generate_population(cfg: ScenarioConfig, n_star: int, rng: np.random.Generator) -> PooledSample:
     """Simulate n_star unconstrained observations from the scenario DGP."""
-    p = cfg.p
-    a1, b1, b3 = _config_vectors(cfg)
-    # X = sqrt(.8) eps + sqrt(.2) u gives covariance .8*I + .2 exactly
-    x = math.sqrt(0.8) * rng.standard_normal((n_star, p))
-    x += math.sqrt(0.2) * rng.standard_normal((n_star, 1))
-    t = np.where(rng.random(n_star) < _expit(ALPHA0 + x @ a1), 2, 1)
-    z = np.where(rng.random(n_star) < 0.5, t, 0)
-    lin = BETA0 + x @ b1 + (z > 0) * (x @ b3 + BETA2) + (z == 2) * BETA4
-    y = (rng.random(n_star) < _expit(lin)).astype(float)
-    return PooledSample(y=y, z=z, t=t, x=x)
-
-
-_CELLS = ((1, 0), (1, 1), (2, 0), (2, 2))
+    x, cell, u = _draw(cfg, n_star, rng)
+    t, z = _trial_arm(cell)
+    return PooledSample(y=_outcome(cfg, x, z, u), z=z, t=t, x=x)
 
 
 def subsample_by_arm(
     pop: PooledSample, n_per_arm: int, rng: np.random.Generator
 ) -> PooledSample:
     """Uniform subsample of exactly n_per_arm patients per (trial, arm) cell."""
-    keep = []
-    for t, z in _CELLS:
-        idx = np.nonzero((pop.t == t) & (pop.z == z))[0]
-        if len(idx) < n_per_arm:
-            raise InsufficientCell(
-                f"cell (trial={t}, arm={z}) has {len(idx)} < {n_per_arm} members"
-            )
-        keep.append(rng.choice(idx, size=n_per_arm, replace=False))
-    sel = np.sort(np.concatenate(keep))
+    sel = _pick(2 * (pop.t - 1) + (pop.z > 0), n_per_arm, rng)
     return PooledSample(y=pop.y[sel], z=pop.z[sel], t=pop.t[sel], x=pop.x[sel])
 
 
@@ -228,42 +263,65 @@ SIM_METHODS = (Method.MAIC_NAB, Method.MAIC_ACB, Method.BUCHER, Method.STC)
 BLOCK_ROWS = 16_384
 
 
+def replicate_block(cfg: ScenarioConfig, indices) -> tuple[IpdBlock, list, list]:
+    """Draw and subsample each replicate of a block on its own (seed, r)
+    stream, redrawing with twice the oversampling while a cell is short;
+    then, stacked over the block, compute the kept rows' outcomes, split off
+    trial 1 as the stacked IPD and collapse trial 2's arms to aggregate
+    summaries.  Returns the IPD block, and the AGD study and the aggregate
+    trial's raw records of each replicate."""
+    kept = []
+    for r in indices:
+        rng = np.random.default_rng([cfg.seed, r])
+        factor = cfg.oversample_factor
+        for _ in range(12):
+            x, cell, u = _draw(cfg, factor * 4 * cfg.n_per_arm, rng)
+            try:
+                sel = _pick(cell, cfg.n_per_arm, rng)
+                break
+            except InsufficientCell:
+                factor *= 2
+        else:
+            raise InsufficientCell("could not fill all cells after repeated oversampling")
+        kept.append((x[sel], cell[sel], u[sel]))
+    x, cell, u = (np.stack(a) for a in zip(*kept))
+    _, z = _trial_arm(cell)
+    y = _outcome(cfg, x, z, u)
+
+    n_rep, n = len(kept), cfg.n_per_arm
+
+    def rows(mask, *arrays):
+        """The rows at mask of each array, in row order: the same number
+        per replicate, so (B, m, ...) arrays gathered by flat index."""
+        idx = np.flatnonzero(mask).reshape(n_rep, -1)
+        return [a.reshape((-1,) + a.shape[2:])[idx] for a in arrays]
+
+    t1 = cell < 2
+    ipd = IpdBlock(*rows(t1, y, z, x), OutcomeKind.BINARY)
+    y2, z2, x2 = rows(~t1, y, z, x)
+    records = [TrialRecords(y2[b], z2[b], x2[b]) for b in range(n_rep)]
+
+    summaries = []  # arm means and ddof=1 variances: the active arm, then the comparator
+    for code in (_CELLS.index((2, 2)), _CELLS.index((2, 0))):
+        ya, xa = rows(cell == code, y, x)
+        summaries.append((ya.mean(axis=1), ya.var(axis=1, ddof=1),
+                          xa.mean(axis=1), xa.var(axis=1, ddof=1)))
+    names = tuple(f"x{j + 1}" for j in range(cfg.p))
+    agds = [AgdStudy(*(AgdArm(n, float(ym[b]), float(yv[b]), xm[b], xv[b])
+                       for ym, yv, xm, xv in summaries), names)
+            for b in range(n_rep)]
+    return ipd, agds, records
+
+
 def replicate_datasets(
     cfg: ScenarioConfig, replicate_index: int
 ) -> tuple[IpdStudy, AgdStudy, TrialRecords]:
     """Draw and subsample one replicate, collapsing trial 2 to aggregate
     summaries while retaining its raw records for benchmark variances.
     Deterministic given (cfg.seed, replicate_index)."""
-    rng = np.random.default_rng([cfg.seed, replicate_index])
-    factor = cfg.oversample_factor
-    for _ in range(12):
-        pop = generate_population(cfg, factor * 4 * cfg.n_per_arm, rng)
-        try:
-            sub = subsample_by_arm(pop, cfg.n_per_arm, rng)
-            break
-        except InsufficientCell:
-            factor *= 2
-    else:
-        raise InsufficientCell("could not fill all cells after repeated oversampling")
-
-    names = tuple(f"x{j + 1}" for j in range(cfg.p))
-    t1 = sub.t == 1
-    ipd = IpdStudy(sub.y[t1], sub.z[t1], sub.x[t1], names, OutcomeKind.BINARY)
-    t2 = sub.t == 2
-
-    def make_arm(z: int) -> AgdArm:
-        m = t2 & (sub.z == z)
-        return AgdArm(
-            n=int(m.sum()),
-            y_mean=float(sub.y[m].mean()),
-            y_var=float(sub.y[m].var(ddof=1)),
-            x_mean=sub.x[m].mean(axis=0),
-            x_var=sub.x[m].var(axis=0, ddof=1),
-        )
-
-    agd = AgdStudy(make_arm(2), make_arm(0), names)
-    agd_records = TrialRecords(sub.y[t2], sub.z[t2], sub.x[t2])
-    return ipd, agd, agd_records
+    block, (agd,), (records,) = replicate_block(cfg, [replicate_index])
+    ipd = IpdStudy(block.y[0], block.z[0], block.x[0], agd.covariate_names, block.outcome_kind)
+    return ipd, agd, records
 
 
 def run_replicate(cfg: ScenarioConfig, replicate_index: int) -> ReplicateResult:
@@ -277,7 +335,7 @@ def run_block(cfg: ScenarioConfig, indices) -> list[ReplicateResult]:
     """run_replicate for each replicate index, with the weight solves, the
     estimators, the SEs and the null checks of the whole block computed
     stacked; each result equals its lone run_replicate bit for bit."""
-    ipds, agds, records = zip(*(replicate_datasets(cfg, i) for i in indices))
+    block, agds, records = replicate_block(cfg, indices)
     results = [ReplicateResult() for _ in indices]
     scale = cfg.scale
 
@@ -299,14 +357,14 @@ def run_block(cfg: ScenarioConfig, indices) -> list[ReplicateResult]:
 
     everyone = list(range(len(indices)))
     targets = np.stack([pooled_target_moments(agd, MomentSpec.FIRST) for agd in agds])
-    models = solve_weights_block(ipds, targets, MomentSpec.FIRST, _SOLVER)
+    models = solve_weights_block(block, targets, MomentSpec.FIRST, _SOLVER)
     fitted = record(everyone, models, "weights")
     nab, ests = [], {}  # the replicates with a maic-nab estimate, and the estimates
     for method in SIM_METHODS:
         members = fitted if method.weighted else everyone
         if not members:
             continue
-        outs = estimate_block(*pick(members, ipds, agds, models), scale, method)
+        outs = estimate_block(block.take(members), *pick(members, agds, models), scale, method)
         kept = record(members, outs, method.value,
                       lambda res, est: res.deltas.update({est.method.value: est.delta}))
         if method is Method.MAIC_NAB:
@@ -316,7 +374,8 @@ def run_block(cfg: ScenarioConfig, indices) -> list[ReplicateResult]:
 
     for b in nab:
         results[b].ess_active = models[b].ess.get(1)
-    ses = se_block(*pick(nab, ipds, agds, models, ests), scale, tuple(SeStrategy),
+    sub = block.take(nab)
+    ses = se_block(sub, *pick(nab, agds, models, ests), scale, tuple(SeStrategy),
                    records=[records[b] for b in nab])
     for i, b in enumerate(nab):
         # a replicate's first failing strategy is filed and ends its SEs
@@ -325,7 +384,7 @@ def run_block(cfg: ScenarioConfig, indices) -> list[ReplicateResult]:
                           lambda res, se, key=strategy.value: res.ses.update({key: se.se})):
                 break
 
-    outs = negative_control_block(*pick(nab, ipds, agds, models), scale)
+    outs = negative_control_block(sub, *pick(nab, agds, models), scale)
     record(nab, outs, "negcontrol",
            lambda res, result: setattr(res, "negcontrol_reject", result.reject_at_level))
     return results

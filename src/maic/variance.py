@@ -35,9 +35,9 @@ naive; fo, po, cs and sw to the MAIC methods; full to maic-nab alone, given
 the aggregate trial's records) and computes fo, po, cs and full from one
 influence_block call.
 
-The *_block functions run a block of same-shaped replicates through stacked
-arrays and return a result or the MaicError per replicate; the single-study
-functions are blocks of one.
+The *_block functions run the studies of one stacked IPD block
+(data_model.IpdBlock) and return a result or the MaicError per study; the
+single-study functions are blocks of one.
 """
 
 from __future__ import annotations
@@ -51,11 +51,11 @@ import numpy as np
 from .data_model import (
     AgdArm,
     AgdStudy,
+    IpdBlock,
     IpdStudy,
     MomentSpec,
     OutcomeKind,
     TrialRecords,
-    arm_rows,
     stack_ipd,
     take_rows,
 )
@@ -185,18 +185,19 @@ def _pair_terms(pairs: list[tuple], scale: Scale, outcome_kind: OutcomeKind,
             for sign, z, mu_ipd, arm, mu_agd in pairs]
 
 
-def _pair_influence(y: np.ndarray, z: np.ndarray, w: np.ndarray, terms: list,
-                    n_total: list[int], c: np.ndarray | None = None):
+def _pair_influence(block: IpdBlock, w: np.ndarray, terms: list, n_total: list[int],
+                    c: np.ndarray | None = None):
     """Per-record phi (B, n) and, when the centred moments c (B, n, k) are
-    given, ctilde (B, k), summed over the signed arm pairs of each replicate
-    of a block; terms[b] comes from _pair_terms."""
+    given, ctilde (B, k), summed over the signed arm pairs of each study of
+    a block; terms[b] comes from _pair_terms."""
+    y = block.y
     phi = np.zeros(y.shape)
     ctilde = None if c is None else np.zeros((len(y), c.shape[2]))
     nt = np.array(n_total)[:, None]
     for i, (_, code, _, _) in enumerate(terms[0]):
         sg = np.array([t[i][0] for t in terms])[:, None]
         mu = np.array([t[i][2] for t in terms])[:, None]
-        mask = (z == code).astype(float)
+        mask = block.arm_mask(code)
         j = (w * mask).sum(axis=1)[:, None] / nt
         resid = (y - mu) * w * mask
         phi += sg * (resid / j)
@@ -220,37 +221,37 @@ def influence_components(
     the weight-coefficient contribution with the comparator-arm analogue of
     the outcome-covariate moment vector.
     """
-    return unwrap(influence_block([ipd], [agd], [model], [est], scale)[0])
+    return unwrap(influence_block(stack_ipd([ipd]), [agd], [model], [est], scale)[0])
 
 
-def influence_block(ipds, agds, models, ests, scale: Scale) -> list:
-    """influence_components for a block of same-shaped studies (see
-    stack_ipd) whose estimates share one method and whose models share one
-    moment spec: InfluencePieces or the MaicError per study."""
-    w = _block_weights(ipds, models, ests[0].method)
-    n_total = [ipd.n + agd.n_total for ipd, agd in zip(ipds, agds)]
-    prep = [capture(_pair_terms, _arm_pairs(agd, est), scale, ipd.outcome_kind, nt)
-            for ipd, agd, est, nt in zip(ipds, agds, ests, n_total)]
+def influence_block(block: IpdBlock, agds, models, ests, scale: Scale) -> list:
+    """influence_components for each study of a block whose estimates share
+    one method and whose models share one moment spec: InfluencePieces or
+    the MaicError per study."""
+    w = _block_weights(block, models, ests[0].method)
+    n_total = [block.n + agd.n_total for agd in agds]
+    prep = [capture(_pair_terms, _arm_pairs(agd, est), scale, block.outcome_kind, nt)
+            for agd, est, nt in zip(agds, ests, n_total)]
     ok = succeeded(prep)
     if not ok:
         return prep
-    y, z, x = (take_rows(a, ok) for a in stack_ipd(ipds))
+    sub = block.take(ok)
     w, nts = take_rows(w, ok), [n_total[b] for b in ok]
     terms = [prep[b] for b in ok]
     sums = w.sum(axis=1)
 
     unweighted = not ests[0].method.weighted
     if unweighted:
-        phi, _ = _pair_influence(y, z, w, terms, nts)
+        phi, _ = _pair_influence(sub, w, terms, nts)
         ctilde = sol = np.zeros((len(ok), 0))
         phi_alpha = np.zeros(phi.shape)
         errors = [None] * len(ok)
     else:
         centering = np.stack([models[b].centering for b in ok])
-        c = moment_matrix(x, models[ok[0]].spec) - centering[:, None, :]
+        c = moment_matrix(sub.x, models[ok[0]].spec) - centering[:, None, :]
         wc = w[:, :, None] * c
         j_alpha = np.matmul(-wc.transpose(0, 2, 1), c) / np.array(nts)[:, None, None]
-        phi, ctilde = _pair_influence(y, z, w, terms, nts, c)
+        phi, ctilde = _pair_influence(sub, w, terms, nts, c)
         sol, errors = _solve_neg_definite(j_alpha, ctilde)
         phi_alpha = np.matmul(wc, sol[:, :, None])[:, :, 0]
         dots = np.matmul(ctilde[:, None, :], sol[:, :, None])[:, 0, 0]
@@ -334,48 +335,48 @@ def sigma2_sw(
     scale: Scale = Scale.IDENTITY,
 ) -> SeEstimate:
     """HC0 sandwich variance of the weighted mean(s), weights fixed."""
-    return unwrap(sw_block([ipd], [agd], [model], [est], scale)[0])
+    return unwrap(sw_block(stack_ipd([ipd]), [agd], [model], [est], scale)[0])
 
 
-def sw_block(ipds, agds, models, ests, scale: Scale) -> list:
-    """sigma2_sw for a block of same-shaped studies whose estimates share
-    one method: a SeEstimate or the MaicError per study."""
-    w = _block_weights(ipds, models, ests[0].method)
-    y, z, _ = stack_ipd(ipds)
+def sw_block(block: IpdBlock, agds, models, ests, scale: Scale) -> list:
+    """sigma2_sw for each study of a block whose estimates share one
+    method: a SeEstimate or the MaicError per study."""
+    w = _block_weights(block, models, ests[0].method)
     pairs = [_arm_pairs(agd, est) for agd, est in zip(agds, ests)]
     sums = []
     for i, (_, code, _, _, _) in enumerate(pairs[0]):
-        wz = arm_rows(z, w, code)
-        rz = arm_rows(z, y, code) - np.array([p[i][2] for p in pairs])[:, None]
+        wz = block.arm_rows(w, code)
+        rz = block.arm_rows(block.y, code) - np.array([p[i][2] for p in pairs])[:, None]
         sums.append((np.sum(wz**2 * rz**2, axis=1), np.sum(wz, axis=1)))
 
     def se(b):
-        n_total = ipds[b].n + agds[b].n_total
+        n_total = block.n + agds[b].n_total
         sigma2 = 0.0
-        terms = _pair_terms(pairs[b], scale, ipds[b].outcome_kind, n_total)
+        terms = _pair_terms(pairs[b], scale, block.outcome_kind, n_total)
         for (g, _, _, var_agd), (num, den) in zip(terms, sums):
             sigma2 += n_total * (g**2 * float(num[b] / den[b] ** 2))
             sigma2 += var_agd
         return SeEstimate(SeStrategy.SW, float(sigma2), np.sqrt(sigma2 / n_total))
 
-    return [capture(se, b) for b in range(len(ipds))]
+    return [capture(se, b) for b in range(len(block))]
 
 
-def se_block(ipds, agds, models, ests, scale: Scale, strategies, records=None) -> dict:
+def se_block(block: IpdBlock, agds, models, ests, scale: Scale, strategies,
+             records=None) -> dict:
     """Each requested strategy that applies to the estimates' method (see
     _APPLICABLE), in the order requested, mapped to a SeEstimate or the
-    MaicError per replicate, for a block of same-shaped studies whose
-    estimates share one method and whose models share one moment spec.
+    MaicError per study, for a block whose estimates share one method and
+    whose models share one moment spec.
     `records` holds the aggregate trial's raw records per replicate, which
     full needs; without them full gives RequiresFullIpd."""
     wanted = [s for s in strategies if s in _APPLICABLE[ests[0].method]]
     out, pieces = {}, None
     for strategy in wanted:
         if strategy is SeStrategy.SW:
-            out[strategy] = sw_block(ipds, agds, models, ests, scale)
+            out[strategy] = sw_block(block, agds, models, ests, scale)
             continue
         if pieces is None:
-            pieces = influence_block(ipds, agds, models, ests, scale)
+            pieces = influence_block(block, agds, models, ests, scale)
         if strategy is SeStrategy.FULL:
             out[strategy] = _full_ses(records, models, ests, scale, pieces)
         else:
@@ -393,7 +394,7 @@ def full_influence_arrays(
 ) -> dict[str, np.ndarray]:
     """Per-record influence arrays over both trials (IPD rows first, then the
     aggregate trial's raw records), link-scaled.  Simulation benchmark only."""
-    pieces = influence_block([ipd], [agd], [model], [est], scale)
+    pieces = influence_block(stack_ipd([ipd]), [agd], [model], [est], scale)
     outcomes, arrays = _full_arrays([agd_records], [model], [est], scale, pieces)
     unwrap(outcomes[0])
     return {key: a[0] for key, a in arrays.items()}
@@ -458,7 +459,7 @@ def sigma2_full(
     est: Estimate,
     scale: Scale = Scale.IDENTITY,
 ) -> SeEstimate:
-    pieces = influence_block([ipd], [agd], [model], [est], scale)
+    pieces = influence_block(stack_ipd([ipd]), [agd], [model], [est], scale)
     return unwrap(_full_ses([agd_records], [model], [est], scale, pieces)[0])
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import IpdStudy, MomentSpec, arm_rows, stack_ipd, take_rows
+from .data_model import IpdBlock, IpdStudy, MomentSpec, stack_ipd, take_rows
 from .errors import DegenerateCovariate, EmptyWeights, NonConvergence, capture, unwrap
 
 @dataclass(frozen=True)
@@ -95,15 +95,14 @@ def solve_weights(
     k = moment_matrix(ipd.x[:1], spec).shape[1]
     if len(target) != k:
         raise ValueError(f"target has length {len(target)}, expected {k}")
-    return unwrap(solve_weights_block([ipd], target[None], spec, cfg)[0])
+    return unwrap(solve_weights_block(stack_ipd([ipd]), target[None], spec, cfg)[0])
 
 
-def solve_weights_block(ipds, targets: np.ndarray, spec: MomentSpec,
+def solve_weights_block(block: IpdBlock, targets: np.ndarray, spec: MomentSpec,
                         cfg: SolverConfig) -> list:
-    """solve_weights for a block of same-shaped IPD studies (see stack_ipd),
-    one target row each: a WeightModel or the MaicError per study."""
-    _, z, x = stack_ipd(ipds)
-    t = moment_matrix(x, spec)
+    """solve_weights for each study of a block, one target row each: a
+    WeightModel or the MaicError per study."""
+    t = moment_matrix(block.x, spec)
     span = t.max(axis=1) - t.min(axis=1)
     degenerate = (span == 0) & (np.abs(t.mean(axis=1) - targets) > 1e-12)
     solvable = np.flatnonzero(~degenerate.any(axis=1))
@@ -111,8 +110,8 @@ def solve_weights_block(ipds, targets: np.ndarray, spec: MomentSpec,
     alpha, w, q, iterations, converged, residual = _newton(c, cfg)
     # effective sample sizes per arm, for the converged replicates only
     done = np.flatnonzero(converged)
-    ess = {int(code): _ess(arm_rows(take_rows(z, solvable[done]), take_rows(w, done), code))
-           for code in np.unique(z)}
+    finished = block.take(solvable[done])
+    ess = {code: _ess(finished.arm_rows(take_rows(w, done), code)) for code in block.arms}
 
     def outcome(b):
         if degenerate[b].any():
@@ -141,7 +140,7 @@ def solve_weights_block(ipds, targets: np.ndarray, spec: MomentSpec,
             ess={code: unwrap(arm[np.searchsorted(done, s)]) for code, arm in ess.items()},
         )
 
-    return [capture(outcome, b) for b in range(len(ipds))]
+    return [capture(outcome, b) for b in range(len(block))]
 
 
 def _evaluate(c: np.ndarray, a: np.ndarray):

@@ -1,7 +1,9 @@
+import builtins
 import contextlib
 import csv
 import io
 import json
+import re
 import warnings
 
 import numpy as np
@@ -9,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maic import errors
 from maic.cli import main
+from maic.errors import MaicError
 
 
 @pytest.fixture
@@ -242,6 +246,23 @@ class TestCompare:
         assert "full" in err and "simulation" in err
         assert not (tmp_path / "cmp_full" / "report.json").exists()
 
+    @pytest.mark.parametrize("flag, value, accepted", [
+        ("--methods", "maic-nab,bogus", "maic-nab, maic-acb, bucher, stc, naive"),
+        ("--se", "xx", "fo, po, cs, sw (or all alone"),
+        ("--se", "fo,full", "fo, po, cs, sw (or all alone"),
+    ])
+    def test_unknown_method_or_strategy_is_named(self, io_pair, tmp_path, capsys, flag,
+                                                 value, accepted):
+        ipd, agd = io_pair
+        out = tmp_path / "cmp_choice"
+        code = main(["compare", "--ipd", str(ipd), "--agd", str(agd), flag, value,
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: InvalidChoice: {flag}: ")
+        assert accepted in err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_full_report(self, io_pair, tmp_path):
         ipd, agd = io_pair
         out = tmp_path / "cmp"
@@ -320,6 +341,17 @@ class TestNegControl:
                      "--out", str(tmp_path / "neg2")])
         assert code == 1
         assert "NoComparatorArm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["2", "0", "1", "-0.1", "nan", "inf"])
+    def test_alpha_outside_the_unit_interval_is_named(self, io_pair, tmp_path, capsys, alpha):
+        ipd, agd = io_pair
+        out = tmp_path / "neg_alpha"
+        code = main(["negcontrol", "--ipd", str(ipd), "--agd", str(agd),
+                     "--alpha", alpha, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: InvalidLevel: --alpha ")
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestSimulate:
@@ -495,3 +527,8 @@ class TestCliFuzz:
             code = main(argv)
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
+        if code == 1:
+            # an input or flag error is a named MaicError, or an OSError
+            name = re.match(r"error: (\w+): ", err.getvalue()).group(1)
+            cls = getattr(errors, name, None) or getattr(builtins, name, None)
+            assert isinstance(cls, type) and issubclass(cls, (MaicError, OSError)), err.getvalue()

@@ -215,6 +215,9 @@ class TestIpdStudy:
     def test_binary_outcome_must_be_01(self):
         with pytest.raises(NonNumericValue):
             make_ipd([0.5], [1], [[0.0]], outcome_kind=OutcomeKind.BINARY)
+        with pytest.raises(NonNumericValue, match="coded 0/1"):
+            make_ipd([1.0, 0.0, 0.5], [1, 0, 1], [[0.0], [1.0], [2.0]],
+                     outcome_kind=OutcomeKind.BINARY)
 
     def test_arrays_are_immutable(self):
         study = make_ipd([1.0, 0.0], [1, 0], [[0.1], [0.2]])
@@ -235,12 +238,15 @@ class TestIpdStudy:
         with pytest.raises(DimensionMismatch):
             make_ipd([1.0, 0.0], [1], [[0.1], [0.2]])
 
-    @pytest.mark.parametrize("code", [0.7, 1.9])
+    @pytest.mark.parametrize("code", [0.7, 1.9, pytest.param([2, -1, 2], id="2,-1,2"),
+                                      pytest.param(np.nan, id="nan")])
     def test_rejects_arm_codes_that_are_not_exactly_0_or_1(self, code):
-        # a float arm code must not be truncated to a valid one
-        with pytest.raises(InvalidArmCode, match=re.escape(str(code))):
-            IpdStudy(np.array([1.0, 0.0]), np.array([1.0, code]), np.array([[0.1], [0.2]]),
-                     ("x1",))
+        # a float arm code must not be truncated to a valid one; the bad
+        # codes are listed sorted and unique
+        z = np.array([1, *np.atleast_1d(code)])
+        listed = str(sorted(set(np.atleast_1d(code).tolist())))
+        with pytest.raises(InvalidArmCode, match=re.escape(f"got {listed}")):
+            IpdStudy(np.ones(len(z)), z, np.zeros((len(z), 1)), ("x1",))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", ["y", "x"])

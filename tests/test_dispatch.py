@@ -3,18 +3,25 @@
 estimate_block and se_block are the only code that picks a computation by
 method or strategy.  In a block of one or of three same-shaped studies,
 every outcome (an Estimate, a SeEstimate or a MaicError) must equal, bit for
-bit, what the lone public function gives for that study.
+bit, what the lone public function gives for that study.  The stages take one
+stacked IPD block, which gathers arm rows by the indices it found once.
 """
 
 import pickle
 import warnings
+from types import ModuleType
 
 import numpy as np
 import pytest
 
-from maic.data_model import MomentSpec, OutcomeKind, TrialRecords, pooled_target_moments
+import maic
+from maic import data_model
+from maic.data_model import (MomentSpec, OutcomeKind, TrialRecords, pooled_target_moments,
+                             stack_ipd)
 from maic.errors import MaicError, capture
 from maic.estimators import Method, Scale, bucher, estimate_block, maic_acb, maic_nab, naive, stc
+from maic.inference import build_comparison_report, negative_control_block
+from maic.simulation import Confounding, ScenarioConfig, run_block
 from maic.variance import (
     SeStrategy,
     influence_components,
@@ -25,7 +32,7 @@ from maic.variance import (
     sigma2_po,
     sigma2_sw,
 )
-from maic.weighting import solve_weights
+from maic.weighting import SolverConfig, solve_weights, solve_weights_block
 
 from conftest import make_agd, make_arm, make_ipd
 
@@ -109,10 +116,11 @@ def test_blocks_equal_lone_results(rng, size, scale, comparator, singular):
     flags = [singular] if size == 1 else [False, singular, False]
     studies = [study(rng, scale, comparator, s) for s in flags]
     ipds, agds, records, models = (list(t) for t in zip(*studies))
+    block = stack_ipd(ipds)
     strategies = list(SeStrategy)[::-1]  # any requested order is kept
     for method in Method:
         block_models = models if method.weighted else [None] * size
-        ests = estimate_block(ipds, agds, block_models, scale, method)
+        ests = estimate_block(block, agds, block_models, scale, method)
         lone = [capture(LONE_ESTIMATE[method], *s[:2], s[3], scale) for s in studies]
         assert all(same(a, b) for a, b in zip(ests, lone)), method
         if any(isinstance(e, MaicError) for e in ests):
@@ -121,7 +129,7 @@ def test_blocks_equal_lone_results(rng, size, scale, comparator, singular):
             assert ((method.anchored and not comparator)
                     or (method is Method.STC and singular))
             continue
-        ses = se_block(ipds, agds, block_models, ests, scale, strategies, records)
+        ses = se_block(block, agds, block_models, ests, scale, strategies, records)
         assert list(ses) == [s for s in strategies if s in APPLICABLE[method]]
         for strategy, outcomes in ses.items():
             for (ipd, agd, recs, _), model, est, got in zip(studies, block_models, ests,
@@ -133,3 +141,60 @@ def test_blocks_equal_lone_results(rng, size, scale, comparator, singular):
             assert set(failed) == APPLICABLE[method] - {SeStrategy.FO, SeStrategy.SW}
             assert all(type(ses[s][size // 2]).__name__ == "SingularJacobian" for s in failed)
 
+
+
+class _NoEquality(np.ndarray):
+    """Arm codes that refuse `==` and `!=`: a stage that masks z to find the
+    rows of an arm fails."""
+
+    def __eq__(self, other):
+        raise AssertionError("a block stage compared arm codes")
+
+    __ne__ = __eq__
+
+
+def run_stages(block, agds, models, scale, records):
+    """Every block stage on a block: the solves, each method's estimates,
+    its SEs under every strategy, and the null check."""
+    targets = np.stack([pooled_target_moments(agd, MomentSpec.FIRST) for agd in agds])
+    out = [solve_weights_block(block, targets, MomentSpec.FIRST, SolverConfig()),
+           negative_control_block(block, agds, models, scale)]
+    for method in Method:
+        ests = estimate_block(block, agds, models, scale, method)
+        out.append(ests)
+        if not any(isinstance(e, MaicError) for e in ests):
+            out.append(se_block(block, agds, models, ests, scale, list(SeStrategy), records))
+    return out
+
+
+@pytest.mark.parametrize("scale", list(Scale))
+def test_block_stages_gather_arm_rows_by_index(rng, scale):
+    studies = [study(rng, scale, comparator=True) for _ in range(3)]
+    ipds, agds, records, models = (list(t) for t in zip(*studies))
+    block = stack_ipd(ipds)
+    want = run_stages(block, agds, models, scale, records)
+    block.z = block.z.view(_NoEquality)
+    got = run_stages(block, agds, models, scale, records)
+    assert pickle.dumps(got) == pickle.dumps(want)
+
+
+def test_the_ipd_is_stacked_once_per_block_and_per_report(rng, monkeypatch):
+    calls, stack = [], data_model.stack_ipd
+
+    def counting_stack(ipds):
+        calls.append(len(ipds))
+        return stack(ipds)
+
+    for module in vars(maic).values():
+        if isinstance(module, ModuleType) and hasattr(module, "stack_ipd"):
+            monkeypatch.setattr(module, "stack_ipd", counting_stack)
+    cfg = ScenarioConfig(p=4, n_per_arm=30, confounding=Confounding.SEVERE,
+                         scale=Scale.LOGIT, replicates=4, seed=3)
+    assert all(not r.errors for r in run_block(cfg, [0, 1, 2, 3]))
+    assert len(calls) <= 1
+    ipd, agd, _, model = study(rng, Scale.LOGIT, comparator=True)
+    calls.clear()
+    report = build_comparison_report(ipd, agd, model, list(Method), Scale.LOGIT,
+                                     run_negative_control=True)
+    assert report.negative_control is not None and len(report.ses) == 12
+    assert calls == [1]

@@ -6,7 +6,7 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maic.data_model import MomentSpec, OutcomeKind, arm_rows
+from maic.data_model import IpdBlock, MomentSpec, OutcomeKind
 from maic.errors import (
     BoundaryProportion,
     NoComparatorArm,
@@ -71,9 +71,10 @@ def test_unit_weight_mean_is_the_plain_mean(data):
     finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
     y = np.array(data.draw(st.lists(finite, min_size=b * n, max_size=b * n))).reshape(b, n)
     z = np.array([data.draw(st.permutations([1] * m + [0] * (n - m))) for _ in range(b)])
+    block = IpdBlock(y, z, np.zeros((b, n, 1)), OutcomeKind.CONTINUOUS)
     for code in (1, 0) if m < n else (1,):
-        got = _weighted_means(y, z, np.ones((b, n)), code)
-        want = arm_rows(z, y, code).mean(axis=1)
+        got = _weighted_means(block, np.ones((b, n)), code)
+        want = y[z == code].reshape(b, -1).mean(axis=1)
         assert got.tobytes() == want.tobytes()
 
 

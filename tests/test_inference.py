@@ -122,6 +122,12 @@ class TestNegativeControl:
         with pytest.raises(NoComparatorArm):
             negative_control_test(ipd, single, model)
 
+    @pytest.mark.parametrize("alpha", [2.0, 0.0, 1.0, -0.1, math.nan, math.inf])
+    def test_alpha_outside_the_unit_interval_is_rejected(self, rng, alpha):
+        ipd, agd, model = two_arm_problem(rng)
+        with pytest.raises(InvalidLevel, match="alpha"):
+            negative_control_test(ipd, agd, model, alpha_level=alpha)
+
     def test_alpha_level_threshold(self, rng):
         ipd, agd, model = two_arm_problem(rng, mu0_agd=0.62)
         loose = negative_control_test(ipd, agd, model, alpha_level=0.999)

@@ -283,6 +283,93 @@ class TestBlocks:
         assert len(reports) == 1
         assert any(report.failure_counts.values())
 
+    @staticmethod
+    def reference_population(cfg, n_star, rng):
+        """The DGP as first written: t, z and y over every drawn row."""
+        a1, b1, b3 = simulation._config_vectors(cfg)
+        x = math.sqrt(0.8) * rng.standard_normal((n_star, cfg.p))
+        x += math.sqrt(0.2) * rng.standard_normal((n_star, 1))
+        t = np.where(rng.random(n_star) < 1.0 / (1.0 + np.exp(-(ALPHA0 + x @ a1))), 2, 1)
+        z = np.where(rng.random(n_star) < 0.5, t, 0)
+        lin = BETA0 + x @ b1 + (z > 0) * (x @ b3 + BETA2) + (z == 2) * BETA4
+        y = (rng.random(n_star) < 1.0 / (1.0 + np.exp(-lin))).astype(float)
+        return y, z, t, x
+
+    @staticmethod
+    def reference_subsample(y, z, t, x, n_per_arm, rng):
+        """The subsample as first written: three masks per cell."""
+        keep = []
+        for tc, zc in ((1, 0), (1, 1), (2, 0), (2, 2)):
+            idx = np.nonzero((t == tc) & (z == zc))[0]
+            if len(idx) < n_per_arm:
+                raise InsufficientCell(
+                    f"cell (trial={tc}, arm={zc}) has {len(idx)} < {n_per_arm} members")
+            keep.append(rng.choice(idx, size=n_per_arm, replace=False))
+        sel = np.sort(np.concatenate(keep))
+        return y[sel], z[sel], t[sel], x[sel]
+
+    @classmethod
+    def reference_replicate(cls, cfg, r):
+        """replicate_datasets as first written, on the reference DGP: the IPD
+        arrays, the AGD summaries and the aggregate trial's records."""
+        rng = np.random.default_rng([cfg.seed, r])
+        factor = cfg.oversample_factor
+        while True:
+            pop = cls.reference_population(cfg, factor * 4 * cfg.n_per_arm, rng)
+            try:
+                y, z, t, x = cls.reference_subsample(*pop, cfg.n_per_arm, rng)
+                break
+            except InsufficientCell:
+                factor *= 2
+        t1, t2 = t == 1, t == 2
+        arms = [(float(y[m].mean()), float(y[m].var(ddof=1)), x[m].mean(axis=0),
+                 x[m].var(axis=0, ddof=1)) for m in (t2 & (z == 2), t2 & (z == 0))]
+        return (y[t1], z[t1], x[t1]), arms, (y[t2], z[t2], x[t2]), factor
+
+    @pytest.mark.parametrize("p", [4, 5, 7])
+    @pytest.mark.parametrize("alpha_slope", [None, 0.0])
+    def test_population_and_subsample_equal_the_reference_formulas(self, p, alpha_slope):
+        cfg = cfg_with(p=p, confounding=Confounding.SEVERE, alpha_slope=alpha_slope)
+        for seed, n_star, n_per_arm in ((1, 40, 10), (2, 400, 100), (3, 4_000, 300)):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            pop = generate_population(cfg, n_star, rng)
+            ref = self.reference_population(cfg, n_star, ref_rng)
+            got = (pop.y, pop.z, pop.t, pop.x)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, ref))
+            try:
+                sub = subsample_by_arm(pop, n_per_arm, rng)
+                got = (sub.y, sub.z, sub.t, sub.x)
+            except InsufficientCell as e:
+                got = str(e)
+            try:
+                want = self.reference_subsample(*ref, n_per_arm, ref_rng)
+            except InsufficientCell as e:
+                want = str(e)
+            assert pickle.dumps(got) == pickle.dumps(want)
+            # the same draws were consumed, up to the first short cell
+            assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("p", [4, 7])
+    def test_lone_datasets_equal_their_slots_in_the_block(self, p):
+        # 2 patients per arm from 16 draws: some replicates fill every cell
+        # at once and some redraw with twice the oversampling
+        cfg = cfg_with(p=p, n_per_arm=2, oversample_factor=2, replicates=10, seed=p)
+        indices = [0, 1, 2, 4, 6, 9]
+        block, agds, records = simulation.replicate_block(cfg, indices)
+        refs = [self.reference_replicate(cfg, i) for i in indices]
+        assert {factor for *_, factor in refs} == {2, 4}
+        for b, (i, (ref_ipd, ref_arms, ref_records, _)) in enumerate(zip(indices, refs)):
+            ipd, agd, recs = simulation.replicate_datasets(cfg, i)
+            for got in ((ipd.y, ipd.z, ipd.x), (block.y[b], block.z[b], block.x[b])):
+                assert all(a.tobytes() == r.tobytes() for a, r in zip(got, ref_ipd))
+            assert pickle.dumps(agd) == pickle.dumps(agds[b])
+            for arm, (y_mean, y_var, x_mean, x_var) in zip(agd.arms, ref_arms):
+                assert (arm.n, arm.y_mean, arm.y_var) == (cfg.n_per_arm, y_mean, y_var)
+                assert (arm.x_mean.tobytes(), arm.x_var.tobytes()) == (x_mean.tobytes(),
+                                                                      x_var.tobytes())
+            for got in ((recs.y, recs.z, recs.x), (records[b].y, records[b].z, records[b].x)):
+                assert all(a.tobytes() == r.tobytes() for a, r in zip(got, ref_records))
+
     def test_lone_replicate_equals_its_place_in_a_block(self):
         cfg = self.failing_cfg()
         for indices in (list(range(cfg.replicates)), [0, 1, 3]):

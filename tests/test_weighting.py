@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from maic.data_model import MomentSpec, pooled_target_moments
+from maic.data_model import MomentSpec, pooled_target_moments, stack_ipd
 from maic.errors import DegenerateCovariate, EmptyWeights, MaicError, NonConvergence
 from maic.simulation import ScenarioConfig, replicate_datasets
 from maic.weighting import (
@@ -311,7 +311,7 @@ class TestSolverBlocks:
                 return e
 
         with pytest.warns(UserWarning, match="singular Hessian"):
-            block = solve_weights_block([p[0] for p in problems],
+            block = solve_weights_block(stack_ipd([p[0] for p in problems]),
                                         np.stack([p[1] for p in problems]),
                                         MomentSpec.FIRST, SolverConfig())
         with pytest.warns(UserWarning, match="singular Hessian"):
