@@ -124,6 +124,7 @@ def _parse_strategies(text: str) -> list[SeStrategy]:
 def cmd_compare(args) -> int:
     methods = _parse_methods(args.methods)
     strategies = _parse_strategies(args.se)
+    check_level(args.level, "--level")
     out = _out_dir(args)
     ipd, agd = _load_pair(args)
     scale = Scale(args.scale)
@@ -159,6 +160,8 @@ def cmd_negcontrol(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.threads < 1:
+        raise InvalidChoice(f"--threads must be at least 1, got {args.threads}")
     out = _out_dir(args)
     cfg = ScenarioConfig.from_json_file(args.config)
     if args.seed is not None:

@@ -227,18 +227,42 @@ def subsample_by_arm(
 
 def true_delta(cfg: ScenarioConfig, n_oracle: int = 2_000_000, rng=None) -> float:
     """Oracle contrast in the aggregate-trial population, from counterfactual
-    outcome probabilities on a large simulated draw."""
+    outcome probabilities on a large simulated draw.
+
+    The stream holds, in order, every covariate normal, then every row's
+    shared normal, then every row's selection uniform.  All covariate normals
+    come before the first shared normal, so the covariates x are drawn in one
+    call and are the one full-length buffer.  The rest runs over chunks of
+    ORACLE_CHUNK_ROWS rows in stream order: the first pass mixes in each
+    chunk's shared normals in place, the second draws its uniforms and keeps
+    the trial-2 rows' linear predictor.  Chunked draws equal one draw, and
+    NumPy's pairwise sum depends on the array length, so the means are taken
+    once over all kept rows; the result is the same bits as one full-length
+    pass."""
+    if n_oracle < 1:
+        raise ValueError(f"n_oracle must be at least 1: the oracle is a mean over its draw, "
+                         f"got {n_oracle}")
     if rng is None:
         rng = np.random.default_rng([cfg.seed, 0xFFFFFFFF])
-    p = cfg.p
     a1, b1, b3 = _config_vectors(cfg)
-    # x is scaled in place and the trial-2 rows are taken after the product,
-    # so no second (n_oracle, p) array is held; every element is unchanged
-    x = rng.standard_normal((n_oracle, p))
-    x *= math.sqrt(0.8)
-    x += math.sqrt(0.2) * rng.standard_normal((n_oracle, 1))
-    t2 = rng.random(n_oracle) < _expit(ALPHA0 + x @ a1)
-    active = (x @ (b1 + b3))[t2] + BETA0 + BETA2
+    # X = sqrt(.8) eps + sqrt(.2) u, as in _draw
+    x = rng.standard_normal((n_oracle, cfg.p))
+    starts = range(0, n_oracle, ORACLE_CHUNK_ROWS)
+    for i in starts:
+        xc = x[i:i + ORACLE_CHUNK_ROWS]
+        xc *= math.sqrt(0.8)
+        xc += math.sqrt(0.2) * rng.standard_normal((len(xc), 1))
+    kept = []
+    for i in starts:
+        xc = x[i:i + ORACLE_CHUNK_ROWS]
+        t2 = rng.random(len(xc)) < _expit(ALPHA0 + xc @ a1)
+        kept.append((xc @ (b1 + b3))[t2])
+    # a live slice would hold all of x
+    del x, xc
+    active = np.concatenate(kept) + BETA0 + BETA2
+    if not len(active):
+        raise InsufficientCell(f"the oracle's {n_oracle} rows hold no aggregate-trial "
+                               "row; raise n_oracle")
     m1 = float(_expit(active).mean())            # had they received the IPD treatment
     m2 = float(_expit(active + BETA4).mean())    # their own trial's treatment
     return cfg.scale.g(m1) - cfg.scale.g(m2)
@@ -261,6 +285,10 @@ SIM_METHODS = (Method.MAIC_NAB, Method.MAIC_ACB, Method.BUCHER, Method.STC)
 # cap on the patient rows (4 * n_per_arm per replicate) that run_study puts
 # in one block of replicates; it bounds the stacked arrays' memory
 BLOCK_ROWS = 16_384
+
+# rows per chunk of true_delta's passes after its covariate draw; it bounds
+# the per-chunk temporaries, so x is the oracle's one full-length array
+ORACLE_CHUNK_ROWS = 1 << 16
 
 
 def replicate_block(cfg: ScenarioConfig, indices) -> tuple[IpdBlock, list, list]:
@@ -438,17 +466,24 @@ def block_size(cfg: ScenarioConfig) -> int:
 def run_study(cfg: ScenarioConfig, threads: int = 1, n_oracle: int = 2_000_000) -> SimulationReport:
     """Run all replicates and aggregate bias, coverage, and length metrics.
 
-    Replicates run in blocks of block_size(cfg), each through run_block.
+    Replicates run in blocks of block_size(cfg), each through run_block, on
+    up to `threads` (at least 1) worker processes, never more than there
+    are blocks.
     Replicates with estimator failures are excluded from the affected cell
     averages and tallied in failure_counts.  Output is a pure function of
     cfg regardless of thread count and block size.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     delta = true_delta(cfg, n_oracle=n_oracle)
     size = block_size(cfg)
     blocks = [list(range(i, min(i + size, cfg.replicates)))
               for i in range(0, cfg.replicates, size)]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    # a pool forks all its workers at once, and workers beyond one per block
+    # would sit idle
+    workers = min(threads, len(blocks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(run_block, repeat(cfg), blocks))
     else:
         done = [run_block(cfg, b) for b in blocks]

@@ -321,6 +321,17 @@ class TestCompare:
         assert doc["methods"]["naive"]["se"]["fo"]["se"] > 0
         assert doc["errors"] == {}
 
+    @pytest.mark.parametrize("level", ["2", "0", "1", "nan", "inf"])
+    def test_level_outside_the_unit_interval_is_named(self, io_pair, tmp_path, capsys, level):
+        ipd, agd = io_pair
+        out = tmp_path / "cmp_level"
+        code = main(["compare", "--ipd", str(ipd), "--agd", str(agd),
+                     "--level", level, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: InvalidLevel: --level must lie in (0, 1), got ")
+        assert not out.exists()
+
 
 class TestNegControl:
     def test_writes_result(self, io_pair, tmp_path):
@@ -434,6 +445,17 @@ class TestSimulate:
         assert code == 1
         assert "Traceback" not in err
         assert "SchemaError: --seed: seed" in err
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_are_named(self, tmp_path, capsys, threads):
+        cfg = self._config(tmp_path)
+        out = tmp_path / "threads"
+        code = main(["simulate", "--config", str(cfg), "--threads", threads,
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: InvalidChoice: --threads must be at least 1, got {threads}")
+        assert not out.exists()
 
     def test_seed_override(self, tmp_path):
         cfg = self._config(tmp_path)

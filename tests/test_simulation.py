@@ -1,8 +1,12 @@
 import math
 import pickle
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maic import simulation
 from maic.cli import write_json
@@ -186,11 +190,53 @@ class TestTrueDelta:
     @pytest.mark.parametrize("confounding", list(Confounding))
     @pytest.mark.parametrize("scale", list(Scale))
     def test_equals_reference_formula(self, confounding, scale):
-        cfg = cfg_with(confounding=confounding, scale=scale, p=6, alpha_slope=0.7)
-        for seed in (1, 2):
-            got = true_delta(cfg, n_oracle=30_001, rng=np.random.default_rng(seed))
-            want = self.reference_true_delta(cfg, 30_001, np.random.default_rng(seed))
-            assert got == want
+        # one row short of a chunk, one chunk, one row into the second, and a
+        # ragged last chunk
+        chunk = simulation.ORACLE_CHUNK_ROWS
+        for p, seed in ((4, 1), (7, 2)):
+            cfg = cfg_with(confounding=confounding, scale=scale, p=p, alpha_slope=0.7)
+            for n in (chunk - 1, chunk, chunk + 1, 3 * chunk + 17):
+                got = true_delta(cfg, n_oracle=n, rng=np.random.default_rng(seed))
+                want = self.reference_true_delta(cfg, n, np.random.default_rng(seed))
+                assert got == want, (p, n)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_equals_reference_formula_near_chunk_multiples(self, data):
+        chunk = data.draw(st.sampled_from([simulation.ORACLE_CHUNK_ROWS, 100]))
+        n = data.draw(st.integers(1, 3)) * chunk + data.draw(st.integers(-3, 3))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        cfg = cfg_with(p=data.draw(st.integers(4, 12)),
+                       confounding=data.draw(st.sampled_from(list(Confounding))),
+                       scale=data.draw(st.sampled_from(list(Scale))),
+                       alpha_slope=data.draw(st.sampled_from([None, 0.0, 0.7])))
+        with mock.patch.object(simulation, "ORACLE_CHUNK_ROWS", chunk):
+            got = true_delta(cfg, n_oracle=n, rng=np.random.default_rng(seed))
+        assert got == self.reference_true_delta(cfg, n, np.random.default_rng(seed))
+
+    def test_covariates_are_the_one_full_length_array(self):
+        # full-length temporaries beside x, as in one unchunked pass, peak at
+        # 1.8 times x's bytes
+        n, p = 2_000_000, 5
+        tracemalloc.start()
+        try:
+            true_delta(cfg_with(p=p), n_oracle=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * 8 * n * p
+
+    @pytest.mark.parametrize("n_oracle", [0, -1])
+    def test_an_oracle_without_rows_is_rejected_by_name(self, n_oracle):
+        with pytest.raises(ValueError, match="n_oracle must be at least 1"):
+            true_delta(cfg_with(), n_oracle=n_oracle)
+
+    @pytest.mark.parametrize("scale", list(Scale))
+    def test_a_draw_without_aggregate_trial_rows_is_named(self, scale):
+        # seed 0's one row falls in trial 1
+        cfg = cfg_with(scale=scale)
+        with pytest.raises(InsufficientCell, match="no aggregate-trial row; raise n_oracle"):
+            true_delta(cfg, n_oracle=1, rng=np.random.default_rng(0))
 
     def test_moderate_oracle_is_stable(self):
         cfg = cfg_with(scale=Scale.LOGIT)
@@ -246,6 +292,39 @@ class TestRunStudy:
         assert metrics == {"percent_bias", "coverage", "relative_length",
                            "mean_se", "empirical_sd", "rejection_rate"}
         assert all("confounding" in r and "n_per_arm" in r for r in rows)
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_are_rejected_by_name(self, threads):
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            run_study(cfg_with(), threads=threads, n_oracle=1_000)
+
+    def test_pool_workers_never_outnumber_the_blocks(self, monkeypatch):
+        pools = []
+
+        class SerialPool:
+            """Records max_workers and maps in this process."""
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", SerialPool)
+        cfg = cfg_with(n_per_arm=10, replicates=8)
+        want = run_study(cfg, n_oracle=1_000).to_dict()
+        for rows, threads, workers in ((simulation.BLOCK_ROWS, 5000, []),
+                                       (2 * 4 * cfg.n_per_arm, 5000, [4]),
+                                       (2 * 4 * cfg.n_per_arm, 3, [3])):
+            monkeypatch.setattr(simulation, "BLOCK_ROWS", rows)
+            pools.clear()
+            assert run_study(cfg, threads=threads, n_oracle=1_000).to_dict() == want
+            assert pools == workers
 
     def test_json_serializable(self):
         import json
