@@ -128,7 +128,9 @@ def cmd_compare(args) -> int:
     out = _out_dir(args)
     ipd, agd = _load_pair(args)
     scale = Scale(args.scale)
-    model = _fit_weights(args, ipd, agd) if any(m.weighted for m in methods) else None
+    # the null check reads the fitted weights, so --negcontrol fits them too
+    fit = args.negcontrol or any(m.weighted for m in methods)
+    model = _fit_weights(args, ipd, agd) if fit else None
     report = build_comparison_report(
         ipd, agd, model, methods, scale, strategies, level=args.level,
         run_negative_control=args.negcontrol,
@@ -139,7 +141,7 @@ def cmd_compare(args) -> int:
         "methods": [m.value for m in methods],
         "se": [s.value for s in strategies],
         "scale": scale.value, "moments": args.moments, "level": args.level,
-        "outcome_kind": args.outcome_kind,
+        "outcome_kind": args.outcome_kind, "negcontrol": args.negcontrol,
     }, [args.ipd, args.agd])
     return 0
 

@@ -99,23 +99,6 @@ class IpdStudy:
     def p(self) -> int:
         return self.x.shape[1]
 
-    @property
-    def has_comparator(self) -> bool:
-        return bool(np.any(self.z == 0))
-
-    def to_dict(self) -> dict:
-        return {
-            "covariates": list(self.covariate_names),
-            "outcome_kind": self.outcome_kind.value,
-            "y": self.y.tolist(),
-            "z": self.z.tolist(),
-            "x": self.x.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "IpdStudy":
-        return cls(d["y"], d["z"], d["x"], d["covariates"], OutcomeKind(d["outcome_kind"]))
-
 
 @dataclass(frozen=True)
 class AgdArm:
@@ -341,15 +324,14 @@ _NUMBER = re.compile(
 
 def load_ipd(
     path,
-    outcome: str = "y",
-    arm: str = "z",
     covariates: list[str] | None = None,
     outcome_kind: OutcomeKind = OutcomeKind.CONTINUOUS,
 ) -> IpdStudy:
-    """Load an IPD study from a headered CSV file.
+    """Load an IPD study from a headered CSV file with the outcome in
+    column `y` and the arm code in column `z`.
 
     `covariates` selects and orders the covariate columns; by default every
-    column other than the outcome and arm columns is used, in file order.
+    column other than y and z is used, in file order.
     The cells IpdStudy rejects (non-finite values, arm codes other than 0/1
     and, for a binary outcome, outcomes not coded 0/1), and missing or
     non-numeric cells in mapped columns, are named by file, line and column.
@@ -361,8 +343,8 @@ def load_ipd(
             raise EmptyStudy(f"{path}: empty file")
         index = {name.strip(): i for i, name in enumerate(header)}
         if covariates is None:
-            covariates = [c for c in index if c not in (outcome, arm)]
-        columns = [arm, outcome, *covariates]
+            covariates = [c for c in index if c not in ("y", "z")]
+        columns = ["z", "y", *covariates]
         for col in columns:
             if col not in index:
                 raise MissingColumn(f"{path}: column {col!r} not found")

@@ -25,10 +25,6 @@ from .weighting import WeightModel, fit_diagnostics
 _NORM = NormalDist()
 
 
-def norm_cdf(x: float) -> float:
-    return _NORM.cdf(x)
-
-
 def norm_quantile(q: float) -> float:
     return _NORM.inv_cdf(q)
 
@@ -53,7 +49,7 @@ def wald_test(delta: float, se: float) -> tuple[float, float]:
     if se <= 0:
         raise ZeroSe("standard error must be positive for a Wald test")
     z = delta / se
-    p = 2.0 * (1.0 - norm_cdf(abs(z)))
+    p = 2.0 * (1.0 - _NORM.cdf(abs(z)))
     return z, p
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from itertools import repeat
@@ -68,21 +69,15 @@ _SCENARIO = {
 }
 
 
-def scenario_vectors(confounding: Confounding, p: int):
-    a, b1, b3 = _SCENARIO[confounding]
-    def vec(v):
-        out = np.zeros(p)
-        out[:4] = v
-        return out
-    return vec(a), vec(b1), vec(b3)
-
-
 def _config_vectors(cfg: "ScenarioConfig"):
-    a1, b1, b3 = scenario_vectors(cfg.confounding, cfg.p)
+    """The trial-assignment, prognostic and interaction coefficient vectors
+    (p,) of a config: the scenario's slopes on the first four covariates,
+    the trial-assignment slope replaced by alpha_slope when it is set."""
+    a, b1, b3 = _SCENARIO[cfg.confounding]
     if cfg.alpha_slope is not None:
-        a1 = np.zeros(cfg.p)
-        a1[:4] = cfg.alpha_slope
-    return a1, b1, b3
+        a = cfg.alpha_slope
+    return tuple(np.array([v] * 4 + [0.0] * (cfg.p - 4), dtype=float)
+                 for v in (a, b1, b3))
 
 
 @dataclass(frozen=True)
@@ -274,7 +269,6 @@ class ReplicateResult:
     ses: dict[str, float] = field(default_factory=dict)
     negcontrol_reject: bool | None = None
     errors: dict[str, str] = field(default_factory=dict)
-    ess_active: float | None = None
 
 
 _SOLVER = SolverConfig()
@@ -400,8 +394,6 @@ def run_block(cfg: ScenarioConfig, indices) -> list[ReplicateResult]:
     if not nab:
         return results
 
-    for b in nab:
-        results[b].ess_active = models[b].ess.get(1)
     sub = block.take(nab)
     ses = se_block(sub, *pick(nab, agds, models, ests), scale, tuple(SeStrategy),
                    records=[records[b] for b in nab])
@@ -468,7 +460,7 @@ def run_study(cfg: ScenarioConfig, threads: int = 1, n_oracle: int = 2_000_000) 
 
     Replicates run in blocks of block_size(cfg), each through run_block, on
     up to `threads` (at least 1) worker processes, never more than there
-    are blocks.
+    are blocks or CPUs.
     Replicates with estimator failures are excluded from the affected cell
     averages and tallied in failure_counts.  Output is a pure function of
     cfg regardless of thread count and block size.
@@ -480,8 +472,8 @@ def run_study(cfg: ScenarioConfig, threads: int = 1, n_oracle: int = 2_000_000) 
     blocks = [list(range(i, min(i + size, cfg.replicates)))
               for i in range(0, cfg.replicates, size)]
     # a pool forks all its workers at once, and workers beyond one per block
-    # would sit idle
-    workers = min(threads, len(blocks))
+    # or per CPU would sit idle
+    workers = min(threads, len(blocks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(run_block, repeat(cfg), blocks))

@@ -107,17 +107,16 @@ class InfluencePieces:
 
     phi_mu1 and phi_alpha are per-IPD-record arrays (zero on the aggregate
     side); variances are taken over the combined size n_total.  For anchored
-    estimates phi_mu1 and ctilde fold in the comparator-arm analogues.  For
-    unweighted methods phi_alpha is zero, v_mu_x2 is zero, and ctilde and
-    j_alpha_inv_ctilde are empty.  When the moment Jacobian is singular,
-    jacobian_error holds the SingularJacobian that the strategies needing
-    the weight-coefficient terms (po, cs, full) raise; phi_alpha, v_mu_x2
-    and j_alpha_inv_ctilde are then None.
+    estimates phi_mu1 and the outcome-covariate moment vector ctilde fold in
+    the comparator-arm analogues.  For unweighted methods phi_alpha is zero,
+    v_mu_x2 is zero, and j_alpha_inv_ctilde is empty.  When the moment
+    Jacobian is singular, jacobian_error holds the SingularJacobian that
+    the strategies needing the weight-coefficient terms (po, cs, full)
+    raise; phi_alpha, v_mu_x2 and j_alpha_inv_ctilde are then None.
     """
 
     phi_mu1: np.ndarray
     phi_alpha: np.ndarray | None
-    ctilde: np.ndarray
     var_phi_mu2: float
     v_mu_x2: float | None
     n_total: int
@@ -243,7 +242,7 @@ def influence_block(block: IpdBlock, agds, models, ests, scale: Scale) -> list:
     unweighted = not ests[0].method.weighted
     if unweighted:
         phi, _ = _pair_influence(sub, w, terms, nts)
-        ctilde = sol = np.zeros((len(ok), 0))
+        sol = np.zeros((len(ok), 0))
         phi_alpha = np.zeros(phi.shape)
         errors = [None] * len(ok)
     else:
@@ -269,7 +268,6 @@ def influence_block(block: IpdBlock, agds, models, ests, scale: Scale) -> list:
         out[b] = InfluencePieces(
             phi_mu1=phi[i],
             phi_alpha=phi_alpha[i] if solved else None,
-            ctilde=ctilde[i],
             var_phi_mu2=sum(t[3] for t in prep[b]),
             v_mu_x2=v_mu_x2 if solved else None,
             n_total=nt,

@@ -12,7 +12,7 @@ model is never estimated; centering on the target removes it.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,22 +21,16 @@ from .errors import DegenerateCovariate, EmptyWeights, NonConvergence, capture, 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Newton solver controls.
+    """Newton solver controls, fixed: every solve uses these values.
 
     grad_tol is the max-norm threshold on the weighted balance residual;
     it is deliberately tight so that downstream estimator identities hold
     to near machine precision.
     """
 
-    grad_tol: float = 1e-10
-    max_iter: int = 200
-    step_halvings_max: int = 60
-
-    def __post_init__(self):
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+    grad_tol: float = field(default=1e-10, init=False)
+    max_iter: int = field(default=200, init=False)
+    step_halvings_max: int = field(default=60, init=False)
 
 
 @dataclass(frozen=True)

@@ -321,6 +321,40 @@ class TestCompare:
         assert doc["methods"]["naive"]["se"]["fo"]["se"] > 0
         assert doc["errors"] == {}
 
+    def test_negcontrol_without_a_weighted_method_fits_the_weights(self, io_pair, tmp_path):
+        ipd, agd = io_pair
+        pair = ["--ipd", str(ipd), "--agd", str(agd)]
+        assert main(["compare", *pair, "--methods", "bucher,naive", "--negcontrol",
+                     "--out", str(tmp_path / "cmp")]) == 0
+        assert main(["negcontrol", *pair, "--out", str(tmp_path / "neg")]) == 0
+        doc = json.loads((tmp_path / "cmp" / "report.json").read_text())
+        assert doc["errors"] == {}
+        assert doc["negative_control"] == json.loads((tmp_path / "neg" / "negcontrol.json")
+                                                     .read_text())
+
+    def test_negcontrol_fit_that_does_not_converge_exits_2(self, io_pair, tmp_path, capsys):
+        ipd, agd = io_pair
+        doc = json.loads(agd.read_text())
+        for arm in doc["arms"].values():
+            arm["x_mean"] = [50.0, 50.0]
+        agd.write_text(json.dumps(doc))
+        out = tmp_path / "cmp"
+        code = main(["compare", "--ipd", str(ipd), "--agd", str(agd), "--methods", "bucher",
+                     "--negcontrol", "--out", str(out)])
+        assert code == 2
+        assert "residual" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("flag", [[], ["--negcontrol"]])
+    def test_manifest_records_negcontrol(self, io_pair, tmp_path, flag):
+        ipd, agd = io_pair
+        out = tmp_path / "cmp"
+        assert main(["compare", "--ipd", str(ipd), "--agd", str(agd), *flag,
+                     "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == "compare"
+        assert manifest["config"]["negcontrol"] is bool(flag)
+
     @pytest.mark.parametrize("level", ["2", "0", "1", "nan", "inf"])
     def test_level_outside_the_unit_interval_is_named(self, io_pair, tmp_path, capsys, level):
         ipd, agd = io_pair

@@ -61,7 +61,7 @@ class TestLoadIpd:
     def test_single_arm_study_is_valid(self, tmp_path):
         p = write(tmp_path / "ipd.csv", "y,z,x1\n1,1,0.2\n0,1,0.4\n")
         study = load_ipd(p)
-        assert not study.has_comparator
+        assert (study.z == 1).all()
 
     def test_non_numeric_value_names_line_and_column(self, tmp_path):
         p = write(tmp_path / "ipd.csv", "y,z,x1\n1,1,0.2\n0,0,oops\n")
@@ -223,16 +223,6 @@ class TestIpdStudy:
         study = make_ipd([1.0, 0.0], [1, 0], [[0.1], [0.2]])
         with pytest.raises(ValueError):
             study.y[0] = 2.0
-
-    def test_round_trip_dict(self):
-        study = make_ipd([1.0, 0.0], [1, 0], [[0.1, 0.3], [0.2, 0.4]],
-                         names=("age", "bmi"), outcome_kind=OutcomeKind.BINARY)
-        back = IpdStudy.from_dict(study.to_dict())
-        assert back.covariate_names == study.covariate_names
-        assert back.outcome_kind == study.outcome_kind
-        np.testing.assert_array_equal(back.y, study.y)
-        np.testing.assert_array_equal(back.z, study.z)
-        np.testing.assert_array_equal(back.x, study.x)
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatch):

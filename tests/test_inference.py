@@ -9,7 +9,6 @@ from maic.estimators import Method, Scale
 from maic.inference import (
     build_comparison_report,
     negative_control_test,
-    norm_cdf,
     norm_quantile,
     wald_ci,
     wald_test,
@@ -25,8 +24,10 @@ ALL_METHODS = [Method.MAIC_NAB, Method.MAIC_ACB, Method.BUCHER, Method.STC,
 
 class TestNormal:
     def test_cdf_quantile_inverse(self):
+        # the Wald p-value at the q-quantile is the two-sided tail 2 min(q, 1 - q)
         for q in (0.025, 0.5, 0.975):
-            assert norm_cdf(norm_quantile(q)) == pytest.approx(q, abs=1e-12)
+            p = wald_test(norm_quantile(q), 1.0)[1]
+            assert p == pytest.approx(2 * min(q, 1 - q), abs=1e-12)
 
     def test_standard_quantile(self):
         assert norm_quantile(0.975) == pytest.approx(1.959964, abs=1e-6)

@@ -40,6 +40,16 @@ ALL_STRATEGIES = [SeStrategy.FO, SeStrategy.PO, SeStrategy.CS, SeStrategy.SW]
 BALANCE_TOL = 1e-10
 
 
+def ipd_to_dict(ipd: IpdStudy) -> dict:
+    """The stored form of an IPD study."""
+    return {"covariates": list(ipd.covariate_names), "outcome_kind": ipd.outcome_kind.value,
+            "y": ipd.y.tolist(), "z": ipd.z.tolist(), "x": ipd.x.tolist()}
+
+
+def ipd_from_dict(d: dict) -> IpdStudy:
+    return IpdStudy(d["y"], d["z"], d["x"], d["covariates"], OutcomeKind(d["outcome_kind"]))
+
+
 def make_cases(seed: int = 1910) -> list[dict]:
     """The stored inputs: one IPD/AGD pair per (scale, comparator, moments)."""
     rng = np.random.default_rng(seed)
@@ -74,14 +84,14 @@ def make_cases(seed: int = 1910) -> list[dict]:
                     "name": f"{scale.value}-{'anchored' if with_comparator else 'single'}-{spec.value}",
                     "scale": scale.value,
                     "moments": spec.value,
-                    "ipd": IpdStudy(y, z, x, names, kind).to_dict(),
+                    "ipd": ipd_to_dict(IpdStudy(y, z, x, names, kind)),
                     "agd": AgdStudy(active, comparator, names).to_dict(),
                 })
     return cases
 
 
 def run_case(case: dict) -> dict:
-    ipd = IpdStudy.from_dict(case["ipd"])
+    ipd = ipd_from_dict(case["ipd"])
     agd = AgdStudy.from_dict(case["agd"])
     scale = Scale(case["scale"])
     spec = MomentSpec(case["moments"])

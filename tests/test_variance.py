@@ -51,7 +51,6 @@ def manual_pieces(phi_mu1, phi_alpha, var_phi_mu2, v_mu_x2, n_total):
     k = 1
     return InfluencePieces(
         phi_mu1=np.asarray(phi_mu1, float), phi_alpha=np.asarray(phi_alpha, float),
-        ctilde=np.zeros(k),
         var_phi_mu2=var_phi_mu2, v_mu_x2=v_mu_x2, n_total=n_total,
         p_t2=0.5, ew_t1=1.0, j_alpha_inv_ctilde=np.zeros(k),
     )
@@ -83,7 +82,7 @@ class TestInfluenceComponents:
         est = maic_nab(ipd, agd, model)
         pieces = influence_components(ipd, agd, model, est)
         np.testing.assert_allclose(pieces.phi_mu1, 0.0, atol=1e-12)
-        np.testing.assert_allclose(pieces.ctilde, 0.0, atol=1e-12)
+        np.testing.assert_allclose(pieces.j_alpha_inv_ctilde, 0.0, atol=1e-12)
         assert sigma2_fo(pieces).sigma2 == pytest.approx(pieces.var_phi_mu2)
         assert sigma2_po(pieces).sigma2 == pytest.approx(sigma2_fo(pieces).sigma2)
 

@@ -1,7 +1,11 @@
 import math
+import pickle
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maic.data_model import MomentSpec, pooled_target_moments, stack_ipd
 from maic.errors import DegenerateCovariate, EmptyWeights, MaicError, NonConvergence
@@ -175,12 +179,6 @@ class TestSolveWeights:
         )
         np.testing.assert_allclose(model.alpha1, res.x, atol=1e-6)
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(grad_tol=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(max_iter=0)
-
 
 class TestBalanceCheck:
     def test_converged_models_balance_to_tolerance(self, rng):
@@ -327,3 +325,89 @@ class TestSolverBlocks:
                     want.iterations, want.objective, want.ess)
         assert [type(o).__name__ for o in block] == [
             "WeightModel", "WeightModel", "NonConvergence", "DegenerateCovariate", "WeightModel"]
+
+
+KINDS = ("plain", "outside", "degenerate", "on-target")
+
+
+@st.composite
+def solver_problems(draw, shape=None, kinds=KINDS):
+    """An IPD study of n rows (both arms) and p covariates with a target for
+    `spec`, (n, p, spec) drawn unless `shape` gives them.  The target is a
+    convex combination of the rows' moments with positive weights (an
+    interior point) for "plain", moved past the largest first-moment value
+    for "outside", and the first covariate is constant off its target for
+    "degenerate" and on it for "on-target"."""
+    n, p, spec = shape or (draw(st.integers(4, 40)), draw(st.integers(1, 3)),
+                           draw(st.sampled_from(list(MomentSpec))))
+    kind = draw(st.sampled_from(kinds))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(n, p)) * rng.uniform(0.2, 3.0, size=p)
+    if kind in ("degenerate", "on-target"):
+        x[:, 0] = 1.5
+    t = moment_matrix(x, spec)
+    v = rng.uniform(0.5, 1.5, size=n)
+    target = v @ t / v.sum()
+    if kind == "outside":
+        target[0] = x[:, 0].max() + rng.uniform(0.01, 2.0)
+    elif kind == "degenerate":
+        target[0] += rng.uniform(0.1, 1.0)
+    z = np.arange(n) % 2
+    return make_ipd(rng.normal(size=n), z, x), target, spec
+
+
+def solve_quietly(ipd, target, spec):
+    """solve_weights, or the MaicError it raised; a constant covariate on
+    its target makes the Hessian singular, which is warned about."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "singular Hessian", UserWarning)
+        try:
+            return solve_weights(ipd, target, spec)
+        except MaicError as e:
+            return e
+
+
+class TestSolverProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(problem=solver_problems())
+    def test_every_solve_balances_or_raises_a_named_error(self, problem):
+        ipd, target, spec = problem
+        out = solve_quietly(ipd, target, spec)
+        if isinstance(out, MaicError):
+            assert isinstance(out, (NonConvergence, DegenerateCovariate)), repr(out)
+        else:
+            assert balance_check(out, ipd, target)[1] <= 1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(problem=solver_problems(kinds=("plain",)), data=st.data())
+    def test_first_moment_weights_are_affine_and_order_invariant(self, problem, data):
+        ipd, target, _ = problem
+        target = target[:ipd.p]
+        base = solve_weights(ipd, target).weights
+        shift = np.array(data.draw(st.lists(st.floats(-10, 10), min_size=ipd.p,
+                                            max_size=ipd.p)))
+        scale = data.draw(st.floats(0.1, 10))
+        order = np.array(data.draw(st.permutations(range(ipd.n))))
+        for x, t, rows in ((ipd.x + shift, target + shift, slice(None)),
+                           (ipd.x * scale, target * scale, slice(None)),
+                           (ipd.x[order], target, order)):
+            moved = make_ipd(ipd.y[rows], ipd.z[rows], x)
+            np.testing.assert_allclose(solve_weights(moved, t).weights, base[rows],
+                                       rtol=1e-8)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_mixed_blocks_equal_lone_solves(self, data):
+        # the studies of a block share n, p and the moment spec
+        first = data.draw(solver_problems())
+        shape = (first[0].n, first[0].p, first[2])
+        more = data.draw(st.lists(solver_problems(shape), max_size=5))
+        problems = [first, *more]
+        spec = first[2]
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "singular Hessian", UserWarning)
+            block = solve_weights_block(stack_ipd([q[0] for q in problems]),
+                                        np.stack([q[1] for q in problems]), spec,
+                                        SolverConfig())
+        for got, (ipd, target, _) in zip(block, problems):
+            assert pickle.dumps(got) == pickle.dumps(solve_quietly(ipd, target, spec))
