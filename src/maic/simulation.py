@@ -15,9 +15,11 @@ cells and outcome uniforms and picks its subsample on its own stream; then,
 for the whole block at once, the kept rows' outcomes are computed, trial 1
 is split off as one stacked IPD block (with the row indices of each arm,
 found once), trial 2's arms are collapsed to means and variances, and the
-block goes through one stacked solve/estimate/SE core.  The arithmetic per
-replicate is that of a lone replicate, so the output is the same for any
-thread count and any block size.
+block goes through one stacked solve/estimate/SE core.  The study's oracle
+contrast (true_delta) is a pure function of the config; with more than one
+worker process it runs as the first pool task, beside the blocks.  The
+arithmetic per replicate is that of a lone replicate, so the output is the
+same for any thread count and any block size.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
-from itertools import repeat
 
 import numpy as np
 
@@ -103,6 +104,8 @@ class ScenarioConfig:
         ):
             if getattr(self, name) < floor:
                 raise ValueError(f"{name} must be at least {floor}: {why}")
+        if self.alpha_slope is not None and not math.isfinite(self.alpha_slope):
+            raise ValueError(f"alpha_slope must be finite, got {self.alpha_slope}")
 
     def to_dict(self) -> dict:
         """The fields by name, enums as their values."""
@@ -458,26 +461,39 @@ def block_size(cfg: ScenarioConfig) -> int:
 def run_study(cfg: ScenarioConfig, threads: int = 1, n_oracle: int = 2_000_000) -> SimulationReport:
     """Run all replicates and aggregate bias, coverage, and length metrics.
 
-    Replicates run in blocks of block_size(cfg), each through run_block, on
-    up to `threads` (at least 1) worker processes, never more than there
-    are blocks or CPUs.
+    The oracle true_delta(cfg, n_oracle) and the blocks of block_size(cfg)
+    replicates, each through run_block, run on up to `threads` (at least 1)
+    worker processes, never more than the blocks + 1 or the CPUs this
+    process may use.  With one worker the oracle runs first, then the
+    blocks, in this process; with more, the oracle is the first pool task,
+    beside the blocks, and its error, if any, is the one raised, with the
+    queued blocks cancelled.
     Replicates with estimator failures are excluded from the affected cell
     averages and tallied in failure_counts.  Output is a pure function of
     cfg regardless of thread count and block size.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    delta = true_delta(cfg, n_oracle=n_oracle)
     size = block_size(cfg)
     blocks = [list(range(i, min(i + size, cfg.replicates)))
               for i in range(0, cfg.replicates, size)]
-    # a pool forks all its workers at once, and workers beyond one per block
-    # or per CPU would sit idle
-    workers = min(threads, len(blocks), os.cpu_count() or 1)
+    # a pool forks all its workers at once, and workers beyond one per task
+    # (the oracle and each block) or per usable CPU would sit idle
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(threads, len(blocks) + 1, cpus)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(run_block, repeat(cfg), blocks))
+            tasks = [pool.submit(true_delta, cfg, n_oracle)]
+            tasks += [pool.submit(run_block, cfg, b) for b in blocks]
+            try:
+                # in submission order, so a failing oracle is the error raised
+                delta, *done = [t.result() for t in tasks]
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
     else:
+        delta = true_delta(cfg, n_oracle=n_oracle)
         done = [run_block(cfg, b) for b in blocks]
     results = [r for block in done for r in block]
 

@@ -449,7 +449,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("key, value", [
         ("n_per_arm", 0), ("n_per_arm", 1), ("seed", -1), ("confounding", "bogus"),
-        ("scale", "probit"), ("replicates", "many"), ("p", 3),
+        ("scale", "probit"), ("replicates", "many"), ("p", 3), ("alpha_slope", "nan"),
     ])
     def test_bad_scenario_value_names_the_file_and_key(self, tmp_path, capsys, key, value):
         cfg = self._config(tmp_path, **{key: value})

@@ -1,6 +1,7 @@
 import math
 import pickle
 import tracemalloc
+from concurrent.futures import Future
 from unittest import mock
 
 import numpy as np
@@ -83,6 +84,7 @@ class TestScenarioConfig:
     @pytest.mark.parametrize("key, value", [
         ("n_per_arm", 0), ("seed", -1), ("confounding", "bogus"), ("scale", "probit"),
         ("replicates", "many"), ("p", 3), ("replicates", [1]), ("seed", float("inf")),
+        ("alpha_slope", "nan"), ("alpha_slope", float("inf")), ("alpha_slope", "-inf"),
     ])
     def test_bad_value_is_a_schema_error_naming_the_key(self, key, value):
         with pytest.raises(SchemaError, match=key):
@@ -297,10 +299,11 @@ class TestRunStudy:
             run_study(cfg_with(), threads=threads, n_oracle=1_000)
 
     def test_pool_workers_never_outnumber_the_blocks(self, monkeypatch):
-        pools = []
+        pools, tasks = [], []
 
         class SerialPool:
-            """Records max_workers and maps in this process."""
+            """Records max_workers and the order of its tasks, and runs each
+            task in this process as it is submitted."""
             def __init__(self, max_workers):
                 pools.append(max_workers)
 
@@ -310,24 +313,105 @@ class TestRunStudy:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
+            def submit(self, fn, *args):
+                tasks.append(fn.__name__)
+                future = Future()
+                future.set_result(fn(*args))
+                return future
 
         monkeypatch.setattr(simulation, "ProcessPoolExecutor", SerialPool)
         cfg = cfg_with(n_per_arm=10, replicates=8)
         want = run_study(cfg, n_oracle=1_000).to_dict()
         pair = 2 * 4 * cfg.n_per_arm  # two replicates per block: four blocks
-        # nor the CPUs, which count as one when os.cpu_count() is None
-        for rows, threads, cpus, workers in ((simulation.BLOCK_ROWS, 5000, 64, []),
-                                             (pair, 5000, 64, [4]),
-                                             (pair, 3, 64, [3]),
-                                             (pair, 5000, 2, [2]),
-                                             (pair, 3, None, [])):
+        # the oracle is one task beside the blocks; the CPUs are those of the
+        # affinity mask where there is one, else os.cpu_count(), which counts
+        # as one when it is None
+        for rows, threads, affinity, cpus, workers in (
+                (simulation.BLOCK_ROWS, 5000, 64, 64, [2]),
+                (pair, 5000, 64, 64, [5]),
+                (pair, 3, 64, 64, [3]),
+                (pair, 5000, 2, 64, [2]),
+                (pair, 5000, None, 3, [3]),
+                (pair, 3, None, None, [])):
             monkeypatch.setattr(simulation, "BLOCK_ROWS", rows)
+            if affinity is None:
+                monkeypatch.delattr(simulation.os, "sched_getaffinity", raising=False)
+            else:
+                monkeypatch.setattr(simulation.os, "sched_getaffinity",
+                                    lambda pid, n=affinity: set(range(n)), raising=False)
             monkeypatch.setattr(simulation.os, "cpu_count", lambda: cpus)
             pools.clear()
+            tasks.clear()
             assert run_study(cfg, threads=threads, n_oracle=1_000).to_dict() == want
             assert pools == workers
+            blocks = len(range(0, cfg.replicates, simulation.block_size(cfg)))
+            assert tasks == (["true_delta"] + ["run_block"] * blocks if workers else [])
+
+    def test_a_pooled_oracle_error_is_the_serial_one(self, monkeypatch):
+        # two usable CPUs, so threads=2 starts a real pool on any host
+        monkeypatch.setattr(simulation.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        cfg = cfg_with(n_per_arm=10, replicates=4)
+        errors = []
+        for threads in (1, 2):
+            with pytest.raises(ValueError, match="n_oracle must be at least 1") as e:
+                run_study(cfg, threads=threads, n_oracle=0)
+            errors.append((type(e.value), str(e.value)))
+        assert errors[0] == errors[1]
+
+    def test_a_failing_oracle_cancels_the_queued_blocks(self, monkeypatch):
+        ran = []
+
+        class LazyFuture(Future):
+            """Runs its task when its result is first asked for, unless it
+            was cancelled before."""
+            def __init__(self, fn, args):
+                super().__init__()
+                self.task = fn, args
+
+            def run(self):
+                if not self.done():
+                    fn, args = self.task
+                    ran.append(fn.__name__)
+                    try:
+                        self.set_result(fn(*args))
+                    except Exception as e:
+                        self.set_exception(e)
+
+            def result(self, timeout=None):
+                self.run()
+                return super().result(timeout)
+
+        class LazyPool:
+            """Like a pool, runs every task not cancelled by the time it
+            shuts down."""
+            def __init__(self, max_workers):
+                self.futures = []
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.shutdown()
+                return False
+
+            def submit(self, fn, *args):
+                self.futures.append(LazyFuture(fn, args))
+                return self.futures[-1]
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                for future in self.futures:
+                    if cancel_futures:
+                        future.cancel()
+                    future.run()
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", LazyPool)
+        monkeypatch.setattr(simulation.os, "sched_getaffinity",
+                            lambda pid: set(range(8)), raising=False)
+        monkeypatch.setattr(simulation, "BLOCK_ROWS", 4 * 10)  # one replicate per block
+        with pytest.raises(ValueError, match="n_oracle must be at least 1"):
+            run_study(cfg_with(n_per_arm=10, replicates=4), threads=8, n_oracle=0)
+        assert ran == ["true_delta"]
 
     def test_json_serializable(self):
         import json

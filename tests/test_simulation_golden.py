@@ -5,8 +5,9 @@ end to end: a study whose tight oversampling makes replicates redraw their
 population (the InsufficientCell retry path), a severe-confounding study of
 10 patients per arm where most replicates fail somewhere (weights,
 estimators, null check), and a study with random trial membership
-(`alpha_slope=0.0`) on the identity scale.  Each `run_study(...).to_dict()`
-is compared with the one stored in `tests/data/golden_simulation.json`:
+(`alpha_slope=0.0`) on the identity scale.  Each `run_study(...).to_dict()`,
+at one thread and at two (where the oracle is a pool task beside the
+blocks), is compared with the one stored in `tests/data/golden_simulation.json`:
 keys, counts and None cells exactly, floats to a relative 1e-12 (other BLAS
 builds may move the last bits).
 
@@ -38,8 +39,9 @@ CONFIGS = {
 }
 
 
-def run_config(name: str) -> dict:
-    return json.loads(json.dumps(run_study(CONFIGS[name], n_oracle=N_ORACLE).to_dict()))
+def run_config(name: str, threads: int = 1) -> dict:
+    report = run_study(CONFIGS[name], threads=threads, n_oracle=N_ORACLE)
+    return json.loads(json.dumps(report.to_dict()))
 
 
 @pytest.mark.parametrize("name", list(CONFIGS))
@@ -47,6 +49,13 @@ def test_study_matches_golden(name):
     with open(GOLDEN, encoding="utf-8") as fh:
         stored = json.load(fh)[name]
     assert_matches(run_config(name), stored, name)
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_pooled_study_matches_golden(name):
+    with open(GOLDEN, encoding="utf-8") as fh:
+        stored = json.load(fh)[name]
+    assert_matches(run_config(name, threads=2), stored, name)
 
 
 if __name__ == "__main__":
