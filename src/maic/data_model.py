@@ -24,6 +24,7 @@ from .errors import (
     DimensionMismatch,
     EmptyStudy,
     InvalidArmCode,
+    MaicError,
     MissingColumn,
     MissingVariance,
     NegativeVariance,
@@ -146,18 +147,27 @@ class AgdArm:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AgdArm":
-        try:
-            return cls(
-                n=int(d["n"]),
-                y_mean=float(d["y_mean"]),
-                y_var=float(d["y_var"]) if "y_var" in d and d["y_var"] is not None else None,
-                x_mean=np.asarray(d["x_mean"], dtype=float),
-                x_var=np.asarray(d["x_var"], dtype=float) if d.get("x_var") is not None else None,
-            )
-        except KeyError as e:
-            raise SchemaError(f"AGD arm missing field {e}") from None
-        except (TypeError, ValueError) as e:
-            raise SchemaError(f"AGD arm has a non-numeric field: {e}") from None
+        """The arm of a JSON object; a missing field, or one that does not
+        convert to its type, is a SchemaError naming its key."""
+
+        def get(key, convert, optional=False):
+            if optional and d.get(key) is None:
+                return None
+            try:
+                return convert(d[key])
+            except KeyError:
+                raise SchemaError(f"AGD arm missing field {key!r}") from None
+            except (TypeError, ValueError) as e:
+                raise SchemaError(f"AGD arm field {key!r} is malformed: {e}") from None
+
+        def vector(v):
+            return np.asarray(v, dtype=float)
+
+        if not isinstance(d, dict):
+            raise SchemaError(f"AGD arm must be a JSON object, not {type(d).__name__}")
+        return cls(n=get("n", json_int), y_mean=get("y_mean", float),
+                   y_var=get("y_var", float, optional=True), x_mean=get("x_mean", vector),
+                   x_var=get("x_var", vector, optional=True))
 
 
 @dataclass(frozen=True)
@@ -405,7 +415,11 @@ def load_agd(path) -> AgdStudy:
             raise SchemaError(f"{path}: non-finite number {token} is not allowed")
         return value
 
-    study = AgdStudy.from_dict(load_json_object(path, parse_float=finite, parse_constant=finite))
+    doc = load_json_object(path, parse_float=finite, parse_constant=finite)
+    try:
+        study = AgdStudy.from_dict(doc)
+    except MaicError as e:
+        raise type(e)(f"{path}: {e}") from None
     for arm in study.arms:
         if arm.y_var is None:
             warnings.warn(
@@ -414,6 +428,17 @@ def load_agd(path) -> AgdStudy:
                 stacklevel=2,
             )
     return study
+
+
+def json_int(value) -> int:
+    """A JSON value as an int: an int, an integral float or a digit string.
+    A boolean is a TypeError and a non-integral number a ValueError, so no
+    value is truncated."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
 def load_json_object(path, **kwargs) -> dict:

@@ -16,10 +16,11 @@ for the whole block at once, the kept rows' outcomes are computed, trial 1
 is split off as one stacked IPD block (with the row indices of each arm,
 found once), trial 2's arms are collapsed to means and variances, and the
 block goes through one stacked solve/estimate/SE core.  The study's oracle
-contrast (true_delta) is a pure function of the config; with more than one
-worker process it runs as the first pool task, beside the blocks.  The
-arithmetic per replicate is that of a lone replicate, so the output is the
-same for any thread count and any block size.
+contrast (true_delta) is a pure function of the config that holds only the
+covariates its linear predictors read; with more than one worker process it
+runs as the first pool task, beside the blocks.  The arithmetic per
+replicate is that of a lone replicate, so the output is the same for any
+thread count and any block size.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .data_model import (
     MomentSpec,
     OutcomeKind,
     TrialRecords,
+    json_int,
     load_json_object,
     pooled_target_moments,
 )
@@ -138,11 +140,18 @@ class ScenarioConfig:
             raise SchemaError(f"{path}: {e}") from None
 
 
+def _slope(value) -> float | None:
+    """alpha_slope of a JSON value: null or a number, never a boolean."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return None if value is None else float(value)
+
+
 # the type of each ScenarioConfig field, applied to a JSON value
 _COERCE = {
-    "p": int, "n_per_arm": int, "confounding": Confounding, "scale": Scale,
-    "replicates": int, "seed": int, "oversample_factor": int,
-    "alpha_slope": lambda v: None if v is None else float(v),
+    "p": json_int, "n_per_arm": json_int, "confounding": Confounding, "scale": Scale,
+    "replicates": json_int, "seed": json_int, "oversample_factor": json_int,
+    "alpha_slope": _slope,
 }
 
 
@@ -228,12 +237,15 @@ def true_delta(cfg: ScenarioConfig, n_oracle: int = 2_000_000, rng=None) -> floa
     outcome probabilities on a large simulated draw.
 
     The stream holds, in order, every covariate normal, then every row's
-    shared normal, then every row's selection uniform.  All covariate normals
-    come before the first shared normal, so the covariates x are drawn in one
-    call and are the one full-length buffer.  The rest runs over chunks of
-    ORACLE_CHUNK_ROWS rows in stream order: the first pass mixes in each
-    chunk's shared normals in place, the second draws its uniforms and keeps
-    the trial-2 rows' linear predictor.  Chunked draws equal one draw, and
+    shared normal, then every row's selection uniform.  It is drawn in chunks
+    of ORACLE_CHUNK_ROWS rows in stream order, and chunked draws equal one
+    draw.  The two linear predictors read only the covariates with a nonzero
+    coefficient (the first four in every scenario), so each chunk keeps only
+    those columns: the first pass mixes in each chunk's shared normals in
+    place, the second pops each chunk into the read columns of one zeroed
+    (rows, p) buffer, draws its uniforms and keeps the trial-2 rows' linear
+    predictor.  An unread column adds a zero product either way, and the
+    products keep their shape, so they are the bits of a pass over all of x.
     NumPy's pairwise sum depends on the array length, so the means are taken
     once over all kept rows; the result is the same bits as one full-length
     pass."""
@@ -243,20 +255,20 @@ def true_delta(cfg: ScenarioConfig, n_oracle: int = 2_000_000, rng=None) -> floa
     if rng is None:
         rng = np.random.default_rng([cfg.seed, 0xFFFFFFFF])
     a1, b1, b3 = _config_vectors(cfg)
+    read = np.flatnonzero((a1 != 0) | (b1 + b3 != 0))
+    sizes = [min(ORACLE_CHUNK_ROWS, n_oracle - i) for i in range(0, n_oracle, ORACLE_CHUNK_ROWS)]
     # X = sqrt(.8) eps + sqrt(.2) u, as in _draw
-    x = rng.standard_normal((n_oracle, cfg.p))
-    starts = range(0, n_oracle, ORACLE_CHUNK_ROWS)
-    for i in starts:
-        xc = x[i:i + ORACLE_CHUNK_ROWS]
+    chunks = [rng.standard_normal((m, cfg.p))[:, read] for m in sizes]
+    for xc in chunks:
         xc *= math.sqrt(0.8)
         xc += math.sqrt(0.2) * rng.standard_normal((len(xc), 1))
+    buf = np.zeros((sizes[0], cfg.p))
     kept = []
-    for i in starts:
-        xc = x[i:i + ORACLE_CHUNK_ROWS]
-        t2 = rng.random(len(xc)) < _expit(ALPHA0 + xc @ a1)
-        kept.append((xc @ (b1 + b3))[t2])
-    # a live slice would hold all of x
-    del x, xc
+    for m in sizes:
+        x = buf[:m]
+        x[:, read] = chunks.pop(0)
+        t2 = rng.random(m) < _expit(ALPHA0 + x @ a1)
+        kept.append((x @ (b1 + b3))[t2])
     active = np.concatenate(kept) + BETA0 + BETA2
     if not len(active):
         raise InsufficientCell(f"the oracle's {n_oracle} rows hold no aggregate-trial "
@@ -283,8 +295,9 @@ SIM_METHODS = (Method.MAIC_NAB, Method.MAIC_ACB, Method.BUCHER, Method.STC)
 # in one block of replicates; it bounds the stacked arrays' memory
 BLOCK_ROWS = 16_384
 
-# rows per chunk of true_delta's passes after its covariate draw; it bounds
-# the per-chunk temporaries, so x is the oracle's one full-length array
+# rows per chunk of true_delta's draws and passes; it bounds the per-chunk
+# temporaries, so the covariate columns it reads are the oracle's one store
+# that grows with its rows
 ORACLE_CHUNK_ROWS = 1 << 16
 
 

@@ -126,6 +126,20 @@ class TestFit:
         assert "Traceback" not in err
         assert f"EmptyStudy: {bad}: " in err
 
+    @pytest.mark.parametrize("n", ["abc", 50.5, True])
+    def test_bad_agd_arm_size_names_the_file(self, io_pair, tmp_path, capsys, n):
+        ipd, agd = io_pair
+        doc = json.loads(agd.read_text())
+        doc["arms"]["active"]["n"] = n
+        agd.write_text(json.dumps(doc))
+        out = tmp_path / "bad_n"
+        code = main(["fit", "--ipd", str(ipd), "--agd", str(agd), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        assert f"SchemaError: {agd}: AGD arm field 'n'" in err
+        assert not (out / "model.json").exists()
+
     def test_weight_underflowing_to_zero_exits_0(self, tmp_path):
         rng = np.random.default_rng(3)
         x = np.concatenate([rng.normal(size=200), [-1500.0]])

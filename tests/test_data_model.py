@@ -294,6 +294,29 @@ class TestAgd:
         with pytest.raises(SchemaError):
             load_agd(p)
 
+    @pytest.mark.parametrize("n", [100.7, 2.5, True, False, "abc", [90]])
+    def test_arm_size_that_is_not_an_integer_is_named(self, n):
+        with pytest.raises(SchemaError, match="'n'"):
+            AgdArm.from_dict({"n": n, "y_mean": 0.4, "y_var": 0.24, "x_mean": [0.1]})
+
+    @pytest.mark.parametrize("n", [90, 90.0, "90"])
+    def test_integral_arm_size_loads_as_an_int(self, n):
+        arm = AgdArm.from_dict({"n": n, "y_mean": 0.4, "y_var": 0.24, "x_mean": [0.1]})
+        assert arm.n == 90 and type(arm.n) is int
+
+    @pytest.mark.parametrize("arm, why", [
+        ({"n": "abc", "y_mean": 0.4, "x_mean": [0.1]}, "'n'"),
+        ({"n": 90.5, "y_mean": 0.4, "x_mean": [0.1]}, "'n'"),
+        ({"n": 90, "y_mean": 0.4}, "missing field 'x_mean'"),
+        ({"n": 90, "y_mean": "high", "x_mean": [0.1]}, "'y_mean'"),
+        ([90, 0.4], "must be a JSON object"),
+    ])
+    def test_load_errors_name_the_file(self, tmp_path, arm, why):
+        p = write(tmp_path / "agd.json",
+                  json.dumps({"covariates": ["x1"], "arms": {"active": arm}}))
+        with pytest.raises(SchemaError, match=re.escape(f"{p}: ") + ".*" + re.escape(why)):
+            load_agd(p)
+
     def test_round_trip_dict(self):
         study = make_agd(
             active=make_arm(n=90, y_mean=0.4, x_mean=[0.1], x_var=[0.5]),

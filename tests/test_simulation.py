@@ -65,6 +65,18 @@ class TestScenarioConfig:
         assert type(cfg.alpha_slope) is float
         assert ScenarioConfig.from_dict({"alpha_slope": None}).alpha_slope is None
 
+    @pytest.mark.parametrize("key", ["p", "n_per_arm", "replicates", "seed",
+                                     "oversample_factor"])
+    @pytest.mark.parametrize("value", [2.7, 1.5, True, False])
+    def test_an_integer_key_never_truncates(self, key, value):
+        with pytest.raises(SchemaError, match=f"'{key}'"):
+            ScenarioConfig.from_dict({key: value})
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_a_boolean_slope_is_rejected(self, value):
+        with pytest.raises(SchemaError, match="'alpha_slope'"):
+            ScenarioConfig.from_dict({"alpha_slope": value})
+
     def test_unknown_key_is_rejected(self):
         # a typo must not silently fall back to the default 2000 replicates
         with pytest.raises(SchemaError, match="'replicate'"):
@@ -192,10 +204,11 @@ class TestTrueDelta:
     @pytest.mark.parametrize("scale", list(Scale))
     def test_equals_reference_formula(self, confounding, scale):
         # one row short of a chunk, one chunk, one row into the second, and a
-        # ragged last chunk
+        # ragged last chunk; alpha_slope 0.0 under no confounding gives every
+        # covariate a zero coefficient, so the oracle reads none
         chunk = simulation.ORACLE_CHUNK_ROWS
-        for p, seed in ((4, 1), (7, 2)):
-            cfg = cfg_with(confounding=confounding, scale=scale, p=p, alpha_slope=0.7)
+        for p, seed, alpha_slope in ((4, 1, 0.7), (7, 2, 0.7), (12, 3, None), (12, 4, 0.0)):
+            cfg = cfg_with(confounding=confounding, scale=scale, p=p, alpha_slope=alpha_slope)
             for n in (chunk - 1, chunk, chunk + 1, 3 * chunk + 17):
                 got = true_delta(cfg, n_oracle=n, rng=np.random.default_rng(seed))
                 want = self.reference_true_delta(cfg, n, np.random.default_rng(seed))
@@ -215,17 +228,18 @@ class TestTrueDelta:
             got = true_delta(cfg, n_oracle=n, rng=np.random.default_rng(seed))
         assert got == self.reference_true_delta(cfg, n, np.random.default_rng(seed))
 
-    def test_covariates_are_the_one_full_length_array(self):
-        # full-length temporaries beside x, as in one unchunked pass, peak at
-        # 1.8 times x's bytes
-        n, p = 2_000_000, 5
+    @pytest.mark.parametrize("p", [5, 12])
+    def test_oracle_holds_only_the_columns_it_reads(self, p):
+        # the four covariates with a nonzero coefficient, whatever p is; an
+        # oracle that held all p columns would exceed the bound at p = 5 already
+        n = 2_000_000
         tracemalloc.start()
         try:
             true_delta(cfg_with(p=p), n_oracle=n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.2 * 8 * n * p
+        assert peak <= 1.2 * 8 * n * 4
 
     @pytest.mark.parametrize("n_oracle", [0, -1])
     def test_an_oracle_without_rows_is_rejected_by_name(self, n_oracle):
