@@ -119,11 +119,11 @@ class AgdArm:
                 raise NegativeVariance(f"y_var = {self.y_var} < 0")
             if self.n < 2:
                 raise SchemaError("n >= 2 required when y_var is supplied")
-        x_mean = np.asarray(self.x_mean, dtype=float)
+        x_mean = _flat("x_mean", self.x_mean)
         x_mean.setflags(write=False)
         object.__setattr__(self, "x_mean", x_mean)
         if self.x_var is not None:
-            x_var = np.asarray(self.x_var, dtype=float)
+            x_var = _flat("x_var", self.x_var)
             if len(x_var) != len(x_mean):
                 raise DimensionMismatch("x_var length differs from x_mean")
             if np.any(x_var < 0):
@@ -157,17 +157,28 @@ class AgdArm:
                 return convert(d[key])
             except KeyError:
                 raise SchemaError(f"AGD arm missing field {key!r}") from None
-            except (TypeError, ValueError) as e:
+            except (TypeError, ValueError, OverflowError) as e:
                 raise SchemaError(f"AGD arm field {key!r} is malformed: {e}") from None
 
         def vector(v):
-            return np.asarray(v, dtype=float)
+            if not isinstance(v, list):
+                raise TypeError(f"expected a list of numbers, got {type(v).__name__}")
+            return [json_float(e) for e in v]
 
         if not isinstance(d, dict):
             raise SchemaError(f"AGD arm must be a JSON object, not {type(d).__name__}")
-        return cls(n=get("n", json_int), y_mean=get("y_mean", float),
-                   y_var=get("y_var", float, optional=True), x_mean=get("x_mean", vector),
+        return cls(n=get("n", json_int), y_mean=get("y_mean", json_float),
+                   y_var=get("y_var", json_float, optional=True), x_mean=get("x_mean", vector),
                    x_var=get("x_var", vector, optional=True))
+
+
+def _flat(key: str, values) -> np.ndarray:
+    """A covariate vector as a 1-D float array; SchemaError naming `key`
+    for any other shape."""
+    v = np.asarray(values, dtype=float)
+    if v.ndim != 1:
+        raise SchemaError(f"AGD arm field {key!r} must be a flat list of numbers")
+    return v
 
 
 @dataclass(frozen=True)
@@ -351,7 +362,11 @@ def load_ipd(
         header = next(csv.reader(fh), None)
         if header is None:
             raise EmptyStudy(f"{path}: empty file")
-        index = {name.strip(): i for i, name in enumerate(header)}
+        index = {}
+        for i, name in enumerate(name.strip() for name in header):
+            if name in index:
+                raise SchemaError(f"{path}: column {name!r} appears more than once in the header")
+            index[name] = i
         if covariates is None:
             covariates = [c for c in index if c not in ("y", "z")]
         columns = ["z", "y", *covariates]
@@ -439,6 +454,14 @@ def json_int(value) -> int:
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def json_float(value) -> float:
+    """A JSON value as a float: a number or a numeric string.  A boolean
+    is a TypeError, so true and false never load as 1.0 and 0.0."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 def load_json_object(path, **kwargs) -> dict:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
@@ -11,15 +10,7 @@ import numpy as np
 from .data_model import AgdStudy, IpdBlock, IpdStudy, stack_ipd, take_rows, write_rows
 from .errors import InvalidLevel, MaicError, NoComparatorArm, ZeroSe, capture, succeeded, unwrap
 from .estimators import Estimate, Method, Scale, _weighted_means, estimate_block
-from .variance import (
-    REPORT_STRATEGIES,
-    SeEstimate,
-    SeStrategy,
-    _pair_influence,
-    _pair_terms,
-    _var_over_n,
-    se_block,
-)
+from .variance import REPORT_STRATEGIES, SeEstimate, SeStrategy, comparator_fo_block, se_block
 from .weighting import WeightModel, fit_diagnostics
 
 _NORM = NormalDist()
@@ -84,8 +75,8 @@ def negative_control_test(
     alpha_level: float = 0.05,
 ) -> NegControlResult:
     """Compare the weighted IPD comparator mean with the reported AGD
-    comparator mean; the standard error omits weight-estimation terms
-    (the conservative strategy), so the test size leans conservative."""
+    comparator mean; the standard error is fo on the comparator pair, which
+    omits weight-estimation terms, so the test size leans conservative."""
     return unwrap(negative_control_block(stack_ipd([ipd]), [agd], [model], scale,
                                          alpha_level)[0])
 
@@ -93,8 +84,9 @@ def negative_control_test(
 def negative_control_block(block: IpdBlock, agds, models, scale: Scale = Scale.IDENTITY,
                            alpha_level: float = 0.05) -> list:
     """negative_control_test for each study of a block: a NegControlResult or
-    the MaicError per study.  An alpha_level outside (0, 1) is an
-    InvalidLevel for the whole block."""
+    the MaicError per study.  Its SE is fo on the comparator pair, the
+    fitted weights held fixed (variance.comparator_fo_block).  An
+    alpha_level outside (0, 1) is an InvalidLevel for the whole block."""
     check_level(alpha_level, "alpha level")
     w = np.stack([m.weights for m in models])
     mu0 = _weighted_means(block, w, 0) if block.has_comparator else None
@@ -104,23 +96,20 @@ def negative_control_block(block: IpdBlock, agds, models, scale: Scale = Scale.I
         if agd.comparator_arm is None or not block.has_comparator:
             raise NoComparatorArm("negative-control test needs comparator arms on both sides")
         mu0_ipd = float(mu0[b])
-        mu0_agd = agd.comparator_arm.y_mean
-        delta0 = scale.g(mu0_ipd) - scale.g(mu0_agd)
-        n_total = block.n + agd.n_total
-        pair = (1.0, 0, mu0_ipd, agd.comparator_arm, mu0_agd)
-        return delta0, n_total, _pair_terms([pair], scale, block.outcome_kind, n_total)
+        return mu0_ipd, scale.g(mu0_ipd) - scale.g(agd.comparator_arm.y_mean)
 
     out = [capture(prepare, b) for b in range(len(block))]
     ok = succeeded(out)
     if not ok:
         return out
-    n_total = [out[b][1] for b in ok]
-    phi0, _ = _pair_influence(block.take(ok), take_rows(w, ok),
-                              [out[b][2] for b in ok], n_total)
+    ses = comparator_fo_block(block.take(ok), [agds[b] for b in ok], take_rows(w, ok),
+                              [out[b][0] for b in ok], scale)
     zcrit = norm_quantile(1.0 - alpha_level / 2.0)
-    for var, b in zip(_var_over_n(phi0, n_total), ok):
-        delta0, nt, [(_, _, _, var_agd)] = out[b]
-        se0 = math.sqrt((var + var_agd) / nt)
+    for se0, b in zip(ses, ok):
+        if isinstance(se0, MaicError):
+            out[b] = se0
+            continue
+        delta0 = out[b][1]
         z0, p = wald_test(delta0, se0) if se0 > 0 else (0.0, 1.0)
         out[b] = NegControlResult(delta0, se0, z0, p, abs(z0) > zcrit, alpha_level)
     return out

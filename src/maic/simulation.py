@@ -41,6 +41,7 @@ from .data_model import (
     MomentSpec,
     OutcomeKind,
     TrialRecords,
+    json_float,
     json_int,
     load_json_object,
     pooled_target_moments,
@@ -140,18 +141,11 @@ class ScenarioConfig:
             raise SchemaError(f"{path}: {e}") from None
 
 
-def _slope(value) -> float | None:
-    """alpha_slope of a JSON value: null or a number, never a boolean."""
-    if isinstance(value, bool):
-        raise TypeError(f"expected a number, got {value!r}")
-    return None if value is None else float(value)
-
-
 # the type of each ScenarioConfig field, applied to a JSON value
 _COERCE = {
     "p": json_int, "n_per_arm": json_int, "confounding": Confounding, "scale": Scale,
     "replicates": json_int, "seed": json_int, "oversample_factor": json_int,
-    "alpha_slope": _slope,
+    "alpha_slope": lambda v: None if v is None else json_float(v),
 }
 
 

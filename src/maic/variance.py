@@ -15,25 +15,32 @@ data from the aggregate study, so four feasible strategies are offered:
   which is exactly the HC0 sum.  sw_block computes that number a second
   way, and the two agree to rounding.
 
-A fifth strategy (full) evaluates the complete influence function and is
-available only when the aggregate study's raw records are at hand (the
-simulation benchmark).  All estimators return sigma2 on the asymptotic
-scale; the standard error of the contrast is sqrt(sigma2 / N) with N the
-combined size of both trials.
+A fifth strategy (full) evaluates the complete influence function,
+phi_mu1 + phi_alpha on the IPD rows and phi_mu2 + phi_mu_x2 on the
+aggregate trial's records, and is available only when those records are at
+hand (the simulation benchmark).  All estimators return sigma2 on the
+asymptotic scale; the standard error of the contrast is sqrt(sigma2 / N)
+with N the combined size of both trials.
 
 Each contrast with an SE is a signed list of arm pairs read off the
 Estimate alone, (sign, IPD arm code, IPD mean, AGD arm, AGD mean): the
 active pair with sign +1 and, for anchored estimates, the comparator pair
-with sign -1; the null check is one comparator pair.  One core maps IPD
-weights and a pair list to the per-record phi, the AGD-variance term and,
-given centred moments, ctilde.  Bucher and naive use unit weights, need no
-fitted model, and have zero weight-coefficient and target-mean terms.
+with sign -1.  One core (_pair_terms, _pair_influence, _var_over_n) maps
+IPD weights and a pair list to the per-record phi, the AGD-variance term
+and, given centred moments, ctilde.  Bucher and naive use unit weights,
+need no fitted model, and have zero weight-coefficient and target-mean
+terms.  The comparator-arm null check is fo on its one comparator pair,
+(+1, arm 0, weighted IPD comparator mean, AGD comparator arm, its mean),
+with the fitted weights held fixed (comparator_fo_block); it solves no
+moment Jacobian.
 
 se_block is the one map from strategy to computation: it owns which
 strategies apply to which method (none to stc; fo and sw to bucher and
 naive; fo, po, cs and sw to the MAIC methods; full to maic-nab alone, given
-the aggregate trial's records) and computes fo, po, cs and full from one
-influence_block call.
+the aggregate trial's records).  It derives each block's weights and pair
+terms once (_derive), hands them to both the influence path, which gives
+fo, po, cs and full, and the sw path.  The reference arrays of the full
+influence function and the plug-in lemma terms live with the tests.
 
 The *_block functions run the studies of one stacked IPD block
 (data_model.IpdBlock) and return a result or the MaicError per study; the
@@ -43,6 +50,7 @@ single-study functions are blocks of one.
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -53,7 +61,6 @@ from .data_model import (
     AgdStudy,
     IpdBlock,
     IpdStudy,
-    MomentSpec,
     OutcomeKind,
     TrialRecords,
     stack_ipd,
@@ -133,15 +140,20 @@ class InfluencePieces:
 
 def arm_outcome_variance(arm: AgdArm, outcome_kind: OutcomeKind) -> float:
     """Reported outcome sample variance, with the Bernoulli fallback
-    ybar(1-ybar)*n/(n-1) when a binary arm omits it."""
+    ybar(1-ybar)*n/(n-1) when a binary arm of n >= 2 omits it."""
     if arm.y_var is not None:
         return float(arm.y_var)
-    if outcome_kind is OutcomeKind.BINARY:
-        ybar = arm.y_mean
-        return float(ybar * (1.0 - ybar) * arm.n / (arm.n - 1))
-    raise MissingAgdVariance(
-        "AGD arm reports no outcome variance and the outcome is not binary"
-    )
+    if outcome_kind is not OutcomeKind.BINARY:
+        raise MissingAgdVariance(
+            "AGD arm reports no outcome variance and the outcome is not binary"
+        )
+    if arm.n < 2:
+        raise MissingAgdVariance(
+            "AGD arm reports no outcome variance, and the binary fallback "
+            "ybar(1-ybar)*n/(n-1) needs n >= 2"
+        )
+    ybar = arm.y_mean
+    return float(ybar * (1.0 - ybar) * arm.n / (arm.n - 1))
 
 
 def _solve_neg_definite(j_alpha: np.ndarray, rhs: np.ndarray):
@@ -173,15 +185,28 @@ def _arm_pairs(agd: AgdStudy, est: Estimate) -> list[tuple]:
     return pairs
 
 
-def _pair_terms(pairs: list[tuple], scale: Scale, outcome_kind: OutcomeKind,
-                n_total: int) -> list[tuple]:
-    """One replicate's (sign * g'(IPD mean), IPD arm code, IPD mean, AGD
-    variance term) per arm pair; the AGD term is the variance contribution
-    of the reported AGD arm mean."""
-    return [(sign * scale.g_prime(mu_ipd), z, mu_ipd,
-             scale.g_prime(mu_agd) ** 2 * arm_outcome_variance(arm, outcome_kind)
-             / (arm.n / n_total))
-            for sign, z, mu_ipd, arm, mu_agd in pairs]
+def _pair_terms(block: IpdBlock, pairs, n_total: list[int], scale: Scale) -> list:
+    """Each study's (sign * g'(IPD mean), IPD arm code, IPD mean, AGD
+    variance term) per arm pair of pairs[b], or the MaicError deriving them
+    raised; the AGD term is the variance contribution of the reported AGD
+    arm mean over the combined size n_total[b]."""
+    def terms(study_pairs, nt):
+        return [(sign * scale.g_prime(mu_ipd), z, mu_ipd,
+                 scale.g_prime(mu_agd) ** 2 * arm_outcome_variance(arm, block.outcome_kind)
+                 / (arm.n / nt))
+                for sign, z, mu_ipd, arm, mu_agd in study_pairs]
+
+    return [capture(terms, p, nt) for p, nt in zip(pairs, n_total)]
+
+
+def _derive(block: IpdBlock, agds, models, ests, scale: Scale):
+    """The weights (B, n), the combined sizes and each study's pair terms
+    (see _pair_terms) of a block whose estimates share one method: what the
+    influence and sw paths share, derived once."""
+    w = _block_weights(block, models, ests[0].method)
+    n_total = [block.n + agd.n_total for agd in agds]
+    return w, n_total, _pair_terms(block, [_arm_pairs(a, e) for a, e in zip(agds, ests)],
+                                   n_total, scale)
 
 
 def _pair_influence(block: IpdBlock, w: np.ndarray, terms: list, n_total: list[int],
@@ -227,21 +252,25 @@ def influence_block(block: IpdBlock, agds, models, ests, scale: Scale) -> list:
     """influence_components for each study of a block whose estimates share
     one method and whose models share one moment spec: InfluencePieces or
     the MaicError per study."""
-    w = _block_weights(block, models, ests[0].method)
-    n_total = [block.n + agd.n_total for agd in agds]
-    prep = [capture(_pair_terms, _arm_pairs(agd, est), scale, block.outcome_kind, nt)
-            for agd, est, nt in zip(agds, ests, n_total)]
-    ok = succeeded(prep)
+    return _influence(block, *_derive(block, agds, models, ests, scale),
+                      models if ests[0].method.weighted else None)
+
+
+def _influence(block: IpdBlock, w: np.ndarray, n_total: list[int], terms: list,
+               models=None) -> list:
+    """InfluencePieces or the MaicError per study of a block, from what
+    _derive gives.  The fitted `models` add the weight-coefficient terms,
+    which solve each moment Jacobian; without them (bucher and naive) the
+    weights are held fixed, phi_alpha is zero and nothing is solved."""
+    ok = succeeded(terms)
     if not ok:
-        return prep
+        return terms
     sub = block.take(ok)
     w, nts = take_rows(w, ok), [n_total[b] for b in ok]
-    terms = [prep[b] for b in ok]
     sums = w.sum(axis=1)
 
-    unweighted = not ests[0].method.weighted
-    if unweighted:
-        phi, _ = _pair_influence(sub, w, terms, nts)
+    if models is None:
+        phi, _ = _pair_influence(sub, w, [terms[b] for b in ok], nts)
         sol = np.zeros((len(ok), 0))
         phi_alpha = np.zeros(phi.shape)
         errors = [None] * len(ok)
@@ -250,25 +279,25 @@ def influence_block(block: IpdBlock, agds, models, ests, scale: Scale) -> list:
         c = moment_matrix(sub.x, models[ok[0]].spec) - centering[:, None, :]
         wc = w[:, :, None] * c
         j_alpha = np.matmul(-wc.transpose(0, 2, 1), c) / np.array(nts)[:, None, None]
-        phi, ctilde = _pair_influence(sub, w, terms, nts, c)
+        phi, ctilde = _pair_influence(sub, w, [terms[b] for b in ok], nts, c)
         sol, errors = _solve_neg_definite(j_alpha, ctilde)
         phi_alpha = np.matmul(wc, sol[:, :, None])[:, :, 0]
         dots = np.matmul(ctilde[:, None, :], sol[:, :, None])[:, 0, 0]
 
-    out = list(prep)
+    out = list(terms)
     for i, b in enumerate(ok):
         nt = n_total[b]
-        p_t2 = agds[b].n_total / nt
+        p_t2 = (nt - block.n) / nt  # the aggregate trial's share
         ew_t1 = float(sums[i] / nt)
         solved = errors[i] is None
-        if unweighted:
+        if models is None:
             v_mu_x2 = 0.0
         elif solved:
             v_mu_x2 = max(float(-(ew_t1 / p_t2) * dots[i]), 0.0)
         out[b] = InfluencePieces(
             phi_mu1=phi[i],
             phi_alpha=phi_alpha[i] if solved else None,
-            var_phi_mu2=sum(t[3] for t in prep[b]),
+            var_phi_mu2=sum(t[3] for t in terms[b]),
             v_mu_x2=v_mu_x2 if solved else None,
             n_total=nt,
             p_t2=p_t2,
@@ -276,6 +305,26 @@ def influence_block(block: IpdBlock, agds, models, ests, scale: Scale) -> list:
             j_alpha_inv_ctilde=sol[i] if solved else None,
             jacobian_error=errors[i],
         )
+    return out
+
+
+def comparator_fo_block(block: IpdBlock, agds, w: np.ndarray, mu0, scale: Scale) -> list:
+    """The fo standard error of each study's single comparator pair (+1,
+    IPD arm 0, mu0[b], AGD comparator arm, its reported mean), the weights w
+    held fixed: the null check's SE.  It has no weight-coefficient term and
+    solves no moment Jacobian.  A float or the MaicError per study."""
+    pairs = [[(1.0, 0, m, agd.comparator_arm, agd.comparator_arm.y_mean)]
+             for agd, m in zip(agds, mu0)]
+    n_total = [block.n + agd.n_total for agd in agds]
+    out = _pair_terms(block, pairs, n_total, scale)
+    ok = succeeded(out)
+    if not ok:
+        return out
+    nts = [n_total[b] for b in ok]
+    phi, _ = _pair_influence(block.take(ok), take_rows(w, ok), [out[b] for b in ok], nts)
+    for v, b, nt in zip(_var_over_n(phi, nts), ok, nts):
+        [(_, _, _, var_agd)] = out[b]
+        out[b] = math.sqrt((v + var_agd) / nt)
     return out
 
 
@@ -333,30 +382,30 @@ def sigma2_sw(
     scale: Scale = Scale.IDENTITY,
 ) -> SeEstimate:
     """HC0 sandwich variance of the weighted mean(s), weights fixed."""
-    return unwrap(sw_block(stack_ipd([ipd]), [agd], [model], [est], scale)[0])
+    block = stack_ipd([ipd])
+    return unwrap(sw_block(block, *_derive(block, [agd], [model], [est], scale))[0])
 
 
-def sw_block(block: IpdBlock, agds, models, ests, scale: Scale) -> list:
-    """sigma2_sw for each study of a block whose estimates share one
-    method: a SeEstimate or the MaicError per study."""
-    w = _block_weights(block, models, ests[0].method)
-    pairs = [_arm_pairs(agd, est) for agd, est in zip(agds, ests)]
+def sw_block(block: IpdBlock, w: np.ndarray, n_total: list[int], terms: list) -> list:
+    """sigma2_sw for each study of a block, from what _derive gives: a
+    SeEstimate or the MaicError per study."""
+    ok = succeeded(terms)
+    out = list(terms)
+    if not ok:
+        return out
+    sub, w = block.take(ok), take_rows(w, ok)
     sums = []
-    for i, (_, code, _, _, _) in enumerate(pairs[0]):
-        wz = block.arm_rows(w, code)
-        rz = block.arm_rows(block.y, code) - np.array([p[i][2] for p in pairs])[:, None]
+    for i, (_, code, _, _) in enumerate(terms[ok[0]]):
+        wz = sub.arm_rows(w, code)
+        rz = sub.arm_rows(sub.y, code) - np.array([terms[b][i][2] for b in ok])[:, None]
         sums.append((np.sum(wz**2 * rz**2, axis=1), np.sum(wz, axis=1)))
-
-    def se(b):
-        n_total = block.n + agds[b].n_total
-        sigma2 = 0.0
-        terms = _pair_terms(pairs[b], scale, block.outcome_kind, n_total)
-        for (g, _, _, var_agd), (num, den) in zip(terms, sums):
-            sigma2 += n_total * (g**2 * float(num[b] / den[b] ** 2))
+    for j, b in enumerate(ok):
+        nt, sigma2 = n_total[b], 0.0
+        for (g, _, _, var_agd), (num, den) in zip(terms[b], sums):
+            sigma2 += nt * (g**2 * float(num[j] / den[j] ** 2))
             sigma2 += var_agd
-        return SeEstimate(SeStrategy.SW, float(sigma2), np.sqrt(sigma2 / n_total))
-
-    return [capture(se, b) for b in range(len(block))]
+        out[b] = SeEstimate(SeStrategy.SW, float(sigma2), np.sqrt(sigma2 / nt))
+    return out
 
 
 def se_block(block: IpdBlock, agds, models, ests, scale: Scale, strategies,
@@ -364,17 +413,21 @@ def se_block(block: IpdBlock, agds, models, ests, scale: Scale, strategies,
     """Each requested strategy that applies to the estimates' method (see
     _APPLICABLE), in the order requested, mapped to a SeEstimate or the
     MaicError per study, for a block whose estimates share one method and
-    whose models share one moment spec.
+    whose models share one moment spec.  The weights and pair terms are
+    derived once for every strategy.
     `records` holds the aggregate trial's raw records per replicate, which
     full needs; without them full gives RequiresFullIpd."""
     wanted = [s for s in strategies if s in _APPLICABLE[ests[0].method]]
+    if not wanted:
+        return {}
+    derived = _derive(block, agds, models, ests, scale)
     out, pieces = {}, None
     for strategy in wanted:
         if strategy is SeStrategy.SW:
-            out[strategy] = sw_block(block, agds, models, ests, scale)
+            out[strategy] = sw_block(block, *derived)
             continue
         if pieces is None:
-            pieces = influence_block(block, agds, models, ests, scale)
+            pieces = _influence(block, *derived, models if ests[0].method.weighted else None)
         if strategy is SeStrategy.FULL:
             out[strategy] = _full_ses(records, models, ests, scale, pieces)
         else:
@@ -382,27 +435,24 @@ def se_block(block: IpdBlock, agds, models, ests, scale: Scale, strategies,
     return out
 
 
-def full_influence_arrays(
+def sigma2_full(
     ipd: IpdStudy,
     agd: AgdStudy,
     agd_records: TrialRecords,
     model: WeightModel,
     est: Estimate,
     scale: Scale = Scale.IDENTITY,
-) -> dict[str, np.ndarray]:
-    """Per-record influence arrays over both trials (IPD rows first, then the
-    aggregate trial's raw records), link-scaled.  Simulation benchmark only."""
+) -> SeEstimate:
     pieces = influence_block(stack_ipd([ipd]), [agd], [model], [est], scale)
-    outcomes, arrays = _full_arrays([agd_records], [model], [est], scale, pieces)
-    unwrap(outcomes[0])
-    return {key: a[0] for key, a in arrays.items()}
+    return unwrap(_full_ses([agd_records], [model], [est], scale, pieces)[0])
 
 
-def _full_arrays(records, models, ests, scale: Scale, pieces: list):
-    """The full influence arrays of a block whose influence pieces (or
-    their MaicErrors) are given: the outcomes, g'(mu2) or the MaicError per
-    replicate, and a dict of arrays (len(ok), n_total) stacked over the
-    replicates ok that succeeded."""
+def _full_ses(records, models, ests, scale: Scale, pieces: list) -> list:
+    """sigma2_full for a block of maic-nab estimates whose influence pieces
+    (or their MaicErrors) are given: a SeEstimate or the MaicError per
+    replicate.  The full influence function of a replicate is phi_mu1 +
+    phi_alpha on its IPD rows and phi_mu2 + phi_mu_x2 on the aggregate
+    trial's records; sigma2 is its variance over both."""
     def check(b):
         if ests[b].method is not Method.MAIC_NAB:
             raise ValueError("full influence benchmark is defined for maic-nab")
@@ -420,14 +470,14 @@ def _full_arrays(records, models, ests, scale: Scale, pieces: list):
     out = [capture(check, b) for b in range(len(pieces))]
     ok = succeeded(out)
     if not ok:
-        return out, {}
+        return out
     n_total = np.array([pieces[b].n_total for b in ok])[:, None]
     ry = np.stack([records[b].y for b in ok])
     z2 = np.stack([records[b].z for b in ok]) == 2
     p_z2t2 = z2.sum(axis=1)[:, None] / n_total
     g2 = np.array([out[b] for b in ok])[:, None]
     mu2 = np.array([ests[b].mu2 for b in ok])[:, None]
-    phi_mu2_t2 = g2 * (mu2 - ry) * z2 / p_z2t2
+    phi_mu2 = g2 * (mu2 - ry) * z2 / p_z2t2
 
     rx = np.stack([records[b].x for b in ok])
     centering = np.stack([models[b].centering for b in ok])
@@ -435,102 +485,11 @@ def _full_arrays(records, models, ests, scale: Scale, pieces: list):
     # ctilde already carries g'(mu1) and 1/J^{mu1}; only U^{muX2} remains
     coef = np.array([-(pieces[b].ew_t1 / pieces[b].p_t2) for b in ok])[:, None, None]
     sol = np.stack([pieces[b].j_alpha_inv_ctilde for b in ok])
-    phi_mu_x2_t2 = np.matmul(coef * c2, sol[:, :, None])[:, :, 0]
+    phi_mu_x2 = np.matmul(coef * c2, sol[:, :, None])[:, :, 0]
 
-    phi_mu1 = np.stack([pieces[b].phi_mu1 for b in ok])
-    zeros_ipd = np.zeros(phi_mu1.shape)
-    zeros_t2 = np.zeros(ry.shape)
-    return out, {
-        "phi_mu2": np.concatenate([zeros_ipd, phi_mu2_t2], axis=1),
-        "phi_mu1": np.concatenate([phi_mu1, zeros_t2], axis=1),
-        "phi_alpha": np.concatenate([np.stack([pieces[b].phi_alpha for b in ok]), zeros_t2],
-                                    axis=1),
-        "phi_mu_x2": np.concatenate([zeros_ipd, phi_mu_x2_t2], axis=1),
-    }
-
-
-def sigma2_full(
-    ipd: IpdStudy,
-    agd: AgdStudy,
-    agd_records: TrialRecords,
-    model: WeightModel,
-    est: Estimate,
-    scale: Scale = Scale.IDENTITY,
-) -> SeEstimate:
-    pieces = influence_block(stack_ipd([ipd]), [agd], [model], [est], scale)
-    return unwrap(_full_ses([agd_records], [model], [est], scale, pieces)[0])
-
-
-def _full_ses(records, models, ests, scale: Scale, pieces: list) -> list:
-    """sigma2_full for a block of maic-nab estimates whose influence pieces
-    are given: the variance of each replicate's summed influence arrays, a
-    SeEstimate or the MaicError per replicate."""
-    out, arrays = _full_arrays(records, models, ests, scale, pieces)
-    ok = succeeded(out)
-    if not ok:
-        return out
-    phi = sum(arrays.values())
-    n_total = phi.shape[1]
+    phi = np.concatenate([np.stack([pieces[b].phi_mu1 for b in ok])
+                          + np.stack([pieces[b].phi_alpha for b in ok]),
+                          phi_mu2 + phi_mu_x2], axis=1)
     for b, sigma2 in zip(ok, map(float, np.var(phi, axis=1))):
-        out[b] = SeEstimate(SeStrategy.FULL, sigma2, np.sqrt(sigma2 / n_total))
+        out[b] = SeEstimate(SeStrategy.FULL, sigma2, np.sqrt(sigma2 / phi.shape[1]))
     return out
-
-
-@dataclass(frozen=True)
-class LemmaTerms:
-    """Plug-in simplifications of the weight-estimation and target-mean
-    variance contributions (correct-trial-model forms)."""
-
-    var_phi_alpha: float
-    cov_mu1_alpha: float
-    var_phi_mu_x2: float
-    cov_mu2_mu_x2: float
-
-
-def lemma_variance_terms(
-    ipd: IpdStudy,
-    agd_records: TrialRecords,
-    model: WeightModel,
-    est: Estimate,
-) -> LemmaTerms:
-    """Evaluate the simplified variance contributions with empirical
-    outcome-covariate covariances and the aggregate-trial covariate
-    dispersion.  First-moment weighting on the identity scale only."""
-    if agd_records is None:
-        raise RequiresFullIpd("lemma terms need the aggregate trial's records")
-    if model.spec is not MomentSpec.FIRST:
-        raise ValueError("lemma terms are defined for first-moment weighting")
-    w = model.weights
-    c = ipd.x - model.centering
-    n_ipd = ipd.n
-    n2 = len(agd_records.y)
-    n_total = n_ipd + n2
-    p_t2 = n2 / n_total
-    ew_t1 = w.sum() / n_total
-    p_z1_t1 = (ipd.z == 1).mean()
-
-    # trial-selection odds up to the (estimable) normalizing constant
-    omega = w * p_t2 / ew_t1
-
-    active = (ipd.z == 1).astype(float)
-    resid = (ipd.y - est.mu1) * active
-    ctilde = c.T @ (resid * w) / n_total
-    c1 = ctilde / (p_z1_t1 * ew_t1)
-
-    x2c = agd_records.x - model.centering
-    var_x_t2 = x2c.T @ x2c / n2 - np.outer(x2c.mean(axis=0), x2c.mean(axis=0))
-    z2 = agd_records.z == 2
-    y2 = agd_records.y[z2] - agd_records.y[z2].mean()
-    x2a = agd_records.x[z2] - agd_records.x[z2].mean(axis=0)
-    c2 = x2a.T @ y2 / z2.sum()
-
-    vinv_c1 = np.linalg.solve(var_x_t2, c1)
-    vinv_c2 = np.linalg.solve(var_x_t2, c2)
-
-    m = (c * (omega**2)[:, None]).T @ c / n_total / p_t2
-    var_phi_alpha = float(vinv_c1 @ m @ vinv_c1 / p_t2)
-    e_resid = c.T @ (resid * omega**2) / n_total / (p_z1_t1 * p_t2)
-    cov_mu1_alpha = float(-(vinv_c1 @ e_resid) / p_t2)
-    var_phi_mu_x2 = float(c1 @ vinv_c1 / p_t2)
-    cov_mu2_mu_x2 = float(-(c1 @ vinv_c2) / p_t2)
-    return LemmaTerms(var_phi_alpha, cov_mu1_alpha, var_phi_mu_x2, cov_mu2_mu_x2)

@@ -13,17 +13,11 @@ import pytest
 from maic.data_model import MomentSpec, pooled_target_moments
 from maic.estimators import Scale, bucher, maic_acb, maic_nab, naive
 from maic.simulation import Confounding, ScenarioConfig, replicate_datasets, run_study
-from maic.variance import (
-    full_influence_arrays,
-    influence_components,
-    lemma_variance_terms,
-    sigma2_cs,
-    sigma2_po,
-)
+from maic.variance import influence_components, sigma2_cs, sigma2_po
 from maic.weighting import WeightModel, balance_check, effective_sample_size, solve_weights
 
 from conftest import make_ipd
-from test_variance import random_problem
+from test_variance import full_influence_arrays, lemma_variance_terms, random_problem
 from test_weighting import grid_minimize_q
 
 SEED = 20260824

@@ -140,6 +140,30 @@ class TestFit:
         assert f"SchemaError: {agd}: AGD arm field 'n'" in err
         assert not (out / "model.json").exists()
 
+    def test_agd_vector_that_is_not_flat_exits_1(self, tmp_path, capsys):
+        # one covariate: a nested x_mean passes a length check of 1
+        ipd = tmp_path / "ipd.csv"
+        ipd.write_text("y,z,x1\n1,1,0.2\n0,1,-0.1\n1,0,0.4\n0,0,0.1\n")
+        arm = {"n": 30, "y_mean": 0.5, "y_var": 0.25, "x_mean": [[0.1, 0.0]]}
+        agd = tmp_path / "agd.json"
+        agd.write_text(json.dumps({"covariates": ["x1"],
+                                   "arms": {"active": arm, "comparator": arm}}))
+        for command in ("fit", "compare"):
+            code = main([command, "--ipd", str(ipd), "--agd", str(agd),
+                         "--out", str(tmp_path / command)])
+            err = capsys.readouterr().err
+            assert code == 1
+            assert f"SchemaError: {agd}: AGD arm field 'x_mean'" in err
+
+    def test_repeated_csv_header_name_exits_1(self, io_pair, tmp_path, capsys):
+        ipd, agd = io_pair
+        ipd.write_text(ipd.read_text().replace("y,z,x1,x2", "y,z,x2,x2", 1))
+        code = main(["fit", "--ipd", str(ipd), "--agd", str(agd),
+                     "--out", str(tmp_path / "dup")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"SchemaError: {ipd}: column 'x2' appears more than once in the header" in err
+
     def test_weight_underflowing_to_zero_exits_0(self, tmp_path):
         rng = np.random.default_rng(3)
         x = np.concatenate([rng.normal(size=200), [-1500.0]])
@@ -369,6 +393,25 @@ class TestCompare:
         assert manifest["command"] == "compare"
         assert manifest["config"]["negcontrol"] is bool(flag)
 
+    def test_single_patient_arm_without_variance_files_each_se_error(self, io_pair, tmp_path):
+        # the Bernoulli fallback needs n >= 2; the point estimate does not
+        ipd, agd = io_pair
+        doc = json.loads(agd.read_text())
+        doc["arms"]["active"].update(n=1)
+        for key in ("y_var", "x_var"):
+            del doc["arms"]["active"][key]
+        agd.write_text(json.dumps(doc))
+        out = tmp_path / "one"
+        with pytest.warns(UserWarning, match="y_var"):
+            code = main(["compare", "--ipd", str(ipd), "--agd", str(agd),
+                         "--methods", "maic-nab", "--se", "all", "--out", str(out)])
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert "delta" in report["methods"]["maic-nab"]
+        assert set(report["errors"]) == {f"maic-nab/{s}" for s in ("fo", "po", "cs", "sw")}
+        assert all(e.startswith("MissingAgdVariance: ") and "n >= 2" in e
+                   for e in report["errors"].values())
+
     @pytest.mark.parametrize("level", ["2", "0", "1", "nan", "inf"])
     def test_level_outside_the_unit_interval_is_named(self, io_pair, tmp_path, capsys, level):
         ipd, agd = io_pair
@@ -400,6 +443,21 @@ class TestNegControl:
                      "--out", str(tmp_path / "neg2")])
         assert code == 1
         assert "NoComparatorArm" in capsys.readouterr().err
+
+    def test_single_patient_comparator_without_variance_exits_1(self, io_pair, tmp_path,
+                                                                 capsys):
+        ipd, agd = io_pair
+        doc = json.loads(agd.read_text())
+        doc["arms"]["comparator"].update(n=1)
+        for key in ("y_var", "x_var"):
+            del doc["arms"]["comparator"][key]
+        agd.write_text(json.dumps(doc))
+        with pytest.warns(UserWarning, match="y_var"):
+            code = main(["negcontrol", "--ipd", str(ipd), "--agd", str(agd),
+                         "--out", str(tmp_path / "neg1")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: MissingAgdVariance: ") and "n >= 2" in err
 
     @pytest.mark.parametrize("alpha", ["2", "0", "1", "-0.1", "nan", "inf"])
     def test_alpha_outside_the_unit_interval_is_named(self, io_pair, tmp_path, capsys, alpha):
@@ -526,7 +584,7 @@ class TestVersionFlag:
 FUZZ_CELLS = ["", "abc", "nan", "-inf", "1e400", "1e308", "-1e308", "2", "-1", "0.5", "1",
               "0", "1e-320", '"1"', "1,2", "\u0661"]
 FUZZ_VALUES = [None, True, -1, 0, 1, 2, 0.5, 1e308, -1e308, "x", "", [], [1.0], [[1.0]],
-               [1.0, 2.0, 3.0], {}, {"n": 5}]
+               [1.0, 2.0, 3.0], [[0.1, -0.1]], [True, 0.2], {}, {"n": 5}]
 AGD_PATHS = [("covariates",), ("arms",), ("arms", "active"), ("arms", "comparator"),
              *(("arms", arm, key) for arm in ("active", "comparator")
                for key in ("n", "y_mean", "y_var", "x_mean", "x_var"))]
@@ -562,6 +620,14 @@ def fuzz_runs(draw):
                 parent.pop(path[-1], None)
             else:
                 parent[path[-1]] = draw(st.sampled_from(FUZZ_VALUES))
+    arms = agd.get("arms")
+    if isinstance(arms, dict) and draw(st.integers(0, 3)) == 0:
+        # a one-patient arm that reports no variances
+        one = arms.get(draw(st.sampled_from(["active", "comparator"])))
+        if isinstance(one, dict):
+            one.update(n=1)
+            for key in ("y_var", "x_var"):
+                one.pop(key, None)
     agd_text = draw(st.sampled_from([json.dumps(agd)] * 12 + ["", "[1]", "{", "NaN"]))
 
     command = draw(st.sampled_from(["fit", "compare", "negcontrol"]))

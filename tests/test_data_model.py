@@ -128,6 +128,16 @@ class TestLoadIpd:
         with pytest.raises(EmptyStudy, match="empty file"):
             load_ipd(p)
 
+    @pytest.mark.parametrize("header, name", [
+        ("y,z,x1,x1", "x1"), ("y,y,z,x1", "y"), ("y,z,x1, z", "z"),
+    ])
+    def test_repeated_header_name_is_rejected(self, tmp_path, header, name):
+        # a dict over the header names would keep only the last such column
+        p = write(tmp_path / "ipd.csv", f"{header}\n1,1,0.2,0.3\n0,0,-0.1,0.4\n")
+        with pytest.raises(SchemaError, match=re.escape(
+                f"{p}: column {name!r} appears more than once in the header")):
+            load_ipd(p)
+
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 PAD = st.sampled_from(["", " ", "  ", "\t"])
@@ -298,6 +308,30 @@ class TestAgd:
     def test_arm_size_that_is_not_an_integer_is_named(self, n):
         with pytest.raises(SchemaError, match="'n'"):
             AgdArm.from_dict({"n": n, "y_mean": 0.4, "y_var": 0.24, "x_mean": [0.1]})
+
+    @pytest.mark.parametrize("key, value", [
+        ("y_mean", True), ("y_var", False), ("x_mean", [True]), ("x_var", [False]),
+    ])
+    def test_a_boolean_in_a_float_field_is_named(self, key, value):
+        d = {"n": 90, "y_mean": 0.4, "y_var": 0.24, "x_mean": [0.1], "x_var": [1.0], key: value}
+        with pytest.raises(SchemaError, match=f"'{key}'.*expected a number, got"):
+            AgdArm.from_dict(d)
+
+    @pytest.mark.parametrize("key", ["x_mean", "x_var"])
+    @pytest.mark.parametrize("value", [[[0.1, 0.0]], [[0.1], [0.2]], 0.3, [[]], "12"])
+    def test_a_vector_that_is_not_flat_is_named(self, key, value):
+        d = {"n": 90, "y_mean": 0.4, "x_mean": [0.1], key: value}
+        with pytest.raises(SchemaError, match=f"'{key}'"):
+            AgdArm.from_dict(d)
+        with pytest.raises(SchemaError, match=f"'{key}' must be a flat list of numbers"):
+            make_arm(**{"x_mean": [0.1], key: value})
+
+    def test_float_fields_keep_their_values(self):
+        arm = AgdArm.from_dict({"n": 90, "y_mean": 1, "y_var": "0.25", "x_mean": [0, 0.5],
+                                "x_var": [2, "1.5"]})
+        assert (arm.y_mean, arm.y_var) == (1.0, 0.25)
+        assert type(arm.y_mean) is float and type(arm.y_var) is float
+        assert arm.x_mean.tolist() == [0.0, 0.5] and arm.x_var.tolist() == [2.0, 1.5]
 
     @pytest.mark.parametrize("n", [90, 90.0, "90"])
     def test_integral_arm_size_loads_as_an_int(self, n):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,24 @@ class TestNegativeControl:
         with pytest.raises(InvalidLevel, match="alpha"):
             negative_control_test(ipd, agd, model, alpha_level=alpha)
 
+    @pytest.mark.parametrize("scale", list(Scale))
+    def test_se0_is_fo_on_the_comparator_pair_bit_for_bit(self, rng, scale):
+        # fo on the comparator pair written out: the fixed-weight variance of
+        # the weighted IPD comparator mean plus the reported mean's term
+        for _ in range(10):
+            ipd, agd, model = two_arm_problem(rng, n=2 * int(rng.integers(20, 150)),
+                                              mu0_agd=float(rng.uniform(0.3, 0.7)))
+            result = negative_control_test(ipd, agd, model, scale)
+            arm, w, cmp = agd.comparator_arm, model.weights, ipd.z == 0
+            n_total = ipd.n + agd.n_total
+            mu0 = float((w[cmp] * ipd.y[cmp]).sum() / w[cmp].sum())
+            mask = cmp.astype(float)
+            phi0 = scale.g_prime(mu0) * ((ipd.y - mu0) * w * mask / ((w * mask).sum() / n_total))
+            var = float((phi0**2).sum() / n_total - (phi0.sum() / n_total) ** 2)
+            var_agd = scale.g_prime(arm.y_mean) ** 2 * arm.y_var / (arm.n / n_total)
+            assert result.se0.hex() == math.sqrt((var + var_agd) / n_total).hex()
+            assert result.delta0 == scale.g(mu0) - scale.g(arm.y_mean)
+
     def test_alpha_level_threshold(self, rng):
         ipd, agd, model = two_arm_problem(rng, mu0_agd=0.62)
         loose = negative_control_test(ipd, agd, model, alpha_level=0.999)
@@ -226,10 +245,17 @@ class TestComparisonReport:
         # which solve the moment Jacobian, fail
         ipd, agd, model = self.singular_jacobian_problem(rng)
         methods = [Method.MAIC_NAB, Method.MAIC_ACB]
-        report = build_comparison_report(ipd, agd, model, methods)
+        # the null check, fo on the comparator pair, solves no Jacobian either:
+        # it is reported, and no condition-number warning is raised
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = build_comparison_report(ipd, agd, model, methods,
+                                             run_negative_control=True)
+        assert caught == []
         assert set(report.ses) == {(m.value, s) for m in methods for s in ("fo", "sw")}
         assert set(report.errors) == {f"{m.value}/{s}" for m in methods for s in ("po", "cs")}
         assert all(e.startswith("SingularJacobian") for e in report.errors.values())
+        assert report.negative_control is not None and report.negative_control.se0 > 0
 
     def test_json_round_trip_and_csv(self, rng, tmp_path):
         import csv

@@ -1,28 +1,117 @@
 import dataclasses
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from maic.data_model import OutcomeKind, TrialRecords
+from maic.data_model import IpdStudy, MomentSpec, OutcomeKind, TrialRecords
 from maic.errors import MissingAgdVariance, RequiresFullIpd
-from maic.estimators import Method, Scale, bucher, maic_acb, maic_nab, naive
+from maic.estimators import Estimate, Method, Scale, bucher, maic_acb, maic_nab, naive
 from maic.variance import (
     InfluencePieces,
     SeStrategy,
     arm_outcome_variance,
-    full_influence_arrays,
     influence_components,
-    lemma_variance_terms,
     sigma2_cs,
     sigma2_fo,
     sigma2_full,
     sigma2_po,
     sigma2_sw,
 )
-from maic.weighting import solve_weights
+from maic.weighting import WeightModel, moment_matrix, solve_weights
 
 from conftest import make_agd, make_arm, make_ipd
+
+
+def full_influence_arrays(
+    ipd: IpdStudy,
+    agd,
+    agd_records: TrialRecords,
+    model: WeightModel,
+    est: Estimate,
+    scale: Scale = Scale.IDENTITY,
+) -> dict[str, np.ndarray]:
+    """The four per-record influence arrays of maic-nab over both trials
+    (IPD rows first, then the aggregate trial's raw records), link-scaled,
+    each zero on the other trial's rows: the reference for sigma2_full,
+    which sums them without the zeros."""
+    pieces = influence_components(ipd, agd, model, est, scale)
+    z2 = agd_records.z == 2
+    phi_mu2 = (scale.g_prime(est.mu2) * (est.mu2 - agd_records.y) * z2
+               / (z2.sum() / pieces.n_total))
+    c2 = moment_matrix(agd_records.x, model.spec) - model.centering
+    # ctilde already carries g'(mu1) and 1/J^{mu1}; only U^{muX2} remains.
+    # The product runs as a batch of one, as in sigma2_full, so its bits match.
+    coef = -(pieces.ew_t1 / pieces.p_t2)
+    phi_mu_x2 = np.matmul((coef * c2)[None], pieces.j_alpha_inv_ctilde[None, :, None])[0, :, 0]
+    zeros_ipd, zeros_t2 = np.zeros(ipd.n), np.zeros(len(agd_records.y))
+    return {
+        "phi_mu2": np.concatenate([zeros_ipd, phi_mu2]),
+        "phi_mu1": np.concatenate([pieces.phi_mu1, zeros_t2]),
+        "phi_alpha": np.concatenate([pieces.phi_alpha, zeros_t2]),
+        "phi_mu_x2": np.concatenate([zeros_ipd, phi_mu_x2]),
+    }
+
+
+@dataclass(frozen=True)
+class LemmaTerms:
+    """Plug-in simplifications of the weight-estimation and target-mean
+    variance contributions (correct-trial-model forms)."""
+
+    var_phi_alpha: float
+    cov_mu1_alpha: float
+    var_phi_mu_x2: float
+    cov_mu2_mu_x2: float
+
+
+def lemma_variance_terms(
+    ipd: IpdStudy,
+    agd_records: TrialRecords,
+    model: WeightModel,
+    est: Estimate,
+) -> LemmaTerms:
+    """Evaluate the simplified variance contributions with empirical
+    outcome-covariate covariances and the aggregate-trial covariate
+    dispersion.  First-moment weighting on the identity scale only."""
+    if agd_records is None:
+        raise RequiresFullIpd("lemma terms need the aggregate trial's records")
+    if model.spec is not MomentSpec.FIRST:
+        raise ValueError("lemma terms are defined for first-moment weighting")
+    w = model.weights
+    c = ipd.x - model.centering
+    n_ipd = ipd.n
+    n2 = len(agd_records.y)
+    n_total = n_ipd + n2
+    p_t2 = n2 / n_total
+    ew_t1 = w.sum() / n_total
+    p_z1_t1 = (ipd.z == 1).mean()
+
+    # trial-selection odds up to the (estimable) normalizing constant
+    omega = w * p_t2 / ew_t1
+
+    active = (ipd.z == 1).astype(float)
+    resid = (ipd.y - est.mu1) * active
+    ctilde = c.T @ (resid * w) / n_total
+    c1 = ctilde / (p_z1_t1 * ew_t1)
+
+    x2c = agd_records.x - model.centering
+    var_x_t2 = x2c.T @ x2c / n2 - np.outer(x2c.mean(axis=0), x2c.mean(axis=0))
+    z2 = agd_records.z == 2
+    y2 = agd_records.y[z2] - agd_records.y[z2].mean()
+    x2a = agd_records.x[z2] - agd_records.x[z2].mean(axis=0)
+    c2 = x2a.T @ y2 / z2.sum()
+
+    vinv_c1 = np.linalg.solve(var_x_t2, c1)
+    vinv_c2 = np.linalg.solve(var_x_t2, c2)
+
+    m = (c * (omega**2)[:, None]).T @ c / n_total / p_t2
+    var_phi_alpha = float(vinv_c1 @ m @ vinv_c1 / p_t2)
+    e_resid = c.T @ (resid * omega**2) / n_total / (p_z1_t1 * p_t2)
+    cov_mu1_alpha = float(-(vinv_c1 @ e_resid) / p_t2)
+    var_phi_mu_x2 = float(c1 @ vinv_c1 / p_t2)
+    cov_mu2_mu_x2 = float(-(c1 @ vinv_c2) / p_t2)
+    return LemmaTerms(var_phi_alpha, cov_mu1_alpha, var_phi_mu_x2, cov_mu2_mu_x2)
 
 
 def random_problem(rng, n=80, p=2, binary=True, shift=0.3):
@@ -65,6 +154,12 @@ class TestArmOutcomeVariance:
         arm = make_arm(n=10, y_mean=0.4, y_var=None)
         expected = 0.4 * 0.6 * 10 / 9
         assert arm_outcome_variance(arm, OutcomeKind.BINARY) == pytest.approx(expected)
+
+    def test_bernoulli_fallback_needs_two_patients(self):
+        # ybar(1-ybar)*n/(n-1) divides by zero at n = 1
+        arm = make_arm(n=1, y_mean=0.4, y_var=None)
+        with pytest.raises(MissingAgdVariance, match="n >= 2"):
+            arm_outcome_variance(arm, OutcomeKind.BINARY)
 
     def test_continuous_without_variance_raises(self):
         arm = make_arm(y_var=None)
@@ -269,6 +364,17 @@ class TestFullInfluence:
             assert abs(arr.mean()) < 1e-8, name
         total = sum(arrays.values())
         assert abs(total.mean()) < 1e-8
+
+    @pytest.mark.parametrize("scale", list(Scale))
+    def test_sigma2_full_is_the_variance_of_the_summed_arrays_bit_for_bit(self, rng, scale):
+        # sigma2_full folds the four arrays into [phi_mu1 + phi_alpha |
+        # phi_mu2 + phi_mu_x2]; the zeros it skips change no bit of np.var
+        for _ in range(10):
+            ipd, agd, records, model = self._with_records(rng, n2=int(rng.integers(40, 160)))
+            est = maic_nab(ipd, agd, model, scale)
+            arrays = full_influence_arrays(ipd, agd, records, model, est, scale)
+            want = float(np.var(sum(arrays.values())))
+            assert sigma2_full(ipd, agd, records, model, est, scale).sigma2.hex() == want.hex()
 
     def test_requires_records(self, rng):
         ipd, agd, model = random_problem(rng)
