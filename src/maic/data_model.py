@@ -165,11 +165,20 @@ class AgdArm:
                 raise TypeError(f"expected a list of numbers, got {type(v).__name__}")
             return [json_float(e) for e in v]
 
-        if not isinstance(d, dict):
-            raise SchemaError(f"AGD arm must be a JSON object, not {type(d).__name__}")
+        _known_keys("AGD arm", d, ("n", "y_mean", "y_var", "x_mean", "x_var"))
         return cls(n=get("n", json_int), y_mean=get("y_mean", json_float),
                    y_var=get("y_var", json_float, optional=True), x_mean=get("x_mean", vector),
                    x_var=get("x_var", vector, optional=True))
+
+
+def _known_keys(what: str, d: dict, keys) -> None:
+    """SchemaError unless `d` is a JSON object whose keys are all among
+    `keys`; it names the first other key."""
+    if not isinstance(d, dict):
+        raise SchemaError(f"{what} must be a JSON object, not {type(d).__name__}")
+    for key in d:
+        if key not in keys:
+            raise SchemaError(f"unknown {what} key {key!r}")
 
 
 def _flat(key: str, values) -> np.ndarray:
@@ -236,9 +245,11 @@ class AgdStudy:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AgdStudy":
+        _known_keys("AGD document", d, ("covariates", "arms"))
         try:
             covariates = tuple(d["covariates"])
             arms = d["arms"]
+            _known_keys("AGD arms", arms, ("active", "comparator"))
             active = AgdArm.from_dict(arms["active"])
         except KeyError as e:
             raise SchemaError(f"AGD document missing {e}") from None
@@ -358,7 +369,8 @@ def load_ipd(
     non-numeric cells in mapped columns, are named by file, line and column.
     """
     binary = outcome_kind is OutcomeKind.BINARY
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig: a leading byte-order mark, as spreadsheets write, is dropped
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         header = next(csv.reader(fh), None)
         if header is None:
             raise EmptyStudy(f"{path}: empty file")
@@ -396,7 +408,7 @@ def _raise_first_bad_cell(path, columns, usecols, binary, message):
     cell, on its physical line; the checks reject everything the columnar
     parse and IpdStudy reject.  `columns[0]` is the arm column and
     `columns[1]` the outcome, which must be coded 0/1 when `binary`."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         next(reader)
         for row in reader:
@@ -457,17 +469,21 @@ def json_int(value) -> int:
 
 
 def json_float(value) -> float:
-    """A JSON value as a float: a number or a numeric string.  A boolean
-    is a TypeError, so true and false never load as 1.0 and 0.0."""
+    """A JSON value as a finite float: a number or a numeric string.  A
+    boolean is a TypeError, so true and false never load as 1.0 and 0.0,
+    and a non-finite value such as "nan" or "inf" a ValueError."""
     if isinstance(value, bool):
         raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
 
 
 def load_json_object(path, **kwargs) -> dict:
     """The JSON object a file holds (`kwargs` go to json.load); SchemaError
     naming the file for invalid JSON or another top-level value."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh, **kwargs)
         except json.JSONDecodeError as e:

@@ -19,6 +19,7 @@ import numpy as np
 from .data_model import AgdStudy, IpdBlock, IpdStudy, OutcomeKind, stack_ipd, take_rows
 from .errors import (
     BoundaryProportion,
+    DimensionMismatch,
     NoComparatorArm,
     SeparationError,
     SingularDesign,
@@ -200,22 +201,17 @@ def _irls(design: np.ndarray, y: np.ndarray) -> list:
         grad = np.matmul(d.transpose(0, 2, 1), (take_rows(y, live) - mu)[:, :, None])[:, :, 0]
         hess = np.matmul((d * wt[:, :, None]).transpose(0, 2, 1), d)
         step, singular = solve_each(hess, grad)
-        if singular.any():
-            for b in live[singular]:
-                outcome[b] = SingularDesign("singular design in logistic fit")
-            live, step = live[~singular], step[~singular]
+        # a singular replicate's step is 0, and it reports only its error
         gamma[live] = gamma[live] + step
-        diverged = np.abs(gamma[live]).max(axis=1) > IRLS_COEF_CAP
-        if diverged.any():
-            for b in live[diverged]:
-                outcome[b] = SeparationError(
-                    "logistic fit diverged (complete separation suspected)")
-            live, step = live[~diverged], step[~diverged]
-        done = np.abs(step).max(axis=1) < IRLS_TOL
-        if done.any():
-            for b in live[done]:
-                outcome[b] = gamma[b]
-            live = live[~done]
+        diverged = ~singular & (np.abs(gamma[live]).max(axis=1) > IRLS_COEF_CAP)
+        done = ~singular & ~diverged & (np.abs(step).max(axis=1) < IRLS_TOL)
+        for b in live[singular]:
+            outcome[b] = SingularDesign("singular design in logistic fit")
+        for b in live[diverged]:
+            outcome[b] = SeparationError("logistic fit diverged (complete separation suspected)")
+        for b in live[done]:
+            outcome[b] = gamma[b]
+        live = live[~(singular | diverged | done)]
     for b in live:
         outcome[b] = SeparationError("logistic fit failed to converge")
     return outcome
@@ -235,6 +231,8 @@ def stc(ipd: IpdStudy, agd: AgdStudy, scale: Scale = Scale.IDENTITY) -> Estimate
 
 def stc_block(block: IpdBlock, agds, scale: Scale = Scale.IDENTITY) -> list:
     """stc for each study of a block: an Estimate or the MaicError per study."""
+    if not block.x.shape[2]:
+        return [DimensionMismatch("stc needs at least one covariate")] * len(block)
     binary = block.outcome_kind is OutcomeKind.BINARY
     x, y = block.arm_rows(block.x, 1), block.arm_rows(block.y, 1)
     design = np.concatenate([np.ones(y.shape + (1,)), x], axis=2)

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data_model import IpdBlock, IpdStudy, MomentSpec, stack_ipd, take_rows
-from .errors import DegenerateCovariate, EmptyWeights, NonConvergence, capture, unwrap
+from .errors import (DegenerateCovariate, DimensionMismatch, EmptyWeights, NonConvergence, capture,
+                     unwrap)
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -96,6 +97,8 @@ def solve_weights_block(block: IpdBlock, targets: np.ndarray, spec: MomentSpec,
                         cfg: SolverConfig) -> list:
     """solve_weights for each study of a block, one target row each: a
     WeightModel or the MaicError per study."""
+    if not block.x.shape[2]:
+        return [DimensionMismatch("the weights need at least one covariate")] * len(block)
     t = moment_matrix(block.x, spec)
     span = t.max(axis=1) - t.min(axis=1)
     degenerate = (span == 0) & (np.abs(t.mean(axis=1) - targets) > 1e-12)
@@ -168,18 +171,6 @@ def solve_each(a: np.ndarray, rhs: np.ndarray):
     return x, singular
 
 
-def _newton_steps(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Newton steps hess^-1 grad, least squares where a Hessian is singular."""
-    steps, singular = solve_each(hess, grad)
-    for b in np.flatnonzero(singular):
-        warnings.warn(
-            "singular Hessian (collinear moments); using least-squares step",
-            stacklevel=5,
-        )
-        steps[b] = np.linalg.lstsq(hess[b], grad[b], rcond=None)[0]
-    return steps
-
-
 def _newton(c: np.ndarray, cfg: SolverConfig):
     """Damped Newton on Q(a) = mean exp(a'c_i) for each replicate of the
     (B, n, k) centred moments c, in lockstep: a replicate leaves the loop
@@ -212,50 +203,51 @@ def _newton(c: np.ndarray, cfg: SolverConfig):
             live, cl, wc, grad = live[~done], cl[~done], wc[~done], grad[~done]
             if not len(live):
                 break
-        step = _newton_steps(np.matmul(wc.transpose(0, 2, 1), cl) / n, grad)
+        hess = np.matmul(wc.transpose(0, 2, 1), cl) / n
+        step, singular = solve_each(hess, grad)
+        for b in np.flatnonzero(singular):
+            warnings.warn("singular Hessian (collinear moments); using least-squares step",
+                          stacklevel=4)
+            step[b] = np.linalg.lstsq(hess[b], grad[b], rcond=None)[0]
 
-        # backtracking: halve until the strictly convex objective decreases;
-        # once the trial point rounds to alpha it does so at every smaller
-        # scale, so that replicate stops searching
+        # backtracking: halve until the strictly convex objective decreases.
+        # A replicate leaves the search in one place, after its evaluation: when
+        # it accepts, or when its trial point rounds to alpha, as it then does at
+        # every smaller scale (that point evaluates back to q0, so never accepts)
         accepted = np.zeros(len(live), dtype=bool)
         at = np.arange(len(live))  # positions in live still searching
         a0, st, q0, cs = alpha[live], step, q[live], cl
-        scale = 1.0
+        scale, full = 1.0, None
         for _ in range(cfg.step_halvings_max):
             trial = a0 - scale * st
-            keep = (trial != a0).any(axis=1)
-            if not keep.all():
-                at, a0, st, q0, cs, trial = at[keep], a0[keep], st[keep], q0[keep], cs[keep], trial[keep]
-                if not len(at):
-                    break
             w_new, q_new, ok = _evaluate(cs, trial)
+            if full is None:  # scale 1: the full Newton step
+                full = w_new, q_new, ok, trial
             better = ok & (q_new < q0)
             if better.any():
                 took = live[at[better]]
                 alpha[took], w[took], q[took] = trial[better], w_new[better], q_new[better]
                 accepted[at[better]] = True
-                keep = ~better
-                at, a0, st, q0, cs = at[keep], a0[keep], st[keep], q0[keep], cs[keep]
+            stay = ~better & (trial != a0).any(axis=1)
+            if not stay.all():
+                at, a0, st, q0, cs = at[stay], a0[stay], st[stay], q0[stay], cs[stay]
                 if not len(at):
                     break
             scale *= 0.5
 
-        # objective flat to machine precision: take the full Newton step
-        # anyway if it still tightens the balance residual
+        # objective flat to machine precision: take the full Newton step anyway
+        # if it still tightens the balance residual; the search's first pass
+        # evaluated that step for every live replicate
         if not accepted.all():
-            flat = np.flatnonzero(~accepted)
-            trial = alpha[live[flat]] - step[flat]
-            cf = take_rows(cl, flat)
-            w_new, q_new, ok = _evaluate(cf, trial)
-            sw_new = w_new.sum(axis=1)
-            valid = np.flatnonzero(ok & ~(sw_new <= 0))
-            res_new = ((w_new[valid][:, :, None] * cf[valid]).mean(axis=1) * n
-                       / sw_new[valid][:, None])
-            tighter = valid[np.abs(res_new).max(axis=1)
-                            < np.abs(residual[live[flat[valid]]]).max(axis=1)]
-            took = live[flat[tighter]]
-            alpha[took], w[took], q[took] = trial[tighter], w_new[tighter], q_new[tighter]
-            live = np.delete(live, np.setdiff1d(flat, flat[tighter]))
+            w1, q1, ok1, trial1 = full
+            sw1 = w1.sum(axis=1)
+            flat = np.flatnonzero(~accepted & ok1 & ~(sw1 <= 0))
+            res1 = (w1[flat][:, :, None] * take_rows(cl, flat)).mean(axis=1) * n / sw1[flat, None]
+            tighter = flat[np.abs(res1).max(axis=1) < np.abs(residual[live[flat]]).max(axis=1)]
+            took = live[tighter]
+            alpha[took], w[took], q[took] = trial1[tighter], w1[tighter], q1[tighter]
+            accepted[tighter] = True
+            live = live[accepted]
     return alpha, w, q, iterations, converged, residual
 
 

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maic import errors
@@ -39,6 +39,16 @@ def io_pair(tmp_path):
                            "x_mean": list(x.mean(axis=0)), "x_var": [1.0, 1.0]},
         },
     }))
+    return ipd, agd
+
+
+def no_covariate_pair(tmp_path):
+    """An IPD CSV with only y and z and an AGD document with no covariates."""
+    ipd = tmp_path / "yz.csv"
+    ipd.write_text("y,z\n1,1\n0,1\n1,1\n0,0\n1,0\n0,0\n")
+    arm = {"n": 50, "y_mean": 0.4, "y_var": 0.24, "x_mean": []}
+    agd = tmp_path / "none.json"
+    agd.write_text(json.dumps({"covariates": [], "arms": {"active": arm, "comparator": arm}}))
     return ipd, agd
 
 
@@ -163,6 +173,16 @@ class TestFit:
         err = capsys.readouterr().err
         assert code == 1
         assert f"SchemaError: {ipd}: column 'x2' appears more than once in the header" in err
+
+    @pytest.mark.parametrize("command", ["fit", "negcontrol"])
+    def test_no_covariate_columns_exits_1_by_name(self, tmp_path, capsys, command):
+        ipd, agd = no_covariate_pair(tmp_path)
+        out = tmp_path / command
+        code = main([command, "--ipd", str(ipd), "--agd", str(agd), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "DimensionMismatch: the weights need at least one covariate" in err
+        assert not out.exists() or not any(out.glob("*.json"))
 
     def test_weight_underflowing_to_zero_exits_0(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -412,6 +432,44 @@ class TestCompare:
         assert all(e.startswith("MissingAgdVariance: ") and "n >= 2" in e
                    for e in report["errors"].values())
 
+    def test_no_covariates_files_the_stc_error(self, tmp_path):
+        # naive and bucher weight no covariates; stc regresses on them
+        ipd, agd = no_covariate_pair(tmp_path)
+        out = tmp_path / "yz"
+        code = main(["compare", "--ipd", str(ipd), "--agd", str(agd),
+                     "--methods", "naive,bucher,stc", "--out", str(out)])
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert set(report["methods"]) == {"naive", "bucher"}
+        assert report["errors"] == {"stc": "DimensionMismatch: stc needs at least one covariate"}
+
+    @pytest.mark.parametrize("key, value", [("y_var", "nan"), ("y_mean", "nan"),
+                                            ("x_mean", ["nan", 0.0]), ("x_var", ["inf", 1.0])])
+    def test_non_finite_agd_string_exits_1_by_name(self, io_pair, tmp_path, capsys, key, value):
+        ipd, agd = io_pair
+        doc = json.loads(agd.read_text())
+        doc["arms"]["comparator"][key] = value
+        agd.write_text(json.dumps(doc))
+        out = tmp_path / "nan"
+        code = main(["compare", "--ipd", str(ipd), "--agd", str(agd),
+                     "--moments", "first+second", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"SchemaError: {agd}: AGD arm field {key!r}" in err
+        assert not (out / "report.json").exists()
+
+    def test_misspelt_comparator_arm_exits_1_by_name(self, io_pair, tmp_path, capsys):
+        ipd, agd = io_pair
+        doc = json.loads(agd.read_text())
+        doc["arms"]["comparater"] = doc["arms"].pop("comparator")
+        agd.write_text(json.dumps(doc))
+        out = tmp_path / "typo"
+        code = main(["compare", "--ipd", str(ipd), "--agd", str(agd), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"SchemaError: {agd}: unknown AGD arms key 'comparater'" in err
+        assert not (out / "report.json").exists()
+
     @pytest.mark.parametrize("level", ["2", "0", "1", "nan", "inf"])
     def test_level_outside_the_unit_interval_is_named(self, io_pair, tmp_path, capsys, level):
         ipd, agd = io_pair
@@ -590,6 +648,26 @@ AGD_PATHS = [("covariates",), ("arms",), ("arms", "active"), ("arms", "comparato
                for key in ("n", "y_mean", "y_var", "x_mean", "x_var"))]
 
 
+FUZZ_ARM = {"n": 30, "y_mean": 0.5, "y_var": 0.25, "x_mean": [0.1, -0.1], "x_var": [1.0, 1.0]}
+# a valid IPD whose covariate hull holds the AGD means, so its weights converge
+FUZZ_IPD = ("y,z,x1,x2\n1,1,0.5,0.4\n0,1,-0.4,-0.6\n1,1,0.3,-0.5\n0,1,-0.2,0.3\n"
+            "1,0,0.6,-0.3\n0,0,-0.5,0.2\n1,0,0.2,0.5\n0,0,-0.1,-0.4\n")
+FUZZ_FLAGS = ["--moments", "first", "--outcome-kind", "binary"]
+COMPARE_FLAGS = [*FUZZ_FLAGS, "--scale", "identity", "--level", "0.95"]
+
+
+def fuzz_agd(*arms, drop=(), covariates=("x1", "x2"), **fields) -> str:
+    """The valid fuzz AGD document as JSON, with `fields` set on the named
+    arms and the keys in `drop` removed from them."""
+    agd = {"covariates": list(covariates),
+           "arms": {"active": dict(FUZZ_ARM), "comparator": dict(FUZZ_ARM)}}
+    for arm in arms:
+        agd["arms"][arm].update(fields)
+        for key in drop:
+            del agd["arms"][arm][key]
+    return json.dumps(agd)
+
+
 @st.composite
 def fuzz_runs(draw):
     """A fit, compare or negcontrol command line over an IPD CSV and an AGD
@@ -603,14 +681,13 @@ def fuzz_runs(draw):
         row = draw(st.sampled_from(rows))
         row[draw(st.integers(0, 3))] = draw(st.sampled_from(FUZZ_CELLS))
     header = draw(st.sampled_from([["y", "z", "x1", "x2"]] * 4
-                                  + [["y", "z", "x1"], ["z", "x1", "x2"]]))
+                                  + [["y", "z", "x1"], ["z", "x1", "x2"], ["y", "z"]]))
     lines = [",".join(header)] + [",".join(r[:len(header)]) for r in rows]
     if draw(st.integers(0, 7)) == 0:
         lines = lines[:draw(st.integers(0, len(lines) - 1))]  # cut short, down to nothing
     ipd = "\n".join(lines) + "\n"
 
-    arm = {"n": 30, "y_mean": 0.5, "y_var": 0.25, "x_mean": [0.1, -0.1], "x_var": [1.0, 1.0]}
-    agd = {"covariates": ["x1", "x2"], "arms": {"active": dict(arm), "comparator": dict(arm)}}
+    agd = json.loads(fuzz_agd())
     for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
         path, parent = draw(st.sampled_from(AGD_PATHS)), agd
         for key in path[:-1]:
@@ -649,6 +726,16 @@ def fuzz_runs(draw):
 class TestCliFuzz:
     @settings(max_examples=150, deadline=None)
     @given(run=fuzz_runs())
+    # paths the draws reach too rarely to catch a regression on one run
+    @example(run=("compare", FUZZ_IPD, fuzz_agd("comparator", drop=("y_var", "x_var"), n=1),
+                  [*COMPARE_FLAGS, "--se", "fo"]))
+    @example(run=("fit", FUZZ_IPD, fuzz_agd("active", x_mean=0.3), FUZZ_FLAGS))
+    @example(run=("compare", FUZZ_IPD, fuzz_agd("comparator", x_mean=[[0.1, -0.1]]),
+                  COMPARE_FLAGS))
+    @example(run=("compare", "y,z\n1,1\n0,1\n1,0\n0,0\n",
+                  fuzz_agd("active", "comparator", covariates=(), x_mean=[], x_var=[]),
+                  [*COMPARE_FLAGS, "--methods", "stc,bucher"]))
+    @example(run=("compare", FUZZ_IPD, fuzz_agd("active", y_var="nan"), COMPARE_FLAGS))
     def test_exit_code_is_0_1_or_2_and_no_traceback(self, tmp_path_factory, run):
         command, ipd_text, agd_text, flags = run
         tmp = tmp_path_factory.mktemp("fuzz")

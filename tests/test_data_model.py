@@ -138,6 +138,21 @@ class TestLoadIpd:
                 f"{p}: column {name!r} appears more than once in the header")):
             load_ipd(p)
 
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        # spreadsheets save "CSV UTF-8" with a BOM before the first header name
+        text = "y,z,x1\n1,1,0.2\n0,0,-0.1\n"
+        plain = load_ipd(write(tmp_path / "plain.csv", text))
+        p = tmp_path / "bom.csv"
+        p.write_text(text, encoding="utf-8-sig")
+        assert p.read_bytes().startswith(b"\xef\xbb\xbf")
+        study = load_ipd(p)
+        assert study.covariate_names == plain.covariate_names == ("x1",)
+        assert study.y.tolist() == plain.y.tolist() and study.x.tolist() == plain.x.tolist()
+        # a bad cell is still named on its physical line
+        p.write_text(text + "1,1,oops\n", encoding="utf-8-sig")
+        with pytest.raises(NonNumericValue, match=re.escape(f"{p}:4: non-numeric value 'oops'")):
+            load_ipd(p)
+
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 PAD = st.sampled_from(["", " ", "  ", "\t"])
@@ -298,6 +313,50 @@ class TestAgd:
         p = write(tmp_path / "agd.json", text)
         with pytest.raises(SchemaError, match=re.escape(f"{p}: non-finite")):
             load_agd(p)
+
+    @pytest.mark.parametrize("key, value", [
+        ("y_mean", "nan"), ("y_var", "nan"), ("x_mean", ["nan", 0.0]), ("x_var", ["inf", 1.0]),
+        ("y_var", "-Infinity"),
+    ])
+    def test_a_non_finite_numeric_string_is_named(self, tmp_path, key, value):
+        arm = {"n": 90, "y_mean": 0.4, "y_var": 0.24, "x_mean": [0.1, 0.2], "x_var": [1.0, 1.0],
+               key: value}
+        p = write(tmp_path / "agd.json",
+                  json.dumps({"covariates": ["x1", "x2"], "arms": {"active": arm}}))
+        with pytest.raises(SchemaError, match=re.escape(f"{p}: AGD arm field {key!r}")
+                           + ".*expected a finite number"):
+            load_agd(p)
+
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        doc = {"covariates": ["x1"],
+               "arms": {"active": {"n": 90, "y_mean": 0.4, "y_var": 0.24, "x_mean": [0.1]}}}
+        p = tmp_path / "agd.json"
+        p.write_text(json.dumps(doc), encoding="utf-8-sig")
+        assert p.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_agd(p).to_dict() == doc
+
+    @pytest.mark.parametrize("where, key", [
+        ((), "covariate_names"), (("arms",), "comparater"), (("arms", "active"), "y_sd"),
+    ])
+    def test_an_unknown_key_is_named(self, tmp_path, where, key):
+        # a misspelt comparator arm must not drop the arm silently
+        arm = {"n": 90, "y_mean": 0.4, "y_var": 0.24, "x_mean": [0.1]}
+        doc = {"covariates": ["x1"], "arms": {"active": arm}}
+        parent = doc
+        for k in where:
+            parent = parent[k]
+        parent[key] = dict(arm)
+        p = write(tmp_path / "agd.json", json.dumps(doc))
+        with pytest.raises(SchemaError, match=re.escape(f"{p}: unknown AGD ") + ".*"
+                           + re.escape(f"key {key!r}")):
+            load_agd(p)
+
+    def test_null_optional_fields_are_allowed(self):
+        arm = {"n": 90, "y_mean": 0.4, "y_var": None, "x_mean": [0.1], "x_var": None}
+        study = AgdStudy.from_dict({"covariates": ["x1"],
+                                    "arms": {"active": arm, "comparator": None}})
+        assert study.comparator_arm is None
+        assert study.active_arm.y_var is None and study.active_arm.x_var is None
 
     def test_schema_error_on_missing_field(self, tmp_path):
         p = write(tmp_path / "agd.json", json.dumps({"covariates": ["x1"]}))

@@ -6,9 +6,11 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maic.data_model import IpdBlock, MomentSpec, OutcomeKind
+from maic.data_model import IpdBlock, MomentSpec, OutcomeKind, stack_ipd
 from maic.errors import (
     BoundaryProportion,
+    DimensionMismatch,
+    MaicError,
     NoComparatorArm,
     SeparationError,
     SingularDesign,
@@ -22,6 +24,7 @@ from maic.estimators import (
     maic_nab,
     naive,
     stc,
+    stc_block,
 )
 from maic.weighting import WeightModel, solve_weights
 
@@ -287,6 +290,44 @@ class TestStc:
         est = stc(ipd, agd, Scale.LOGIT)
         assert est.mu1 == pytest.approx(mu1, rel=1e-8)
         assert est.delta == pytest.approx(logit(mu1) - logit(0.45), rel=1e-7)
+
+    def test_block_outcomes_equal_lone_fits(self, rng):
+        # one lockstep logistic fit over a singular design, a separating one
+        # and two that converge: each study ends as it does alone
+        n = 40
+        studies = []
+        for kind in ("plain", "singular", "separating", "plain"):
+            x = rng.normal(size=(n, 2))
+            y = (rng.random(n) < 1.0 / (1.0 + np.exp(-x[:, 0]))).astype(float)
+            if kind == "singular":
+                x[:, 1] = 0.0
+            elif kind == "separating":
+                y = (x[:, 0] > 0).astype(float)
+            studies.append(make_ipd(y, np.ones(n, int), x, outcome_kind=OutcomeKind.BINARY))
+        agd = make_agd(active=make_arm(y_mean=0.45, x_mean=[0.1, 0.0]), names=("x1", "x2"))
+
+        def lone(ipd):
+            try:
+                return stc(ipd, agd, Scale.LOGIT)
+            except MaicError as e:
+                return e
+
+        block = stc_block(stack_ipd(studies), [agd] * len(studies), Scale.LOGIT)
+        for got, want in zip(block, map(lone, studies)):
+            assert type(got) is type(want)
+            if isinstance(want, MaicError):
+                assert str(got) == str(want)
+            else:
+                assert got.to_dict() == want.to_dict()
+        assert [type(o).__name__ for o in block] == [
+            "Estimate", "SingularDesign", "SeparationError", "Estimate"]
+
+    @pytest.mark.parametrize("kind", list(OutcomeKind))
+    def test_no_covariates_is_named(self, kind):
+        ipd = make_ipd([1.0, 0.0], [1, 1], np.empty((2, 0)), outcome_kind=kind)
+        agd = make_agd(active=make_arm(x_mean=[]), names=())
+        with pytest.raises(DimensionMismatch, match="stc needs at least one covariate"):
+            stc(ipd, agd)
 
     def test_separation_raises(self):
         x = np.concatenate([-np.ones(10), np.ones(10)])[:, None]

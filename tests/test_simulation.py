@@ -48,6 +48,14 @@ class TestScenarioConfig:
         path.write_text(json.dumps(cfg_with().to_dict()))
         assert ScenarioConfig.from_json_file(path) == cfg_with()
 
+    def test_json_file_with_a_leading_byte_order_mark(self, tmp_path):
+        import json
+
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg_with().to_dict()), encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert ScenarioConfig.from_json_file(path) == cfg_with()
+
     def test_absent_keys_keep_the_field_defaults(self):
         assert ScenarioConfig.from_dict({}) == ScenarioConfig()
         assert ScenarioConfig.from_dict({"seed": 4}) == ScenarioConfig(seed=4)

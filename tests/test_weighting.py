@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maic.data_model import MomentSpec, pooled_target_moments, stack_ipd
-from maic.errors import DegenerateCovariate, EmptyWeights, MaicError, NonConvergence
+from maic.errors import (DegenerateCovariate, DimensionMismatch, EmptyWeights, MaicError,
+                         NonConvergence)
 from maic.simulation import ScenarioConfig, replicate_datasets
 from maic.weighting import (
     SolverConfig,
@@ -26,11 +27,12 @@ from conftest import make_ipd
 def reference_newton(c, cfg=SolverConfig()):
     """The lone damped-Newton loop as first written, which halves the step
     all step_halvings_max times even once the trial point equals alpha.
-    Returns alpha, weights, iterations and how many trial points equalled
-    alpha."""
+    Returns alpha, weights, iterations, how many trial points equalled
+    alpha, and how each iteration ended ("full", "halved" or "flat")."""
     n, k = c.shape
     alpha = np.zeros(k)
     idle = 0
+    path = []
 
     def evaluate(a):
         expo = c @ a
@@ -48,7 +50,7 @@ def reference_newton(c, cfg=SolverConfig()):
             break
         residual = grad * n / sw
         if np.max(np.abs(residual)) <= cfg.grad_tol:
-            return alpha, w, iterations, idle
+            return alpha, w, iterations, idle, path
         step = np.linalg.solve((w[:, None] * c).T @ c / n, grad)
         scale = 1.0
         accepted = False
@@ -61,6 +63,7 @@ def reference_newton(c, cfg=SolverConfig()):
                 accepted = True
                 break
             scale *= 0.5
+        path.append("full" if scale == 1.0 else "halved" if accepted else "flat")
         if not accepted:
             trial = alpha - step
             w_new, q_new = evaluate(trial)
@@ -111,6 +114,12 @@ class TestSolveWeights:
         ipd = make_ipd([0.0, 1.0], [1, 1], [[2.0, 0.0], [2.0, 1.0]])
         with pytest.raises(DegenerateCovariate, match="0"):
             solve_weights(ipd, np.array([2.5, 0.5]))
+
+    @pytest.mark.parametrize("spec", list(MomentSpec))
+    def test_no_covariates_is_named(self, spec):
+        ipd = make_ipd([0.0, 1.0], [1, 1], np.empty((2, 0)))
+        with pytest.raises(DimensionMismatch, match="the weights need at least one covariate"):
+            solve_weights(ipd, np.empty(0), spec)
 
     def test_constant_on_target_covariate_is_fine(self):
         ipd = make_ipd([0.0, 1.0], [1, 1], [[2.0, 0.0], [2.0, 1.0]])
@@ -272,19 +281,33 @@ class TestOverlapDiagnostics:
 class TestSolverBlocks:
     def test_flat_objective_solves_match_the_reference_bit_for_bit(self):
         # at 100 patients per arm most solves end on a flat objective, where
-        # the trial point rounds to alpha before the halvings run out
+        # the trial point rounds to alpha before the halvings run out.  Solved as
+        # one block too, so that within one lockstep pass some replicates
+        # accept a halved step while others take the flat fallback
         cfg = ScenarioConfig(n_per_arm=100, replicates=12, seed=4)
-        idle = 0
+        idle, paths, ipds, targets, references = 0, [], [], [], []
         for i in range(cfg.replicates):
             ipd, agd, _ = replicate_datasets(cfg, i)
             target = pooled_target_moments(agd, MomentSpec.FIRST)
-            alpha, w, iterations, flat = reference_newton(ipd.x - target)
+            alpha, w, iterations, flat, path = reference_newton(ipd.x - target)
             model = solve_weights(ipd, target)
             assert model.alpha1.tobytes() == alpha.tobytes()
             assert model.weights.tobytes() == w.tobytes()
             assert model.iterations == iterations
             idle += flat
+            paths.append(path)
+            ipds.append(ipd)
+            targets.append(target)
+            references.append((alpha, w, iterations))
         assert idle > 0
+        assert any({"halved", "flat"} <= {p[it] for p in paths if it < len(p)}
+                   for it in range(max(map(len, paths))))
+        block = solve_weights_block(stack_ipd(ipds), np.stack(targets), MomentSpec.FIRST,
+                                    SolverConfig())
+        for model, (alpha, w, iterations) in zip(block, references):
+            assert model.alpha1.tobytes() == alpha.tobytes()
+            assert model.weights.tobytes() == w.tobytes()
+            assert model.iterations == iterations
 
     def test_block_outcomes_equal_lone_solves(self):
         rng = np.random.default_rng(12)
