@@ -146,39 +146,13 @@ class AgdArm:
         return d
 
     @classmethod
-    def from_dict(cls, d: dict) -> "AgdArm":
+    def from_dict(cls, d) -> "AgdArm":
         """The arm of a JSON object; a missing field, or one that does not
         convert to its type, is a SchemaError naming its key."""
-
-        def get(key, convert, optional=False):
-            if optional and d.get(key) is None:
-                return None
-            try:
-                return convert(d[key])
-            except KeyError:
-                raise SchemaError(f"AGD arm missing field {key!r}") from None
-            except (TypeError, ValueError, OverflowError) as e:
-                raise SchemaError(f"AGD arm field {key!r} is malformed: {e}") from None
-
-        def vector(v):
-            if not isinstance(v, list):
-                raise TypeError(f"expected a list of numbers, got {type(v).__name__}")
-            return [json_float(e) for e in v]
-
-        _known_keys("AGD arm", d, ("n", "y_mean", "y_var", "x_mean", "x_var"))
-        return cls(n=get("n", json_int), y_mean=get("y_mean", json_float),
-                   y_var=get("y_var", json_float, optional=True), x_mean=get("x_mean", vector),
-                   x_var=get("x_var", vector, optional=True))
-
-
-def _known_keys(what: str, d: dict, keys) -> None:
-    """SchemaError unless `d` is a JSON object whose keys are all among
-    `keys`; it names the first other key."""
-    if not isinstance(d, dict):
-        raise SchemaError(f"{what} must be a JSON object, not {type(d).__name__}")
-    for key in d:
-        if key not in keys:
-            raise SchemaError(f"unknown {what} key {key!r}")
+        return cls(**{"y_var": None, **read_object("AGD arm", d, {
+            "n": json_int, "y_mean": json_float, "y_var": _nullable(json_float),
+            "x_mean": _json_vector, "x_var": _nullable(_json_vector),
+        }, ("n", "y_mean", "x_mean"))})
 
 
 def _flat(key: str, values) -> np.ndarray:
@@ -244,21 +218,14 @@ class AgdStudy:
         return {"covariates": list(self.covariate_names), "arms": arms}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "AgdStudy":
-        _known_keys("AGD document", d, ("covariates", "arms"))
-        try:
-            covariates = tuple(d["covariates"])
-            arms = d["arms"]
-            _known_keys("AGD arms", arms, ("active", "comparator"))
-            active = AgdArm.from_dict(arms["active"])
-        except KeyError as e:
-            raise SchemaError(f"AGD document missing {e}") from None
-        except TypeError as e:
-            raise SchemaError(f"AGD document has a malformed field: {e}") from None
-        comparator = None
-        if "comparator" in arms and arms["comparator"] is not None:
-            comparator = AgdArm.from_dict(arms["comparator"])
-        return cls(active, comparator, covariates)
+    def from_dict(cls, d) -> "AgdStudy":
+        def arms(value):
+            return read_object("AGD arms", value, {
+                "active": AgdArm.from_dict, "comparator": _nullable(AgdArm.from_dict)}, ("active",))
+
+        doc = read_object("AGD document", d, {"covariates": _json_names, "arms": arms},
+                          ("covariates", "arms"))
+        return cls(doc["arms"]["active"], doc["arms"].get("comparator"), doc["covariates"])
 
 
 @dataclass(frozen=True)
@@ -354,21 +321,15 @@ _NUMBER = re.compile(
 )
 
 
-def load_ipd(
-    path,
-    covariates: list[str] | None = None,
-    outcome_kind: OutcomeKind = OutcomeKind.CONTINUOUS,
-) -> IpdStudy:
+def load_ipd(path, outcome_kind: OutcomeKind = OutcomeKind.CONTINUOUS) -> IpdStudy:
     """Load an IPD study from a headered CSV file with the outcome in
-    column `y` and the arm code in column `z`.
-
-    `covariates` selects and orders the covariate columns; by default every
-    column other than y and z is used, in file order.
+    column `y`, the arm code in column `z` and a covariate in every other
+    column, in file order; each row has one cell per header name.
     The cells IpdStudy rejects (non-finite values, arm codes other than 0/1
-    and, for a binary outcome, outcomes not coded 0/1), and missing or
-    non-numeric cells in mapped columns, are named by file, line and column.
+    and, for a binary outcome, outcomes not coded 0/1), missing or
+    non-numeric cells are named by file, line and column, and rows with more
+    cells than the header has names by file and line.
     """
-    binary = outcome_kind is OutcomeKind.BINARY
     # utf-8-sig: a leading byte-order mark, as spreadsheets write, is dropped
     with open(path, newline="", encoding="utf-8-sig") as fh:
         header = next(csv.reader(fh), None)
@@ -379,35 +340,38 @@ def load_ipd(
             if name in index:
                 raise SchemaError(f"{path}: column {name!r} appears more than once in the header")
             index[name] = i
-        if covariates is None:
-            covariates = [c for c in index if c not in ("y", "z")]
-        columns = ["z", "y", *covariates]
-        for col in columns:
+        for col in ("y", "z"):
             if col not in index:
                 raise MissingColumn(f"{path}: column {col!r} not found")
-        usecols = [index[col] for col in columns]
         try:
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                data = np.loadtxt(fh, delimiter=",", usecols=usecols, ndmin=2,
-                                  comments=None, quotechar='"')
+                data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None, quotechar='"')
         except ValueError as e:
-            _raise_first_bad_cell(path, columns, usecols, binary, str(e))
+            _raise_first_bad_cell(path, list(index), outcome_kind, str(e))
+    if len(data) == 0:
+        raise EmptyStudy(f"{path}: IPD study has no data rows")
+    if data.shape[1] != len(index):
+        _raise_first_bad_cell(path, list(index), outcome_kind,
+                              f"{data.shape[1]} columns under {len(index)} header names")
+    covariates = [c for c in index if c not in ("y", "z")]
     try:
-        # contiguous copies: a strided view would change reduction order downstream
-        return IpdStudy(np.ascontiguousarray(data[:, 1]), data[:, 0],
-                        np.ascontiguousarray(data[:, 2:]), tuple(covariates), outcome_kind)
+        # contiguous copies (take copies in C order): a strided view would change
+        # reduction order downstream
+        return IpdStudy(np.ascontiguousarray(data[:, index["y"]]), data[:, index["z"]],
+                        data.take([index[c] for c in covariates], axis=1),
+                        tuple(covariates), outcome_kind)
     except (NonNumericValue, InvalidArmCode) as e:
-        _raise_first_bad_cell(path, columns, usecols, binary, str(e))
+        _raise_first_bad_cell(path, list(index), outcome_kind, str(e))
     except EmptyStudy as e:
         raise EmptyStudy(f"{path}: {e}") from None
 
 
-def _raise_first_bad_cell(path, columns, usecols, binary, message):
+def _raise_first_bad_cell(path, names, outcome_kind, message):
     """Re-read the file row by row and raise the error for its first bad
-    cell, on its physical line; the checks reject everything the columnar
-    parse and IpdStudy reject.  `columns[0]` is the arm column and
-    `columns[1]` the outcome, which must be coded 0/1 when `binary`."""
+    row or cell, on its physical line; the checks reject everything the
+    columnar parse, its column count and IpdStudy reject."""
+    binary = outcome_kind is OutcomeKind.BINARY
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         next(reader)
@@ -415,7 +379,9 @@ def _raise_first_bad_cell(path, columns, usecols, binary, message):
             if not row:
                 continue
             where = f"{path}:{reader.line_num}"
-            for j, (col, i) in enumerate(zip(columns, usecols)):
+            if len(row) > len(names):
+                raise SchemaError(f"{where}: {len(row)} cells under {len(names)} header names")
+            for i, col in enumerate(names):
                 raw = row[i].strip() if i < len(row) else ""
                 if raw == "":
                     raise NonNumericValue(f"{where}: missing value in {col!r}")
@@ -424,9 +390,9 @@ def _raise_first_bad_cell(path, columns, usecols, binary, message):
                 value = float(raw)
                 if not math.isfinite(value):
                     raise NonNumericValue(f"{where}: non-finite value {raw!r} in {col!r}")
-                if j == 0 and value not in (0.0, 1.0):
+                if col == "z" and value not in (0.0, 1.0):
                     raise InvalidArmCode(f"{where}: arm code {value} not in {{0, 1}}")
-                if j == 1 and binary and value not in (0.0, 1.0):
+                if col == "y" and binary and value not in (0.0, 1.0):
                     raise NonNumericValue(
                         f"{where}: binary outcome {raw!r} not coded 0/1 in {col!r}"
                     )
@@ -435,18 +401,7 @@ def _raise_first_bad_cell(path, columns, usecols, binary, message):
 
 def load_agd(path) -> AgdStudy:
     """Load an AGD study from its JSON document."""
-
-    def finite(token: str) -> float:
-        value = float(token)
-        if not math.isfinite(value):
-            raise SchemaError(f"{path}: non-finite number {token} is not allowed")
-        return value
-
-    doc = load_json_object(path, parse_float=finite, parse_constant=finite)
-    try:
-        study = AgdStudy.from_dict(doc)
-    except MaicError as e:
-        raise type(e)(f"{path}: {e}") from None
+    study = load_json_object(path, AgdStudy.from_dict)
     for arm in study.arms:
         if arm.y_var is None:
             warnings.warn(
@@ -455,6 +410,49 @@ def load_agd(path) -> AgdStudy:
                 stacklevel=2,
             )
     return study
+
+
+def read_object(what: str, d, fields: dict, required=()) -> dict:
+    """The present keys of the JSON object `d`, each converted by its
+    converter in `fields`, in field order.  A value that is not an object,
+    an unknown key, a missing `required` key or a value its converter
+    rejects with a TypeError, ValueError or OverflowError is a SchemaError
+    naming `what` and the key."""
+    if not isinstance(d, dict):
+        raise SchemaError(f"{what} must be a JSON object, not {type(d).__name__}")
+    for key in d:
+        if key not in fields:
+            raise SchemaError(f"unknown {what} key {key!r}")
+    values = {}
+    for key, convert in fields.items():
+        if key not in d:
+            if key in required:
+                raise SchemaError(f"{what} missing field {key!r}")
+            continue
+        try:
+            values[key] = convert(d[key])
+        except (TypeError, ValueError, OverflowError) as e:
+            raise SchemaError(f"{what} field {key!r} is malformed: {e}") from None
+    return values
+
+
+def _nullable(convert):
+    """The converter `convert` that also reads a JSON null, as None."""
+    return lambda value: None if value is None else convert(value)
+
+
+def _json_names(value) -> tuple[str, ...]:
+    """A JSON list of strings as a tuple of names."""
+    if not isinstance(value, list) or not all(isinstance(e, str) for e in value):
+        raise TypeError(f"expected a list of names, got {value!r}")
+    return tuple(value)
+
+
+def _json_vector(value) -> list[float]:
+    """A JSON list of numbers as a list of finite floats."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list of numbers, got {type(value).__name__}")
+    return [json_float(e) for e in value]
 
 
 def json_int(value) -> int:
@@ -480,17 +478,21 @@ def json_float(value) -> float:
     return number
 
 
-def load_json_object(path, **kwargs) -> dict:
-    """The JSON object a file holds (`kwargs` go to json.load); SchemaError
-    naming the file for invalid JSON or another top-level value."""
+def load_json_object(path, read):
+    """read(doc) for the JSON object `doc` a file holds.  Invalid JSON or
+    another top-level value is a SchemaError naming the file, and any
+    MaicError `read` raises is raised again with the file prefixed."""
     with open(path, encoding="utf-8-sig") as fh:
         try:
-            doc = json.load(fh, **kwargs)
+            doc = json.load(fh)
         except json.JSONDecodeError as e:
             raise SchemaError(f"{path}: invalid JSON ({e})") from None
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: top-level JSON value must be an object")
-    return doc
+    try:
+        return read(doc)
+    except MaicError as e:
+        raise type(e)(f"{path}: {e}") from None
 
 
 def write_rows(path, rows, fieldnames) -> None:

@@ -45,6 +45,7 @@ from .data_model import (
     json_int,
     load_json_object,
     pooled_target_moments,
+    read_object,
 )
 from .errors import InsufficientCell, MaicError, SchemaError
 from .estimators import Method, Scale, estimate_block
@@ -116,29 +117,18 @@ class ScenarioConfig:
         return {k: v.value if isinstance(v, enum.Enum) else v for k, v in values.items()}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ScenarioConfig":
+    def from_dict(cls, d) -> "ScenarioConfig":
         """The config of a JSON document; absent keys keep the field defaults.
         A value that does not convert or is out of range is a SchemaError
         naming its key."""
-        values = {}
-        for key, value in d.items():
-            if key not in _COERCE:
-                raise SchemaError(f"unknown scenario key {key!r}")
-            try:
-                values[key] = _COERCE[key](value)
-            except (TypeError, ValueError, OverflowError) as e:
-                raise SchemaError(f"scenario key {key!r}: {e}") from None
         try:
-            return cls(**values)
+            return cls(**read_object("scenario", d, _COERCE))
         except ValueError as e:
             raise SchemaError(str(e)) from None
 
     @classmethod
     def from_json_file(cls, path) -> "ScenarioConfig":
-        try:
-            return cls.from_dict(load_json_object(path))
-        except SchemaError as e:
-            raise SchemaError(f"{path}: {e}") from None
+        return load_json_object(path, cls.from_dict)
 
 
 # the type of each ScenarioConfig field, applied to a JSON value

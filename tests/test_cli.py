@@ -458,6 +458,53 @@ class TestCompare:
         assert f"SchemaError: {agd}: AGD arm field {key!r}" in err
         assert not (out / "report.json").exists()
 
+    def test_ipd_row_with_an_extra_cell_exits_1_by_line(self, io_pair, tmp_path, capsys):
+        # an unquoted decimal comma in the first data row
+        ipd, agd = io_pair
+        lines = ipd.read_text().splitlines()
+        lines[1] = "1,1,1,5,0.3"
+        ipd.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "long"
+        code = main(["compare", "--ipd", str(ipd), "--agd", str(agd), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"SchemaError: {ipd}:2: 5 cells under 4 header names" in err
+        assert not (out / "report.json").exists()
+
+    def test_covariates_given_as_a_string_exit_1_by_name(self, tmp_path, capsys):
+        # "x" must not load as the one name 'x' and match an IPD column x
+        ipd = tmp_path / "ipd.csv"
+        ipd.write_text("y,z,x\n1,1,0.2\n0,1,-0.1\n1,0,0.4\n0,0,0.1\n")
+        arm = {"n": 30, "y_mean": 0.5, "y_var": 0.25, "x_mean": [0.1]}
+        agd = tmp_path / "agd.json"
+        agd.write_text(json.dumps({"covariates": "x", "arms": {"active": arm, "comparator": arm}}))
+        out = tmp_path / "names"
+        code = main(["compare", "--ipd", str(ipd), "--agd", str(agd), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"SchemaError: {agd}: AGD document field 'covariates'" in err
+        assert not (out / "report.json").exists()
+
+    def test_nearly_collinear_covariates_warn_of_the_moment_jacobian(self, tmp_path):
+        rng = np.random.default_rng(0)
+        x1 = rng.normal(size=40)
+        x2 = x1 + 1e-7 * rng.normal(size=40)
+        ipd = tmp_path / "ipd.csv"
+        with open(ipd, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["y", "z", "x1", "x2"])
+            writer.writerows(zip([1, 0] * 20, [1] * 20 + [0] * 20, x1, x2))
+        arm = {"n": 50, "y_mean": 0.5, "y_var": 0.25, "x_mean": [x1.mean(), x2.mean()]}
+        agd = tmp_path / "agd.json"
+        agd.write_text(json.dumps({"covariates": ["x1", "x2"],
+                                   "arms": {"active": arm, "comparator": arm}}))
+        out = tmp_path / "collinear"
+        with pytest.warns(UserWarning, match="moment Jacobian condition number .* exceeds"):
+            code = main(["compare", "--ipd", str(ipd), "--agd", str(agd),
+                         "--methods", "maic-nab", "--se", "fo", "--out", str(out)])
+        assert code == 0
+        assert (out / "report.json").exists()
+
     def test_misspelt_comparator_arm_exits_1_by_name(self, io_pair, tmp_path, capsys):
         ipd, agd = io_pair
         doc = json.loads(agd.read_text())

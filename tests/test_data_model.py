@@ -78,11 +78,30 @@ class TestLoadIpd:
         with pytest.raises(MissingColumn):
             load_ipd(p)
 
-    def test_covariate_selection_orders_columns(self, tmp_path):
-        p = write(tmp_path / "ipd.csv", "y,z,a,b\n1,1,1,2\n0,1,3,4\n")
-        study = load_ipd(p, covariates=["b", "a"])
+    def test_every_other_column_is_a_covariate_in_file_order(self, tmp_path):
+        p = write(tmp_path / "ipd.csv", "b,y,a,z\n2,1,1,1\n4,0,3,1\n")
+        study = load_ipd(p)
         assert study.covariate_names == ("b", "a")
-        np.testing.assert_allclose(study.x[0], [2.0, 1.0])
+        np.testing.assert_array_equal(study.x, [[2.0, 1.0], [4.0, 3.0]])
+        np.testing.assert_array_equal(study.y, [1.0, 0.0])
+
+    def test_a_row_with_more_cells_than_the_header_is_named(self, tmp_path):
+        # an unquoted decimal comma must not load as x2 = 5.0 and drop 0.3
+        p = write(tmp_path / "ipd.csv", "y,z,x1,x2\n1,1,1,5,0.3\n0,0,0.1,0.2\n")
+        with pytest.raises(SchemaError, match=re.escape(
+                f"{p}:2: 5 cells under 4 header names")):
+            load_ipd(p)
+
+    def test_a_table_whose_every_row_is_one_cell_too_long_is_named(self, tmp_path):
+        p = write(tmp_path / "ipd.csv", "y,z,x1\n1,1,0.2,7\n\n0,0,0.1,8\n1,0,0.3,9\n")
+        with pytest.raises(SchemaError, match=re.escape(
+                f"{p}:2: 4 cells under 3 header names")):
+            load_ipd(p)
+
+    def test_a_short_row_is_a_missing_value(self, tmp_path):
+        p = write(tmp_path / "ipd.csv", "y,z,x1,x2\n1,1,0.2,0.3\n0,0,0.1\n")
+        with pytest.raises(NonNumericValue, match=re.escape(f"{p}:3: missing value in 'x2'")):
+            load_ipd(p)
 
     def test_row_order_preserved(self, tmp_path):
         rows = "\n".join(f"{i % 2},1,{i}" for i in range(10))
@@ -166,18 +185,14 @@ BAD_CELLS = {
 @st.composite
 def ipd_tables(draw):
     """A random finite IPD table written as CSV text: shuffled columns, padded
-    cells, blank lines, and an optional covariate subset.  Returns the lines,
-    the physical line number of each data row, the `covariates` argument,
-    the expected covariate names and the expected arrays."""
+    cells and blank lines.  Returns the lines, the physical line number of
+    each data row, the covariate names and the expected arrays."""
     p = draw(st.integers(0, 4))
     n = draw(st.integers(1, 12))
     names = draw(st.permutations(["y", "z", *(f"x{j}" for j in range(p))]))
-    covs_in_file = [c for c in names if c not in ("y", "z")]
-    subset = draw(st.none() | st.permutations(covs_in_file).flatmap(
-        lambda perm: st.integers(0, len(perm)).map(lambda k: list(perm[:k]))))
-    selected = covs_in_file if subset is None else subset
+    covariates = tuple(c for c in names if c not in ("y", "z"))
     rows = [{"y": draw(FINITE), "z": 1 if i == 0 else draw(st.sampled_from([0, 1])),
-             **{c: draw(FINITE) for c in covs_in_file}} for i in range(n)]
+             **{c: draw(FINITE) for c in covariates}} for i in range(n)]
     lines = [",".join(draw(PAD) + c + draw(PAD) for c in names)]
     row_lines = []
     for row in rows:
@@ -188,19 +203,19 @@ def ipd_tables(draw):
     expected = (
         np.array([r["y"] for r in rows]),
         np.array([r["z"] for r in rows]),
-        np.array([[r[c] for c in selected] for r in rows]).reshape(n, len(selected)),
+        np.array([[r[c] for c in covariates] for r in rows]).reshape(n, p),
     )
-    return lines, row_lines, subset, tuple(selected), expected
+    return lines, row_lines, covariates, expected
 
 
 class TestLoadIpdProperties:
     @settings(max_examples=100, deadline=None)
     @given(table=ipd_tables())
     def test_round_trip_is_bit_identical(self, tmp_path_factory, table):
-        lines, _, subset, selected, (y, z, x) = table
+        lines, _, covariates, (y, z, x) = table
         p = write(tmp_path_factory.mktemp("ipd") / "ipd.csv", "\n".join(lines) + "\n")
-        study = load_ipd(p, covariates=subset)
-        assert study.covariate_names == selected
+        study = load_ipd(p)
+        assert study.covariate_names == covariates
         np.testing.assert_array_equal(study.y.view(np.uint64), y.view(np.uint64))
         np.testing.assert_array_equal(study.z, z)
         np.testing.assert_array_equal(study.x.view(np.uint64), x.view(np.uint64))
@@ -210,22 +225,29 @@ class TestLoadIpdProperties:
     @settings(max_examples=100, deadline=None)
     @given(table=ipd_tables(), data=st.data())
     def test_one_bad_cell_raises_named_error_on_its_line(self, tmp_path_factory, table, data):
-        lines, row_lines, subset, selected, _ = table
-        error = data.draw(st.sampled_from(sorted(BAD_CELLS, key=lambda e: e.__name__)))
-        col = "z" if error is InvalidArmCode else data.draw(
-            st.sampled_from(["y", "z", *selected]))
-        cell = data.draw(st.sampled_from(BAD_CELLS[error]))
+        # a bad cell in one column, or one cell more than the header has names
+        lines, row_lines, covariates, _ = table
+        error = data.draw(st.sampled_from(
+            sorted([*BAD_CELLS, SchemaError], key=lambda e: e.__name__)))
         line = data.draw(st.sampled_from(row_lines))
         header = [h.strip() for h in lines[0].split(",")]
         cells = lines[line - 1].split(",")
-        cells[header.index(col)] = data.draw(PAD) + cell
+        if error is SchemaError:
+            cells.append(data.draw(PAD) + data.draw(st.sampled_from(["", "0.3", "abc"])))
+        else:
+            col = "z" if error is InvalidArmCode else data.draw(
+                st.sampled_from(["y", "z", *covariates]))
+            cells[header.index(col)] = data.draw(PAD) + data.draw(
+                st.sampled_from(BAD_CELLS[error]))
         lines = [*lines[:line - 1], ",".join(cells), *lines[line:]]
         p = write(tmp_path_factory.mktemp("ipd") / "ipd.csv", "\n".join(lines) + "\n")
         with pytest.raises(error) as info:
-            load_ipd(p, covariates=subset)
+            load_ipd(p)
         assert str(info.value).startswith(f"{p}:{line}: ")
         if error is NonNumericValue:
             assert repr(col) in str(info.value)
+        if error is SchemaError:
+            assert f"{len(header) + 1} cells under {len(header)} header names" in str(info.value)
 
 
 class TestIpdStudy:
@@ -311,7 +333,55 @@ class TestAgd:
         text = ('{"covariates": ["x1"], "arms": {"active": '
                 f'{{"n": 90, "y_mean": {token}, "y_var": 0.24, "x_mean": [0.1]}}}}}}')
         p = write(tmp_path / "agd.json", text)
-        with pytest.raises(SchemaError, match=re.escape(f"{p}: non-finite")):
+        with pytest.raises(SchemaError, match=re.escape(f"{p}: AGD arm field 'y_mean'")
+                           + ".*expected a finite number"):
+            load_agd(p)
+
+    @pytest.mark.parametrize("key, text, why", [
+        ("n", '"n": NaN', "expected an integer"),
+        ("n", '"n": 1e400', "expected an integer"),
+        ("y_var", '"y_var": Infinity', "expected a finite number"),
+        ("x_mean", '"x_mean": [0.1, -Infinity]', "expected a finite number"),
+        ("x_var", '"x_var": [1.0, 1e400]', "expected a finite number"),
+    ], ids=["n-NaN", "n-1e400", "y_var-Infinity", "x_mean--Infinity", "x_var-1e400"])
+    def test_a_non_finite_literal_is_named_by_its_field(self, tmp_path, key, text, why):
+        fields = {"n": '"n": 90', "y_mean": '"y_mean": 0.4', "y_var": '"y_var": 0.24',
+                  "x_mean": '"x_mean": [0.1, 0.2]', "x_var": '"x_var": [1.0, 1.0]', key: text}
+        p = write(tmp_path / "agd.json", '{"covariates": ["x1", "x2"], "arms": {"active": {'
+                  + ", ".join(fields.values()) + "}}}")
+        with pytest.raises(SchemaError, match=re.escape(f"{p}: AGD arm field {key!r}")
+                           + ".*" + why):
+            load_agd(p)
+
+    @pytest.mark.parametrize("covariates", ["x", "x1", [1.5], 5, None, ["x1", None]],
+                             ids=["x", "x1", "[1.5]", "5", "null", "[x1,null]"])
+    def test_covariates_that_are_not_a_list_of_names_are_named(self, tmp_path, covariates):
+        # a string must not load as the names of its characters
+        arm = {"n": 90, "y_mean": 0.4, "y_var": 0.24, "x_mean": [0.1]}
+        p = write(tmp_path / "agd.json",
+                  json.dumps({"covariates": covariates, "arms": {"active": arm}}))
+        with pytest.raises(SchemaError, match=re.escape(
+                f"{p}: AGD document field 'covariates' is malformed: expected a list of names")):
+            load_agd(p)
+
+    @pytest.mark.parametrize("arms, error, why", [
+        pytest.param({"active": {"n": 0}}, SchemaError, "arm sample size must be positive",
+                     id="n=0"),
+        pytest.param({"active": {"x_var": [1.0, 1.0]}}, DimensionMismatch,
+                     "x_var length differs from x_mean", id="x_var-length"),
+        pytest.param({"active": {"n": 1, "y_var": None}}, SchemaError,
+                     "n >= 2 required when x_var is supplied", id="x_var-n=1"),
+        pytest.param({"comparator": {"x_mean": [0.1, 0.2], "x_var": [1.0, 1.0]}},
+                     DimensionMismatch, "comparator arm has 2 covariate means, expected 1",
+                     id="comparator-p"),
+    ])
+    def test_arm_checks_name_the_file(self, tmp_path, arms, error, why):
+        arm = {"n": 90, "y_mean": 0.4, "y_var": 0.24, "x_mean": [0.1], "x_var": [1.0]}
+        doc = {"covariates": ["x1"], "arms": {name: {**arm, **fields}
+                                              for name, fields in arms.items()}}
+        doc["arms"].setdefault("active", arm)
+        p = write(tmp_path / "agd.json", json.dumps(doc))
+        with pytest.raises(error, match=re.escape(f"{p}: {why}")):
             load_agd(p)
 
     @pytest.mark.parametrize("key, value", [

@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 import tracemalloc
 from concurrent.futures import Future
 from unittest import mock
@@ -109,6 +110,20 @@ class TestScenarioConfig:
     def test_bad_value_is_a_schema_error_naming_the_key(self, key, value):
         with pytest.raises(SchemaError, match=key):
             ScenarioConfig.from_dict({key: value})
+
+    def test_invalid_json_names_the_file_once(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"p": 4,')
+        with pytest.raises(SchemaError, match="^" + re.escape(f"{path}: invalid JSON")):
+            ScenarioConfig.from_json_file(path)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-1e400"])
+    def test_a_non_finite_literal_is_named_by_its_key(self, tmp_path, token):
+        path = tmp_path / "cfg.json"
+        path.write_text(f'{{"p": 5, "alpha_slope": {token}}}')
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: scenario field 'alpha_slope'")
+                           + ".*expected a finite number"):
+            ScenarioConfig.from_json_file(path)
 
     def test_scenario_signal_on_first_four(self):
         a1, b1, b3 = simulation._config_vectors(cfg_with(p=6, confounding=Confounding.SEVERE))
