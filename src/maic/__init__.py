@@ -23,8 +23,6 @@ from .estimators import (
     Method,
     Scale,
     bucher,
-    maic_acb,
-    maic_nab,
     naive,
     stc,
 )
@@ -40,22 +38,14 @@ from .simulation import (
     Confounding,
     ScenarioConfig,
     SimulationReport,
-    run_replicate,
     run_study,
     true_delta,
 )
 from .variance import (
     SeEstimate,
     SeStrategy,
-    influence_components,
-    sigma2_cs,
-    sigma2_fo,
-    sigma2_full,
-    sigma2_po,
-    sigma2_sw,
 )
 from .weighting import (
-    SolverConfig,
     WeightModel,
     balance_check,
     effective_sample_size,
@@ -83,29 +73,19 @@ __all__ = [
     "SeEstimate",
     "SeStrategy",
     "SimulationReport",
-    "SolverConfig",
     "TrialRecords",
     "WeightModel",
     "balance_check",
     "bucher",
     "build_comparison_report",
     "effective_sample_size",
-    "influence_components",
     "load_agd",
     "load_ipd",
-    "maic_acb",
-    "maic_nab",
     "naive",
     "negative_control_test",
     "overlap_diagnostics",
     "pooled_target_moments",
-    "run_replicate",
     "run_study",
-    "sigma2_cs",
-    "sigma2_fo",
-    "sigma2_full",
-    "sigma2_po",
-    "sigma2_sw",
     "solve_weights",
     "stc",
     "true_delta",

@@ -129,6 +129,13 @@ class ComparisonReport:
     diagnostics: dict = field(default_factory=dict)
     negative_control: NegControlResult | None = None
 
+    def _reported_ses(self, name: str):
+        """(strategy, SeEstimate, CI, p-value) per strategy reported for the
+        method `name`, in report order: what the JSON and the CSV both read."""
+        for (m, s), se in self.ses.items():
+            if m == name:
+                yield s, se, self.cis[(m, s)], self.p_values[(m, s)]
+
     def to_dict(self) -> dict:
         out = {
             "scale": self.scale.value,
@@ -138,36 +145,23 @@ class ComparisonReport:
             "errors": self.errors,
         }
         for name, est in self.estimates.items():
-            entry = est.to_dict()
-            entry["se"] = {}
-            for (m, s), se in self.ses.items():
-                if m != name:
-                    continue
-                lo, hi = self.cis[(m, s)]
-                entry["se"][s] = {
-                    "sigma2": se.sigma2,
-                    "se": se.se,
-                    "ci": [lo, hi],
-                    "p_value": self.p_values[(m, s)],
-                }
-            out["methods"][name] = entry
+            out["methods"][name] = est.to_dict() | {"se": {
+                s: {"sigma2": se.sigma2, "se": se.se, "ci": list(ci), "p_value": p}
+                for s, se, ci, p in self._reported_ses(name)}}
         if self.negative_control is not None:
             out["negative_control"] = self.negative_control.to_dict()
         return out
 
     def rows(self) -> list[dict]:
-        """Flat rows (one per method x strategy) mirroring a results table."""
+        """Flat rows (one per method x strategy) mirroring a results table;
+        a method with no SE gets one row with the SE cells blank."""
         rows = []
         for name, est in self.estimates.items():
             base = {"method": name, "scale": self.scale.value, "estimate": est.delta}
-            strategies = [s for (m, s) in self.ses if m == name]
-            if not strategies:
-                rows.append({**base, "strategy": "", "se": "", "ci_lo": "", "ci_hi": "",
-                             "p_value": ""})
-            for s in strategies:
-                lo, hi = self.cis[(name, s)]
-                rows.append({**base, "strategy": s, "se": self.ses[(name, s)].se, "ci_lo": lo,
-                             "ci_hi": hi, "p_value": self.p_values[(name, s)]})
+            found = [{**base, "strategy": s, "se": se.se, "ci_lo": lo, "ci_hi": hi,
+                      "p_value": p} for s, se, (lo, hi), p in self._reported_ses(name)]
+            rows += found or [{**base, "strategy": "", "se": "", "ci_lo": "", "ci_hi": "",
+                               "p_value": ""}]
         return rows
 
     def write_csv(self, path) -> None:

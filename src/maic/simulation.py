@@ -494,29 +494,23 @@ def run_study(cfg: ScenarioConfig, threads: int = 1, n_oracle: int = 2_000_000) 
         done = [run_block(cfg, b) for b in blocks]
     results = [r for block in done for r in block]
 
-    methods = [m.value for m in SIM_METHODS]
-    strategies = [s.value for s in SeStrategy]
-
-    percent_bias, bias_mc_se, n_used, failures = {}, {}, {}, {}
-    for m in methods:
-        vals = np.array([r.deltas[m] for r in results if m in r.deltas])
-        n_used[m] = len(vals)
-        failures[m] = cfg.replicates - len(vals)
-        if len(vals):
-            rel = (vals - delta) / delta * 100.0
-            percent_bias[m] = float(rel.mean())
-            bias_mc_se[m] = float(rel.std(ddof=1) / np.sqrt(len(rel))) if len(rel) > 1 else None
-        else:
-            percent_bias[m] = None
-            bias_mc_se[m] = None
+    # each method's deltas over the replicates that estimated it, in order
+    deltas = {m.value: np.array([r.deltas[m.value] for r in results if m.value in r.deltas])
+              for m in SIM_METHODS}
+    n_used = {m: len(vals) for m, vals in deltas.items()}
+    failures = {m: cfg.replicates - n for m, n in n_used.items()}
+    percent_bias, bias_mc_se = {}, {}
+    for m, vals in deltas.items():
+        rel = (vals - delta) / delta * 100.0
+        percent_bias[m] = float(rel.mean()) if len(rel) else None
+        bias_mc_se[m] = float(rel.std(ddof=1) / np.sqrt(len(rel))) if len(rel) > 1 else None
 
     nab = Method.MAIC_NAB.value
-    nab_deltas = np.array([r.deltas[nab] for r in results if nab in r.deltas])
-    emp_sd = float(nab_deltas.std(ddof=1)) if len(nab_deltas) > 1 else None
+    emp_sd = float(deltas[nab].std(ddof=1)) if n_used[nab] > 1 else None
 
     zcrit = norm_quantile(0.975)
     coverage, cov_mc_se, rel_length, mean_se = {}, {}, {}, {}
-    for s in strategies:
+    for s in (strategy.value for strategy in SeStrategy):
         pairs = [
             (r.deltas[nab], r.ses[s])
             for r in results

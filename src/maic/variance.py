@@ -29,10 +29,10 @@ with sign -1.  One core (_pair_terms, _pair_influence, _var_over_n) maps
 IPD weights and a pair list to the per-record phi, the AGD-variance term
 and, given centred moments, ctilde.  Bucher and naive use unit weights,
 need no fitted model, and have zero weight-coefficient and target-mean
-terms.  The comparator-arm null check is fo on its one comparator pair,
-(+1, arm 0, weighted IPD comparator mean, AGD comparator arm, its mean),
-with the fitted weights held fixed (comparator_fo_block); it solves no
-moment Jacobian.
+terms.  The comparator-arm null check's SE is influence_ses(FO) on its
+one comparator pair, (+1, arm 0, weighted IPD comparator mean, AGD
+comparator arm, its mean), with the fitted weights held fixed
+(comparator_fo_block); it solves no moment Jacobian.
 
 se_block is the one map from strategy to computation: it owns which
 strategies apply to which method (none to stc; fo and sw to bucher and
@@ -50,7 +50,6 @@ single-study functions are blocks of one.
 from __future__ import annotations
 
 import enum
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -67,6 +66,7 @@ from .data_model import (
     take_rows,
 )
 from .errors import (
+    MaicError,
     MissingAgdVariance,
     RequiresFullIpd,
     SingularJacobian,
@@ -256,12 +256,20 @@ def influence_block(block: IpdBlock, agds, models, ests, scale: Scale) -> list:
                       models if ests[0].method.weighted else None)
 
 
+def _centred_moments(x: np.ndarray, models, ok: list[int]) -> np.ndarray:
+    """The moments of the rows x (B, m, p) of the studies ok of a block,
+    centred on each study's fitted target: (B, m, k)."""
+    centering = np.stack([models[b].centering for b in ok])
+    return moment_matrix(x, models[ok[0]].spec) - centering[:, None, :]
+
+
 def _influence(block: IpdBlock, w: np.ndarray, n_total: list[int], terms: list,
                models=None) -> list:
     """InfluencePieces or the MaicError per study of a block, from what
     _derive gives.  The fitted `models` add the weight-coefficient terms,
-    which solve each moment Jacobian; without them (bucher and naive) the
-    weights are held fixed, phi_alpha is zero and nothing is solved."""
+    which solve each moment Jacobian; without them (bucher, naive and the
+    null check) the weights are held fixed, phi_alpha is zero and nothing
+    is solved."""
     ok = succeeded(terms)
     if not ok:
         return terms
@@ -275,8 +283,7 @@ def _influence(block: IpdBlock, w: np.ndarray, n_total: list[int], terms: list,
         phi_alpha = np.zeros(phi.shape)
         errors = [None] * len(ok)
     else:
-        centering = np.stack([models[b].centering for b in ok])
-        c = moment_matrix(sub.x, models[ok[0]].spec) - centering[:, None, :]
+        c = _centred_moments(sub.x, models, ok)
         wc = w[:, :, None] * c
         j_alpha = np.matmul(-wc.transpose(0, 2, 1), c) / np.array(nts)[:, None, None]
         phi, ctilde = _pair_influence(sub, w, [terms[b] for b in ok], nts, c)
@@ -311,21 +318,14 @@ def _influence(block: IpdBlock, w: np.ndarray, n_total: list[int], terms: list,
 def comparator_fo_block(block: IpdBlock, agds, w: np.ndarray, mu0, scale: Scale) -> list:
     """The fo standard error of each study's single comparator pair (+1,
     IPD arm 0, mu0[b], AGD comparator arm, its reported mean), the weights w
-    held fixed: the null check's SE.  It has no weight-coefficient term and
+    held fixed: the null check's SE, influence_ses(FO) on that pair.  It
     solves no moment Jacobian.  A float or the MaicError per study."""
     pairs = [[(1.0, 0, m, agd.comparator_arm, agd.comparator_arm.y_mean)]
              for agd, m in zip(agds, mu0)]
     n_total = [block.n + agd.n_total for agd in agds]
-    out = _pair_terms(block, pairs, n_total, scale)
-    ok = succeeded(out)
-    if not ok:
-        return out
-    nts = [n_total[b] for b in ok]
-    phi, _ = _pair_influence(block.take(ok), take_rows(w, ok), [out[b] for b in ok], nts)
-    for v, b, nt in zip(_var_over_n(phi, nts), ok, nts):
-        [(_, _, _, var_agd)] = out[b]
-        out[b] = math.sqrt((v + var_agd) / nt)
-    return out
+    pieces = _influence(block, w, n_total, _pair_terms(block, pairs, n_total, scale))
+    return [se if isinstance(se, MaicError) else float(se.se)
+            for se in influence_ses(SeStrategy.FO, pieces)]
 
 
 def _var_over_n(values: np.ndarray, n_total: list[int]) -> list[float]:
@@ -479,9 +479,7 @@ def _full_ses(records, models, ests, scale: Scale, pieces: list) -> list:
     mu2 = np.array([ests[b].mu2 for b in ok])[:, None]
     phi_mu2 = g2 * (mu2 - ry) * z2 / p_z2t2
 
-    rx = np.stack([records[b].x for b in ok])
-    centering = np.stack([models[b].centering for b in ok])
-    c2 = moment_matrix(rx, models[ok[0]].spec) - centering[:, None, :]
+    c2 = _centred_moments(np.stack([records[b].x for b in ok]), models, ok)
     # ctilde already carries g'(mu1) and 1/J^{mu1}; only U^{muX2} remains
     coef = np.array([-(pieces[b].ew_t1 / pieces[b].p_t2) for b in ok])[:, None, None]
     sol = np.stack([pieces[b].j_alpha_inv_ctilde for b in ok])

@@ -6,6 +6,7 @@ are checked within max(stated tolerance, 3 x Monte Carlo SE).
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -29,7 +30,9 @@ def study(confounding, n_per_arm, replicates=R):
         p=5, n_per_arm=n_per_arm, confounding=confounding, scale=Scale.LOGIT,
         replicates=replicates, seed=SEED,
     )
-    return run_study(cfg, threads=1)
+    # reports are byte-identical across thread counts (test_simulation_golden),
+    # and run_study caps the workers at the CPUs this process may use
+    return run_study(cfg, threads=os.cpu_count() or 1)
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 import builtins
 import contextlib
+import copy
 import csv
 import io
 import json
@@ -690,6 +691,10 @@ FUZZ_CELLS = ["", "abc", "nan", "-inf", "1e400", "1e308", "-1e308", "2", "-1", "
               "0", "1e-320", '"1"', "1,2", "\u0661"]
 FUZZ_VALUES = [None, True, -1, 0, 1, 2, 0.5, 1e308, -1e308, "x", "", [], [1.0], [[1.0]],
                [1.0, 2.0, 3.0], [[0.1, -0.1]], [True, 0.2], {}, {"n": 5}]
+# a fresh copy per draw, since fuzz_runs edits the AGD document it builds in
+# place: a shared {} set as an arm and then edited could come to hold itself
+FUZZ_VALUE = st.sampled_from(FUZZ_VALUES).map(copy.deepcopy)
+PRISTINE_FUZZ_VALUES = copy.deepcopy(FUZZ_VALUES)
 AGD_PATHS = [("covariates",), ("arms",), ("arms", "active"), ("arms", "comparator"),
              *(("arms", arm, key) for arm in ("active", "comparator")
                for key in ("n", "y_mean", "y_var", "x_mean", "x_var"))]
@@ -743,7 +748,7 @@ def fuzz_runs(draw):
             if draw(st.booleans()):
                 parent.pop(path[-1], None)
             else:
-                parent[path[-1]] = draw(st.sampled_from(FUZZ_VALUES))
+                parent[path[-1]] = draw(FUZZ_VALUE)
     arms = agd.get("arms")
     if isinstance(arms, dict) and draw(st.integers(0, 3)) == 0:
         # a one-patient arm that reports no variances
@@ -771,6 +776,14 @@ def fuzz_runs(draw):
 
 
 class TestCliFuzz:
+    @settings(max_examples=50, deadline=None)
+    @given(values=st.lists(FUZZ_VALUE, min_size=1))
+    def test_editing_drawn_values_leaves_the_fuzz_values_pristine(self, values):
+        for value in values:
+            if isinstance(value, (dict, list)):
+                value.clear()
+        assert FUZZ_VALUES == PRISTINE_FUZZ_VALUES
+
     @settings(max_examples=150, deadline=None)
     @given(run=fuzz_runs())
     # paths the draws reach too rarely to catch a regression on one run

@@ -148,6 +148,16 @@ class TestNegativeControl:
             assert result.se0.hex() == math.sqrt((var + var_agd) / n_total).hex()
             assert result.delta0 == scale.g(mu0) - scale.g(arm.y_mean)
 
+    @pytest.mark.parametrize("scale", list(Scale))
+    @pytest.mark.parametrize("mu0_agd", [None, 0.95])
+    def test_result_holds_builtin_floats_and_a_bool(self, rng, scale, mu0_agd):
+        # negcontrol.json is written by json.dumps, which rejects numpy's bool
+        ipd, agd, model = two_arm_problem(rng, mu0_agd=mu0_agd)
+        result = negative_control_test(ipd, agd, model, scale)
+        assert [type(v) for v in (result.delta0, result.se0, result.z, result.p_value)] == \
+            [float] * 4
+        assert type(result.reject_at_level) is bool
+
     def test_alpha_level_threshold(self, rng):
         ipd, agd, model = two_arm_problem(rng, mu0_agd=0.62)
         loose = negative_control_test(ipd, agd, model, alpha_level=0.999)

@@ -296,7 +296,7 @@ class TestRunReplicate:
         r = run_replicate(cfg_with(), 0)
         assert set(r.deltas) == {"maic-nab", "maic-acb", "bucher", "stc"}
         assert set(r.ses) == {"fo", "po", "cs", "sw", "full"}
-        assert r.negcontrol_reject in (True, False)
+        assert type(r.negcontrol_reject) is bool
 
     def test_tight_oversampling_still_fills_cells(self):
         # factor 1 draws exactly 4n, often short in a cell; regeneration
