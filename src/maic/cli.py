@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import hashlib
 import json
 import sys
@@ -229,8 +230,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parsing leaves no state on the parser, so one per process serves every call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except NonConvergence as e:

@@ -331,24 +331,28 @@ def load_ipd(path, outcome_kind: OutcomeKind = OutcomeKind.CONTINUOUS) -> IpdStu
     cells than the header has names by file and line.
     """
     # utf-8-sig: a leading byte-order mark, as spreadsheets write, is dropped
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        header = next(csv.reader(fh), None)
-        if header is None:
-            raise EmptyStudy(f"{path}: empty file")
-        index = {}
-        for i, name in enumerate(name.strip() for name in header):
-            if name in index:
-                raise SchemaError(f"{path}: column {name!r} appears more than once in the header")
-            index[name] = i
-        for col in ("y", "z"):
-            if col not in index:
-                raise MissingColumn(f"{path}: column {col!r} not found")
-        try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None, quotechar='"')
-        except ValueError as e:
-            _raise_first_bad_cell(path, list(index), outcome_kind, str(e))
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            header = next(csv.reader(fh), None)
+            if header is None:
+                raise EmptyStudy(f"{path}: empty file")
+            index = {}
+            for i, name in enumerate(name.strip() for name in header):
+                if name in index:
+                    raise SchemaError(
+                        f"{path}: column {name!r} appears more than once in the header")
+                index[name] = i
+            for col in ("y", "z"):
+                if col not in index:
+                    raise MissingColumn(f"{path}: column {col!r} not found")
+            try:
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None, quotechar='"')
+            except ValueError as e:
+                _raise_first_bad_cell(path, list(index), outcome_kind, str(e))
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     if len(data) == 0:
         raise EmptyStudy(f"{path}: IPD study has no data rows")
     if data.shape[1] != len(index):
@@ -365,6 +369,19 @@ def load_ipd(path, outcome_kind: OutcomeKind = OutcomeKind.CONTINUOUS) -> IpdStu
         _raise_first_bad_cell(path, list(index), outcome_kind, str(e))
     except EmptyStudy as e:
         raise EmptyStudy(f"{path}: {e}") from None
+
+
+def _not_utf8(path) -> SchemaError:
+    """The SchemaError for a text file that does not decode as UTF-8,
+    naming its first line that does not and the offending byte."""
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh, 1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as e:
+                return SchemaError(f"{path}:{number}: not UTF-8 text (byte "
+                                   f"{line[e.start]:#04x} at column {e.start + 1})")
+    return SchemaError(f"{path}: not UTF-8 text")
 
 
 def _raise_first_bad_cell(path, names, outcome_kind, message):
@@ -487,6 +504,8 @@ def load_json_object(path, read):
             doc = json.load(fh)
         except json.JSONDecodeError as e:
             raise SchemaError(f"{path}: invalid JSON ({e})") from None
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: top-level JSON value must be an object")
     try:

@@ -511,11 +511,8 @@ def run_study(cfg: ScenarioConfig, threads: int = 1, n_oracle: int = 2_000_000) 
     zcrit = norm_quantile(0.975)
     coverage, cov_mc_se, rel_length, mean_se = {}, {}, {}, {}
     for s in (strategy.value for strategy in SeStrategy):
-        pairs = [
-            (r.deltas[nab], r.ses[s])
-            for r in results
-            if nab in r.deltas and s in r.ses
-        ]
+        # run_block files SEs only for replicates with a maic-nab estimate
+        pairs = [(r.deltas[nab], r.ses[s]) for r in results if s in r.ses]
         if not pairs:
             coverage[s] = cov_mc_se[s] = rel_length[s] = mean_se[s] = None
             continue

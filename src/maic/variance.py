@@ -27,7 +27,9 @@ Estimate alone, (sign, IPD arm code, IPD mean, AGD arm, AGD mean): the
 active pair with sign +1 and, for anchored estimates, the comparator pair
 with sign -1.  One core (_pair_terms, _pair_influence, _var_over_n) maps
 IPD weights and a pair list to the per-record phi, the AGD-variance term
-and, given centred moments, ctilde.  Bucher and naive use unit weights,
+and, for the MAIC methods, ctilde over the centred moments t(X_i) - target
+that the weight fit solved over and carries (WeightModel.moments); nothing
+here rebuilds them for the IPD rows.  Bucher and naive use unit weights,
 need no fitted model, and have zero weight-coefficient and target-mean
 terms.  The comparator-arm null check's SE is influence_ses(FO) on its
 one comparator pair, (+1, arm 0, weighted IPD comparator mean, AGD
@@ -257,8 +259,9 @@ def influence_block(block: IpdBlock, agds, models, ests, scale: Scale) -> list:
 
 
 def _centred_moments(x: np.ndarray, models, ok: list[int]) -> np.ndarray:
-    """The moments of the rows x (B, m, p) of the studies ok of a block,
-    centred on each study's fitted target: (B, m, k)."""
+    """The moments of the aggregate trial's records x (B, m, p) of the
+    studies ok of a block, centred on each study's fitted target: (B, m, k).
+    The IPD rows' centred moments come with each fit (WeightModel.moments)."""
     centering = np.stack([models[b].centering for b in ok])
     return moment_matrix(x, models[ok[0]].spec) - centering[:, None, :]
 
@@ -283,7 +286,7 @@ def _influence(block: IpdBlock, w: np.ndarray, n_total: list[int], terms: list,
         phi_alpha = np.zeros(phi.shape)
         errors = [None] * len(ok)
     else:
-        c = _centred_moments(sub.x, models, ok)
+        c = np.stack([models[b].moments for b in ok])
         wc = w[:, :, None] * c
         j_alpha = np.matmul(-wc.transpose(0, 2, 1), c) / np.array(nts)[:, None, None]
         phi, ctilde = _pair_influence(sub, w, [terms[b] for b in ok], nts, c)

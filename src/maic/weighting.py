@@ -36,10 +36,18 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class WeightModel:
-    """Fitted weight model: coefficients, per-record weights, diagnostics."""
+    """Fitted weight model: coefficients, per-record weights, diagnostics.
+
+    moments is the fit's own read-only (n, k) matrix of centred moments
+    t(X_i) - centering over the IPD rows, which the solver balanced and
+    the influence terms and the balance diagnostic read.  It does not
+    depend on the weights, so a copy of the model with other weights keeps
+    it valid.
+    """
 
     alpha1: np.ndarray
     centering: np.ndarray
+    moments: np.ndarray
     weights: np.ndarray
     spec: MomentSpec
     converged: bool
@@ -104,6 +112,7 @@ def solve_weights_block(block: IpdBlock, targets: np.ndarray, spec: MomentSpec,
     degenerate = (span == 0) & (np.abs(t.mean(axis=1) - targets) > 1e-12)
     solvable = np.flatnonzero(~degenerate.any(axis=1))
     c = take_rows(t - targets[:, None, :], solvable)
+    c.flags.writeable = False  # each model's moments are a view of c
     alpha, w, q, iterations, converged, residual = _newton(c, cfg)
     # effective sample sizes per arm, for the converged replicates only
     done = np.flatnonzero(converged)
@@ -129,6 +138,7 @@ def solve_weights_block(block: IpdBlock, targets: np.ndarray, spec: MomentSpec,
         return WeightModel(
             alpha1=alpha[s],
             centering=targets[b],
+            moments=c[s],
             weights=w[s],
             spec=spec,
             converged=True,
@@ -254,8 +264,12 @@ def _newton(c: np.ndarray, cfg: SolverConfig):
 def balance_check(model: WeightModel, ipd: IpdStudy, target: np.ndarray):
     """Weighted moment-balance residual per coordinate, with its max-norm."""
     t = moment_matrix(ipd.x, model.spec)
-    w = model.weights
-    residual = (w[:, None] * (t - np.asarray(target, dtype=float))).sum(axis=0) / w.sum()
+    return _balance(model.weights, t - np.asarray(target, dtype=float))
+
+
+def _balance(w: np.ndarray, c: np.ndarray):
+    """The weighted mean of the centred moments c (n, k), with its max-norm."""
+    residual = (w[:, None] * c).sum(axis=0) / w.sum()
     return residual, float(np.max(np.abs(residual)))
 
 
@@ -303,9 +317,9 @@ def overlap_diagnostics(model: WeightModel, ipd: IpdStudy) -> OverlapReport:
 
 def fit_diagnostics(model: WeightModel, ipd: IpdStudy) -> dict:
     """The balance and overlap diagnostics a report carries for a fitted
-    model: the balance residual against the model's target, its max-norm,
+    model: the balance residual of the fit's own moments, its max-norm,
     the low-ESS arms and the largest weight's share."""
-    residual, max_norm = balance_check(model, ipd, model.centering)
+    residual, max_norm = _balance(model.weights, model.moments)
     overlap = overlap_diagnostics(model, ipd)
     return {"balance_residual": residual.tolist(), "balance_max_norm": max_norm,
             "low_ess_arms": overlap.low_ess_arms, "max_weight_share": overlap.max_weight_share}

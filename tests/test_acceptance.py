@@ -132,7 +132,7 @@ def test_c07_structural_invariants():
     # weight-scale invariance of the contrast, to 1e-12 relative
     ipd, agd, model = random_problem(rng, n=100)
     scaled = WeightModel(
-        alpha1=model.alpha1, centering=model.centering,
+        alpha1=model.alpha1, centering=model.centering, moments=model.moments,
         weights=model.weights * 123.4, spec=model.spec, converged=True,
         iterations=model.iterations, objective=model.objective, ess=model.ess,
     )
@@ -144,7 +144,7 @@ def test_c07_structural_invariants():
     # null coefficients collapse the weighted estimators onto their
     # unweighted twins, exactly
     unit = WeightModel(
-        alpha1=np.zeros(ipd.p), centering=model.centering,
+        alpha1=np.zeros(ipd.p), centering=model.centering, moments=model.moments,
         weights=np.ones(ipd.n), spec=model.spec, converged=True,
         iterations=0, objective=1.0, ess=model.ess,
     )

@@ -4,17 +4,24 @@ import copy
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import maic
 from maic import errors
 from maic.cli import main
 from maic.errors import MaicError
+
+from test_data_model import not_utf8_file
 
 
 @pytest.fixture
@@ -676,6 +683,45 @@ class TestSimulate:
                      "--out", str(out)]) == 0
         doc = json.loads((out / "report.json").read_text())
         assert doc["config"]["seed"] == 99
+
+
+class TestNotUtf8:
+    @pytest.mark.parametrize("kind", ["ipd_header", "ipd_row", "agd", "scenario"])
+    def test_a_byte_that_is_not_utf8_exits_1_naming_the_file(self, io_pair, tmp_path,
+                                                             capsys, kind):
+        ipd, agd = io_pair
+        (tmp_path / "bad").mkdir()
+        path, line = not_utf8_file(tmp_path / "bad", kind)
+        out = str(tmp_path / "out")
+        if kind == "scenario":
+            argv = ["simulate", "--config", str(path), "--out", out]
+        else:
+            ipd, agd = (path, agd) if kind.startswith("ipd") else (ipd, path)
+            argv = ["compare", "--ipd", str(ipd), "--agd", str(agd), "--out", out]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        assert err.startswith(f"error: SchemaError: {path}:{line}: not UTF-8 text")
+
+
+class TestParserReuse:
+    def test_a_call_inherits_nothing_from_the_one_before(self, io_pair, tmp_path):
+        # main reuses one parser per process; a run after a run with other
+        # flags must write what the same command line writes in a new process
+        ipd, agd = io_pair
+        pair = ["--ipd", str(ipd), "--agd", str(agd)]
+        assert main(["compare", *pair, "--negcontrol", "--level", "0.9",
+                     "--out", str(tmp_path / "first")]) == 0
+        argv = ["compare", *pair, "--methods", "naive", "--se", "fo"]
+        assert main([*argv, "--out", str(tmp_path / "reused")]) == 0
+        src = Path(maic.__file__).resolve().parents[1]
+        subprocess.run([sys.executable, "-m", "maic.cli", *argv, "--out", str(tmp_path / "alone")],
+                       check=True, env={**os.environ, "PYTHONPATH": str(src)})
+        report = (tmp_path / "reused" / "report.json").read_bytes()
+        assert report == (tmp_path / "alone" / "report.json").read_bytes()
+        config = json.loads((tmp_path / "reused" / "manifest.json").read_text())["config"]
+        assert config["negcontrol"] is False and config["level"] == 0.95
 
 
 class TestVersionFlag:

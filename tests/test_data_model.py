@@ -26,6 +26,7 @@ from maic.errors import (
     NonNumericValue,
     SchemaError,
 )
+from maic.simulation import ScenarioConfig
 
 from conftest import make_agd, make_arm, make_ipd
 
@@ -171,6 +172,38 @@ class TestLoadIpd:
         p.write_text(text + "1,1,oops\n", encoding="utf-8-sig")
         with pytest.raises(NonNumericValue, match=re.escape(f"{p}:4: non-numeric value 'oops'")):
             load_ipd(p)
+
+
+# files that hold byte 0xe9 (latin-1 for "é"), which is not UTF-8: a header
+# name, a data cell, an AGD key and a scenario value
+NOT_UTF8 = {
+    "ipd_header": b"y,z,\xe9ge\n1,1,0.2\n0,0,-0.1\n",
+    "ipd_row": b"y,z,x1\n1,1,0.2\n0,0,caf\xe9\n1,0,0.4\n",
+    "agd": json.dumps({"covariates": ["caf\xe9"], "arms": {"active": {
+        "n": 30, "y_mean": 0.5, "y_var": 0.25, "x_mean": [0.1]}}},
+        indent=2, ensure_ascii=False).encode("latin-1"),
+    "scenario": b'{\n  "p": 4,\n  "confounding": "mod\xe9rate"\n}\n',
+}
+
+
+def not_utf8_file(tmp_path, kind):
+    """A file of NOT_UTF8[kind] and the line that holds its bad byte."""
+    data = NOT_UTF8[kind]
+    path = tmp_path / ("ipd.csv" if kind.startswith("ipd") else f"{kind}.json")
+    path.write_bytes(data)
+    return path, data[:data.index(b"\xe9")].count(b"\n") + 1
+
+
+class TestNotUtf8:
+    @pytest.mark.parametrize("kind, load", [
+        ("ipd_header", load_ipd), ("ipd_row", load_ipd), ("agd", load_agd),
+        ("scenario", ScenarioConfig.from_json_file),
+    ])
+    def test_a_byte_that_is_not_utf8_names_the_file_and_line(self, tmp_path, kind, load):
+        path, line = not_utf8_file(tmp_path, kind)
+        with pytest.raises(SchemaError, match="^" + re.escape(f"{path}:{line}: not UTF-8 text")
+                           + ".*0xe9"):
+            load(path)
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

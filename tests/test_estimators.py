@@ -37,7 +37,7 @@ def logit(u):
 
 def unit_model(ipd):
     return WeightModel(
-        alpha1=np.zeros(ipd.p), centering=np.zeros(ipd.p),
+        alpha1=np.zeros(ipd.p), centering=np.zeros(ipd.p), moments=ipd.x,
         weights=np.ones(ipd.n), spec=MomentSpec.FIRST, converged=True,
         iterations=0, objective=1.0, ess={},
     )
@@ -116,7 +116,7 @@ class TestMaicNab:
                        names=("x1", "x2"))
         model = solve_weights(ipd, np.array([0.1, 0.1]))
         scaled = WeightModel(
-            alpha1=model.alpha1, centering=model.centering,
+            alpha1=model.alpha1, centering=model.centering, moments=model.moments,
             weights=model.weights * 17.3, spec=model.spec, converged=True,
             iterations=model.iterations, objective=model.objective, ess=model.ess,
         )

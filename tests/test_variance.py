@@ -19,7 +19,8 @@ from maic.variance import (
     sigma2_po,
     sigma2_sw,
 )
-from maic.weighting import WeightModel, moment_matrix, solve_weights
+from maic.weighting import (WeightModel, balance_check, fit_diagnostics, moment_matrix,
+                            solve_weights)
 
 from conftest import make_agd, make_arm, make_ipd
 
@@ -231,6 +232,46 @@ class TestUnweightedMethods:
             assert float(direct.se).hex() == float(relabelled.se).hex()
         assert pieces.v_mu_x2 == 0.0
         assert not pieces.phi_alpha.any()
+
+
+class TestFitMoments:
+    """The fit carries its centred moments; the influence terms and the
+    balance diagnostic read them instead of rebuilding them."""
+
+    @pytest.mark.parametrize("spec", list(MomentSpec))
+    def test_the_fit_moments_equal_a_fresh_rebuild(self, rng, spec):
+        for _ in range(10):
+            ipd, agd, _ = random_problem(rng, n=int(rng.integers(30, 200)),
+                                         p=int(rng.integers(1, 4)))
+            t = moment_matrix(ipd.x, spec)
+            model = solve_weights(ipd, t.mean(axis=0) + rng.uniform(-0.1, 0.1, t.shape[1]),
+                                  spec)
+            rebuilt = moment_matrix(ipd.x, spec) - model.centering
+            assert model.moments.shape == rebuilt.shape
+            assert model.moments.tobytes() == rebuilt.tobytes()
+            assert not model.moments.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                model.moments[0, 0] = 0.0
+
+            residual, _ = balance_check(model, ipd, model.centering)
+            assert ([v.hex() for v in fit_diagnostics(model, ipd)["balance_residual"]]
+                    == [float(v).hex() for v in residual])
+
+            # the moments do not depend on the weights: a unit-weight copy
+            # still gives bucher's fo and sw bit for bit
+            unit = dataclasses.replace(model, weights=np.ones(ipd.n))
+            for scale in Scale:
+                est = bucher(ipd, agd, scale)
+                acb = dataclasses.replace(est, method=Method.MAIC_ACB)
+                pairs = [
+                    (sigma2_fo(influence_components(ipd, agd, None, est, scale)),
+                     sigma2_fo(influence_components(ipd, agd, unit, acb, scale))),
+                    (sigma2_sw(ipd, agd, None, est, scale),
+                     sigma2_sw(ipd, agd, unit, acb, scale)),
+                ]
+                for direct, relabelled in pairs:
+                    assert float(direct.sigma2).hex() == float(relabelled.sigma2).hex()
+                    assert float(direct.se).hex() == float(relabelled.se).hex()
 
 
 class TestSwEqualsFo:

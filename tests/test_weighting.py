@@ -268,7 +268,7 @@ class TestOverlapDiagnostics:
         w = rng.uniform(1e-7, 1e-6, size=20)
         w[0] = 1.0
         model = WeightModel(
-            alpha1=np.zeros(5), centering=np.zeros(5), weights=w,
+            alpha1=np.zeros(5), centering=np.zeros(5), moments=ipd.x, weights=w,
             spec=MomentSpec.FIRST, converged=True, iterations=1, objective=1.0,
             ess={1: effective_sample_size(w)},
         )
