@@ -110,10 +110,6 @@ def _parse_choices(flag: str, text: str, accepted: dict, also: str = "") -> list
     return out
 
 
-def _parse_methods(text: str) -> list[Method]:
-    return _parse_choices("--methods", text, {m.value: m for m in Method})
-
-
 def _parse_strategies(text: str) -> list[SeStrategy]:
     if text.strip() == "all":
         return list(REPORT_STRATEGIES)
@@ -123,7 +119,7 @@ def _parse_strategies(text: str) -> list[SeStrategy]:
 
 
 def cmd_compare(args) -> int:
-    methods = _parse_methods(args.methods)
+    methods = _parse_choices("--methods", args.methods, {m.value: m for m in Method})
     strategies = _parse_strategies(args.se)
     check_level(args.level, "--level")
     out = _out_dir(args)
@@ -172,7 +168,10 @@ def cmd_simulate(args) -> int:
             cfg = replace(cfg, seed=args.seed)
         except ValueError as e:
             raise SchemaError(f"--seed: {e}") from None
-    report = run_study(cfg, threads=args.threads)
+    try:
+        report = run_study(cfg, threads=args.threads)
+    except (MemoryError, ValueError) as e:  # numpy refuses an array the sizes ask for
+        raise SchemaError(f"{args.config}: numpy refuses the scenario's arrays: {e}") from None
     write_json(out / "report.json", report.to_dict())
     rows = report.tidy_rows()
     write_rows(out / "report.csv", rows, list(rows[0]))
@@ -241,7 +240,7 @@ def main(argv=None) -> int:
     except NonConvergence as e:
         print(f"error: {e}", file=sys.stderr)
         if e.residual is not None:
-            print(f"balance residual: {list(e.residual)}", file=sys.stderr)
+            print(f"balance residual: {[float(v) for v in e.residual]}", file=sys.stderr)
         return 2
     except (SeparationError, NonFiniteResult) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)

@@ -264,6 +264,9 @@ def true_delta(cfg: ScenarioConfig, n_oracle: int = 2_000_000, rng=None) -> floa
 
 @dataclass
 class ReplicateResult:
+    """A replicate's deltas by method, maic-nab's SEs by strategy, and each
+    failure under weights, <method>, maic-nab/<strategy> or negative_control."""
+
     deltas: dict[str, float] = field(default_factory=dict)
     ses: dict[str, float] = field(default_factory=dict)
     negcontrol_reject: bool | None = None
@@ -356,57 +359,55 @@ def run_replicate(cfg: ScenarioConfig, replicate_index: int) -> ReplicateResult:
 def run_block(cfg: ScenarioConfig, indices) -> list[ReplicateResult]:
     """run_replicate for each replicate index, with the weight solves, the
     estimators, the SEs and the null checks of the whole block computed
-    stacked; each result equals its lone run_replicate bit for bit."""
+    stacked; each result equals its lone run_replicate bit for bit.  Each
+    stage files a MaicError under its key: weights, then the keys of
+    ComparisonReport.errors (<method>, maic-nab/<strategy>, negative_control).
+    A failure skips only the stages that need its result, so one strategy's
+    failure leaves the other strategies' SEs in place."""
     block, agds, records = replicate_block(cfg, indices)
     results = [ReplicateResult() for _ in indices]
-    scale = cfg.scale
 
-    def pick(members, *seqs):
-        return [[seq[b] for b in members] for seq in seqs]
-
-    def record(members, outcomes, key, store=lambda res, out: None) -> list[int]:
-        """Hand each success to `store` and file each MaicError under `key`,
-        in the order run_replicate meets them; returns the members that
-        succeeded."""
+    def file(key, members, outcomes) -> list[tuple]:
+        """File each MaicError under `key` in its replicate's errors; returns
+        the (member, outcome) pairs that succeeded."""
         kept = []
         for b, out in zip(members, outcomes):
             if isinstance(out, MaicError):
                 results[b].errors[key] = f"{type(out).__name__}: {out}"
             else:
-                store(results[b], out)
-                kept.append(b)
+                kept.append((b, out))
         return kept
 
     everyone = list(range(len(indices)))
     targets = np.stack([pooled_target_moments(agd, MomentSpec.FIRST) for agd in agds])
     models = solve_weights_block(block, targets, MomentSpec.FIRST, _SOLVER)
-    fitted = record(everyone, models, "weights")
-    nab, ests = [], {}  # the replicates with a maic-nab estimate, and the estimates
+    fitted = [b for b, _ in file("weights", everyone, models)]
+    nab = []  # (replicate, estimate) of each maic-nab success
     for method in SIM_METHODS:
         members = fitted if method.weighted else everyone
         if not members:
             continue
-        outs = estimate_block(block.take(members), *pick(members, agds, models), scale, method)
-        kept = record(members, outs, method.value,
-                      lambda res, est: res.deltas.update({est.method.value: est.delta}))
+        outs = estimate_block(block.take(members), [agds[b] for b in members],
+                              [models[b] for b in members], cfg.scale, method)
+        kept = file(method.value, members, outs)
+        for b, est in kept:
+            results[b].deltas[method.value] = est.delta
         if method is Method.MAIC_NAB:
-            nab, ests = kept, dict(zip(members, outs))
+            nab = kept
     if not nab:
         return results
 
-    sub = block.take(nab)
-    ses = se_block(sub, *pick(nab, agds, models, ests), scale, tuple(SeStrategy),
-                   records=[records[b] for b in nab])
-    for i, b in enumerate(nab):
-        # a replicate's first failing strategy is filed and ends its SEs
-        for strategy, outs in ses.items():
-            if not record([b], [outs[i]], "variance",
-                          lambda res, se, key=strategy.value: res.ses.update({key: se.se})):
-                break
-
-    outs = negative_control_block(sub, *pick(nab, agds, models), scale)
-    record(nab, outs, "negcontrol",
-           lambda res, result: setattr(res, "negcontrol_reject", result.reject_at_level))
+    members, ests = map(list, zip(*nab))
+    sub = block.take(members)
+    sub_agds, sub_models = [agds[b] for b in members], [models[b] for b in members]
+    ses = se_block(sub, sub_agds, sub_models, ests, cfg.scale, tuple(SeStrategy),
+                   records=[records[b] for b in members])
+    for strategy, outs in ses.items():
+        for b, se in file(f"{Method.MAIC_NAB.value}/{strategy.value}", members, outs):
+            results[b].ses[strategy.value] = se.se
+    for b, result in file("negative_control", members,
+                          negative_control_block(sub, sub_agds, sub_models, cfg.scale)):
+        results[b].negcontrol_reject = result.reject_at_level
     return results
 
 

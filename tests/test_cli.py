@@ -88,6 +88,7 @@ class TestFit:
         err = capsys.readouterr().err
         assert "coordinate" in err
         assert "residual" in err
+        assert "np.float64" not in err
 
     def test_second_moments_without_x_var_exit_1(self, io_pair, tmp_path, capsys):
         ipd, agd = io_pair
@@ -655,6 +656,20 @@ class TestSimulate:
         assert code == 1
         assert "Traceback" not in err
         assert f"SchemaError: {cfg}: " in err and why in err
+
+    # numpy refuses both sizes before it allocates anything: the first asks
+    # for 568 PiB of covariates, the second for more rows than an array holds
+    @pytest.mark.parametrize("overrides", [
+        {"p": 5, "n_per_arm": 10**15, "replicates": 1}, {"oversample_factor": 10**18},
+    ])
+    def test_a_size_numpy_refuses_names_the_file(self, tmp_path, capsys, overrides):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(overrides))
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "big")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        assert f"SchemaError: {cfg}: " in err
 
     def test_negative_seed_flag_is_named(self, tmp_path, capsys):
         cfg = self._config(tmp_path)

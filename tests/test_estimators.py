@@ -15,6 +15,7 @@ from maic.errors import (
     SeparationError,
     SingularDesign,
 )
+from maic import estimators
 from maic.estimators import (
     Method,
     Scale,
@@ -328,6 +329,16 @@ class TestStc:
         agd = make_agd(active=make_arm(x_mean=[]), names=())
         with pytest.raises(DimensionMismatch, match="stc needs at least one covariate"):
             stc(ipd, agd)
+
+    def test_a_fit_still_moving_at_the_iteration_cap_is_named(self, monkeypatch, rng):
+        x = rng.normal(size=(40, 2))
+        y = (rng.random(40) < 1.0 / (1.0 + np.exp(-x[:, 0]))).astype(float)
+        ipd = make_ipd(y, np.ones(40, int), x, outcome_kind=OutcomeKind.BINARY)
+        agd = make_agd(active=make_arm(y_mean=0.45, x_mean=[0.1, 0.0]), names=("x1", "x2"))
+        stc(ipd, agd, Scale.LOGIT)
+        monkeypatch.setattr(estimators, "IRLS_MAX_ITER", 1)
+        with pytest.raises(SeparationError, match="^logistic fit failed to converge$"):
+            stc(ipd, agd, Scale.LOGIT)
 
     def test_separation_raises(self):
         x = np.concatenate([-np.ones(10), np.ones(10)])[:, None]

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from maic import simulation
 from maic.cli import write_json
-from maic.errors import InsufficientCell, SchemaError
+from maic.errors import InsufficientCell, SchemaError, SingularJacobian
 from maic.estimators import Scale
 from maic.simulation import (
     ALPHA0,
@@ -28,6 +28,21 @@ from maic.simulation import (
     subsample_by_arm,
     true_delta,
 )
+from maic.variance import SeStrategy
+
+
+def failing_se_block(strategies, replicates):
+    """simulation.se_block with a SingularJacobian for each of `strategies`
+    in each of the block positions `replicates`."""
+    real = simulation.se_block
+
+    def se_block(*args, **kwargs):
+        out = real(*args, **kwargs)
+        for s in strategies:
+            out[s] = [SingularJacobian("moment Jacobian is singular") if b in replicates else v
+                      for b, v in enumerate(out[s])]
+        return out
+    return se_block
 
 
 def cfg_with(**kwargs):
@@ -298,6 +313,27 @@ class TestRunReplicate:
         assert set(r.ses) == {"fo", "po", "cs", "sw", "full"}
         assert type(r.negcontrol_reject) is bool
 
+    def test_each_failing_strategy_is_filed_on_its_own(self, monkeypatch):
+        # a singular moment Jacobian fails po, cs and full but not fo or sw
+        cfg, failed = cfg_with(replicates=4), (SeStrategy.PO, SeStrategy.CS, SeStrategy.FULL)
+        clean = run_block(cfg, range(cfg.replicates))
+        assert not any(r.errors for r in clean)
+        monkeypatch.setattr(simulation, "se_block", failing_se_block(failed, {1}))
+        got = run_block(cfg, range(cfg.replicates))
+        assert got[1].ses == {s: clean[1].ses[s] for s in ("fo", "sw")}
+        assert got[1].errors == {f"maic-nab/{s.value}": "SingularJacobian: moment Jacobian "
+                                 "is singular" for s in failed}
+        assert (got[1].deltas, got[1].negcontrol_reject) == (clean[1].deltas,
+                                                            clean[1].negcontrol_reject)
+        for b in (0, 2, 3):
+            assert pickle.dumps(got[b]) == pickle.dumps(clean[b])
+
+    def test_a_failed_null_check_is_filed_under_the_report_key(self):
+        results = run_block(TestBlocks.failing_cfg(), [1])
+        assert "negative_control" in results[0].errors
+        assert results[0].negcontrol_reject is None
+        assert not {"variance", "negcontrol"} & set(results[0].errors)
+
     def test_tight_oversampling_still_fills_cells(self):
         # factor 1 draws exactly 4n, often short in a cell; regeneration
         # doubles the factor until every cell fills
@@ -321,6 +357,15 @@ class TestRunStudy:
         assert report.empirical_sd is None
         assert all(v is None for v in report.relative_length.values())
         assert all(v is None for v in report.bias_mc_se.values())
+
+    def test_a_strategy_no_replicate_estimated_has_no_metrics(self, monkeypatch):
+        cfg = cfg_with(replicates=3)
+        monkeypatch.setattr(simulation, "se_block", failing_se_block([SeStrategy.PO], {0, 1, 2}))
+        report = run_study(cfg, n_oracle=50_000)
+        for metric in (report.coverage, report.coverage_mc_se, report.relative_length,
+                       report.mean_se):
+            assert metric["po"] is None
+            assert all(v is not None for s, v in metric.items() if s != "po")
 
     def test_tidy_rows_cover_all_metrics(self):
         report = run_study(cfg_with(replicates=3), n_oracle=50_000)

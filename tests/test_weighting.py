@@ -13,6 +13,7 @@ from maic.errors import (DegenerateCovariate, DimensionMismatch, EmptyWeights, M
 from maic.simulation import ScenarioConfig, replicate_datasets
 from maic.weighting import (
     SolverConfig,
+    _evaluate,
     balance_check,
     effective_sample_size,
     moment_matrix,
@@ -308,6 +309,20 @@ class TestSolverBlocks:
             assert model.alpha1.tobytes() == alpha.tobytes()
             assert model.weights.tobytes() == w.tobytes()
             assert model.iterations == iterations
+
+    def test_an_overflowing_trial_point_keeps_unit_weights(self, rng):
+        # an exponent over 700 marks replicate 1's trial point invalid; the
+        # others' weights are np.exp of their exponents, bit for bit
+        c = rng.normal(size=(3, 20, 2))
+        c[1, 0] = [1.0, 0.0]
+        a = np.array([[0.5, -0.2], [800.0, 0.0], [0.1, 0.3]])
+        w, q, ok = _evaluate(c, a)
+        assert ok.tolist() == [True, False, True]
+        assert w[1].tobytes() == np.ones(20).tobytes()
+        expo = np.matmul(c, a[:, :, None])[:, :, 0]
+        for b in (0, 2):
+            assert w[b].tobytes() == np.exp(expo[b]).tobytes()
+        assert q.tobytes() == w.mean(axis=1).tobytes()
 
     def test_block_outcomes_equal_lone_solves(self):
         rng = np.random.default_rng(12)
