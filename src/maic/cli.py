@@ -21,8 +21,8 @@ from pathlib import Path
 from . import __version__
 from .data_model import (MomentSpec, OutcomeKind, load_agd, load_ipd, pooled_target_moments,
                          write_rows)
-from .errors import (InvalidChoice, MaicError, NonConvergence, NonFiniteResult, SchemaError,
-                     SeparationError)
+from .errors import (InvalidChoice, MaicError, MissingVariance, NonConvergence, NonFiniteResult,
+                     SchemaError, SeparationError)
 from .estimators import Method, Scale
 from .inference import build_comparison_report, check_level, negative_control_test
 from .simulation import ScenarioConfig, run_study
@@ -78,9 +78,13 @@ def _load_pair(args):
 
 def _fit_weights(args, ipd, agd):
     """The weights that balance the IPD's --moments against the pooled AGD
-    target."""
+    target; an AGD study that lacks what the target needs is named by path."""
     spec = MomentSpec(args.moments)
-    return solve_weights(ipd, pooled_target_moments(agd, spec), spec, SolverConfig())
+    try:
+        target = pooled_target_moments(agd, spec)
+    except MissingVariance as e:
+        raise MissingVariance(f"{args.agd}: {e}") from None
+    return solve_weights(ipd, target, spec, SolverConfig())
 
 
 def cmd_fit(args) -> int:

@@ -176,14 +176,9 @@ class AgdStudy:
     def __post_init__(self):
         object.__setattr__(self, "covariate_names", tuple(self.covariate_names))
         p = len(self.covariate_names)
-        if self.active_arm.p != p:
-            raise DimensionMismatch(
-                f"active arm has {self.active_arm.p} covariate means, expected {p}"
-            )
-        if self.comparator_arm is not None and self.comparator_arm.p != p:
-            raise DimensionMismatch(
-                f"comparator arm has {self.comparator_arm.p} covariate means, expected {p}"
-            )
+        for name, arm in zip(("active", "comparator"), self.arms):
+            if arm.p != p:
+                raise DimensionMismatch(f"{name} arm has {arm.p} covariate means, expected {p}")
 
     @property
     def arms(self) -> list[AgdArm]:
@@ -536,13 +531,10 @@ def pooled_target_moments(agd: AgdStudy, spec: MomentSpec) -> np.ndarray:
     first = np.sum([wi * a.x_mean for wi, a in zip(w, arms)], axis=0)
     if spec is MomentSpec.FIRST:
         return first
-    for a in arms:
+    for name, a in zip(("active", "comparator"), arms):
         if a.x_var is None:
-            raise MissingVariance(
-                "first+second moment matching requires x_var on every AGD arm"
-            )
-    second = np.sum(
-        [wi * (a.x_mean**2 + a.x_var * (a.n - 1) / a.n) for wi, a in zip(w, arms)],
-        axis=0,
-    )
+            raise MissingVariance("first+second moment matching requires x_var on every AGD "
+                                  f"arm; the {name} arm has none")
+    second = np.sum([wi * (a.x_mean**2 + a.x_var * (a.n - 1) / a.n) for wi, a in zip(w, arms)],
+                    axis=0)
     return np.concatenate([first, second])

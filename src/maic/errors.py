@@ -89,6 +89,10 @@ class NoComparatorArm(MaicError):
     pass
 
 
+class MissingWeightModel(MaicError):
+    """A MAIC method or the null check was run without a fitted weight model."""
+
+
 class SeparationError(MaicError):
     pass
 

@@ -20,6 +20,8 @@ from .data_model import AgdStudy, IpdBlock, IpdStudy, OutcomeKind, stack_ipd, ta
 from .errors import (
     BoundaryProportion,
     DimensionMismatch,
+    MaicError,
+    MissingWeightModel,
     NoComparatorArm,
     SeparationError,
     SingularDesign,
@@ -106,15 +108,14 @@ def _weighted_means(block: IpdBlock, w: np.ndarray, code: int) -> np.ndarray:
     return (wz * block.arm_rows(block.y, code)).sum(axis=1) / wz.sum(axis=1)
 
 
-def _block_weights(block: IpdBlock, models, method: Method) -> np.ndarray:
-    """Fitted weights (B, n) for the MAIC methods, unit weights for bucher
-    and naive; `models` is read only for the MAIC methods."""
-    if method is Method.STC:
-        raise ValueError("stc is an outcome-model estimator and weights no records")
-    if not method.weighted:
+def _block_weights(block: IpdBlock, models, weighted: bool) -> np.ndarray:
+    """The fitted weights (B, n) when `weighted` (the MAIC methods and the
+    null check), else unit weights; `models` is read only when weighted,
+    and a study without one is a MissingWeightModel."""
+    if not weighted:
         return np.ones((len(block), block.n))
     if any(m is None for m in models):
-        raise NoComparatorArm("weight model required for MAIC methods")
+        raise MissingWeightModel("the MAIC methods and the null check need a fitted weight model")
     return np.stack([m.weights for m in models])
 
 
@@ -150,10 +151,9 @@ def estimate_block(block: IpdBlock, agds, models, scale: Scale, method: Method) 
     others."""
     if method is Method.STC:
         return stc_block(block, agds, scale)
-    try:
-        w = _block_weights(block, models, method)
-    except NoComparatorArm as e:
-        return [e] * len(block)
+    w = capture(_block_weights, block, models, method.weighted)
+    if isinstance(w, MaicError):
+        return [w] * len(block)
     mu1 = _weighted_means(block, w, 1)
     mu0 = _weighted_means(block, w, 0) if method.anchored and block.has_comparator else None
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from .data_model import AgdStudy, IpdBlock, IpdStudy, stack_ipd, take_rows, write_rows
 from .errors import InvalidLevel, MaicError, NoComparatorArm, ZeroSe, capture, succeeded, unwrap
-from .estimators import Estimate, Method, Scale, _weighted_means, estimate_block
+from .estimators import Estimate, Method, Scale, _block_weights, _weighted_means, estimate_block
 from .variance import REPORT_STRATEGIES, SeEstimate, SeStrategy, comparator_fo_block, se_block
 from .weighting import WeightModel, fit_diagnostics
 
@@ -84,11 +84,14 @@ def negative_control_test(
 def negative_control_block(block: IpdBlock, agds, models, scale: Scale = Scale.IDENTITY,
                            alpha_level: float = 0.05) -> list:
     """negative_control_test for each study of a block: a NegControlResult or
-    the MaicError per study.  Its SE is fo on the comparator pair, the
-    fitted weights held fixed (variance.comparator_fo_block).  An
+    the MaicError per study.  It reads the fitted weights (MissingWeightModel
+    without them) and the comparator arms; its SE is fo on the comparator
+    pair, the weights held fixed (variance.comparator_fo_block).  An
     alpha_level outside (0, 1) is an InvalidLevel for the whole block."""
     check_level(alpha_level, "alpha level")
-    w = np.stack([m.weights for m in models])
+    w = capture(_block_weights, block, models, True)
+    if isinstance(w, MaicError):
+        return [w] * len(block)
     mu0 = _weighted_means(block, w, 0) if block.has_comparator else None
 
     def prepare(b):
@@ -181,7 +184,8 @@ def build_comparison_report(
 ) -> ComparisonReport:
     """Run the requested methods, attach SEs/CIs/p-values for each requested
     strategy that applies to the method (see variance.se_block), and collect
-    per-method failures without aborting the remaining methods."""
+    per-method failures without aborting the remaining methods.  Without a
+    model the MAIC methods and the null check file a MissingWeightModel."""
     report = ComparisonReport(scale=scale, level=level)
     agd.check_alignment(ipd)
     block = stack_ipd([ipd])
@@ -203,7 +207,7 @@ def build_comparison_report(
     if model is not None:
         report.diagnostics = {"ess": {str(k): v for k, v in model.ess.items()},
                               **fit_diagnostics(model, ipd)}
-    if run_negative_control and model is not None:
+    if run_negative_control:
         (result,) = negative_control_block(block, [agd], [model], scale)
         if isinstance(result, MaicError):
             report.errors["negative_control"] = f"{type(result).__name__}: {result}"

@@ -361,9 +361,10 @@ def run_block(cfg: ScenarioConfig, indices) -> list[ReplicateResult]:
     estimators, the SEs and the null checks of the whole block computed
     stacked; each result equals its lone run_replicate bit for bit.  Each
     stage files a MaicError under its key: weights, then the keys of
-    ComparisonReport.errors (<method>, maic-nab/<strategy>, negative_control).
-    A failure skips only the stages that need its result, so one strategy's
-    failure leaves the other strategies' SEs in place."""
+    ComparisonReport.errors (<method>, maic-nab/<strategy>, negative_control),
+    and runs on the replicates that hold what it reads: the weighted
+    estimators and the null check on the fitted ones, the SEs on maic-nab's
+    successes, the other estimators on all."""
     block, agds, records = replicate_block(cfg, indices)
     results = [ReplicateResult() for _ in indices]
 
@@ -378,6 +379,9 @@ def run_block(cfg: ScenarioConfig, indices) -> list[ReplicateResult]:
                 kept.append((b, out))
         return kept
 
+    def inputs(members) -> tuple:  # the IPD block, AGD studies and weight models of members
+        return block.take(members), [agds[b] for b in members], [models[b] for b in members]
+
     everyone = list(range(len(indices)))
     targets = np.stack([pooled_target_moments(agd, MomentSpec.FIRST) for agd in agds])
     models = solve_weights_block(block, targets, MomentSpec.FIRST, _SOLVER)
@@ -385,29 +389,23 @@ def run_block(cfg: ScenarioConfig, indices) -> list[ReplicateResult]:
     nab = []  # (replicate, estimate) of each maic-nab success
     for method in SIM_METHODS:
         members = fitted if method.weighted else everyone
-        if not members:
-            continue
-        outs = estimate_block(block.take(members), [agds[b] for b in members],
-                              [models[b] for b in members], cfg.scale, method)
-        kept = file(method.value, members, outs)
-        for b, est in kept:
-            results[b].deltas[method.value] = est.delta
-        if method is Method.MAIC_NAB:
-            nab = kept
-    if not nab:
-        return results
-
-    members, ests = map(list, zip(*nab))
-    sub = block.take(members)
-    sub_agds, sub_models = [agds[b] for b in members], [models[b] for b in members]
-    ses = se_block(sub, sub_agds, sub_models, ests, cfg.scale, tuple(SeStrategy),
-                   records=[records[b] for b in members])
-    for strategy, outs in ses.items():
-        for b, se in file(f"{Method.MAIC_NAB.value}/{strategy.value}", members, outs):
-            results[b].ses[strategy.value] = se.se
-    for b, result in file("negative_control", members,
-                          negative_control_block(sub, sub_agds, sub_models, cfg.scale)):
-        results[b].negcontrol_reject = result.reject_at_level
+        if members:
+            kept = file(method.value, members, estimate_block(*inputs(members), cfg.scale, method))
+            for b, est in kept:
+                results[b].deltas[method.value] = est.delta
+            if method is Method.MAIC_NAB:
+                nab = kept
+    if nab:
+        members, ests = map(list, zip(*nab))
+        ses = se_block(*inputs(members), ests, cfg.scale, tuple(SeStrategy),
+                       records=[records[b] for b in members])
+        for strategy, outs in ses.items():
+            for b, se in file(f"{Method.MAIC_NAB.value}/{strategy.value}", members, outs):
+                results[b].ses[strategy.value] = se.se
+    if fitted:  # the null check stays last, so each replicate files its errors in stage order
+        for b, result in file("negative_control", fitted,
+                              negative_control_block(*inputs(fitted), cfg.scale)):
+            results[b].negcontrol_reject = result.reject_at_level
     return results
 
 

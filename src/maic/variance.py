@@ -205,7 +205,9 @@ def _derive(block: IpdBlock, agds, models, ests, scale: Scale):
     """The weights (B, n), the combined sizes and each study's pair terms
     (see _pair_terms) of a block whose estimates share one method: what the
     influence and sw paths share, derived once."""
-    w = _block_weights(block, models, ests[0].method)
+    if ests[0].method is Method.STC:
+        raise ValueError("stc is an outcome-model estimator and weights no records")
+    w = _block_weights(block, models, ests[0].method.weighted)
     n_total = [block.n + agd.n_total for agd in agds]
     return w, n_total, _pair_terms(block, [_arm_pairs(a, e) for a, e in zip(agds, ests)],
                                    n_total, scale)

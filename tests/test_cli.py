@@ -100,6 +100,21 @@ class TestFit:
         assert code == 1
         assert "MissingVariance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("arm", ["active", "comparator"])
+    @pytest.mark.parametrize("command", ["fit", "compare", "negcontrol"])
+    def test_second_moments_without_x_var_name_the_file_and_the_arm(self, io_pair, tmp_path,
+                                                                    capsys, command, arm):
+        ipd, agd = io_pair
+        doc = json.loads(agd.read_text())
+        del doc["arms"][arm]["x_var"]
+        agd.write_text(json.dumps(doc))
+        code = main([command, "--ipd", str(ipd), "--agd", str(agd),
+                     "--moments", "first+second", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: MissingVariance: {agd}: ")
+        assert f"the {arm} arm" in err
+
     def test_bad_csv_exits_1(self, io_pair, tmp_path, capsys):
         _, agd = io_pair
         bad = tmp_path / "bad.csv"

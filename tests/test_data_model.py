@@ -15,6 +15,7 @@ from maic.data_model import (
     load_agd,
     load_ipd,
     pooled_target_moments,
+    stack_ipd,
 )
 from maic.errors import (
     DimensionMismatch,
@@ -307,6 +308,25 @@ class TestIpdStudy:
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
             make_ipd([1.0, 0.0], [1], [[0.1], [0.2]])
+
+    def test_rejects_covariates_that_are_not_two_dimensional(self):
+        with pytest.raises(DimensionMismatch, match="2-dimensional"):
+            IpdStudy(np.ones(2), np.array([1, 0]), np.zeros(2), ("x1",))
+
+    def test_rejects_a_study_without_rows(self):
+        with pytest.raises(EmptyStudy, match="no data rows"):
+            IpdStudy(np.ones(0), np.zeros(0, int), np.zeros((0, 1)), ("x1",))
+
+    def test_rejects_covariate_columns_unequal_to_the_names(self):
+        with pytest.raises(DimensionMismatch, match="2 covariate columns vs 1 covariate names"):
+            IpdStudy(np.ones(2), np.array([1, 0]), np.zeros((2, 2)), ("x1",))
+
+    def test_a_block_rejects_studies_whose_arm_sizes_differ(self):
+        x = [[0.1], [0.2], [0.3]]
+        a = make_ipd([1.0, 0.0, 1.0], [1, 0, 1], x)
+        b = make_ipd([1.0, 0.0, 1.0], [1, 0, 0], x)
+        with pytest.raises(ValueError, match="same arm sizes"):
+            stack_ipd([a, b])
 
     @pytest.mark.parametrize("code", [0.7, 1.9, pytest.param([2, -1, 2], id="2,-1,2"),
                                       pytest.param(np.nan, id="nan")])

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from maic.data_model import OutcomeKind
-from maic.errors import InvalidLevel, NoComparatorArm, RequiresFullIpd, ZeroSe
+from maic.errors import (InvalidLevel, MissingWeightModel, NoComparatorArm, RequiresFullIpd,
+                         ZeroSe)
 from maic.estimators import Method, Scale
 from maic.inference import (
     build_comparison_report,
@@ -42,6 +43,10 @@ class TestWaldCi:
 
     def test_zero_se_degenerates(self):
         assert wald_ci(0.4, 0.0) == (0.4, 0.4)
+
+    def test_negative_se_is_rejected(self):
+        with pytest.raises(ZeroSe, match="nonnegative"):
+            wald_ci(0.4, -0.1)
 
     def test_reported_odds_ratio_interval(self):
         # log OR 0.13 with SE 0.30 was reported as OR CI (0.64, 2.04)
@@ -117,6 +122,11 @@ class TestNegativeControl:
         result = negative_control_test(ipd, agd, model)
         assert abs(result.z) > norm_quantile(0.975)
         assert result.reject_at_level
+
+    def test_needs_a_fitted_weight_model(self, rng):
+        ipd, agd, _ = two_arm_problem(rng)
+        with pytest.raises(MissingWeightModel):
+            negative_control_test(ipd, agd, None)
 
     def test_needs_comparator_arms(self, rng):
         ipd, agd, model = two_arm_problem(rng)
@@ -203,6 +213,16 @@ class TestComparisonReport:
         assert "NoComparatorArm" in report.errors["maic-acb"]
         assert "bucher" in report.errors
         assert {"maic-nab", "stc", "naive"} <= set(report.estimates)
+
+    def test_a_missing_fit_is_filed_by_name_under_each_key_that_reads_it(self, rng):
+        ipd, agd, _ = two_arm_problem(rng)
+        report = build_comparison_report(ipd, agd, None,
+                                         [Method.MAIC_NAB, Method.MAIC_ACB, Method.BUCHER],
+                                         run_negative_control=True)
+        assert set(report.errors) == {"maic-nab", "maic-acb", "negative_control"}
+        assert all(e.startswith("MissingWeightModel: ") for e in report.errors.values())
+        assert set(report.estimates) == {"bucher"}
+        assert report.negative_control is None
 
     def test_null_comparison_deltas_near_zero(self, rng):
         n = 4000

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from maic import simulation
 from maic.cli import write_json
-from maic.errors import InsufficientCell, SchemaError, SingularJacobian
-from maic.estimators import Scale
+from maic.errors import BoundaryProportion, InsufficientCell, SchemaError, SingularJacobian
+from maic.estimators import Method, Scale
 from maic.simulation import (
     ALPHA0,
     BETA0,
@@ -43,6 +43,20 @@ def failing_se_block(strategies, replicates):
                       for b, v in enumerate(out[s])]
         return out
     return se_block
+
+
+def failing_estimate_block(method, replicates):
+    """simulation.estimate_block with a BoundaryProportion for `method` in
+    each of the block positions `replicates`."""
+    real = simulation.estimate_block
+
+    def estimate_block(*args):
+        out = real(*args)
+        if args[-1] is method:
+            out = [BoundaryProportion("logit scale requires a mean in (0, 1), got 0.0")
+                   if b in replicates else v for b, v in enumerate(out)]
+        return out
+    return estimate_block
 
 
 def cfg_with(**kwargs):
@@ -325,6 +339,23 @@ class TestRunReplicate:
                                  "is singular" for s in failed}
         assert (got[1].deltas, got[1].negcontrol_reject) == (clean[1].deltas,
                                                             clean[1].negcontrol_reject)
+        for b in (0, 2, 3):
+            assert pickle.dumps(got[b]) == pickle.dumps(clean[b])
+
+    def test_a_failed_maic_nab_skips_only_its_ses(self, monkeypatch):
+        # the null check reads the fit and the comparator arms, not maic-nab
+        cfg = cfg_with(replicates=4)
+        clean = run_block(cfg, range(cfg.replicates))
+        assert not any(r.errors for r in clean)
+        monkeypatch.setattr(simulation, "estimate_block",
+                            failing_estimate_block(Method.MAIC_NAB, {1}))
+        got = run_block(cfg, range(cfg.replicates))
+        assert got[1].errors == {"maic-nab": "BoundaryProportion: logit scale requires a "
+                                 "mean in (0, 1), got 0.0"}
+        assert got[1].ses == {}
+        assert got[1].deltas == {m: d for m, d in clean[1].deltas.items() if m != "maic-nab"}
+        assert clean[1].negcontrol_reject is not None
+        assert got[1].negcontrol_reject == clean[1].negcontrol_reject
         for b in (0, 2, 3):
             assert pickle.dumps(got[b]) == pickle.dumps(clean[b])
 

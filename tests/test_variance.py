@@ -7,7 +7,7 @@ import pytest
 
 from maic.data_model import IpdStudy, MomentSpec, OutcomeKind, TrialRecords
 from maic.errors import MissingAgdVariance, RequiresFullIpd
-from maic.estimators import Estimate, Method, Scale, bucher, maic_acb, maic_nab, naive
+from maic.estimators import Estimate, Method, Scale, bucher, maic_acb, maic_nab, naive, stc
 from maic.variance import (
     InfluencePieces,
     SeStrategy,
@@ -321,6 +321,12 @@ class TestStrategies:
             for fn in (sigma2_fo, sigma2_po, sigma2_cs):
                 assert fn(pieces).sigma2 >= 0.0
 
+    def test_stc_has_no_sandwich_se(self, rng):
+        ipd, agd, model = random_problem(rng)
+        est = stc(ipd, agd)
+        with pytest.raises(ValueError, match="stc is an outcome-model estimator"):
+            sigma2_sw(ipd, agd, model, est)
+
     def test_sw_unit_weights_is_plain_hc0(self, rng):
         ipd, agd, model = random_problem(rng)
         est = naive(ipd, agd)
@@ -429,6 +435,12 @@ class TestFullInfluence:
         short = TrialRecords(records.y[:-1], records.z[:-1], records.x[:-1])
         with pytest.raises(RequiresFullIpd):
             sigma2_full(ipd, agd, short, model, est)
+
+    def test_defined_for_maic_nab_only(self, rng):
+        ipd, agd, records, model = self._with_records(rng)
+        est = maic_acb(ipd, agd, model)
+        with pytest.raises(ValueError, match="defined for maic-nab"):
+            sigma2_full(ipd, agd, records, model, est)
 
     def test_strategy_label(self, rng):
         ipd, agd, records, model = self._with_records(rng)

@@ -96,6 +96,11 @@ class TestSolveWeights:
         np.testing.assert_allclose(model.alpha1, [0.0], atol=1e-12)
         np.testing.assert_allclose(model.weights, 1.0, atol=1e-12)
 
+    def test_a_target_of_the_wrong_length_is_rejected(self):
+        ipd = make_ipd([1.0, 0.0], [1, 1], [[-1.0], [1.0]])
+        with pytest.raises(ValueError, match="target has length 2, expected 1"):
+            solve_weights(ipd, np.array([0.0, 0.0]))
+
     def test_closed_form_log3(self):
         # x in {0,0,1,1}, target 0.75: balance requires e^a = 3
         ipd = make_ipd([0.0, 0.0, 1.0, 1.0], [1, 1, 1, 1],
