@@ -1,11 +1,10 @@
-"""Wald intervals and tests, the negative-control check, and report assembly."""
+"""Wald intervals and tests, the negative-control check, and report_block, the
+one report assembly of a `maic compare` run and of a simulation block."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from statistics import NormalDist
-
-import numpy as np
 
 from .data_model import AgdStudy, IpdBlock, IpdStudy, stack_ipd, take_rows, write_rows
 from .errors import InvalidLevel, MaicError, NoComparatorArm, ZeroSe, capture, succeeded, unwrap
@@ -21,10 +20,12 @@ def norm_quantile(q: float) -> float:
 
 
 def check_level(level: float, name: str) -> None:
-    """InvalidLevel naming `name` unless level lies in (0, 1), which also
-    rejects NaN and the infinities."""
+    """InvalidLevel naming `name` unless level lies in (0, 1) and neither
+    (1 + level)/2 nor 1 - level/2 rounds to 1, whose normal quantile is infinite."""
     if not 0.0 < level < 1.0:
         raise InvalidLevel(f"{name} must lie in (0, 1), got {level}")
+    if not max((1.0 + level) / 2.0, 1.0 - level / 2.0) < 1.0:
+        raise InvalidLevel(f"{name} {level!r} is too near 0 or 1: its normal quantile is infinite")
 
 
 def wald_ci(delta: float, se: float, level: float = 0.95) -> tuple[float, float]:
@@ -42,6 +43,11 @@ def wald_test(delta: float, se: float) -> tuple[float, float]:
     z = delta / se
     p = 2.0 * (1.0 - _NORM.cdf(abs(z)))
     return z, p
+
+
+def _wald_or_null(delta: float, se: float) -> tuple[float, float]:
+    """wald_test, or z = 0 and p = 1 (no evidence) where the SE is not positive."""
+    return wald_test(delta, se) if se > 0 else (0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -113,7 +119,7 @@ def negative_control_block(block: IpdBlock, agds, models, scale: Scale = Scale.I
             out[b] = se0
             continue
         delta0 = out[b][1]
-        z0, p = wald_test(delta0, se0) if se0 > 0 else (0.0, 1.0)
+        z0, p = _wald_or_null(delta0, se0)
         out[b] = NegControlResult(delta0, se0, z0, p, abs(z0) > zcrit, alpha_level)
     return out
 
@@ -172,45 +178,77 @@ class ComparisonReport:
                                        "ci_lo", "ci_hi", "p_value"])
 
 
-def build_comparison_report(
-    ipd: IpdStudy,
-    agd: AgdStudy,
-    model: WeightModel | None,
-    methods: list[Method],
-    scale: Scale = Scale.IDENTITY,
-    strategies: list[SeStrategy] = REPORT_STRATEGIES,
-    level: float = 0.95,
-    run_negative_control: bool = False,
-) -> ComparisonReport:
-    """Run the requested methods, attach SEs/CIs/p-values for each requested
-    strategy that applies to the method (see variance.se_block), and collect
-    per-method failures without aborting the remaining methods.  Without a
-    model the MAIC methods and the null check file a MissingWeightModel."""
-    report = ComparisonReport(scale=scale, level=level)
-    agd.check_alignment(ipd)
-    block = stack_ipd([ipd])
-    for method in methods:
-        (est,) = estimate_block(block, [agd], [model], scale, method)
-        if isinstance(est, MaicError):
-            report.errors[method.value] = f"{type(est).__name__}: {est}"
-            continue
-        report.estimates[method.value] = est
-        for strategy, (se,) in se_block(block, [agd], [model], [est], scale, strategies).items():
-            key = (method.value, strategy.value)
-            if isinstance(se, MaicError):
-                report.errors["/".join(key)] = f"{type(se).__name__}: {se}"
-                continue
-            report.ses[key] = se
-            report.cis[key] = wald_ci(est.delta, se.se, level)
-            report.p_values[key] = wald_test(est.delta, se.se)[1] if se.se > 0 else 1.0
+def report_block(block: IpdBlock, agds, models, methods, scale: Scale, strategies,
+                 level: float, se_methods, records=None,
+                 negative_control: bool = False) -> list[ComparisonReport]:
+    """A ComparisonReport per study of a block, each equal to the study's
+    report in a block of one; models[b] is its WeightModel, None without a
+    fit, or the MaicError of a failed fit.  The stages run in this order,
+    each over the block on the studies that hold what it reads, and each
+    files a MaicError under its key: weights; each method's estimate, under
+    <method> (the MAIC methods skip a failed fit and file MissingWeightModel
+    without one); the SEs of each method in se_methods that has estimates,
+    each of the `strategies` that applies (variance.se_block) on its own,
+    under <method>/<strategy>; and the null check, when asked, on the
+    studies the MAIC methods ran on, under negative_control.  `records`
+    holds the aggregate trial's records per study, which full needs."""
+    reports = [ComparisonReport(scale=scale, level=level) for _ in agds]
 
+    def file(key, members, outcomes) -> list[tuple]:
+        """File each MaicError under `key`; the (member, outcome) pairs left."""
+        kept = []
+        for b, out in zip(members, outcomes):
+            if isinstance(out, MaicError):
+                reports[b].errors[key] = f"{type(out).__name__}: {out}"
+            else:
+                kept.append((b, out))
+        return kept
+
+    def inputs(members) -> tuple:  # the IPD block, AGD studies and weight models of members
+        return block.take(members), [agds[b] for b in members], [models[b] for b in members]
+
+    everyone = list(range(len(agds)))
+    fitted = [b for b, _ in file("weights", everyone, models)]
+    # a stage that reads the weights runs apart on the studies without a fit
+    weighted = [g for g in ([b for b in fitted if models[b] is not None],
+                            [b for b in fitted if models[b] is None]) if g]
+    for method in methods:
+        for members in weighted if method.weighted else [everyone]:
+            for b, est in file(method.value, members,
+                               estimate_block(*inputs(members), scale, method)):
+                reports[b].estimates[method.value] = est
+    for method in (m for m in methods if m in se_methods):
+        members = [b for b in everyone if method.value in reports[b].estimates]
+        if not members:
+            continue
+        ests = [reports[b].estimates[method.value] for b in members]
+        ses = se_block(*inputs(members), ests, scale, strategies,
+                       records=None if records is None else [records[b] for b in members])
+        for strategy, outs in ses.items():
+            key = (method.value, strategy.value)
+            for b, se in file("/".join(key), members, outs):
+                delta = reports[b].estimates[method.value].delta
+                reports[b].ses[key] = se
+                reports[b].cis[key] = wald_ci(delta, se.se, level)
+                reports[b].p_values[key] = _wald_or_null(delta, se.se)[1]
+    for members in weighted if negative_control else []:
+        for b, result in file("negative_control", members,
+                              negative_control_block(*inputs(members), scale)):
+            reports[b].negative_control = result
+    return reports
+
+
+def build_comparison_report(ipd: IpdStudy, agd: AgdStudy, model: WeightModel | None,
+                            methods: list[Method], scale: Scale = Scale.IDENTITY,
+                            strategies: list[SeStrategy] = REPORT_STRATEGIES,
+                            level: float = 0.95,
+                            run_negative_control: bool = False) -> ComparisonReport:
+    """The report_block of this one study, with SEs for every method, plus
+    the fit diagnostics when a model is given."""
+    agd.check_alignment(ipd)
+    (report,) = report_block(stack_ipd([ipd]), [agd], [model], methods, scale, strategies,
+                             level, methods, negative_control=run_negative_control)
     if model is not None:
         report.diagnostics = {"ess": {str(k): v for k, v in model.ess.items()},
                               **fit_diagnostics(model, ipd)}
-    if run_negative_control:
-        (result,) = negative_control_block(block, [agd], [model], scale)
-        if isinstance(result, MaicError):
-            report.errors["negative_control"] = f"{type(result).__name__}: {result}"
-        else:
-            report.negative_control = result
     return report

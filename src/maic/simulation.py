@@ -14,13 +14,13 @@ Replicate r of a study draws from an independent RNG stream keyed by
 cells and outcome uniforms and picks its subsample on its own stream; then,
 for the whole block at once, the kept rows' outcomes are computed, trial 1
 is split off as one stacked IPD block (with the row indices of each arm,
-found once), trial 2's arms are collapsed to means and variances, and the
-block goes through one stacked solve/estimate/SE core.  The study's oracle
-contrast (true_delta) is a pure function of the config that holds only the
-covariates its linear predictors read; with more than one worker process it
-runs as the first pool task, beside the blocks.  The arithmetic per
-replicate is that of a lone replicate, so the output is the same for any
-thread count and any block size.
+found once), trial 2's arms are collapsed to means and variances, the
+weights are solved, and inference.report_block assembles the rest.  The
+study's oracle contrast (true_delta) is a pure function of the config that
+holds only the covariates its linear predictors read; with more than one
+worker process it runs as the first pool task, beside the blocks.  The
+arithmetic per replicate is that of a lone replicate, so the output is the
+same for any thread count and any block size.
 """
 
 from __future__ import annotations
@@ -47,10 +47,10 @@ from .data_model import (
     pooled_target_moments,
     read_object,
 )
-from .errors import InsufficientCell, MaicError, SchemaError
-from .estimators import Method, Scale, estimate_block
-from .inference import negative_control_block, norm_quantile
-from .variance import SeStrategy, se_block
+from .errors import InsufficientCell, SchemaError
+from .estimators import Method, Scale
+from .inference import norm_quantile, report_block
+from .variance import SeStrategy
 from .weighting import SolverConfig, solve_weights_block
 
 BETA0 = -1.0
@@ -357,56 +357,18 @@ def run_replicate(cfg: ScenarioConfig, replicate_index: int) -> ReplicateResult:
 
 
 def run_block(cfg: ScenarioConfig, indices) -> list[ReplicateResult]:
-    """run_replicate for each replicate index, with the weight solves, the
-    estimators, the SEs and the null checks of the whole block computed
-    stacked; each result equals its lone run_replicate bit for bit.  Each
-    stage files a MaicError under its key: weights, then the keys of
-    ComparisonReport.errors (<method>, maic-nab/<strategy>, negative_control),
-    and runs on the replicates that hold what it reads: the weighted
-    estimators and the null check on the fitted ones, the SEs on maic-nab's
-    successes, the other estimators on all."""
+    """run_replicate for each replicate index: the weights solved stacked over
+    the block, then inference.report_block with maic-nab's SEs and the null
+    check; each result equals its lone run_replicate bit for bit."""
     block, agds, records = replicate_block(cfg, indices)
-    results = [ReplicateResult() for _ in indices]
-
-    def file(key, members, outcomes) -> list[tuple]:
-        """File each MaicError under `key` in its replicate's errors; returns
-        the (member, outcome) pairs that succeeded."""
-        kept = []
-        for b, out in zip(members, outcomes):
-            if isinstance(out, MaicError):
-                results[b].errors[key] = f"{type(out).__name__}: {out}"
-            else:
-                kept.append((b, out))
-        return kept
-
-    def inputs(members) -> tuple:  # the IPD block, AGD studies and weight models of members
-        return block.take(members), [agds[b] for b in members], [models[b] for b in members]
-
-    everyone = list(range(len(indices)))
     targets = np.stack([pooled_target_moments(agd, MomentSpec.FIRST) for agd in agds])
     models = solve_weights_block(block, targets, MomentSpec.FIRST, _SOLVER)
-    fitted = [b for b, _ in file("weights", everyone, models)]
-    nab = []  # (replicate, estimate) of each maic-nab success
-    for method in SIM_METHODS:
-        members = fitted if method.weighted else everyone
-        if members:
-            kept = file(method.value, members, estimate_block(*inputs(members), cfg.scale, method))
-            for b, est in kept:
-                results[b].deltas[method.value] = est.delta
-            if method is Method.MAIC_NAB:
-                nab = kept
-    if nab:
-        members, ests = map(list, zip(*nab))
-        ses = se_block(*inputs(members), ests, cfg.scale, tuple(SeStrategy),
-                       records=[records[b] for b in members])
-        for strategy, outs in ses.items():
-            for b, se in file(f"{Method.MAIC_NAB.value}/{strategy.value}", members, outs):
-                results[b].ses[strategy.value] = se.se
-    if fitted:  # the null check stays last, so each replicate files its errors in stage order
-        for b, result in file("negative_control", fitted,
-                              negative_control_block(*inputs(fitted), cfg.scale)):
-            results[b].negcontrol_reject = result.reject_at_level
-    return results
+    reports = report_block(block, agds, models, SIM_METHODS, cfg.scale, tuple(SeStrategy), 0.95,
+                           (Method.MAIC_NAB,), records=records, negative_control=True)
+    return [ReplicateResult({m: est.delta for m, est in r.estimates.items()},
+                            {s: se.se for (_, s), se in r.ses.items()},
+                            r.negative_control and r.negative_control.reject_at_level,
+                            r.errors) for r in reports]
 
 
 @dataclass

@@ -600,6 +600,20 @@ class TestNegControl:
         assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command, flag, value", [("compare", "--level", "0.9999999999999999"),
+                                                   ("negcontrol", "--alpha", "1e-17")])
+def test_a_level_whose_normal_quantile_is_infinite_is_named(io_pair, tmp_path, capsys,
+                                                            command, flag, value):
+    # (1 + level)/2 and 1 - alpha/2 round to 1, where the normal quantile is infinite
+    ipd, agd = io_pair
+    out = tmp_path / "extreme_level"
+    code = main([command, "--ipd", str(ipd), "--agd", str(agd), flag, value, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: InvalidLevel: {flag} {value} ")
+    assert not out.exists()
+
+
 class TestSimulate:
     def _config(self, tmp_path, **overrides):
         cfg = {"p": 4, "n_per_arm": 60, "confounding": "moderate",

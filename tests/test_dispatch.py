@@ -5,6 +5,9 @@ method or strategy.  In a block of one or of three same-shaped studies,
 every outcome (an Estimate, a SeEstimate or a MaicError) must equal, bit for
 bit, what the lone public function gives for that study.  The stages take one
 stacked IPD block, which gathers arm rows by the indices it found once.
+report_block, which assembles the reports of both units of work, gives each
+study of a block its block-of-one report, so a simulation replicate equals
+the comparison report of its datasets.
 """
 
 import pickle
@@ -18,11 +21,13 @@ import maic
 from maic import data_model
 from maic.data_model import (MomentSpec, OutcomeKind, TrialRecords, pooled_target_moments,
                              stack_ipd)
-from maic.errors import MaicError, capture
+from maic.errors import MaicError, NonConvergence, capture
 from maic.estimators import Method, Scale, bucher, estimate_block, maic_acb, maic_nab, naive, stc
-from maic.inference import build_comparison_report, negative_control_block
-from maic.simulation import Confounding, ScenarioConfig, run_block
+from maic.inference import build_comparison_report, negative_control_block, report_block
+from maic.simulation import (SIM_METHODS, Confounding, ScenarioConfig, replicate_datasets,
+                             run_block, run_replicate)
 from maic.variance import (
+    REPORT_STRATEGIES,
     SeStrategy,
     influence_components,
     se_block,
@@ -198,3 +203,49 @@ def test_the_ipd_is_stacked_once_per_block_and_per_report(rng, monkeypatch):
                                      run_negative_control=True)
     assert report.negative_control is not None and len(report.ses) == 12
     assert calls == [1]
+
+
+@pytest.mark.parametrize("scale", list(Scale))
+def test_a_replicate_equals_the_comparison_report_of_its_datasets(scale):
+    cfg = ScenarioConfig(p=5, n_per_arm=60, scale=scale, replicates=20, seed=4)
+    for r in range(cfg.replicates):
+        ipd, agd, _ = replicate_datasets(cfg, r)
+        model = solve_weights(ipd, pooled_target_moments(agd, MomentSpec.FIRST))
+        report = build_comparison_report(ipd, agd, model, list(SIM_METHODS), scale,
+                                         REPORT_STRATEGIES, run_negative_control=True)
+        got = run_replicate(cfg, r)
+        assert not got.errors and not report.errors
+        assert same(got.deltas, {m: est.delta for m, est in report.estimates.items()})
+        assert same({s: v for s, v in got.ses.items() if s != SeStrategy.FULL.value},
+                    {s: se.se for (m, s), se in report.ses.items() if m == "maic-nab"})
+        assert got.negcontrol_reject is report.negative_control.reject_at_level
+
+
+def test_a_failed_fit_skips_the_weighted_stages_and_a_missing_fit_files_each(rng):
+    # models: a fit, a failed fit and no fit; the failed fit is filed once
+    studies = [study(rng, Scale.LOGIT, comparator=True) for _ in range(3)]
+    ipds, agds, records, fits = (list(t) for t in zip(*studies))
+    failed = NonConvergence("target outside the convex hull of the IPD moments")
+    methods = list(Method)
+
+    def reports(members, models):  # every method with its SEs, and the null check
+        return report_block(stack_ipd([ipds[b] for b in members]), [agds[b] for b in members],
+                            models, methods, Scale.LOGIT, list(SeStrategy), 0.95,
+                            se_methods=methods, records=[records[b] for b in members],
+                            negative_control=True)
+
+    fit, lost, none = reports([0, 1, 2], [fits[0], failed, None])
+    assert same(fit, reports([0], [fits[0]])[0])
+    assert fit.negative_control is not None and not fit.errors
+    assert lost.errors["weights"] == f"NonConvergence: {failed}"
+    assert not any("MissingWeightModel" in e for e in lost.errors.values())
+    assert not {"maic-nab", "maic-acb", "negative_control"} & set(lost.errors)
+    assert lost.negative_control is None
+    assert {k for k, e in none.errors.items() if e.startswith("MissingWeightModel: ")} == {
+        "maic-nab", "maic-acb", "negative_control"}
+    assert "weights" not in none.errors and none.negative_control is None
+    for report in (fit, lost, none):
+        assert {"bucher", "stc"} <= set(report.estimates)
+        assert {("bucher", "fo"), ("bucher", "sw")} <= set(report.ses)
+    for report in (lost, none):
+        assert set(report.estimates) == {m.value for m in methods if not m.weighted}

@@ -140,6 +140,15 @@ class TestNegativeControl:
         with pytest.raises(InvalidLevel, match="alpha"):
             negative_control_test(ipd, agd, model, alpha_level=alpha)
 
+    def test_levels_whose_normal_quantile_is_infinite_are_rejected(self, rng):
+        # 1 - alpha/2 and (1 + level)/2 round to 1 in floating point
+        ipd, agd, model = two_arm_problem(rng)
+        with pytest.raises(InvalidLevel, match="alpha level"):
+            negative_control_test(ipd, agd, model, alpha_level=1e-17)
+        with pytest.raises(InvalidLevel, match="confidence level"):
+            build_comparison_report(ipd, agd, model, [Method.MAIC_NAB],
+                                    level=0.9999999999999999)
+
     @pytest.mark.parametrize("scale", list(Scale))
     def test_se0_is_fo_on_the_comparator_pair_bit_for_bit(self, rng, scale):
         # fo on the comparator pair written out: the fixed-weight variance of

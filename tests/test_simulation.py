@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maic import simulation
+from maic import inference, simulation
 from maic.cli import write_json
 from maic.errors import BoundaryProportion, InsufficientCell, SchemaError, SingularJacobian
 from maic.estimators import Method, Scale
@@ -32,9 +32,9 @@ from maic.variance import SeStrategy
 
 
 def failing_se_block(strategies, replicates):
-    """simulation.se_block with a SingularJacobian for each of `strategies`
+    """inference.se_block with a SingularJacobian for each of `strategies`
     in each of the block positions `replicates`."""
-    real = simulation.se_block
+    real = inference.se_block
 
     def se_block(*args, **kwargs):
         out = real(*args, **kwargs)
@@ -46,9 +46,9 @@ def failing_se_block(strategies, replicates):
 
 
 def failing_estimate_block(method, replicates):
-    """simulation.estimate_block with a BoundaryProportion for `method` in
+    """inference.estimate_block with a BoundaryProportion for `method` in
     each of the block positions `replicates`."""
-    real = simulation.estimate_block
+    real = inference.estimate_block
 
     def estimate_block(*args):
         out = real(*args)
@@ -332,7 +332,7 @@ class TestRunReplicate:
         cfg, failed = cfg_with(replicates=4), (SeStrategy.PO, SeStrategy.CS, SeStrategy.FULL)
         clean = run_block(cfg, range(cfg.replicates))
         assert not any(r.errors for r in clean)
-        monkeypatch.setattr(simulation, "se_block", failing_se_block(failed, {1}))
+        monkeypatch.setattr(inference, "se_block", failing_se_block(failed, {1}))
         got = run_block(cfg, range(cfg.replicates))
         assert got[1].ses == {s: clean[1].ses[s] for s in ("fo", "sw")}
         assert got[1].errors == {f"maic-nab/{s.value}": "SingularJacobian: moment Jacobian "
@@ -347,7 +347,7 @@ class TestRunReplicate:
         cfg = cfg_with(replicates=4)
         clean = run_block(cfg, range(cfg.replicates))
         assert not any(r.errors for r in clean)
-        monkeypatch.setattr(simulation, "estimate_block",
+        monkeypatch.setattr(inference, "estimate_block",
                             failing_estimate_block(Method.MAIC_NAB, {1}))
         got = run_block(cfg, range(cfg.replicates))
         assert got[1].errors == {"maic-nab": "BoundaryProportion: logit scale requires a "
@@ -391,7 +391,7 @@ class TestRunStudy:
 
     def test_a_strategy_no_replicate_estimated_has_no_metrics(self, monkeypatch):
         cfg = cfg_with(replicates=3)
-        monkeypatch.setattr(simulation, "se_block", failing_se_block([SeStrategy.PO], {0, 1, 2}))
+        monkeypatch.setattr(inference, "se_block", failing_se_block([SeStrategy.PO], {0, 1, 2}))
         report = run_study(cfg, n_oracle=50_000)
         for metric in (report.coverage, report.coverage_mc_se, report.relative_length,
                        report.mean_se):
