@@ -14,7 +14,9 @@ import csv
 import enum
 import json
 import math
+import os
 import re
+import stat
 import warnings
 from dataclasses import dataclass
 
@@ -320,15 +322,29 @@ def load_ipd(path, outcome_kind: OutcomeKind = OutcomeKind.CONTINUOUS) -> IpdStu
     """Load an IPD study from a headered CSV file with the outcome in
     column `y`, the arm code in column `z` and a covariate in every other
     column, in file order; each row has one cell per header name.
+    csv.reader reads the header; numpy's reader then opens the path itself,
+    skips the lines the header took and parses the rows in chunks.
     The cells IpdStudy rejects (non-finite values, arm codes other than 0/1
     and, for a binary outcome, outcomes not coded 0/1), missing or
     non-numeric cells are named by file, line and column, and rows with more
-    cells than the header has names by file and line.
+    cells than the header has names by file and line.  numpy's reader would
+    decompress a path by its suffix, so a file named *.gz, *.bz2, *.xz or
+    *.lzma is a SchemaError; it is given the absolute path, which no URL
+    parse reads as a host to fetch from.  The path is opened twice, so
+    anything but a regular file (a pipe, whose first rows the header read
+    would take, or a device) is a SchemaError too.
     """
+    suffix = os.path.splitext(path)[1]
+    if suffix in (".gz", ".bz2", ".xz", ".lzma"):
+        raise SchemaError(f"{path}: a compressed file ({suffix}) is not read; decompress it first")
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise SchemaError(f"{path}: not a regular file; a pipe or device is not read, "
+                          "copy it to a file first")
     # utf-8-sig: a leading byte-order mark, as spreadsheets write, is dropped
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            header = next(csv.reader(fh), None)
+            reader = csv.reader(fh)
+            header = next(reader, None)
             if header is None:
                 raise EmptyStudy(f"{path}: empty file")
             index = {}
@@ -343,7 +359,9 @@ def load_ipd(path, outcome_kind: OutcomeKind = OutcomeKind.CONTINUOUS) -> IpdStu
             try:
                 with warnings.catch_warnings():
                     warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                    data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None, quotechar='"')
+                    data = np.loadtxt(os.path.abspath(path), delimiter=",", ndmin=2,
+                                      comments=None, quotechar='"', encoding="utf-8-sig",
+                                      skiprows=reader.line_num)
             except ValueError as e:
                 _raise_first_bad_cell(path, list(index), outcome_kind, str(e))
     except UnicodeDecodeError:

@@ -9,7 +9,8 @@ from statistics import NormalDist
 from .data_model import AgdStudy, IpdBlock, IpdStudy, stack_ipd, take_rows, write_rows
 from .errors import InvalidLevel, MaicError, NoComparatorArm, ZeroSe, capture, succeeded, unwrap
 from .estimators import Estimate, Method, Scale, _block_weights, _weighted_means, estimate_block
-from .variance import REPORT_STRATEGIES, SeEstimate, SeStrategy, comparator_fo_block, se_block
+from .variance import (REPORT_STRATEGIES, SeEstimate, SeStrategy, _moment_jacobians,
+                       comparator_fo_block, se_block)
 from .weighting import WeightModel, fit_diagnostics
 
 _NORM = NormalDist()
@@ -190,8 +191,11 @@ def report_block(block: IpdBlock, agds, models, methods, scale: Scale, strategie
     without one); the SEs of each method in se_methods that has estimates,
     each of the `strategies` that applies (variance.se_block) on its own,
     under <method>/<strategy>; and the null check, when asked, on the
-    studies the MAIC methods ran on, under negative_control.  `records`
-    holds the aggregate trial's records per study, which full needs."""
+    studies the MAIC methods ran on, under negative_control.  The SE stage
+    builds each fitted study's moment Jacobian once for every weighted
+    method.  `records` holds the aggregate trial's records per study, which
+    full needs.  A level outside (0, 1) is an InvalidLevel."""
+    check_level(level, "confidence level")
     reports = [ComparisonReport(scale=scale, level=level) for _ in agds]
 
     def file(key, members, outcomes) -> list[tuple]:
@@ -217,13 +221,24 @@ def report_block(block: IpdBlock, agds, models, methods, scale: Scale, strategie
             for b, est in file(method.value, members,
                                estimate_block(*inputs(members), scale, method)):
                 reports[b].estimates[method.value] = est
-    for method in (m for m in methods if m in se_methods):
-        members = [b for b in everyone if method.value in reports[b].estimates]
+    se_members = [(m, [b for b in everyone if m.value in reports[b].estimates])
+                  for m in methods if m in se_methods]
+    # every strategy but sw solves the moment Jacobian of each fit: built
+    # here once for every weighted method, each of which takes its rows and
+    # drops them once its influence terms are solved (se_block)
+    solved = sorted(set().union(*(members for m, members in se_members if m.weighted)))
+    whole = (_moment_jacobians(*inputs(solved))
+             if solved and any(s is not SeStrategy.SW for s in strategies) else None)
+    jacobians = {m: whole.take([solved.index(b) for b in members])
+                 for m, members in se_members if m.weighted and whole is not None}
+    del whole
+    for method, members in se_members:
         if not members:
             continue
         ests = [reports[b].estimates[method.value] for b in members]
         ses = se_block(*inputs(members), ests, scale, strategies,
-                       records=None if records is None else [records[b] for b in members])
+                       records=None if records is None else [records[b] for b in members],
+                       jacobians=jacobians.pop(method, None))
         for strategy, outs in ses.items():
             key = (method.value, strategy.value)
             for b, se in file("/".join(key), members, outs):

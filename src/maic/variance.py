@@ -29,12 +29,18 @@ with sign -1.  One core (_pair_terms, _pair_influence, _var_over_n) maps
 IPD weights and a pair list to the per-record phi, the AGD-variance term
 and, for the MAIC methods, ctilde over the centred moments t(X_i) - target
 that the weight fit solved over and carries (WeightModel.moments); nothing
-here rebuilds them for the IPD rows.  Bucher and naive use unit weights,
-need no fitted model, and have zero weight-coefficient and target-mean
-terms.  The comparator-arm null check's SE is influence_ses(FO) on its
-one comparator pair, (+1, arm 0, weighted IPD comparator mean, AGD
-comparator arm, its mean), with the fitted weights held fixed
-(comparator_fo_block); it solves no moment Jacobian.
+here rebuilds them for the IPD rows.  The moment Jacobian
+J_alpha = -sum_i w_i c_i c_i^T / N, w * c and J_alpha's condition number
+(with the COND_WARN warning) depend on the fit alone, so there is one per
+fit (_moment_jacobians): report_block's SE stage builds it once for every
+weighted method, each method solves its own right-hand side ctilde
+against it, and se_block drops it once the influence pieces are built.
+Bucher and naive use unit weights and need no fitted model; like the null
+check, they hold their weights fixed, so they carry no weight-coefficient
+or target-mean terms and build neither phi_alpha nor a Jacobian.  The
+comparator-arm null check's SE is influence_ses(FO) on its one comparator
+pair, (+1, arm 0, weighted IPD comparator mean, AGD comparator arm, its
+mean), with the fitted weights held fixed (comparator_fo_block).
 
 se_block is the one map from strategy to computation: it owns which
 strategies apply to which method (none to stc; fo and sw to bucher and
@@ -117,11 +123,13 @@ class InfluencePieces:
     phi_mu1 and phi_alpha are per-IPD-record arrays (zero on the aggregate
     side); variances are taken over the combined size n_total.  For anchored
     estimates phi_mu1 and the outcome-covariate moment vector ctilde fold in
-    the comparator-arm analogues.  For unweighted methods phi_alpha is zero,
-    v_mu_x2 is zero, and j_alpha_inv_ctilde is empty.  When the moment
-    Jacobian is singular, jacobian_error holds the SingularJacobian that
-    the strategies needing the weight-coefficient terms (po, cs, full)
-    raise; phi_alpha, v_mu_x2 and j_alpha_inv_ctilde are then None.
+    the comparator-arm analogues.  Weights held fixed (bucher, naive, the
+    null check) carry no weight-coefficient terms: phi_alpha, ew_t1 and
+    j_alpha_inv_ctilde are None, v_mu_x2 is zero, and po and cs equal fo.
+    When the moment Jacobian is singular, jacobian_error holds the
+    SingularJacobian that the strategies needing the weight-coefficient
+    terms (po, cs, full) raise; phi_alpha, v_mu_x2 and j_alpha_inv_ctilde
+    are then None.
     """
 
     phi_mu1: np.ndarray
@@ -130,7 +138,7 @@ class InfluencePieces:
     v_mu_x2: float | None
     n_total: int
     p_t2: float
-    ew_t1: float
+    ew_t1: float | None
     j_alpha_inv_ctilde: np.ndarray | None
     jacobian_error: SingularJacobian | None = None
 
@@ -158,21 +166,50 @@ def arm_outcome_variance(arm: AgdArm, outcome_kind: OutcomeKind) -> float:
     return float(ybar * (1.0 - ybar) * arm.n / (arm.n - 1))
 
 
-def _solve_neg_definite(j_alpha: np.ndarray, rhs: np.ndarray):
-    """Solve j_alpha @ x = rhs for each (negative definite) moment Jacobian
-    of a block: x, and a SingularJacobian or None per replicate."""
+@dataclass(frozen=True)
+class _MomentJacobians:
+    """The moment Jacobian of each fitted study of a block and what builds
+    it: the centred moments c (B, n, k) the fit solved over, w * c with w
+    the fitted weights, and J_alpha = -sum_i w_i c_i c_i^T / N (B, k, k)
+    with N the combined size; `finite` marks the studies whose J_alpha has a
+    finite condition number.  They depend on the fit alone, so a report's
+    SE stage builds them once for every weighted method."""
+
+    c: np.ndarray
+    wc: np.ndarray
+    j_alpha: np.ndarray
+    finite: np.ndarray
+
+    def take(self, rows) -> _MomentJacobians:
+        """The Jacobians of the block rows `rows`, ascending."""
+        return _MomentJacobians(*(take_rows(a, rows)
+                                  for a in (self.c, self.wc, self.j_alpha, self.finite)))
+
+
+def _moment_jacobians(block: IpdBlock, agds, models) -> _MomentJacobians:
+    """The moment Jacobians of a block's fitted studies, with one warning
+    per study whose condition number exceeds COND_WARN."""
+    c = np.stack([m.moments for m in models])
+    wc = _block_weights(block, models, True)[:, :, None] * c
+    n_total = np.array([block.n + agd.n_total for agd in agds])
+    j_alpha = np.matmul(-wc.transpose(0, 2, 1), c) / n_total[:, None, None]
     cond = np.linalg.cond(j_alpha)
-    errors = [None if np.isfinite(v) else SingularJacobian("moment Jacobian is singular")
-              for v in cond]
     for v in cond[np.isfinite(cond) & (cond > COND_WARN)]:
         warnings.warn(
             f"moment Jacobian condition number {v:.3g} exceeds {COND_WARN:.0e}; "
             "heavily correlated covariates suspected",
-            stacklevel=4,
+            stacklevel=3,
         )
-    finite = np.flatnonzero(np.isfinite(cond))
+    return _MomentJacobians(c, wc, j_alpha, np.isfinite(cond))
+
+
+def _solve_neg_definite(jac: _MomentJacobians, rhs: np.ndarray):
+    """Solve J_alpha @ x = rhs for each (negative definite) moment Jacobian
+    of a block: x, and a SingularJacobian or None per replicate."""
+    errors = [None if f else SingularJacobian("moment Jacobian is singular") for f in jac.finite]
+    finite = np.flatnonzero(jac.finite)
     x = np.zeros_like(rhs)
-    x[finite], singular = solve_each(j_alpha[finite], rhs[finite])
+    x[finite], singular = solve_each(jac.j_alpha[finite], rhs[finite])
     for b in finite[singular]:
         errors[b] = SingularJacobian("moment Jacobian is singular")
     return x, errors
@@ -257,7 +294,7 @@ def influence_block(block: IpdBlock, agds, models, ests, scale: Scale) -> list:
     one method and whose models share one moment spec: InfluencePieces or
     the MaicError per study."""
     return _influence(block, *_derive(block, agds, models, ests, scale),
-                      models if ests[0].method.weighted else None)
+                      _moment_jacobians(block, agds, models) if ests[0].method.weighted else None)
 
 
 def _centred_moments(x: np.ndarray, models, ok: list[int]) -> np.ndarray:
@@ -269,48 +306,43 @@ def _centred_moments(x: np.ndarray, models, ok: list[int]) -> np.ndarray:
 
 
 def _influence(block: IpdBlock, w: np.ndarray, n_total: list[int], terms: list,
-               models=None) -> list:
+               jac: _MomentJacobians | None = None) -> list:
     """InfluencePieces or the MaicError per study of a block, from what
-    _derive gives.  The fitted `models` add the weight-coefficient terms,
-    which solve each moment Jacobian; without them (bucher, naive and the
-    null check) the weights are held fixed, phi_alpha is zero and nothing
-    is solved."""
+    _derive gives.  The moment Jacobians `jac` of the fitted weights add the
+    weight-coefficient terms, which solve them; without them (bucher, naive
+    and the null check) the weights are held fixed and nothing is solved."""
     ok = succeeded(terms)
     if not ok:
         return terms
     sub = block.take(ok)
     w, nts = take_rows(w, ok), [n_total[b] for b in ok]
-    sums = w.sum(axis=1)
-
-    if models is None:
-        phi, _ = _pair_influence(sub, w, [terms[b] for b in ok], nts)
-        sol = np.zeros((len(ok), 0))
-        phi_alpha = np.zeros(phi.shape)
-        errors = [None] * len(ok)
-    else:
-        c = np.stack([models[b].moments for b in ok])
-        wc = w[:, :, None] * c
-        j_alpha = np.matmul(-wc.transpose(0, 2, 1), c) / np.array(nts)[:, None, None]
-        phi, ctilde = _pair_influence(sub, w, [terms[b] for b in ok], nts, c)
-        sol, errors = _solve_neg_definite(j_alpha, ctilde)
-        phi_alpha = np.matmul(wc, sol[:, :, None])[:, :, 0]
-        dots = np.matmul(ctilde[:, None, :], sol[:, :, None])[:, 0, 0]
-
     out = list(terms)
+    if jac is None:
+        phi, _ = _pair_influence(sub, w, [terms[b] for b in ok], nts)
+        for i, b in enumerate(ok):
+            nt = n_total[b]
+            out[b] = InfluencePieces(phi_mu1=phi[i], phi_alpha=None,
+                                     var_phi_mu2=sum(t[3] for t in terms[b]), v_mu_x2=0.0,
+                                     n_total=nt, p_t2=(nt - block.n) / nt, ew_t1=None,
+                                     j_alpha_inv_ctilde=None)
+        return out
+
+    jac = jac.take(ok)
+    sums = w.sum(axis=1)
+    phi, ctilde = _pair_influence(sub, w, [terms[b] for b in ok], nts, jac.c)
+    sol, errors = _solve_neg_definite(jac, ctilde)
+    phi_alpha = np.matmul(jac.wc, sol[:, :, None])[:, :, 0]
+    dots = np.matmul(ctilde[:, None, :], sol[:, :, None])[:, 0, 0]
     for i, b in enumerate(ok):
         nt = n_total[b]
         p_t2 = (nt - block.n) / nt  # the aggregate trial's share
         ew_t1 = float(sums[i] / nt)
         solved = errors[i] is None
-        if models is None:
-            v_mu_x2 = 0.0
-        elif solved:
-            v_mu_x2 = max(float(-(ew_t1 / p_t2) * dots[i]), 0.0)
         out[b] = InfluencePieces(
             phi_mu1=phi[i],
             phi_alpha=phi_alpha[i] if solved else None,
             var_phi_mu2=sum(t[3] for t in terms[b]),
-            v_mu_x2=v_mu_x2 if solved else None,
+            v_mu_x2=max(float(-(ew_t1 / p_t2) * dots[i]), 0.0) if solved else None,
             n_total=nt,
             p_t2=p_t2,
             ew_t1=ew_t1,
@@ -356,7 +388,9 @@ def sigma2_cs(pieces: InfluencePieces) -> SeEstimate:
 
 def influence_ses(strategy: SeStrategy, pieces: list) -> list:
     """The fo, po or cs variance of each InfluencePieces of a block, or of
-    the MaicError in its place: a SeEstimate or the MaicError per replicate."""
+    the MaicError in its place: a SeEstimate or the MaicError per replicate.
+    The pieces of a block share one method, so either all that hold their
+    weight-coefficient terms carry phi_alpha or none do (fixed weights)."""
     def check(p):
         unwrap(p)
         if strategy is not SeStrategy.FO:
@@ -367,7 +401,7 @@ def influence_ses(strategy: SeStrategy, pieces: list) -> list:
     if not ok:
         return out
     phi = np.stack([pieces[b].phi_mu1 for b in ok])
-    if strategy is not SeStrategy.FO:
+    if strategy is not SeStrategy.FO and pieces[ok[0]].phi_alpha is not None:
         phi = phi + np.stack([pieces[b].phi_alpha for b in ok])
     var = _var_over_n(phi, [pieces[b].n_total for b in ok])
     for v, b in zip(var, ok):
@@ -414,17 +448,22 @@ def sw_block(block: IpdBlock, w: np.ndarray, n_total: list[int], terms: list) ->
 
 
 def se_block(block: IpdBlock, agds, models, ests, scale: Scale, strategies,
-             records=None) -> dict:
+             records=None, jacobians: _MomentJacobians | None = None) -> dict:
     """Each requested strategy that applies to the estimates' method (see
     _APPLICABLE), in the order requested, mapped to a SeEstimate or the
     MaicError per study, for a block whose estimates share one method and
     whose models share one moment spec.  The weights and pair terms are
     derived once for every strategy.
     `records` holds the aggregate trial's raw records per replicate, which
-    full needs; without them full gives RequiresFullIpd."""
+    full needs; without them full gives RequiresFullIpd.  `jacobians` holds
+    the moment Jacobians of the block's fits (_moment_jacobians), which every
+    strategy of a weighted method but sw solves."""
     wanted = [s for s in strategies if s in _APPLICABLE[ests[0].method]]
     if not wanted:
         return {}
+    if (ests[0].method.weighted and jacobians is None
+            and any(s is not SeStrategy.SW for s in wanted)):
+        raise ValueError("a weighted method's SEs solve the moment Jacobians of its fits")
     derived = _derive(block, agds, models, ests, scale)
     out, pieces = {}, None
     for strategy in wanted:
@@ -432,7 +471,8 @@ def se_block(block: IpdBlock, agds, models, ests, scale: Scale, strategies,
             out[strategy] = sw_block(block, *derived)
             continue
         if pieces is None:
-            pieces = _influence(block, *derived, models if ests[0].method.weighted else None)
+            pieces = _influence(block, *derived, jacobians if ests[0].method.weighted else None)
+            jacobians = None  # the pieces hold what the rest reads: free the (B, n, k) arrays
         if strategy is SeStrategy.FULL:
             out[strategy] = _full_ses(records, models, ests, scale, pieces)
         else:

@@ -509,7 +509,9 @@ class TestCompare:
         assert f"SchemaError: {agd}: AGD document field 'covariates'" in err
         assert not (out / "report.json").exists()
 
-    def test_nearly_collinear_covariates_warn_of_the_moment_jacobian(self, tmp_path):
+    @staticmethod
+    def collinear_pair(tmp_path):
+        """An IPD/AGD pair whose two covariates are nearly collinear."""
         rng = np.random.default_rng(0)
         x1 = rng.normal(size=40)
         x2 = x1 + 1e-7 * rng.normal(size=40)
@@ -522,12 +524,56 @@ class TestCompare:
         agd = tmp_path / "agd.json"
         agd.write_text(json.dumps({"covariates": ["x1", "x2"],
                                    "arms": {"active": arm, "comparator": arm}}))
+        return ipd, agd
+
+    def test_nearly_collinear_covariates_warn_of_the_moment_jacobian(self, tmp_path):
+        ipd, agd = self.collinear_pair(tmp_path)
         out = tmp_path / "collinear"
         with pytest.warns(UserWarning, match="moment Jacobian condition number .* exceeds"):
             code = main(["compare", "--ipd", str(ipd), "--agd", str(agd),
                          "--methods", "maic-nab", "--se", "fo", "--out", str(out)])
         assert code == 0
         assert (out / "report.json").exists()
+
+    def test_the_moment_jacobian_warns_once_per_fit(self, tmp_path):
+        # maic-nab and maic-acb solve the one Jacobian of the one fit
+        ipd, agd = self.collinear_pair(tmp_path)
+        with pytest.warns(UserWarning) as record:
+            code = main(["compare", "--ipd", str(ipd), "--agd", str(agd), "--methods",
+                         "maic-nab,maic-acb", "--se", "po", "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert [str(w.message).split(" exceeds")[0] for w in record] == [
+            str(record[0].message).split(" exceeds")[0]]
+        assert "moment Jacobian condition number" in str(record[0].message)
+
+    def test_a_crlf_copy_with_a_byte_order_mark_writes_the_same_report(self, tmp_path):
+        # numpy's reader parses the IPD rows from the path itself; neither the
+        # line endings nor a byte-order mark may reach a report byte
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(300, 3))
+        z = np.arange(300) % 2
+        y = (rng.random(300) < 0.3 + 0.3 * z).astype(int)
+        text = "".join(f"{a},{b}," + ",".join(map(repr, r)) + "\n"
+                       for a, b, r in zip(y, z, x.tolist()))
+        text = "y,z,x1,x2,x3\n" + text
+        (tmp_path / "lf.csv").write_bytes(text.encode())
+        (tmp_path / "crlf.csv").write_bytes(b"\xef\xbb\xbf" + text.replace("\n", "\r\n").encode())
+
+        def arm(m):
+            return {"n": 150, "y_mean": m, "y_var": m * (1 - m) * 150 / 149,
+                    "x_mean": [0.2, -0.1, 0.1]}
+
+        agd = tmp_path / "agd.json"
+        agd.write_text(json.dumps({"covariates": ["x1", "x2", "x3"],
+                                   "arms": {"active": arm(0.5), "comparator": arm(0.35)}}))
+        reports = []
+        for name in ("lf", "crlf"):
+            out = tmp_path / f"out-{name}"
+            assert main(["compare", "--ipd", str(tmp_path / f"{name}.csv"), "--agd", str(agd),
+                         "--se", "all", "--negcontrol", "--out", str(out)]) == 0
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+        assert b'"negative_control"' in reports[0]
 
     def test_misspelt_comparator_arm_exits_1_by_name(self, io_pair, tmp_path, capsys):
         ipd, agd = io_pair

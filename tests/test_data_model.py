@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import signal
+import urllib.request
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from maic.errors import (
     DimensionMismatch,
     EmptyStudy,
     InvalidArmCode,
+    MaicError,
     MissingColumn,
     MissingVariance,
     NegativeVariance,
@@ -172,6 +176,122 @@ class TestLoadIpd:
         # a bad cell is still named on its physical line
         p.write_text(text + "1,1,oops\n", encoding="utf-8-sig")
         with pytest.raises(NonNumericValue, match=re.escape(f"{p}:4: non-numeric value 'oops'")):
+            load_ipd(p)
+
+
+PLAIN = "y,z,x1\n1,1,0.2\n0,0,-0.1\n"
+CRLF = PLAIN.replace("\n", "\r\n")
+
+
+class TestLoadIpdLayouts:
+    """The header is read by csv.reader and the rows by numpy's reader, so
+    the two must agree on where lines end, on a byte-order mark and on what
+    follows the header.  Each layout loads PLAIN's arrays bit for bit or
+    raises the error of PLAIN's layout, on the same file and line."""
+
+    @pytest.mark.parametrize("data", [
+        CRLF.encode(),
+        b"\xef\xbb\xbf" + CRLF.encode(),
+        PLAIN.replace("\n", "\r").encode(),
+        b"y,z,x1\n1,1,0.2\r0,0,-0.1\n",  # a lone \r ends one row
+        (PLAIN + "\n\n").encode(),
+        (CRLF + "\r\n\r\n").encode(),
+    ], ids=["crlf", "bom-crlf", "cr", "lone-cr", "trailing-blank", "trailing-blank-crlf"])
+    def test_line_endings_load_the_plain_arrays(self, tmp_path, data):
+        plain = load_ipd(write(tmp_path / "plain.csv", PLAIN))
+        p = tmp_path / "ipd.csv"
+        p.write_bytes(data)
+        study = load_ipd(p)
+        assert study.covariate_names == plain.covariate_names
+        for got, want in ((study.y, plain.y), (study.z, plain.z), (study.x, plain.x)):
+            assert got.tobytes() == want.tobytes() and got.dtype == want.dtype
+
+    @pytest.mark.parametrize("header, names", [
+        ('"a,b",y,z', ("a,b",)), ('"a\nb",y,z', ("a\nb",)), ('y,"z",x1', ("x1",)),
+    ], ids=["comma", "newline", "quoted"])
+    def test_a_quoted_header_name_is_one_column(self, tmp_path, header, names):
+        # a name spanning two lines moves the first row to line 3
+        p = write(tmp_path / "ipd.csv", f"{header}\n0.5,1,1\n0.25,0,0\n")
+        study = load_ipd(p)
+        assert study.covariate_names == names
+        cov, y = ((0,), 1) if header.startswith('"a') else ((2,), 0)
+        rows = np.array([[0.5, 1.0, 1.0], [0.25, 0.0, 0.0]])
+        assert study.x.tobytes() == np.ascontiguousarray(rows[:, cov]).tobytes()
+        assert study.y.tobytes() == rows[:, y].tobytes()
+        bad = header + "\n0.5,1,1\noops,0,0\n"
+        line = 3 + bad.count("\n", 0, len(header))
+        with pytest.raises(NonNumericValue, match=re.escape(f"{p}:{line}: non-numeric")):
+            load_ipd(write(p, bad))
+
+    @pytest.mark.parametrize("text", ["y,z,x1", "\ufeffy,z,x1\r\n", "y,z,x1\n\n"])
+    def test_a_header_only_file_has_no_data_rows(self, tmp_path, text):
+        p = write(tmp_path / "ipd.csv", text)
+        with pytest.raises(EmptyStudy, match="^" + re.escape(f"{p}: IPD study has no data rows")):
+            load_ipd(p)
+
+    @pytest.mark.parametrize("text, line, message", [
+        (CRLF + "1,1,oops\r\n", 4, "non-numeric value 'oops' in 'x1'"),
+        ("\ufeff" + CRLF + "1,1,oops\r\n", 4, "non-numeric value 'oops' in 'x1'"),
+        ("y,z,x1\n1,1,0.2\n0,0\r,-0.1\n", 3, "missing value in 'x1'"),
+        ("y,z,x1\r1,1,0.2\r0,0,-0.1,4\r", 3, "4 cells under 3 header names"),
+    ], ids=["crlf", "bom-crlf", "lone-cr-in-row", "cr"])
+    def test_a_bad_row_is_named_on_its_line(self, tmp_path, text, line, message):
+        p = tmp_path / "ipd.csv"
+        p.write_bytes(text.encode())
+        with pytest.raises(MaicError, match="^" + re.escape(f"{p}:{line}: {message}") + "$"):
+            load_ipd(p)
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_a_file_named_as_compressed_is_named(self, tmp_path, suffix):
+        # numpy's reader would decompress it by its suffix, and fail unnamed
+        p = write(tmp_path / f"ipd.csv{suffix}", PLAIN)
+        with pytest.raises(SchemaError, match="^" + re.escape(
+                f"{p}: a compressed file ({suffix}) is not read; decompress it first") + "$"):
+            load_ipd(p)
+
+    def test_a_pipe_is_named_before_it_is_opened(self, tmp_path):
+        # the header read would take the pipe's first rows from numpy's reader;
+        # with no writer, opening it blocks, so an alarm ends a loader that tries
+        def opened(*args):
+            raise AssertionError("the loader opened the pipe")
+
+        p = tmp_path / "ipd.csv"
+        os.mkfifo(p)
+        previous = signal.signal(signal.SIGALRM, opened)
+        signal.alarm(5)
+        try:
+            with pytest.raises(SchemaError, match="^" + re.escape(
+                    f"{p}: not a regular file; a pipe or device is not read, "
+                    "copy it to a file first") + "$"):
+                load_ipd(p)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_a_path_that_reads_as_a_url_is_the_local_file(self, tmp_path, monkeypatch):
+        # numpy's reader fetches a path that parses as scheme://host/...
+        def refuse(*args, **kwargs):
+            raise AssertionError("the loader reached for the network")
+
+        monkeypatch.setattr(urllib.request, "urlopen", refuse)
+        local = tmp_path / "http:" / "example.invalid"
+        local.mkdir(parents=True)
+        write(local / "ipd.csv", PLAIN)
+        monkeypatch.chdir(tmp_path)
+        study = load_ipd("http://example.invalid/ipd.csv")
+        plain = load_ipd(write(tmp_path / "plain.csv", PLAIN))
+        assert study.x.tobytes() == plain.x.tobytes() and study.y.tobytes() == plain.y.tobytes()
+
+    @pytest.mark.parametrize("head, ending, rows", [
+        (b"", b"\r\n", 1), (b"\xef\xbb\xbf", b"\r\n", 1),
+        (b"", b"\n", 5000),  # numpy's reader meets the byte in a later chunk
+    ], ids=["crlf", "bom-crlf", "deep"])
+    def test_a_non_utf8_byte_is_named_on_its_line(self, tmp_path, head, ending, rows):
+        p = tmp_path / "ipd.csv"
+        lines = [b"y,z,x1", *[b"1,1,0.2"] * rows, b"0,0,caf\xe9", b"1,0,0.4"]
+        p.write_bytes(head + ending.join(lines) + ending)
+        with pytest.raises(SchemaError, match="^" + re.escape(
+                f"{p}:{rows + 2}: not UTF-8 text (byte 0xe9 at column 8)") + "$"):
             load_ipd(p)
 
 

@@ -29,6 +29,7 @@ from maic.simulation import (SIM_METHODS, Confounding, ScenarioConfig, replicate
 from maic.variance import (
     REPORT_STRATEGIES,
     SeStrategy,
+    _moment_jacobians,
     influence_components,
     se_block,
     sigma2_cs,
@@ -134,7 +135,8 @@ def test_blocks_equal_lone_results(rng, size, scale, comparator, singular):
             assert ((method.anchored and not comparator)
                     or (method is Method.STC and singular))
             continue
-        ses = se_block(block, agds, block_models, ests, scale, strategies, records)
+        ses = se_block(block, agds, block_models, ests, scale, strategies, records,
+                       _moment_jacobians(block, agds, models) if method.weighted else None)
         assert list(ses) == [s for s in strategies if s in APPLICABLE[method]]
         for strategy, outcomes in ses.items():
             for (ipd, agd, recs, _), model, est, got in zip(studies, block_models, ests,
@@ -168,7 +170,9 @@ def run_stages(block, agds, models, scale, records):
         ests = estimate_block(block, agds, models, scale, method)
         out.append(ests)
         if not any(isinstance(e, MaicError) for e in ests):
-            out.append(se_block(block, agds, models, ests, scale, list(SeStrategy), records))
+            out.append(se_block(block, agds, models, ests, scale, list(SeStrategy), records,
+                                _moment_jacobians(block, agds, models)
+                                if method.weighted else None))
     return out
 
 
@@ -219,6 +223,41 @@ def test_a_replicate_equals_the_comparison_report_of_its_datasets(scale):
         assert same({s: v for s, v in got.ses.items() if s != SeStrategy.FULL.value},
                     {s: se.se for (m, s), se in report.ses.items() if m == "maic-nab"})
         assert got.negcontrol_reject is report.negative_control.reject_at_level
+
+
+def test_each_weighted_method_reads_the_shared_jacobian_as_its_own(rng):
+    # the AGD studies 1 and 3 report no comparator arm, so maic-acb runs on
+    # studies 0 and 2 and maic-nab on all four; study 2's Jacobian is singular
+    studies = [study(rng, Scale.LOGIT, comparator=c, singular=s)
+               for c, s in ((True, False), (False, False), (True, True), (False, False))]
+    ipds, agds, records, models = (list(t) for t in zip(*studies))
+    block = stack_ipd(ipds)
+
+    def reports(methods):
+        return report_block(block, agds, models, methods, Scale.LOGIT, list(SeStrategy), 0.95,
+                            se_methods=methods, records=records)
+
+    weighted = [Method.MAIC_NAB, Method.MAIC_ACB]
+    both = reports(weighted)
+    assert ["maic-acb" in r.estimates for r in both] == [True, False, True, False]
+    assert "maic-acb/po" in both[2].errors and "maic-nab/po" in both[2].errors
+    for method in weighted:
+        for got, alone in zip(both, reports([method])):
+            assert same({k: se for k, se in got.ses.items() if k[0] == method.value},
+                        alone.ses)
+            assert same({k: e for k, e in got.errors.items()
+                         if k.split("/")[0] == method.value}, alone.errors)
+
+
+def test_a_weighted_methods_ses_but_sw_need_its_moment_jacobians(rng):
+    # without them the influence path would hold the weights fixed
+    ipd, agd, _, model = study(rng, Scale.LOGIT, comparator=True)
+    block = stack_ipd([ipd])
+    ests = estimate_block(block, [agd], [model], Scale.LOGIT, Method.MAIC_NAB)
+    with pytest.raises(ValueError, match="moment Jacobians"):
+        se_block(block, [agd], [model], ests, Scale.LOGIT, [SeStrategy.SW, SeStrategy.PO])
+    assert list(se_block(block, [agd], [model], ests, Scale.LOGIT, [SeStrategy.SW])) == [
+        SeStrategy.SW]
 
 
 def test_a_failed_fit_skips_the_weighted_stages_and_a_missing_fit_files_each(rng):

@@ -184,6 +184,13 @@ class TestNegativeControl:
 
 
 class TestComparisonReport:
+    @pytest.mark.parametrize("level", [2.0, 0.0, -0.5, float("nan")])
+    def test_a_report_without_an_interval_still_checks_its_level(self, rng, level):
+        # stc has no SE, so no interval reads the level
+        ipd, agd, _ = two_arm_problem(rng)
+        with pytest.raises(InvalidLevel, match="confidence level"):
+            build_comparison_report(ipd, agd, None, [Method.STC], level=level)
+
     def test_all_methods_with_stc_point_only(self, rng):
         ipd, agd, model = two_arm_problem(rng)
         report = build_comparison_report(ipd, agd, model, ALL_METHODS)

@@ -230,8 +230,14 @@ class TestUnweightedMethods:
         for direct, relabelled in pairs:
             assert float(direct.sigma2).hex() == float(relabelled.sigma2).hex()
             assert float(direct.se).hex() == float(relabelled.se).hex()
+        # fixed weights carry no weight-coefficient terms: po and cs are fo
         assert pieces.v_mu_x2 == 0.0
-        assert not pieces.phi_alpha.any()
+        assert pieces.phi_alpha is None and pieces.j_alpha_inv_ctilde is None
+        fo = sigma2_fo(pieces)
+        for fn in (sigma2_po, sigma2_cs):
+            got = fn(pieces)
+            assert (float(got.sigma2).hex(), float(got.se).hex()) == (
+                float(fo.sigma2).hex(), float(fo.se).hex())
 
 
 class TestFitMoments:
