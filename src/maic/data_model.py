@@ -116,6 +116,8 @@ class AgdArm:
     def __post_init__(self):
         if self.n < 1:
             raise SchemaError("arm sample size must be positive")
+        if self.n > 2**53:  # every stage converts n to a float, exact only up to 2**53
+            raise SchemaError("arm sample size n exceeds 2**53, beyond exact float conversion")
         if self.y_var is not None:
             if self.y_var < 0:
                 raise NegativeVariance(f"y_var = {self.y_var} < 0")

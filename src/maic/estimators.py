@@ -13,6 +13,9 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,24 +73,55 @@ class Method(enum.Enum):
     @property
     def anchored(self) -> bool:
         """Contrasts through the common comparator arms."""
-        return self in (Method.MAIC_ACB, Method.BUCHER)
+        return any(code == 0 for _, code, _ in CONTRASTS[self].pairs)
+
+
+class Contrast(NamedTuple):
+    """The signed (IPD arm code, AGD arm field) pairs a contrast reads.  It
+    sums sign * (g(IPD mean) - g(AGD mean)) pair by pair (maic-acb's
+    (g1 - g2) - (g0 - g0a)), or `within_trial` each trial's signed means
+    first (bucher's (g1 - g0) - (g2 - g0a)): the same pairs, rounded apart."""
+
+    pairs: tuple[tuple[float, int, str], ...]
+    within_trial: bool = False
+
+
+# the one table of which arms each contrast reads, and with which signs
+_ACTIVE, _COMPARATOR = (1.0, 1, "active_arm"), (-1.0, 0, "comparator_arm")
+CONTRASTS = {
+    Method.MAIC_NAB: Contrast((_ACTIVE,)),
+    Method.MAIC_ACB: Contrast((_ACTIVE, _COMPARATOR)),
+    Method.BUCHER: Contrast((_ACTIVE, _COMPARATOR), within_trial=True),
+    Method.STC: Contrast((_ACTIVE,)),
+    Method.NAIVE: Contrast((_ACTIVE,)),
+}
+# the comparator-arm null check: maic-nab on the comparator pair alone
+NULL_CHECK = Contrast(((1.0, 0, "comparator_arm"),))
 
 
 @dataclass(frozen=True)
 class Estimate:
-    """A point estimate of the contrast with its scale components.
-
-    mu1/mu2 are the (possibly weighted or model-extrapolated) active-arm
-    means on the natural scale; anchor_terms, when present, holds the
-    comparator-arm pair used by anchored methods.
-    """
+    """A point estimate of the contrast and the arm pairs it read, each
+    (sign, IPD arm code, IPD mean, AGD arm field, AGD mean), means on the
+    natural scale.  mu1/mu2 are the first pair's means (the active arms'
+    but in the null check); anchor_terms the anchored methods' second."""
 
     method: Method
     scale: Scale
     delta: float
-    mu1: float
-    mu2: float
-    anchor_terms: tuple[float, float] | None = None
+    pairs: tuple[tuple[float, int, float, str, float], ...]
+
+    @property
+    def mu1(self) -> float:
+        return self.pairs[0][2]
+
+    @property
+    def mu2(self) -> float:
+        return self.pairs[0][4]
+
+    @property
+    def anchor_terms(self) -> tuple[float, float] | None:
+        return (self.pairs[1][2], self.pairs[1][4]) if len(self.pairs) > 1 else None
 
     def to_dict(self) -> dict:
         d = {
@@ -144,34 +178,37 @@ def naive(ipd: IpdStudy, agd: AgdStudy, scale: Scale = Scale.IDENTITY) -> Estima
     return unwrap(estimate_block(stack_ipd([ipd]), [agd], None, scale, Method.NAIVE)[0])
 
 
-def estimate_block(block: IpdBlock, agds, models, scale: Scale, method: Method) -> list:
+def estimate_block(block: IpdBlock, agds, models, scale: Scale, method: Method,
+                   contrast: Contrast | None = None) -> list:
     """Any method for each study of a block, with its AGD study: an Estimate
     or the MaicError per study.  `models` holds the fitted weight model of
     each study; it is read only for the MAIC methods and may be None for the
-    others."""
+    others.  The arm pairs are the method's (CONTRASTS) unless `contrast`
+    is given: the null check is maic-nab on NULL_CHECK."""
     if method is Method.STC:
         return stc_block(block, agds, scale)
+    contrast = contrast or CONTRASTS[method]
     w = capture(_block_weights, block, models, method.weighted)
     if isinstance(w, MaicError):
         return [w] * len(block)
-    mu1 = _weighted_means(block, w, 1)
-    mu0 = _weighted_means(block, w, 0) if method.anchored and block.has_comparator else None
+    means = {code: _weighted_means(block, w, code)
+             for _, code, _ in contrast.pairs if code in block.arms}
 
     def estimate(b):
-        agd = agds[b]
-        m1, m2 = float(mu1[b]), agd.active_arm.y_mean
-        if not method.anchored:
-            return Estimate(method, scale, scale.g(m1) - scale.g(m2), m1, m2)
-        if agd.comparator_arm is None:
-            raise NoComparatorArm("AGD study has no comparator arm")
-        if not block.has_comparator:
-            raise NoComparatorArm("IPD study has no comparator (z=0) records")
-        m0, m0_agd = float(mu0[b]), agd.comparator_arm.y_mean
-        if method is Method.BUCHER:
-            delta = (scale.g(m1) - scale.g(m0)) - (scale.g(m2) - scale.g(m0_agd))
+        agd, pairs = agds[b], []
+        for sign, code, arm in contrast.pairs:
+            if getattr(agd, arm) is None:
+                raise NoComparatorArm("AGD study has no comparator arm")
+            if code not in means:
+                raise NoComparatorArm("IPD study has no comparator (z=0) records")
+            pairs.append((sign, code, float(means[code][b]), arm, getattr(agd, arm).y_mean))
+        # a sum starts at its first term: one pair gives g(IPD mean) - g(AGD mean)
+        if contrast.within_trial:
+            delta = (reduce(add, [s * scale.g(m) for s, _, m, _, _ in pairs])
+                     - reduce(add, [s * scale.g(m) for s, _, _, _, m in pairs]))
         else:
-            delta = (scale.g(m1) - scale.g(m2)) - (scale.g(m0) - scale.g(m0_agd))
-        return Estimate(method, scale, delta, m1, m2, anchor_terms=(m0, m0_agd))
+            delta = reduce(add, [s * (scale.g(mi) - scale.g(ma)) for s, _, mi, _, ma in pairs])
+        return Estimate(method, scale, delta, tuple(pairs))
 
     return [capture(estimate, b) for b in range(len(block))]
 
@@ -267,6 +304,7 @@ def stc_block(block: IpdBlock, agds, scale: Scale = Scale.IDENTITY) -> list:
             gamma, *_ = np.linalg.lstsq(design[b], y[b], rcond=None)
             mu1 = float(row @ gamma)
         mu2 = agds[b].active_arm.y_mean
-        return Estimate(Method.STC, scale, scale.g(mu1) - scale.g(mu2), mu1, mu2)
+        return Estimate(Method.STC, scale, scale.g(mu1) - scale.g(mu2),
+                        ((1.0, 1, mu1, "active_arm", mu2),))
 
     return [capture(estimate, b) for b in range(len(block))]

@@ -6,11 +6,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
-from .data_model import AgdStudy, IpdBlock, IpdStudy, stack_ipd, take_rows, write_rows
-from .errors import InvalidLevel, MaicError, NoComparatorArm, ZeroSe, capture, succeeded, unwrap
-from .estimators import Estimate, Method, Scale, _block_weights, _weighted_means, estimate_block
-from .variance import (REPORT_STRATEGIES, SeEstimate, SeStrategy, _moment_jacobians,
-                       comparator_fo_block, se_block)
+from .data_model import AgdStudy, IpdBlock, IpdStudy, stack_ipd, write_rows
+from .errors import InvalidLevel, MaicError, ZeroSe, succeeded, unwrap
+from .estimators import NULL_CHECK, Estimate, Method, Scale, estimate_block
+from .variance import REPORT_STRATEGIES, SeEstimate, SeStrategy, _moment_jacobians, se_block
 from .weighting import WeightModel, fit_diagnostics
 
 _NORM = NormalDist()
@@ -82,8 +81,9 @@ def negative_control_test(
     alpha_level: float = 0.05,
 ) -> NegControlResult:
     """Compare the weighted IPD comparator mean with the reported AGD
-    comparator mean; the standard error is fo on the comparator pair, which
-    omits weight-estimation terms, so the test size leans conservative."""
+    comparator mean.  The SE is fo on the comparator pair, which holds the
+    fitted weights fixed and so omits the weight-estimation and target-mean
+    terms; the test size may fall on either side of alpha_level."""
     return unwrap(negative_control_block(stack_ipd([ipd]), [agd], [model], scale,
                                          alpha_level)[0])
 
@@ -91,35 +91,22 @@ def negative_control_test(
 def negative_control_block(block: IpdBlock, agds, models, scale: Scale = Scale.IDENTITY,
                            alpha_level: float = 0.05) -> list:
     """negative_control_test for each study of a block: a NegControlResult or
-    the MaicError per study.  It reads the fitted weights (MissingWeightModel
-    without them) and the comparator arms; its SE is fo on the comparator
-    pair, the weights held fixed (variance.comparator_fo_block).  An
-    alpha_level outside (0, 1) is an InvalidLevel for the whole block."""
+    the MaicError per study.  It is maic-nab on the comparator pair
+    (estimators.NULL_CHECK) with se_block's fo.  An alpha_level outside
+    (0, 1) is an InvalidLevel for the whole block."""
     check_level(alpha_level, "alpha level")
-    w = capture(_block_weights, block, models, True)
-    if isinstance(w, MaicError):
-        return [w] * len(block)
-    mu0 = _weighted_means(block, w, 0) if block.has_comparator else None
-
-    def prepare(b):
-        agd = agds[b]
-        if agd.comparator_arm is None or not block.has_comparator:
-            raise NoComparatorArm("negative-control test needs comparator arms on both sides")
-        mu0_ipd = float(mu0[b])
-        return mu0_ipd, scale.g(mu0_ipd) - scale.g(agd.comparator_arm.y_mean)
-
-    out = [capture(prepare, b) for b in range(len(block))]
+    out = estimate_block(block, agds, models, scale, Method.MAIC_NAB, NULL_CHECK)
     ok = succeeded(out)
     if not ok:
         return out
-    ses = comparator_fo_block(block.take(ok), [agds[b] for b in ok], take_rows(w, ok),
-                              [out[b][0] for b in ok], scale)
+    (ses,) = se_block(block.take(ok), [agds[b] for b in ok], [models[b] for b in ok],
+                      [out[b] for b in ok], scale, [SeStrategy.FO]).values()
     zcrit = norm_quantile(1.0 - alpha_level / 2.0)
-    for se0, b in zip(ses, ok):
-        if isinstance(se0, MaicError):
-            out[b] = se0
+    for se, b in zip(ses, ok):
+        if isinstance(se, MaicError):
+            out[b] = se
             continue
-        delta0 = out[b][1]
+        delta0, se0 = out[b].delta, float(se.se)
         z0, p = _wald_or_null(delta0, se0)
         out[b] = NegControlResult(delta0, se0, z0, p, abs(z0) > zcrit, alpha_level)
     return out
@@ -223,9 +210,9 @@ def report_block(block: IpdBlock, agds, models, methods, scale: Scale, strategie
                 reports[b].estimates[method.value] = est
     se_members = [(m, [b for b in everyone if m.value in reports[b].estimates])
                   for m in methods if m in se_methods]
-    # every strategy but sw solves the moment Jacobian of each fit: built
-    # here once for every weighted method, each of which takes its rows and
-    # drops them once its influence terms are solved (se_block)
+    # po, cs and full solve the moment Jacobian of each fit, and fo warns of
+    # its condition: built here once for every weighted method, each of which
+    # takes its rows and drops them once its influence terms are built
     solved = sorted(set().union(*(members for m, members in se_members if m.weighted)))
     whole = (_moment_jacobians(*inputs(solved))
              if solved and any(s is not SeStrategy.SW for s in strategies) else None)

@@ -22,25 +22,24 @@ hand (the simulation benchmark).  All estimators return sigma2 on the
 asymptotic scale; the standard error of the contrast is sqrt(sigma2 / N)
 with N the combined size of both trials.
 
-Each contrast with an SE is a signed list of arm pairs read off the
-Estimate alone, (sign, IPD arm code, IPD mean, AGD arm, AGD mean): the
-active pair with sign +1 and, for anchored estimates, the comparator pair
-with sign -1.  One core (_pair_terms, _pair_influence, _var_over_n) maps
-IPD weights and a pair list to the per-record phi, the AGD-variance term
-and, for the MAIC methods, ctilde over the centred moments t(X_i) - target
-that the weight fit solved over and carries (WeightModel.moments); nothing
-here rebuilds them for the IPD rows.  The moment Jacobian
+Each contrast with an SE is the signed list of arm pairs its Estimate read
+from the one table estimators.CONTRASTS (Estimate.pairs), each (sign, IPD
+arm code, IPD mean, AGD arm, AGD mean): the active pair with sign +1 and,
+for anchored estimates, the comparator pair with sign -1; the null check
+is maic-nab on the comparator pair (estimators.NULL_CHECK).  One core
+(_derive, _pair_influence, _var_over_n) maps IPD weights and a pair list
+to the per-record phi, the AGD-variance term and, for the MAIC methods,
+ctilde over the centred moments t(X_i) - target that the weight fit solved
+over and carries (WeightModel.moments).  The moment Jacobian
 J_alpha = -sum_i w_i c_i c_i^T / N, w * c and J_alpha's condition number
 (with the COND_WARN warning) depend on the fit alone, so there is one per
 fit (_moment_jacobians): report_block's SE stage builds it once for every
 weighted method, each method solves its own right-hand side ctilde
-against it, and se_block drops it once the influence pieces are built.
-Bucher and naive use unit weights and need no fitted model; like the null
-check, they hold their weights fixed, so they carry no weight-coefficient
-or target-mean terms and build neither phi_alpha nor a Jacobian.  The
-comparator-arm null check's SE is influence_ses(FO) on its one comparator
-pair, (+1, arm 0, weighted IPD comparator mean, AGD comparator arm, its
-mean), with the fitted weights held fixed (comparator_fo_block).
+against it for po, cs and full, and se_block drops it once the influence
+pieces are built.  fo reads nothing it adds: without it, fo holds the
+weights fixed and gives the same bits.  So do bucher and naive, with unit
+weights and no fitted model, and the null check, whose SE is fo: they
+carry no weight-coefficient or target-mean terms.
 
 se_block is the one map from strategy to computation: it owns which
 strategies apply to which method (none to stc; fo and sw to bucher and
@@ -215,46 +214,33 @@ def _solve_neg_definite(jac: _MomentJacobians, rhs: np.ndarray):
     return x, errors
 
 
-def _arm_pairs(agd: AgdStudy, est: Estimate) -> list[tuple]:
-    """(sign, IPD arm code, IPD arm mean, AGD arm, AGD arm mean) per arm pair."""
-    pairs = [(1.0, 1, est.mu1, agd.active_arm, est.mu2)]
-    if est.anchor_terms is not None:
-        mu0_ipd, mu0_agd = est.anchor_terms
-        pairs.append((-1.0, 0, mu0_ipd, agd.comparator_arm, mu0_agd))
-    return pairs
-
-
-def _pair_terms(block: IpdBlock, pairs, n_total: list[int], scale: Scale) -> list:
-    """Each study's (sign * g'(IPD mean), IPD arm code, IPD mean, AGD
-    variance term) per arm pair of pairs[b], or the MaicError deriving them
-    raised; the AGD term is the variance contribution of the reported AGD
-    arm mean over the combined size n_total[b]."""
-    def terms(study_pairs, nt):
-        return [(sign * scale.g_prime(mu_ipd), z, mu_ipd,
-                 scale.g_prime(mu_agd) ** 2 * arm_outcome_variance(arm, block.outcome_kind)
-                 / (arm.n / nt))
-                for sign, z, mu_ipd, arm, mu_agd in study_pairs]
-
-    return [capture(terms, p, nt) for p, nt in zip(pairs, n_total)]
-
-
 def _derive(block: IpdBlock, agds, models, ests, scale: Scale):
-    """The weights (B, n), the combined sizes and each study's pair terms
-    (see _pair_terms) of a block whose estimates share one method: what the
-    influence and sw paths share, derived once."""
+    """What the influence and sw paths share, derived once for a block whose
+    estimates share one method: the weights (B, n), the combined sizes and
+    each study's pair terms, (sign * g'(IPD mean), IPD arm code, IPD mean,
+    AGD variance term) per arm pair its estimate read (Estimate.pairs), or
+    the MaicError deriving them raised.  The AGD term is the variance
+    contribution of the reported AGD arm mean over the combined size."""
     if ests[0].method is Method.STC:
         raise ValueError("stc is an outcome-model estimator and weights no records")
     w = _block_weights(block, models, ests[0].method.weighted)
     n_total = [block.n + agd.n_total for agd in agds]
-    return w, n_total, _pair_terms(block, [_arm_pairs(a, e) for a, e in zip(agds, ests)],
-                                   n_total, scale)
+
+    def terms(agd, est, nt):
+        arms = [getattr(agd, pair[3]) for pair in est.pairs]
+        return [(sign * scale.g_prime(mu_ipd), z, mu_ipd,
+                 scale.g_prime(mu_agd) ** 2 * arm_outcome_variance(arm, block.outcome_kind)
+                 / (arm.n / nt))
+                for (sign, z, mu_ipd, _, mu_agd), arm in zip(est.pairs, arms)]
+
+    return w, n_total, [capture(terms, a, e, nt) for a, e, nt in zip(agds, ests, n_total)]
 
 
 def _pair_influence(block: IpdBlock, w: np.ndarray, terms: list, n_total: list[int],
                     c: np.ndarray | None = None):
     """Per-record phi (B, n) and, when the centred moments c (B, n, k) are
     given, ctilde (B, k), summed over the signed arm pairs of each study of
-    a block; terms[b] comes from _pair_terms."""
+    a block; terms[b] comes from _derive."""
     y = block.y
     phi = np.zeros(y.shape)
     ctilde = None if c is None else np.zeros((len(y), c.shape[2]))
@@ -352,19 +338,6 @@ def _influence(block: IpdBlock, w: np.ndarray, n_total: list[int], terms: list,
     return out
 
 
-def comparator_fo_block(block: IpdBlock, agds, w: np.ndarray, mu0, scale: Scale) -> list:
-    """The fo standard error of each study's single comparator pair (+1,
-    IPD arm 0, mu0[b], AGD comparator arm, its reported mean), the weights w
-    held fixed: the null check's SE, influence_ses(FO) on that pair.  It
-    solves no moment Jacobian.  A float or the MaicError per study."""
-    pairs = [[(1.0, 0, m, agd.comparator_arm, agd.comparator_arm.y_mean)]
-             for agd, m in zip(agds, mu0)]
-    n_total = [block.n + agd.n_total for agd in agds]
-    pieces = _influence(block, w, n_total, _pair_terms(block, pairs, n_total, scale))
-    return [se if isinstance(se, MaicError) else float(se.se)
-            for se in influence_ses(SeStrategy.FO, pieces)]
-
-
 def _var_over_n(values: np.ndarray, n_total: list[int]) -> list[float]:
     """Sample variance of each row of `values` over its combined size;
     records absent from `values` (the aggregate side) contribute exactly
@@ -456,14 +429,13 @@ def se_block(block: IpdBlock, agds, models, ests, scale: Scale, strategies,
     derived once for every strategy.
     `records` holds the aggregate trial's raw records per replicate, which
     full needs; without them full gives RequiresFullIpd.  `jacobians` holds
-    the moment Jacobians of the block's fits (_moment_jacobians), which every
-    strategy of a weighted method but sw solves."""
+    the moment Jacobians of the block's fits (_moment_jacobians), which a
+    weighted method's po, cs and full solve; fo's bits do not need them."""
     wanted = [s for s in strategies if s in _APPLICABLE[ests[0].method]]
     if not wanted:
         return {}
-    if (ests[0].method.weighted and jacobians is None
-            and any(s is not SeStrategy.SW for s in wanted)):
-        raise ValueError("a weighted method's SEs solve the moment Jacobians of its fits")
+    if jacobians is None and not set(wanted) <= {SeStrategy.FO, SeStrategy.SW}:
+        raise ValueError("a weighted method's po, cs and full solve its moment Jacobians")
     derived = _derive(block, agds, models, ests, scale)
     out, pieces = {}, None
     for strategy in wanted:
@@ -471,7 +443,7 @@ def se_block(block: IpdBlock, agds, models, ests, scale: Scale, strategies,
             out[strategy] = sw_block(block, *derived)
             continue
         if pieces is None:
-            pieces = _influence(block, *derived, jacobians if ests[0].method.weighted else None)
+            pieces = _influence(block, *derived, jacobians)
             jacobians = None  # the pieces hold what the rest reads: free the (B, n, k) arrays
         if strategy is SeStrategy.FULL:
             out[strategy] = _full_ses(records, models, ests, scale, pieces)

@@ -115,6 +115,22 @@ class TestFit:
         assert err.startswith(f"error: MissingVariance: {agd}: ")
         assert f"the {arm} arm" in err
 
+    @pytest.mark.parametrize("command", [["fit"], ["compare"], ["negcontrol"],
+                                         ["compare", "--methods", "bucher,naive"]],
+                             ids=["fit", "compare", "negcontrol", "compare-bucher,naive"])
+    def test_an_arm_size_beyond_a_float_names_the_file_and_n(self, io_pair, tmp_path, capsys,
+                                                             command):
+        ipd, agd = io_pair
+        doc = json.loads(agd.read_text())
+        doc["arms"]["active"]["n"] = 10**400
+        agd.write_text(json.dumps(doc))
+        code = main([*command, "--ipd", str(ipd), "--agd", str(agd),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: SchemaError: {agd}: arm sample size n exceeds 2**53")
+        assert "Traceback" not in err
+
     def test_bad_csv_exits_1(self, io_pair, tmp_path, capsys):
         _, agd = io_pair
         bad = tmp_path / "bad.csv"

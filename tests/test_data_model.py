@@ -540,6 +540,10 @@ class TestAgd:
     @pytest.mark.parametrize("arms, error, why", [
         pytest.param({"active": {"n": 0}}, SchemaError, "arm sample size must be positive",
                      id="n=0"),
+        pytest.param({"comparator": {"n": 10**400}}, SchemaError,
+                     "arm sample size n exceeds 2**53", id="n=10**400"),
+        pytest.param({"active": {"n": 2**53 + 1}}, SchemaError,
+                     "arm sample size n exceeds 2**53", id="n=2**53+1"),
         pytest.param({"active": {"x_var": [1.0, 1.0]}}, DimensionMismatch,
                      "x_var length differs from x_mean", id="x_var-length"),
         pytest.param({"active": {"n": 1, "y_var": None}}, SchemaError,

@@ -249,15 +249,23 @@ def test_each_weighted_method_reads_the_shared_jacobian_as_its_own(rng):
                          if k.split("/")[0] == method.value}, alone.errors)
 
 
-def test_a_weighted_methods_ses_but_sw_need_its_moment_jacobians(rng):
-    # without them the influence path would hold the weights fixed
-    ipd, agd, _, model = study(rng, Scale.LOGIT, comparator=True)
+def test_a_weighted_methods_po_cs_and_full_need_its_moment_jacobians(rng):
+    # without them the influence path holds the weights fixed, which is fo
+    # bit for bit and nothing else
+    ipd, agd, records, model = study(rng, Scale.LOGIT, comparator=True)
     block = stack_ipd([ipd])
-    ests = estimate_block(block, [agd], [model], Scale.LOGIT, Method.MAIC_NAB)
-    with pytest.raises(ValueError, match="moment Jacobians"):
-        se_block(block, [agd], [model], ests, Scale.LOGIT, [SeStrategy.SW, SeStrategy.PO])
-    assert list(se_block(block, [agd], [model], ests, Scale.LOGIT, [SeStrategy.SW])) == [
-        SeStrategy.SW]
+    for method in (Method.MAIC_NAB, Method.MAIC_ACB):
+        ests = estimate_block(block, [agd], [model], Scale.LOGIT, method)
+        for strategy in APPLICABLE[method] - {SeStrategy.FO, SeStrategy.SW}:
+            with pytest.raises(ValueError, match="moment Jacobians"):
+                se_block(block, [agd], [model], ests, Scale.LOGIT, [SeStrategy.SW, strategy],
+                         [records])
+        alone = se_block(block, [agd], [model], ests, Scale.LOGIT,
+                         [SeStrategy.SW, SeStrategy.FO])
+        solved = se_block(block, [agd], [model], ests, Scale.LOGIT, list(SeStrategy),
+                          [records], _moment_jacobians(block, [agd], [model]))
+        assert list(alone) == [SeStrategy.SW, SeStrategy.FO]
+        assert all(same(alone[s], solved[s]) for s in alone), method
 
 
 def test_a_failed_fit_skips_the_weighted_stages_and_a_missing_fit_files_each(rng):

@@ -27,6 +27,7 @@ from maic.estimators import (
     stc,
     stc_block,
 )
+from maic.inference import negative_control_test
 from maic.weighting import WeightModel, solve_weights
 
 from conftest import make_agd, make_arm, make_ipd
@@ -80,6 +81,35 @@ def test_unit_weight_mean_is_the_plain_mean(data):
         got = _weighted_means(block, np.ones((b, n)), code)
         want = y[z == code].reshape(b, -1).mean(axis=1)
         assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_each_contrast_keeps_its_sum_order(data):
+    # one table gives every contrast its arm pairs; the sums keep their
+    # orders bit for bit: bucher (g1 - g0) - (g2 - g0a), maic-acb
+    # (g1 - g2) - (g0 - g0a), and the null check maic-nab's contrast on the
+    # comparator arms
+    n1, n0 = data.draw(st.integers(1, 20)), data.draw(st.integers(1, 20))
+    unit = st.floats(0.01, 0.99)
+    y = data.draw(st.lists(unit, min_size=n1 + n0, max_size=n1 + n0))
+    z = np.array([1] * n1 + [0] * n0)
+    ipd, flipped = (make_ipd(y, codes, np.zeros((n1 + n0, 1))) for codes in (z, 1 - z))
+    model = unit_model(ipd)
+    object.__setattr__(model, "weights", np.array(data.draw(
+        st.lists(st.floats(0.01, 100.0), min_size=n1 + n0, max_size=n1 + n0))))
+    active, comparator = (make_arm(y_mean=data.draw(unit)) for _ in range(2))
+    agd, swapped = make_agd(active, comparator), make_agd(comparator, active)
+    for scale in Scale:
+        g = scale.g
+        acb, b = maic_acb(ipd, agd, model, scale), bucher(ipd, agd, scale)
+        (m0, m0a), (b0, b0a) = acb.anchor_terms, b.anchor_terms
+        assert float(acb.delta).hex() == float(
+            (g(acb.mu1) - g(acb.mu2)) - (g(m0) - g(m0a))).hex()
+        assert float(b.delta).hex() == float((g(b.mu1) - g(b0)) - (g(b.mu2) - g(b0a))).hex()
+        delta0 = negative_control_test(ipd, agd, model, scale).delta0
+        assert float(delta0).hex() == float(maic_nab(flipped, swapped, model, scale).delta).hex()
+        assert float(delta0).hex() == float(g(m0) - g(m0a)).hex()
 
 
 class TestMaicNab:

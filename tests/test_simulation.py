@@ -33,12 +33,13 @@ from maic.variance import SeStrategy
 
 def failing_se_block(strategies, replicates):
     """inference.se_block with a SingularJacobian for each of `strategies`
-    in each of the block positions `replicates`."""
+    that a call requests in each of the block positions `replicates`; the
+    null check requests fo alone."""
     real = inference.se_block
 
     def se_block(*args, **kwargs):
         out = real(*args, **kwargs)
-        for s in strategies:
+        for s in (s for s in strategies if s in out):
             out[s] = [SingularJacobian("moment Jacobian is singular") if b in replicates else v
                       for b, v in enumerate(out[s])]
         return out
