@@ -230,7 +230,8 @@ class AgdStudy:
 @dataclass(frozen=True)
 class TrialRecords:
     """Raw per-patient records of the aggregate-data trial (arm codes 0/2).
-    Only available in simulation; used by the full-influence benchmark."""
+    Only available in simulation; used by the full-influence benchmark.  The
+    records of a block of studies stack along a leading axis."""
 
     y: np.ndarray
     z: np.ndarray
@@ -240,6 +241,13 @@ class TrialRecords:
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
         object.__setattr__(self, "z", np.asarray(self.z, dtype=int))
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
+
+    def take(self, rows) -> "TrialRecords":
+        """The records of the ascending block rows `rows` of records stacked
+        over a block, (B, m) and (B, m, p); themselves when all are taken."""
+        if len(rows) == len(self.y):
+            return self
+        return TrialRecords(self.y[rows], self.z[rows], self.x[rows])
 
 
 class IpdBlock:
@@ -309,6 +317,138 @@ def stack_ipd(ipds) -> IpdBlock:
 def take_rows(values: np.ndarray, rows) -> np.ndarray:
     """values[rows] for ascending block rows; no copy when all are taken."""
     return values if len(rows) == len(values) else values[rows]
+
+
+def reduce_rows(a: np.ndarray, *ufuncs) -> list:
+    """ufunc.reduce(a, axis=1) for each ufunc, of a (B, n, k) array, bit for
+    bit.  NumPy reduces that middle axis row by row in inner loops only k
+    long; an (n, B, k) copy reduced over its first axis takes the same terms
+    in the same order, in inner loops B * k long.  With k = 1 NumPy drops
+    the unit axis and sums each row pairwise instead, so that case keeps
+    NumPy's own path."""
+    if a.shape[2] > 1:
+        a, axis = np.ascontiguousarray(a.transpose(1, 0, 2)), 0
+    else:
+        axis = 1
+    return [f.reduce(a, axis=axis) for f in ufuncs]
+
+
+def squares(values: np.ndarray) -> np.ndarray:
+    """v ** 2 of each element through Python's float pow, as a lone float
+    squares: C pow rounds some squares differently from v * v, which is
+    what NumPy's array ** 2 computes."""
+    return np.array([v ** 2 for v in values.ravel().tolist()]).reshape(values.shape)
+
+
+def mean_rows(a: np.ndarray) -> np.ndarray:
+    """a.mean(axis=1) of a (B, n, k) array, bit for bit (reduce_rows)."""
+    return reduce_rows(a, np.add)[0] / a.shape[1]
+
+
+def var_rows(a: np.ndarray) -> np.ndarray:
+    """a.var(axis=1, ddof=1) of a (B, n, k) array, bit for bit: NumPy's
+    steps, the squared deviations from mean_rows summed by reduce_rows."""
+    d = a - mean_rows(a)[:, None, :]
+    return reduce_rows(np.multiply(d, d, out=d), np.add)[0] / (a.shape[1] - 1)
+
+
+# the AGD arm fields, in the order of an AgdBlock's arm axis
+AGD_ARMS = ("active_arm", "comparator_arm")
+
+
+class AgdBlock:
+    """B aggregate-data studies of one covariate list, stacked by arm: arm 0
+    is the active arm (z=2) and arm 1 the common comparator (z=0).  n,
+    y_mean and y_var are (B, 2) and x_mean and x_var (B, 2, p).  A study
+    that reports no comparator has n = 0 and a NaN y_mean there; an outcome
+    variance an arm does not report is NaN, and so is a covariate variance
+    row it does not report (one holding a NaN).  The constructor refuses
+    what AgdArm refuses, with the same error classes."""
+
+    def __init__(self, n, y_mean, y_var, x_mean, x_var, covariate_names):
+        n = np.asarray(n, dtype=np.int64)
+        y_mean, y_var = np.asarray(y_mean, dtype=float), np.asarray(y_var, dtype=float)
+        x_mean, x_var = np.asarray(x_mean, dtype=float), np.asarray(x_var, dtype=float)
+        reported = ~np.isnan(y_mean)
+        reported[:, 0] = True  # every study reports its active arm
+        if (reported & (n < 1)).any() or (n < 0).any():
+            raise SchemaError("arm sample size must be positive")
+        if (n > 2**53).any():  # every stage converts n to a float, exact only up to 2**53
+            raise SchemaError("arm sample size n exceeds 2**53, beyond exact float conversion")
+        single = (n == 1)
+        if (y_var < 0).any():
+            raise NegativeVariance(f"y_var = {float(y_var[y_var < 0][0])} < 0")
+        if (single & ~np.isnan(y_var)).any():
+            raise SchemaError("n >= 2 required when y_var is supplied")
+        if x_var.shape != x_mean.shape:
+            raise DimensionMismatch("x_var length differs from x_mean")
+        if (x_var < 0).any():
+            raise NegativeVariance("x_var has a negative entry")
+        if x_var.shape[2] and (single & ~np.isnan(x_var).any(axis=2)).any():
+            raise SchemaError("n >= 2 required when x_var is supplied")
+        if x_mean.shape[2] != len(covariate_names):
+            raise DimensionMismatch(f"active arm has {x_mean.shape[2]} covariate means, "
+                                    f"expected {len(covariate_names)}")
+        self._set(n, y_mean, y_var, x_mean, x_var, covariate_names)
+
+    def _set(self, n, y_mean, y_var, x_mean, x_var, covariate_names) -> "AgdBlock":
+        self.n, self.y_mean, self.y_var, self.x_mean, self.x_var = n, y_mean, y_var, x_mean, x_var
+        self.covariate_names = tuple(covariate_names)
+        return self
+
+    @classmethod
+    def _checked(cls, *fields) -> "AgdBlock":
+        """The block of fields that passed the checks already: the rows of a
+        block, or the arms of AGD studies."""
+        return cls.__new__(cls)._set(*fields)
+
+    def __len__(self) -> int:
+        return len(self.n)
+
+    @property
+    def has_comparator(self) -> np.ndarray:
+        return self.n[:, 1] > 0
+
+    @property
+    def n_total(self) -> np.ndarray:
+        return self.n.sum(axis=1)
+
+    def take(self, rows) -> "AgdBlock":
+        """The studies at the ascending block rows `rows` as a block of
+        their own; the block itself when all are taken."""
+        if len(rows) == len(self):
+            return self
+        return AgdBlock._checked(self.n[rows], self.y_mean[rows], self.y_var[rows],
+                                 self.x_mean[rows], self.x_var[rows], self.covariate_names)
+
+    def study(self, b: int) -> AgdStudy:
+        """Study b as an AgdStudy."""
+        arms = [AgdArm(int(self.n[b, j]), float(self.y_mean[b, j]),
+                       None if np.isnan(self.y_var[b, j]) else float(self.y_var[b, j]),
+                       self.x_mean[b, j],
+                       None if np.isnan(self.x_var[b, j]).any() else self.x_var[b, j])
+                for j in range(1 + bool(self.has_comparator[b]))]
+        return AgdStudy(arms[0], arms[1] if len(arms) > 1 else None, self.covariate_names)
+
+
+def stack_agd(agds) -> AgdBlock:
+    """The block of a list of AGD studies of one covariate list."""
+    nan = np.full(len(agds[0].covariate_names), np.nan)
+
+    def values(arm) -> tuple:  # an absent comparator has n = 0 and NaN values
+        if arm is None:
+            return 0, np.nan, np.nan, nan, nan
+        return (arm.n, arm.y_mean, np.nan if arm.y_var is None else arm.y_var, arm.x_mean,
+                nan if arm.x_var is None else arm.x_var)
+
+    n, y_mean, y_var, x_mean, x_var = zip(*(values(arm) for agd in agds
+                                            for arm in (agd.active_arm, agd.comparator_arm)))
+    shape = (len(agds), 2, len(nan))
+    return AgdBlock._checked(
+        np.array(n, dtype=np.int64).reshape(shape[:2]),
+        *(np.array(v, dtype=float).reshape(shape[:2]) for v in (y_mean, y_var)),
+        *(np.array(v, dtype=float).reshape(shape) for v in (x_mean, x_var)),
+        agds[0].covariate_names)
 
 
 # a decimal or scientific number in ASCII digits, or nan/inf; the columnar
@@ -545,16 +685,28 @@ def pooled_target_moments(agd: AgdStudy, spec: MomentSpec) -> np.ndarray:
     the reported sample variance to the population second moment, then
     n-weighted across arms.
     """
-    arms = agd.arms
-    n = np.array([a.n for a in arms], dtype=float)
-    w = n / n.sum()
-    first = np.sum([wi * a.x_mean for wi, a in zip(w, arms)], axis=0)
+    return pooled_moments(stack_agd([agd]), spec)[0]
+
+
+def pooled_moments(agd: AgdBlock, spec: MomentSpec) -> np.ndarray:
+    """pooled_target_moments of each study of a block, (B, k).  A study
+    with one arm takes that arm's terms alone; with two, the arms' terms
+    are added in arm order."""
+    two = agd.has_comparator[:, None]
+    n = agd.n.astype(float)
+    w = (n / n.sum(axis=1, keepdims=True))[:, :, None]
+
+    def pool(terms):  # (B, 2, p) -> (B, p)
+        terms = w * terms
+        return np.where(two, terms[:, 0] + terms[:, 1], terms[:, 0])
+
+    first = pool(agd.x_mean)
     if spec is MomentSpec.FIRST:
         return first
-    for name, a in zip(("active", "comparator"), arms):
-        if a.x_var is None:
-            raise MissingVariance("first+second moment matching requires x_var on every AGD "
-                                  f"arm; the {name} arm has none")
-    second = np.sum([wi * (a.x_mean**2 + a.x_var * (a.n - 1) / a.n) for wi, a in zip(w, arms)],
-                    axis=0)
-    return np.concatenate([first, second])
+    unreported = np.isnan(agd.x_var).any(axis=2) & (agd.n > 0)
+    if unreported.any():
+        name = ("active", "comparator")[int(np.argmax(unreported[unreported.any(axis=1)][0]))]
+        raise MissingVariance("first+second moment matching requires x_var on every AGD "
+                              f"arm; the {name} arm has none")
+    m = agd.n[:, :, None]
+    return np.concatenate([first, pool(agd.x_mean**2 + agd.x_var * (m - 1) / m)], axis=1)

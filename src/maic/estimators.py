@@ -19,7 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data_model import AgdStudy, IpdBlock, IpdStudy, OutcomeKind, stack_ipd, take_rows
+from .data_model import (AGD_ARMS, AgdBlock, AgdStudy, IpdBlock, IpdStudy, OutcomeKind,
+                         reduce_rows, stack_agd, stack_ipd, take_rows)
 from .errors import (
     BoundaryProportion,
     DimensionMismatch,
@@ -31,29 +32,41 @@ from .errors import (
     capture,
     unwrap,
 )
-from .weighting import WeightModel, solve_each
+from .weighting import FitBlock, WeightModel, solve_each
 
 
 class Scale(enum.Enum):
-    """Contrast scale: identity (difference of means) or logit (log odds)."""
+    """Contrast scale: identity (difference of means) or logit (log odds).
+    g and g_prime take a mean or an array of means; g takes each element's
+    log with math.log, as it does a lone mean (NumPy's SIMD log rounds some
+    inputs differently)."""
 
     IDENTITY = "identity"
     LOGIT = "logit"
 
-    def g(self, u: float) -> float:
+    def g(self, u):
         if self is Scale.IDENTITY:
             return u
         _require_interior(u)
+        if isinstance(u, np.ndarray):
+            return np.array(list(map(math.log, (u / (1.0 - u)).ravel().tolist()))).reshape(u.shape)
         return math.log(u / (1.0 - u))
 
-    def g_prime(self, u: float) -> float:
+    def g_prime(self, u):
         if self is Scale.IDENTITY:
-            return 1.0
+            return np.ones_like(u) if isinstance(u, np.ndarray) else 1.0
         _require_interior(u)
         return 1.0 / (u * (1.0 - u))
 
 
-def _require_interior(u: float) -> None:
+def _require_interior(u) -> None:
+    """BoundaryProportion unless the mean u (each mean of an array u) lies
+    in (0, 1); it names the first that does not."""
+    if isinstance(u, np.ndarray):
+        inside = (0.0 < u) & (u < 1.0)
+        if inside.all():
+            return
+        u = float(u[~inside][0])
     if not 0.0 < u < 1.0:
         raise BoundaryProportion(f"logit scale requires a mean in (0, 1), got {u}")
 
@@ -142,22 +155,41 @@ def _weighted_means(block: IpdBlock, w: np.ndarray, code: int) -> np.ndarray:
     return (wz * block.arm_rows(block.y, code)).sum(axis=1) / wz.sum(axis=1)
 
 
-def _block_weights(block: IpdBlock, models, weighted: bool) -> np.ndarray:
+def arm_mean(block: IpdBlock, w: np.ndarray, code: int, weighted: bool,
+             shared: dict | None) -> np.ndarray:
+    """The weighted mean outcome of arm `code` under the weights w (fitted
+    when `weighted`, else unit), kept as "mu" in the store `shared` of the
+    pieces of each (weights, arm) of the block's studies, which every
+    estimate, SE and null check on those studies reads (variance._arm_piece
+    adds the rest); None keeps nothing."""
+    piece = {} if shared is None else shared.setdefault((weighted, code), {})
+    if "mu" not in piece:
+        piece["mu"] = _weighted_means(block, w, code)
+    return piece["mu"]
+
+
+def _block_weights(block: IpdBlock, fits, weighted: bool) -> np.ndarray:
     """The fitted weights (B, n) when `weighted` (the MAIC methods and the
-    null check), else unit weights; `models` is read only when weighted,
-    and a study without one is a MissingWeightModel."""
+    null check), else unit weights; `fits` (a FitBlock of the block's
+    studies, each fitted) is read only when weighted, and None there is a
+    MissingWeightModel."""
     if not weighted:
         return np.ones((len(block), block.n))
-    if any(m is None for m in models):
+    if fits is None:
         raise MissingWeightModel("the MAIC methods and the null check need a fitted weight model")
-    return np.stack([m.weights for m in models])
+    return fits.weights
+
+
+def _one(ipd: IpdStudy, agd: AgdStudy, model) -> tuple:
+    """A lone study's IPD, AGD and weight model as blocks of one."""
+    return stack_ipd([ipd]), stack_agd([agd]), None if model is None else FitBlock.of([model])
 
 
 def maic_nab(
     ipd: IpdStudy, agd: AgdStudy, model: WeightModel, scale: Scale = Scale.IDENTITY
 ) -> Estimate:
     """Weighted IPD active-arm mean contrasted with the AGD active arm."""
-    return unwrap(estimate_block(stack_ipd([ipd]), [agd], [model], scale, Method.MAIC_NAB)[0])
+    return unwrap(estimate_block(*_one(ipd, agd, model), scale, Method.MAIC_NAB)[0])
 
 
 def maic_acb(
@@ -165,52 +197,92 @@ def maic_acb(
 ) -> Estimate:
     """Anchored variant: subtracts the weighted-vs-reported contrast of the
     common comparator arms from the maic_nab contrast."""
-    return unwrap(estimate_block(stack_ipd([ipd]), [agd], [model], scale, Method.MAIC_ACB)[0])
+    return unwrap(estimate_block(*_one(ipd, agd, model), scale, Method.MAIC_ACB)[0])
 
 
 def bucher(ipd: IpdStudy, agd: AgdStudy, scale: Scale = Scale.IDENTITY) -> Estimate:
     """Anchored indirect comparison of unadjusted within-trial effects."""
-    return unwrap(estimate_block(stack_ipd([ipd]), [agd], None, scale, Method.BUCHER)[0])
+    return unwrap(estimate_block(*_one(ipd, agd, None), scale, Method.BUCHER)[0])
 
 
 def naive(ipd: IpdStudy, agd: AgdStudy, scale: Scale = Scale.IDENTITY) -> Estimate:
     """Unweighted IPD active-arm mean vs the AGD active arm."""
-    return unwrap(estimate_block(stack_ipd([ipd]), [agd], None, scale, Method.NAIVE)[0])
+    return unwrap(estimate_block(*_one(ipd, agd, None), scale, Method.NAIVE)[0])
 
 
-def estimate_block(block: IpdBlock, agds, models, scale: Scale, method: Method,
-                   contrast: Contrast | None = None) -> list:
-    """Any method for each study of a block, with its AGD study: an Estimate
-    or the MaicError per study.  `models` holds the fitted weight model of
-    each study; it is read only for the MAIC methods and may be None for the
-    others.  The arm pairs are the method's (CONTRASTS) unless `contrast`
-    is given: the null check is maic-nab on NULL_CHECK."""
+def estimate_block(block: IpdBlock, agd: AgdBlock, fits, scale: Scale, method: Method,
+                   contrast: Contrast | None = None, shared: dict | None = None) -> list:
+    """Any method for each study of a block, with the AGD block: an Estimate
+    or the MaicError per study.  `fits` is the FitBlock of the block's
+    studies, each fitted; it is read only for the MAIC methods and may be
+    None for the others.  The arm pairs are the method's (CONTRASTS) unless
+    `contrast` is given: the null check is maic-nab on NULL_CHECK.  `shared`
+    is the arm pieces store of the block's studies (arm_mean)."""
     if method is Method.STC:
-        return stc_block(block, agds, scale)
+        return stc_block(block, agd, scale)
     contrast = contrast or CONTRASTS[method]
-    w = capture(_block_weights, block, models, method.weighted)
+    w = capture(_block_weights, block, fits, method.weighted)
     if isinstance(w, MaicError):
         return [w] * len(block)
-    means = {code: _weighted_means(block, w, code)
-             for _, code, _ in contrast.pairs if code in block.arms}
-
-    def estimate(b):
-        agd, pairs = agds[b], []
-        for sign, code, arm in contrast.pairs:
-            if getattr(agd, arm) is None:
-                raise NoComparatorArm("AGD study has no comparator arm")
-            if code not in means:
-                raise NoComparatorArm("IPD study has no comparator (z=0) records")
-            pairs.append((sign, code, float(means[code][b]), arm, getattr(agd, arm).y_mean))
-        # a sum starts at its first term: one pair gives g(IPD mean) - g(AGD mean)
-        if contrast.within_trial:
-            delta = (reduce(add, [s * scale.g(m) for s, _, m, _, _ in pairs])
-                     - reduce(add, [s * scale.g(m) for s, _, _, _, m in pairs]))
+    errors = [None] * len(block)
+    ipd_means, agd_means = [], []
+    for _, code, arm in contrast.pairs:
+        col = AGD_ARMS.index(arm)
+        _file_first(errors, agd.n[:, col] == 0,
+                    lambda b: NoComparatorArm("AGD study has no comparator arm"))
+        if code in block.arms:
+            ipd_means.append(arm_mean(block, w, code, method.weighted, shared))
         else:
-            delta = reduce(add, [s * (scale.g(mi) - scale.g(ma)) for s, _, mi, _, ma in pairs])
-        return Estimate(method, scale, delta, tuple(pairs))
+            _file_first(errors, np.ones(len(block), dtype=bool),
+                        lambda b: NoComparatorArm("IPD study has no comparator (z=0) records"))
+            ipd_means.append(np.full(len(block), np.nan))
+        agd_means.append(agd.y_mean[:, col])
+    return _contrasts(method, scale, contrast, ipd_means, agd_means, errors)
 
-    return [capture(estimate, b) for b in range(len(block))]
+
+def _file_first(errors: list, mask: np.ndarray, make) -> None:
+    """errors[b] = make(b) for each study b at mask that has no error yet."""
+    for b in mask.nonzero()[0].tolist():
+        if errors[b] is None:
+            errors[b] = make(b)
+
+
+def _valid(means: np.ndarray, errors: list) -> np.ndarray:
+    """means (..., B) with 0.5, inside every scale's domain, in the place of
+    each study that has an error, whose values are not reported."""
+    if errors.count(None) == len(errors):
+        return means
+    return np.where([e is None for e in errors], means, 0.5)
+
+
+def _contrasts(method: Method, scale: Scale, contrast: Contrast, ipd_means: list,
+               agd_means: list, errors: list) -> list:
+    """The Estimate of each study of a block, from the (B,) IPD and AGD means
+    of each pair of the contrast, or its MaicError: errors[b] when set, else
+    the BoundaryProportion of its first mean outside (0, 1), in the order
+    the contrast takes g of them.  A sum starts at its first term, so one
+    pair gives g(IPD mean) - g(AGD mean)."""
+    pairs = len(contrast.pairs)
+    means = np.array([*ipd_means, *agd_means])  # (2 * pairs, B)
+    if scale is Scale.LOGIT:
+        outside = ~((0.0 < means) & (means < 1.0))
+        if outside.any():
+            for i in (range(2 * pairs) if contrast.within_trial
+                      else [i + side * pairs for i in range(pairs) for side in (0, 1)]):
+                _file_first(errors, outside[i],
+                            lambda b: capture(_require_interior, float(means[i, b])))
+    g = scale.g(_valid(means, errors))
+    signs = [sign for sign, _, _ in contrast.pairs]
+    if contrast.within_trial:
+        delta = (reduce(add, [s * gi for s, gi in zip(signs, g[:pairs])])
+                 - reduce(add, [s * ga for s, ga in zip(signs, g[pairs:])]))
+    else:
+        delta = reduce(add, [s * (gi - ga) for s, gi, ga in zip(signs, g[:pairs], g[pairs:])])
+    cols = [(sign, code, mi, arm, ma) for (sign, code, arm), mi, ma
+            in zip(contrast.pairs, means[:pairs].tolist(), means[pairs:].tolist())]
+    return [errors[b] or Estimate(method, scale, d, tuple((sign, code, mi[b], arm, ma[b])
+                                                          for sign, code, mi, arm, ma in cols))
+            for b, d in enumerate(delta.tolist())]
 
 
 # logistic IRLS controls: iteration cap, convergence threshold on the step
@@ -220,13 +292,13 @@ IRLS_TOL = 1e-10
 IRLS_COEF_CAP = 30.0
 
 
-def _irls(design: np.ndarray, y: np.ndarray) -> list:
+def _irls(design: np.ndarray, y: np.ndarray):
     """Logistic regression by iteratively reweighted least squares for each
-    replicate of a (B, n, k) design stack, in lockstep: the coefficients or
-    the MaicError per replicate.  A coefficient beyond IRLS_COEF_CAP is
-    taken as complete (or quasi-complete) separation."""
+    replicate of a (B, n, k) design stack, in lockstep: the coefficients
+    (B, k) and the MaicError or None per replicate.  A coefficient beyond
+    IRLS_COEF_CAP is taken as complete (or quasi-complete) separation."""
     gamma = np.zeros(design.shape[::2])
-    outcome = [None] * len(design)
+    errors = [None] * len(design)
     live = np.arange(len(design))
     for _ in range(IRLS_MAX_ITER):
         if not len(live):
@@ -243,15 +315,36 @@ def _irls(design: np.ndarray, y: np.ndarray) -> list:
         diverged = ~singular & (np.abs(gamma[live]).max(axis=1) > IRLS_COEF_CAP)
         done = ~singular & ~diverged & (np.abs(step).max(axis=1) < IRLS_TOL)
         for b in live[singular]:
-            outcome[b] = SingularDesign("singular design in logistic fit")
+            errors[b] = SingularDesign("singular design in logistic fit")
         for b in live[diverged]:
-            outcome[b] = SeparationError("logistic fit diverged (complete separation suspected)")
-        for b in live[done]:
-            outcome[b] = gamma[b]
+            errors[b] = SeparationError("logistic fit diverged (complete separation suspected)")
         live = live[~(singular | diverged | done)]
     for b in live:
-        outcome[b] = SeparationError("logistic fit failed to converge")
-    return outcome
+        errors[b] = SeparationError("logistic fit failed to converge")
+    return gamma, errors
+
+
+def _least_squares(design: np.ndarray, y: np.ndarray):
+    """Linear least squares for each replicate of a (B, n, k) design stack:
+    the coefficients (B, k) and the MaicError or None per replicate.  NumPy
+    has no stacked lstsq, so each replicate is solved on its own."""
+    gamma = np.zeros(design.shape[::2])
+    errors = [None] * len(design)
+    for b in range(len(design)):
+        if np.linalg.matrix_rank(design[b]) < design.shape[2]:
+            errors[b] = SingularDesign("rank-deficient design in linear outcome model")
+        else:
+            gamma[b] = np.linalg.lstsq(design[b], y[b], rcond=None)[0]
+    return gamma, errors
+
+
+def _expit(v: float) -> float:
+    """1 / (1 + exp(-v)) of a lone float through math.exp."""
+    try:
+        return 1.0 / (1.0 + math.exp(-v))
+    except OverflowError:
+        # v < -709: 1 / (1 + exp(-v)) is exp(v) to double precision
+        return math.exp(v)
 
 
 def stc(ipd: IpdStudy, agd: AgdStudy, scale: Scale = Scale.IDENTITY) -> Estimate:
@@ -263,48 +356,34 @@ def stc(ipd: IpdStudy, agd: AgdStudy, scale: Scale = Scale.IDENTITY) -> Estimate
     When the AGD means lie outside the IPD covariate range the prediction
     extrapolates; a warning is emitted rather than refusing.
     """
-    return unwrap(stc_block(stack_ipd([ipd]), [agd], scale)[0])
+    return unwrap(stc_block(stack_ipd([ipd]), stack_agd([agd]), scale)[0])
 
 
-def stc_block(block: IpdBlock, agds, scale: Scale = Scale.IDENTITY) -> list:
-    """stc for each study of a block: an Estimate or the MaicError per study."""
+def stc_block(block: IpdBlock, agd: AgdBlock, scale: Scale = Scale.IDENTITY) -> list:
+    """stc for each study of a block: an Estimate or the MaicError per study.
+    The pooled AGD means, the extrapolation check and each prediction
+    row @ gamma (a stacked matmul, which gives the bits of each lone dot)
+    run over the block; each probability is a lone math.exp."""
     if not block.x.shape[2]:
         return [DimensionMismatch("stc needs at least one covariate")] * len(block)
-    binary = block.outcome_kind is OutcomeKind.BINARY
     x, y = block.arm_rows(block.x, 1), block.arm_rows(block.y, 1)
     design = np.concatenate([np.ones(y.shape + (1,)), x], axis=2)
-    lo, hi = x.min(axis=1), x.max(axis=1)
-    rows = []
-    for b, agd in enumerate(agds):
-        arms = agd.arms
-        ns = np.array([a.n for a in arms], dtype=float)
-        xbar2 = np.sum([a.x_mean * n for a, n in zip(arms, ns)], axis=0) / ns.sum()
-        if np.any(xbar2 < lo[b]) or np.any(xbar2 > hi[b]):
-            warnings.warn(
-                "AGD covariate means lie outside the IPD active-arm support; "
-                "the outcome model is extrapolating",
-                stacklevel=3,
-            )
-        rows.append(np.concatenate([[1.0], xbar2]))
-
-    fits = _irls(design, y) if binary else None
-
-    def estimate(b):
-        row = rows[b]
-        if binary:
-            v = float(row @ unwrap(fits[b]))
-            try:
-                mu1 = 1.0 / (1.0 + math.exp(-v))
-            except OverflowError:
-                # v < -709: 1 / (1 + exp(-v)) is exp(v) to double precision
-                mu1 = math.exp(v)
-        else:
-            if np.linalg.matrix_rank(design[b]) < design.shape[2]:
-                raise SingularDesign("rank-deficient design in linear outcome model")
-            gamma, *_ = np.linalg.lstsq(design[b], y[b], rcond=None)
-            mu1 = float(row @ gamma)
-        mu2 = agds[b].active_arm.y_mean
-        return Estimate(Method.STC, scale, scale.g(mu1) - scale.g(mu2),
-                        ((1.0, 1, mu1, "active_arm", mu2),))
-
-    return [capture(estimate, b) for b in range(len(block))]
+    lo, hi = reduce_rows(x, np.minimum, np.maximum)
+    n = agd.n.astype(float)
+    xn = agd.x_mean * n[:, :, None]
+    xbar2 = (np.where(agd.has_comparator[:, None], xn[:, 0] + xn[:, 1], xn[:, 0])
+             / n.sum(axis=1)[:, None])
+    for _ in range(np.count_nonzero(((xbar2 < lo) | (xbar2 > hi)).any(axis=1))):
+        warnings.warn(
+            "AGD covariate means lie outside the IPD active-arm support; "
+            "the outcome model is extrapolating",
+            stacklevel=3,
+        )
+    rows = np.concatenate([np.ones((len(block), 1)), xbar2], axis=1)
+    binary = block.outcome_kind is OutcomeKind.BINARY
+    gamma, errors = (_irls if binary else _least_squares)(design, y)
+    mu1 = np.matmul(rows[:, None, :], gamma[:, :, None])[:, 0, 0]
+    if binary:
+        mu1 = np.array([_expit(v) for v in mu1.tolist()])
+    return _contrasts(Method.STC, scale, CONTRASTS[Method.STC], [mu1], [agd.y_mean[:, 0]],
+                      errors)

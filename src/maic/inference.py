@@ -6,11 +6,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
-from .data_model import AgdStudy, IpdBlock, IpdStudy, stack_ipd, write_rows
+from .data_model import AgdBlock, AgdStudy, IpdBlock, IpdStudy, stack_agd, stack_ipd, write_rows
 from .errors import InvalidLevel, MaicError, ZeroSe, succeeded, unwrap
-from .estimators import NULL_CHECK, Estimate, Method, Scale, estimate_block
+from .estimators import NULL_CHECK, Estimate, Method, Scale, _one, estimate_block
 from .variance import REPORT_STRATEGIES, SeEstimate, SeStrategy, _moment_jacobians, se_block
-from .weighting import WeightModel, fit_diagnostics
+from .weighting import FitBlock, WeightModel, fit_diagnostics
 
 _NORM = NormalDist()
 
@@ -30,9 +30,13 @@ def check_level(level: float, name: str) -> None:
 
 def wald_ci(delta: float, se: float, level: float = 0.95) -> tuple[float, float]:
     check_level(level, "confidence level")
+    return _interval(delta, se, norm_quantile((1.0 + level) / 2.0))
+
+
+def _interval(delta: float, se: float, z: float) -> tuple[float, float]:
+    """delta -/+ z * se; a negative SE is a ZeroSe."""
     if se < 0:
         raise ZeroSe("standard error must be nonnegative")
-    z = norm_quantile((1.0 + level) / 2.0)
     return delta - z * se, delta + z * se
 
 
@@ -84,23 +88,24 @@ def negative_control_test(
     comparator mean.  The SE is fo on the comparator pair, which holds the
     fitted weights fixed and so omits the weight-estimation and target-mean
     terms; the test size may fall on either side of alpha_level."""
-    return unwrap(negative_control_block(stack_ipd([ipd]), [agd], [model], scale,
-                                         alpha_level)[0])
+    return unwrap(negative_control_block(*_one(ipd, agd, model), scale, alpha_level)[0])
 
 
-def negative_control_block(block: IpdBlock, agds, models, scale: Scale = Scale.IDENTITY,
-                           alpha_level: float = 0.05) -> list:
+def negative_control_block(block: IpdBlock, agd: AgdBlock, fits, scale: Scale = Scale.IDENTITY,
+                           alpha_level: float = 0.05, shared: dict | None = None) -> list:
     """negative_control_test for each study of a block: a NegControlResult or
     the MaicError per study.  It is maic-nab on the comparator pair
-    (estimators.NULL_CHECK) with se_block's fo.  An alpha_level outside
-    (0, 1) is an InvalidLevel for the whole block."""
+    (estimators.NULL_CHECK) with se_block's fo; `shared` is the arm pieces
+    store of the block's studies (variance._arm_piece).  An alpha_level
+    outside (0, 1) is an InvalidLevel for the whole block."""
     check_level(alpha_level, "alpha level")
-    out = estimate_block(block, agds, models, scale, Method.MAIC_NAB, NULL_CHECK)
+    out = estimate_block(block, agd, fits, scale, Method.MAIC_NAB, NULL_CHECK, shared=shared)
     ok = succeeded(out)
     if not ok:
         return out
-    (ses,) = se_block(block.take(ok), [agds[b] for b in ok], [models[b] for b in ok],
-                      [out[b] for b in ok], scale, [SeStrategy.FO]).values()
+    (ses,) = se_block(block.take(ok), agd.take(ok), fits.take(ok), [out[b] for b in ok], scale,
+                      [SeStrategy.FO],
+                      shared=shared if len(ok) == len(block) else None).values()
     zcrit = norm_quantile(1.0 - alpha_level / 2.0)
     for se, b in zip(ses, ok):
         if isinstance(se, MaicError):
@@ -166,24 +171,28 @@ class ComparisonReport:
                                        "ci_lo", "ci_hi", "p_value"])
 
 
-def report_block(block: IpdBlock, agds, models, methods, scale: Scale, strategies,
-                 level: float, se_methods, records=None,
+def report_block(block: IpdBlock, agd: AgdBlock, fits: FitBlock, methods, scale: Scale,
+                 strategies, level: float, se_methods, records=None,
                  negative_control: bool = False) -> list[ComparisonReport]:
     """A ComparisonReport per study of a block, each equal to the study's
-    report in a block of one; models[b] is its WeightModel, None without a
-    fit, or the MaicError of a failed fit.  The stages run in this order,
-    each over the block on the studies that hold what it reads, and each
-    files a MaicError under its key: weights; each method's estimate, under
-    <method> (the MAIC methods skip a failed fit and file MissingWeightModel
-    without one); the SEs of each method in se_methods that has estimates,
-    each of the `strategies` that applies (variance.se_block) on its own,
-    under <method>/<strategy>; and the null check, when asked, on the
-    studies the MAIC methods ran on, under negative_control.  The SE stage
-    builds each fitted study's moment Jacobian once for every weighted
-    method.  `records` holds the aggregate trial's records per study, which
-    full needs.  A level outside (0, 1) is an InvalidLevel."""
+    report in a block of one; `fits` holds each study's weight fit, the
+    MaicError of a failed fit, or neither without a fit.  The stages run in
+    this order, each over the block on the studies that hold what it reads,
+    and each files a MaicError under its key: weights; each method's
+    estimate, under <method> (the MAIC methods skip a failed fit and file
+    MissingWeightModel without one); the SEs of each method in se_methods
+    that has estimates, each of the `strategies` that applies
+    (variance.se_block) on its own, under <method>/<strategy>; and the null
+    check, when asked, on the studies the MAIC methods ran on, under
+    negative_control.  The SE stage builds each fitted study's moment
+    Jacobian once for every weighted method, and each arm's weighted
+    residuals once for every method and the null check on the same studies
+    and weights.  `records` holds the aggregate trial's records, stacked
+    (a TrialRecords of (B, m) arrays), which full needs.  A level outside
+    (0, 1) is an InvalidLevel."""
     check_level(level, "confidence level")
-    reports = [ComparisonReport(scale=scale, level=level) for _ in agds]
+    z = norm_quantile((1.0 + level) / 2.0)
+    reports = [ComparisonReport(scale=scale, level=level) for _ in range(len(block))]
 
     def file(key, members, outcomes) -> list[tuple]:
         """File each MaicError under `key`; the (member, outcome) pairs left."""
@@ -195,18 +204,24 @@ def report_block(block: IpdBlock, agds, models, methods, scale: Scale, strategie
                 kept.append((b, out))
         return kept
 
-    def inputs(members) -> tuple:  # the IPD block, AGD studies and weight models of members
-        return block.take(members), [agds[b] for b in members], [models[b] for b in members]
+    def inputs(members, weighted: bool) -> tuple:
+        """The IPD and AGD blocks of members, with their fits when the stage
+        reads the weights and every member has one (else None)."""
+        return (block.take(members), agd.take(members),
+                fits.take(members) if weighted and members == fitted else None)
 
-    everyone = list(range(len(agds)))
-    fitted = [b for b, _ in file("weights", everyone, models)]
+    everyone = list(range(len(block)))
+    file("weights", list(fits.errors), fits.errors.values())
+    fitted = fits.rows.tolist()
     # a stage that reads the weights runs apart on the studies without a fit
-    weighted = [g for g in ([b for b in fitted if models[b] is not None],
-                            [b for b in fitted if models[b] is None]) if g]
+    weighted = [g for g in (fitted, sorted(set(everyone) - set(fitted) - set(fits.errors)))
+                if g]
+    shared = {}  # the arm pieces store of each set of studies
     for method in methods:
         for members in weighted if method.weighted else [everyone]:
             for b, est in file(method.value, members,
-                               estimate_block(*inputs(members), scale, method)):
+                               estimate_block(*inputs(members, method.weighted), scale, method,
+                                              shared=shared.setdefault(tuple(members), {}))):
                 reports[b].estimates[method.value] = est
     se_members = [(m, [b for b in everyone if m.value in reports[b].estimates])
                   for m in methods if m in se_methods]
@@ -214,7 +229,7 @@ def report_block(block: IpdBlock, agds, models, methods, scale: Scale, strategie
     # its condition: built here once for every weighted method, each of which
     # takes its rows and drops them once its influence terms are built
     solved = sorted(set().union(*(members for m, members in se_members if m.weighted)))
-    whole = (_moment_jacobians(*inputs(solved))
+    whole = (_moment_jacobians(block.take(solved), agd.take(solved), fits.take(solved))
              if solved and any(s is not SeStrategy.SW for s in strategies) else None)
     jacobians = {m: whole.take([solved.index(b) for b in members])
                  for m, members in se_members if m.weighted and whole is not None}
@@ -223,19 +238,23 @@ def report_block(block: IpdBlock, agds, models, methods, scale: Scale, strategie
         if not members:
             continue
         ests = [reports[b].estimates[method.value] for b in members]
-        ses = se_block(*inputs(members), ests, scale, strategies,
-                       records=None if records is None else [records[b] for b in members],
-                       jacobians=jacobians.pop(method, None))
+        ses = se_block(block.take(members), agd.take(members),
+                       fits.take(members) if method.weighted else None, ests, scale, strategies,
+                       records=None if records is None else records.take(members),
+                       jacobians=jacobians.pop(method, None),
+                       shared=shared.setdefault(tuple(members), {}))
         for strategy, outs in ses.items():
             key = (method.value, strategy.value)
             for b, se in file("/".join(key), members, outs):
                 delta = reports[b].estimates[method.value].delta
                 reports[b].ses[key] = se
-                reports[b].cis[key] = wald_ci(delta, se.se, level)
+                reports[b].cis[key] = _interval(delta, se.se, z)
                 reports[b].p_values[key] = _wald_or_null(delta, se.se)[1]
     for members in weighted if negative_control else []:
         for b, result in file("negative_control", members,
-                              negative_control_block(*inputs(members), scale)):
+                              negative_control_block(*inputs(members, True), scale,
+                                                     shared=shared.setdefault(tuple(members),
+                                                                              {}))):
             reports[b].negative_control = result
     return reports
 
@@ -248,8 +267,9 @@ def build_comparison_report(ipd: IpdStudy, agd: AgdStudy, model: WeightModel | N
     """The report_block of this one study, with SEs for every method, plus
     the fit diagnostics when a model is given."""
     agd.check_alignment(ipd)
-    (report,) = report_block(stack_ipd([ipd]), [agd], [model], methods, scale, strategies,
-                             level, methods, negative_control=run_negative_control)
+    (report,) = report_block(stack_ipd([ipd]), stack_agd([agd]), FitBlock.of([model]), methods,
+                             scale, strategies, level, methods,
+                             negative_control=run_negative_control)
     if model is not None:
         report.diagnostics = {"ess": {str(k): v for k, v in model.ess.items()},
                               **fit_diagnostics(model, ipd)}

@@ -14,8 +14,9 @@ Replicate r of a study draws from an independent RNG stream keyed by
 cells and outcome uniforms and picks its subsample on its own stream; then,
 for the whole block at once, the kept rows' outcomes are computed, trial 1
 is split off as one stacked IPD block (with the row indices of each arm,
-found once), trial 2's arms are collapsed to means and variances, the
-weights are solved, and inference.report_block assembles the rest.  The
+found once), trial 2's arms are collapsed to one stacked AGD block of means
+and variances, the weights are solved, and inference.report_block assembles
+the rest from the IPD block, the AGD block and the solver's own stacks.  The
 study's oracle contrast (true_delta) is a pure function of the config that
 holds only the covariates its linear predictors read; with more than one
 worker process it runs as the first pool task, beside the blocks.  The
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .data_model import (
-    AgdArm,
+    AgdBlock,
     AgdStudy,
     IpdBlock,
     IpdStudy,
@@ -44,8 +45,10 @@ from .data_model import (
     json_float,
     json_int,
     load_json_object,
-    pooled_target_moments,
+    mean_rows,
+    pooled_moments,
     read_object,
+    var_rows,
 )
 from .errors import InsufficientCell, SchemaError
 from .estimators import Method, Scale
@@ -158,10 +161,10 @@ def _expit(v):
 _CELLS = ((1, 0), (1, 1), (2, 0), (2, 2))
 
 
-def _draw(cfg: ScenarioConfig, n_star: int, rng: np.random.Generator):
+def _draw(cfg: ScenarioConfig, a1: np.ndarray, n_star: int, rng: np.random.Generator):
     """n_star rows of the scenario DGP up to the outcome: covariates (n_star,
-    p), cell codes and the outcome uniforms, in the DGP's stream order."""
-    a1, _, _ = _config_vectors(cfg)
+    p), cell codes and the outcome uniforms, in the DGP's stream order; a1
+    is the config's trial-assignment vector (_config_vectors)."""
     # X = sqrt(.8) eps + sqrt(.2) u gives covariance .8*I + .2 exactly
     x = rng.standard_normal((n_star, cfg.p))
     x *= math.sqrt(0.8)
@@ -203,7 +206,7 @@ def _pick(cell: np.ndarray, n_per_arm: int, rng: np.random.Generator) -> np.ndar
 
 def generate_population(cfg: ScenarioConfig, n_star: int, rng: np.random.Generator) -> PooledSample:
     """Simulate n_star unconstrained observations from the scenario DGP."""
-    x, cell, u = _draw(cfg, n_star, rng)
+    x, cell, u = _draw(cfg, _config_vectors(cfg)[0], n_star, rng)
     t, z = _trial_arm(cell)
     return PooledSample(y=_outcome(cfg, x, z, u), z=z, t=t, x=x)
 
@@ -288,19 +291,20 @@ BLOCK_ROWS = 16_384
 ORACLE_CHUNK_ROWS = 1 << 16
 
 
-def replicate_block(cfg: ScenarioConfig, indices) -> tuple[IpdBlock, list, list]:
+def replicate_block(cfg: ScenarioConfig, indices) -> tuple[IpdBlock, AgdBlock, TrialRecords]:
     """Draw and subsample each replicate of a block on its own (seed, r)
     stream, redrawing with twice the oversampling while a cell is short;
     then, stacked over the block, compute the kept rows' outcomes, split off
     trial 1 as the stacked IPD and collapse trial 2's arms to aggregate
-    summaries.  Returns the IPD block, and the AGD study and the aggregate
-    trial's raw records of each replicate."""
+    summaries.  Returns the IPD block, the AGD block and the aggregate
+    trial's raw records, stacked (B, 2 * n_per_arm)."""
+    a1 = _config_vectors(cfg)[0]
     kept = []
     for r in indices:
         rng = np.random.default_rng([cfg.seed, r])
         factor = cfg.oversample_factor
         for _ in range(12):
-            x, cell, u = _draw(cfg, factor * 4 * cfg.n_per_arm, rng)
+            x, cell, u = _draw(cfg, a1, factor * 4 * cfg.n_per_arm, rng)
             try:
                 sel = _pick(cell, cfg.n_per_arm, rng)
                 break
@@ -313,7 +317,7 @@ def replicate_block(cfg: ScenarioConfig, indices) -> tuple[IpdBlock, list, list]
     _, z = _trial_arm(cell)
     y = _outcome(cfg, x, z, u)
 
-    n_rep, n = len(kept), cfg.n_per_arm
+    n_rep = len(kept)
 
     def rows(mask, *arrays):
         """The rows at mask of each array, in row order: the same number
@@ -323,19 +327,16 @@ def replicate_block(cfg: ScenarioConfig, indices) -> tuple[IpdBlock, list, list]
 
     t1 = cell < 2
     ipd = IpdBlock(*rows(t1, y, z, x), OutcomeKind.BINARY)
-    y2, z2, x2 = rows(~t1, y, z, x)
-    records = [TrialRecords(y2[b], z2[b], x2[b]) for b in range(n_rep)]
+    records = TrialRecords(*rows(~t1, y, z, x))
 
-    summaries = []  # arm means and ddof=1 variances: the active arm, then the comparator
-    for code in (_CELLS.index((2, 2)), _CELLS.index((2, 0))):
-        ya, xa = rows(cell == code, y, x)
-        summaries.append((ya.mean(axis=1), ya.var(axis=1, ddof=1),
-                          xa.mean(axis=1), xa.var(axis=1, ddof=1)))
-    names = tuple(f"x{j + 1}" for j in range(cfg.p))
-    agds = [AgdStudy(*(AgdArm(n, float(ym[b]), float(yv[b]), xm[b], xv[b])
-                       for ym, yv, xm, xv in summaries), names)
-            for b in range(n_rep)]
-    return ipd, agds, records
+    # arm means and ddof=1 variances: the active arm, then the comparator
+    ya, xa = zip(*(rows(cell == _CELLS.index(c), y, x) for c in ((2, 2), (2, 0))))
+    ya, xa = np.stack(ya, axis=1), np.concatenate(xa, axis=2)
+    p = cfg.p
+    agd = AgdBlock(np.full((n_rep, 2), cfg.n_per_arm), ya.mean(axis=2), ya.var(axis=2, ddof=1),
+                   mean_rows(xa).reshape(n_rep, 2, p), var_rows(xa).reshape(n_rep, 2, p),
+                   tuple(f"x{j + 1}" for j in range(p)))
+    return ipd, agd, records
 
 
 def replicate_datasets(
@@ -344,9 +345,9 @@ def replicate_datasets(
     """Draw and subsample one replicate, collapsing trial 2 to aggregate
     summaries while retaining its raw records for benchmark variances.
     Deterministic given (cfg.seed, replicate_index)."""
-    block, (agd,), (records,) = replicate_block(cfg, [replicate_index])
+    block, agd, records = replicate_block(cfg, [replicate_index])
     ipd = IpdStudy(block.y[0], block.z[0], block.x[0], agd.covariate_names, block.outcome_kind)
-    return ipd, agd, records
+    return ipd, agd.study(0), TrialRecords(records.y[0], records.z[0], records.x[0])
 
 
 def run_replicate(cfg: ScenarioConfig, replicate_index: int) -> ReplicateResult:
@@ -360,10 +361,10 @@ def run_block(cfg: ScenarioConfig, indices) -> list[ReplicateResult]:
     """run_replicate for each replicate index: the weights solved stacked over
     the block, then inference.report_block with maic-nab's SEs and the null
     check; each result equals its lone run_replicate bit for bit."""
-    block, agds, records = replicate_block(cfg, indices)
-    targets = np.stack([pooled_target_moments(agd, MomentSpec.FIRST) for agd in agds])
-    models = solve_weights_block(block, targets, MomentSpec.FIRST, _SOLVER)
-    reports = report_block(block, agds, models, SIM_METHODS, cfg.scale, tuple(SeStrategy), 0.95,
+    block, agd, records = replicate_block(cfg, indices)
+    fits = solve_weights_block(block, pooled_moments(agd, MomentSpec.FIRST), MomentSpec.FIRST,
+                               _SOLVER)
+    reports = report_block(block, agd, fits, SIM_METHODS, cfg.scale, tuple(SeStrategy), 0.95,
                            (Method.MAIC_NAB,), records=records, negative_control=True)
     return [ReplicateResult({m: est.delta for m, est in r.estimates.items()},
                             {s: se.se for (_, s), se in r.ses.items()},

@@ -30,7 +30,10 @@ is maic-nab on the comparator pair (estimators.NULL_CHECK).  One core
 (_derive, _pair_influence, _var_over_n) maps IPD weights and a pair list
 to the per-record phi, the AGD-variance term and, for the MAIC methods,
 ctilde over the centred moments t(X_i) - target that the weight fit solved
-over and carries (WeightModel.moments).  The moment Jacobian
+over and carries (FitBlock.moments).  Each (weights, arm) piece of it (the
+weighted arm mean, J^mu and the weighted residuals) depends on the weights
+and the arm alone, so a report builds it once for every method and the
+null check on the same studies (_arm_piece).  The moment Jacobian
 J_alpha = -sum_i w_i c_i c_i^T / N, w * c and J_alpha's condition number
 (with the COND_WARN warning) depend on the fit alone, so there is one per
 fit (_moment_jacobians): report_block's SE stage builds it once for every
@@ -50,8 +53,11 @@ fo, po, cs and full, and the sw path.  The reference arrays of the full
 influence function and the plug-in lemma terms live with the tests.
 
 The *_block functions run the studies of one stacked IPD block
-(data_model.IpdBlock) and return a result or the MaicError per study; the
-single-study functions are blocks of one.
+(data_model.IpdBlock) with their stacked AGD summaries (data_model.AgdBlock)
+and weight fits (weighting.FitBlock), as arrays over the block, and return
+a result or the MaicError per study; the single-study functions are blocks
+of one.  Where a lone study squares a float, the block squares each element
+through Python's float pow (data_model.squares), as the lone study does.
 """
 
 from __future__ import annotations
@@ -59,29 +65,25 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .data_model import (
+    AGD_ARMS,
     AgdArm,
+    AgdBlock,
     AgdStudy,
     IpdBlock,
     IpdStudy,
     OutcomeKind,
     TrialRecords,
-    stack_ipd,
+    squares,
     take_rows,
 )
-from .errors import (
-    MaicError,
-    MissingAgdVariance,
-    RequiresFullIpd,
-    SingularJacobian,
-    capture,
-    succeeded,
-    unwrap,
-)
-from .estimators import Estimate, Method, Scale, _block_weights
+from .errors import MissingAgdVariance, RequiresFullIpd, SingularJacobian, capture, unwrap
+from .estimators import (Estimate, Method, Scale, _block_weights, _file_first, _one, _valid,
+                         arm_mean)
 from .weighting import WeightModel, moment_matrix, solve_each
 
 COND_WARN = 1e12
@@ -150,19 +152,29 @@ class InfluencePieces:
 def arm_outcome_variance(arm: AgdArm, outcome_kind: OutcomeKind) -> float:
     """Reported outcome sample variance, with the Bernoulli fallback
     ybar(1-ybar)*n/(n-1) when a binary arm of n >= 2 omits it."""
-    if arm.y_var is not None:
-        return float(arm.y_var)
+    errors = [None]
+    (var,) = _outcome_variances(np.array([np.nan if arm.y_var is None else arm.y_var]),
+                                np.array([arm.n]), np.array([arm.y_mean]), outcome_kind, errors)
+    return float(unwrap(errors[0] or var))
+
+
+def _outcome_variances(y_var: np.ndarray, n: np.ndarray, ybar: np.ndarray,
+                       outcome_kind: OutcomeKind, errors: list) -> np.ndarray:
+    """arm_outcome_variance of one arm of each study of a block, from its
+    reported variance (NaN when unreported), size and mean; a study whose
+    arm has no usable variance gets the MissingAgdVariance unless it has
+    an error already."""
+    missing = np.isnan(y_var)
+    if not missing.any():
+        return y_var
     if outcome_kind is not OutcomeKind.BINARY:
-        raise MissingAgdVariance(
-            "AGD arm reports no outcome variance and the outcome is not binary"
-        )
-    if arm.n < 2:
-        raise MissingAgdVariance(
+        _file_first(errors, missing, lambda b: MissingAgdVariance(
+            "AGD arm reports no outcome variance and the outcome is not binary"))
+    else:
+        _file_first(errors, missing & (n < 2), lambda b: MissingAgdVariance(
             "AGD arm reports no outcome variance, and the binary fallback "
-            "ybar(1-ybar)*n/(n-1) needs n >= 2"
-        )
-    ybar = arm.y_mean
-    return float(ybar * (1.0 - ybar) * arm.n / (arm.n - 1))
+            "ybar(1-ybar)*n/(n-1) needs n >= 2"))
+    return np.where(missing, ybar * (1.0 - ybar) * n / np.maximum(n - 1, 1), y_var)
 
 
 @dataclass(frozen=True)
@@ -185,13 +197,13 @@ class _MomentJacobians:
                                   for a in (self.c, self.wc, self.j_alpha, self.finite)))
 
 
-def _moment_jacobians(block: IpdBlock, agds, models) -> _MomentJacobians:
-    """The moment Jacobians of a block's fitted studies, with one warning
-    per study whose condition number exceeds COND_WARN."""
-    c = np.stack([m.moments for m in models])
-    wc = _block_weights(block, models, True)[:, :, None] * c
-    n_total = np.array([block.n + agd.n_total for agd in agds])
-    j_alpha = np.matmul(-wc.transpose(0, 2, 1), c) / n_total[:, None, None]
+def _moment_jacobians(block: IpdBlock, agd: AgdBlock, fits) -> _MomentJacobians:
+    """The moment Jacobians of a block's studies from their fits (a
+    FitBlock, each study fitted), with one warning per study whose
+    condition number exceeds COND_WARN."""
+    c = fits.moments
+    wc = fits.weights[:, :, None] * c
+    j_alpha = np.matmul(-wc.transpose(0, 2, 1), c) / (block.n + agd.n_total)[:, None, None]
     cond = np.linalg.cond(j_alpha)
     for v in cond[np.isfinite(cond) & (cond > COND_WARN)]:
         warnings.warn(
@@ -214,48 +226,141 @@ def _solve_neg_definite(jac: _MomentJacobians, rhs: np.ndarray):
     return x, errors
 
 
-def _derive(block: IpdBlock, agds, models, ests, scale: Scale):
-    """What the influence and sw paths share, derived once for a block whose
-    estimates share one method: the weights (B, n), the combined sizes and
-    each study's pair terms, (sign * g'(IPD mean), IPD arm code, IPD mean,
-    AGD variance term) per arm pair its estimate read (Estimate.pairs), or
-    the MaicError deriving them raised.  The AGD term is the variance
-    contribution of the reported AGD arm mean over the combined size."""
-    if ests[0].method is Method.STC:
+class _Derived(NamedTuple):
+    """What the influence and sw paths share for a block: the weights
+    (B, n), the combined sizes (B,), per arm pair of the contrast its
+    (sign * g'(IPD mean), IPD arm code, IPD mean, AGD variance term), each
+    term (B,), the MaicError or None per study, whether the weights are
+    fitted, and the arm pieces store (_arm_piece)."""
+
+    w: np.ndarray
+    n_total: np.ndarray
+    pairs: list
+    errors: list
+    weighted: bool
+    shared: dict
+
+
+def _derive(block: IpdBlock, agd: AgdBlock, fits, ests, scale: Scale,
+            shared: dict | None = None) -> _Derived:
+    """_Derived of a block whose estimates share one method and one
+    contrast, read off the first estimate.  The IPD means are the weighted
+    arm means the estimates read and the AGD means the block's; a study
+    whose mean leaves (0, 1) on the logit scale gets the BoundaryProportion
+    and one whose arm has no usable variance the MissingAgdVariance, pair
+    by pair, in that order.  The AGD term is the variance contribution of
+    the reported AGD arm mean over the combined size.  `shared` holds the
+    arm pieces of the block's studies that other calls on the same studies
+    have built; they depend only on the weights and the arm."""
+    method = ests[0].method
+    if method is Method.STC:
         raise ValueError("stc is an outcome-model estimator and weights no records")
-    w = _block_weights(block, models, ests[0].method.weighted)
-    n_total = [block.n + agd.n_total for agd in agds]
+    w = _block_weights(block, fits, method.weighted)
+    shared = {} if shared is None else shared
+    n_total = block.n + agd.n_total
+    signs, codes, _, arms, _ = zip(*ests[0].pairs)
+    cols, agd_row = [AGD_ARMS.index(arm) for arm in arms], len(arms)
+    # the IPD means of the pairs, then their AGD means: (2 * pairs, B)
+    mu = np.array([arm_mean(block, w, code, method.weighted, shared) for code in codes]
+                  + [agd.y_mean[:, col] for col in cols])
+    outside = None
+    if scale is Scale.LOGIT and not (inside := (0.0 < mu) & (mu < 1.0)).all():
+        outside = ~inside
+    errors, variances = [None] * len(block), []
+    for i, col in enumerate(cols):
+        for row in (i, agd_row + i) if outside is not None else ():
+            _file_first(errors, outside[row], lambda b: capture(scale.g_prime, float(mu[row, b])))
+        variances.append(_outcome_variances(agd.y_var[:, col], agd.n[:, col], mu[agd_row + i],
+                                            block.outcome_kind, errors))
+    g = scale.g_prime(_valid(mu, errors))
+    g_agd = squares(g[agd_row:])
+    pairs = [(signs[i] * g[i], codes[i], mu[i],
+              g_agd[i] * variances[i] / (agd.n[:, cols[i]] / n_total)) for i in range(agd_row)]
+    return _Derived(w, n_total, pairs, errors, method.weighted, shared)
 
-    def terms(agd, est, nt):
-        arms = [getattr(agd, pair[3]) for pair in est.pairs]
-        return [(sign * scale.g_prime(mu_ipd), z, mu_ipd,
-                 scale.g_prime(mu_agd) ** 2 * arm_outcome_variance(arm, block.outcome_kind)
-                 / (arm.n / nt))
-                for (sign, z, mu_ipd, _, mu_agd), arm in zip(est.pairs, arms)]
 
-    return w, n_total, [capture(terms, a, e, nt) for a, e, nt in zip(agds, ests, n_total)]
+def _arm_piece(block: IpdBlock, w: np.ndarray, code: int, weighted: bool, shared: dict,
+               n_total: np.ndarray, c: np.ndarray | None = None) -> dict:
+    """The pieces of arm `code` under the weights w (fitted when `weighted`,
+    else unit) for each study of a block, built once per store `shared` and
+    read by every SE and null check on the same studies: to the weighted
+    mean outcome "mu" (estimators.arm_mean) it adds J^mu = the arm's weight
+    sum over the combined size "j" (B, 1), the weighted residuals "resid"
+    and resid / j "r" (B, n) and, given the centred moments c, c^T resid
+    over the combined size "ct" (B, k)."""
+    piece = shared[(weighted, code)]
+    if "r" not in piece:
+        mask = block.arm_mask(code)
+        piece["j"] = (w * mask).sum(axis=1)[:, None] / n_total[:, None]
+        piece["resid"] = (block.y - piece["mu"][:, None]) * w * mask
+        piece["r"] = piece["resid"] / piece["j"]
+    if c is not None and "ct" not in piece:
+        piece["ct"] = (np.matmul(c.transpose(0, 2, 1), piece["resid"][:, :, None])[:, :, 0]
+                       / n_total[:, None])
+    return piece
 
 
-def _pair_influence(block: IpdBlock, w: np.ndarray, terms: list, n_total: list[int],
-                    c: np.ndarray | None = None):
+def _pair_influence(block: IpdBlock, derived: _Derived, c: np.ndarray | None = None):
     """Per-record phi (B, n) and, when the centred moments c (B, n, k) are
     given, ctilde (B, k), summed over the signed arm pairs of each study of
-    a block; terms[b] comes from _derive."""
-    y = block.y
-    phi = np.zeros(y.shape)
-    ctilde = None if c is None else np.zeros((len(y), c.shape[2]))
-    nt = np.array(n_total)[:, None]
-    for i, (_, code, _, _) in enumerate(terms[0]):
-        sg = np.array([t[i][0] for t in terms])[:, None]
-        mu = np.array([t[i][2] for t in terms])[:, None]
-        mask = block.arm_mask(code)
-        j = (w * mask).sum(axis=1)[:, None] / nt
-        resid = (y - mu) * w * mask
-        phi += sg * (resid / j)
+    a block."""
+    phi = np.zeros(block.y.shape)
+    ctilde = None if c is None else np.zeros((len(block), c.shape[2]))
+    for sg, code, _, _ in derived.pairs:
+        piece = _arm_piece(block, derived.w, code, derived.weighted, derived.shared,
+                           derived.n_total, c)
+        phi += sg[:, None] * piece["r"]
         if c is not None:
-            ctilde += (sg * (np.matmul(c.transpose(0, 2, 1), resid[:, :, None])[:, :, 0]
-                             / nt)) / j
+            ctilde += (sg[:, None] * piece["ct"]) / piece["j"]
     return phi, ctilde
+
+
+@dataclass(frozen=True, eq=False)
+class _InfluenceBlock:
+    """The InfluencePieces of each study of a block, stacked: phi_mu1 and
+    phi_alpha (B, n), the scalar terms (B,) and j_alpha_inv_ctilde (B, k).
+    With fixed weights phi_alpha, ew_t1 and solution are None and v_mu_x2
+    is zero.  errors[b] is the MaicError that replaces study b's pieces,
+    and jacobian_errors[b] its SingularJacobian, which the strategies that
+    need the weight-coefficient terms raise (its v_mu_x2 is then NaN)."""
+
+    phi_mu1: np.ndarray
+    phi_alpha: np.ndarray | None
+    var_phi_mu2: np.ndarray
+    v_mu_x2: np.ndarray
+    n_total: np.ndarray
+    p_t2: np.ndarray
+    ew_t1: np.ndarray | None
+    solution: np.ndarray | None
+    errors: list
+    jacobian_errors: list
+
+    @classmethod
+    def of(cls, p: InfluencePieces) -> _InfluenceBlock:
+        """One study's pieces as a block of one."""
+        def one(v):
+            return None if v is None else np.asarray(v)[None]
+        return cls(one(p.phi_mu1), one(p.phi_alpha), one(p.var_phi_mu2),
+                   one(np.nan if p.v_mu_x2 is None else p.v_mu_x2), one(p.n_total), one(p.p_t2),
+                   one(p.ew_t1), one(p.j_alpha_inv_ctilde), [None], [p.jacobian_error])
+
+    def pieces(self, b: int):
+        """Study b's InfluencePieces, or its MaicError."""
+        if self.errors[b] is not None:
+            return self.errors[b]
+        weighted = self.ew_t1 is not None
+        solved = weighted and self.jacobian_errors[b] is None
+        return InfluencePieces(
+            phi_mu1=self.phi_mu1[b],
+            phi_alpha=self.phi_alpha[b] if solved else None,
+            var_phi_mu2=float(self.var_phi_mu2[b]),
+            v_mu_x2=(float(self.v_mu_x2[b]) if solved else None) if weighted else 0.0,
+            n_total=int(self.n_total[b]),
+            p_t2=float(self.p_t2[b]),
+            ew_t1=float(self.ew_t1[b]) if weighted else None,
+            j_alpha_inv_ctilde=self.solution[b] if solved else None,
+            jacobian_error=self.jacobian_errors[b],
+        )
 
 
 def influence_components(
@@ -272,118 +377,80 @@ def influence_components(
     the weight-coefficient contribution with the comparator-arm analogue of
     the outcome-covariate moment vector.
     """
-    return unwrap(influence_block(stack_ipd([ipd]), [agd], [model], [est], scale)[0])
+    return unwrap(influence_block(*_one(ipd, agd, model), [est], scale).pieces(0))
 
 
-def influence_block(block: IpdBlock, agds, models, ests, scale: Scale) -> list:
+def influence_block(block: IpdBlock, agd: AgdBlock, fits, ests, scale: Scale) -> _InfluenceBlock:
     """influence_components for each study of a block whose estimates share
-    one method and whose models share one moment spec: InfluencePieces or
-    the MaicError per study."""
-    return _influence(block, *_derive(block, agds, models, ests, scale),
-                      _moment_jacobians(block, agds, models) if ests[0].method.weighted else None)
+    one method and whose fits share one moment spec."""
+    return _influence(block, _derive(block, agd, fits, ests, scale),
+                      _moment_jacobians(block, agd, fits) if ests[0].method.weighted else None)
 
 
-def _centred_moments(x: np.ndarray, models, ok: list[int]) -> np.ndarray:
-    """The moments of the aggregate trial's records x (B, m, p) of the
-    studies ok of a block, centred on each study's fitted target: (B, m, k).
-    The IPD rows' centred moments come with each fit (WeightModel.moments)."""
-    centering = np.stack([models[b].centering for b in ok])
-    return moment_matrix(x, models[ok[0]].spec) - centering[:, None, :]
-
-
-def _influence(block: IpdBlock, w: np.ndarray, n_total: list[int], terms: list,
-               jac: _MomentJacobians | None = None) -> list:
-    """InfluencePieces or the MaicError per study of a block, from what
-    _derive gives.  The moment Jacobians `jac` of the fitted weights add the
-    weight-coefficient terms, which solve them; without them (bucher, naive
-    and the null check) the weights are held fixed and nothing is solved."""
-    ok = succeeded(terms)
-    if not ok:
-        return terms
-    sub = block.take(ok)
-    w, nts = take_rows(w, ok), [n_total[b] for b in ok]
-    out = list(terms)
+def _influence(block: IpdBlock, derived: _Derived,
+               jac: _MomentJacobians | None = None) -> _InfluenceBlock:
+    """The stacked InfluencePieces of a block, from what _derive gives.  The
+    moment Jacobians `jac` of the fitted weights add the weight-coefficient
+    terms, which solve them; without them (bucher, naive and the null check)
+    the weights are held fixed and nothing is solved.  Every study's rows
+    are computed, each on its own; a study with an error keeps it."""
+    n_total = derived.n_total
+    p_t2 = (n_total - block.n) / n_total  # the aggregate trial's share
+    var_phi_mu2 = 0.0  # summed from 0, pair by pair, as a lone sum is
+    for pair in derived.pairs:
+        var_phi_mu2 = var_phi_mu2 + pair[3]
     if jac is None:
-        phi, _ = _pair_influence(sub, w, [terms[b] for b in ok], nts)
-        for i, b in enumerate(ok):
-            nt = n_total[b]
-            out[b] = InfluencePieces(phi_mu1=phi[i], phi_alpha=None,
-                                     var_phi_mu2=sum(t[3] for t in terms[b]), v_mu_x2=0.0,
-                                     n_total=nt, p_t2=(nt - block.n) / nt, ew_t1=None,
-                                     j_alpha_inv_ctilde=None)
-        return out
-
-    jac = jac.take(ok)
-    sums = w.sum(axis=1)
-    phi, ctilde = _pair_influence(sub, w, [terms[b] for b in ok], nts, jac.c)
-    sol, errors = _solve_neg_definite(jac, ctilde)
+        phi, _ = _pair_influence(block, derived)
+        return _InfluenceBlock(phi, None, var_phi_mu2, np.zeros(len(block)), n_total, p_t2,
+                               None, None, derived.errors, [None] * len(block))
+    phi, ctilde = _pair_influence(block, derived, jac.c)
+    sol, jacobian_errors = _solve_neg_definite(jac, ctilde)
     phi_alpha = np.matmul(jac.wc, sol[:, :, None])[:, :, 0]
     dots = np.matmul(ctilde[:, None, :], sol[:, :, None])[:, 0, 0]
-    for i, b in enumerate(ok):
-        nt = n_total[b]
-        p_t2 = (nt - block.n) / nt  # the aggregate trial's share
-        ew_t1 = float(sums[i] / nt)
-        solved = errors[i] is None
-        out[b] = InfluencePieces(
-            phi_mu1=phi[i],
-            phi_alpha=phi_alpha[i] if solved else None,
-            var_phi_mu2=sum(t[3] for t in terms[b]),
-            v_mu_x2=max(float(-(ew_t1 / p_t2) * dots[i]), 0.0) if solved else None,
-            n_total=nt,
-            p_t2=p_t2,
-            ew_t1=ew_t1,
-            j_alpha_inv_ctilde=sol[i] if solved else None,
-            jacobian_error=errors[i],
-        )
-    return out
+    ew_t1 = derived.w.sum(axis=1) / n_total
+    v = -(ew_t1 / p_t2) * dots
+    v_mu_x2 = np.where([e is None for e in jacobian_errors], np.where(v < 0.0, 0.0, v), np.nan)
+    return _InfluenceBlock(phi, phi_alpha, var_phi_mu2, v_mu_x2, n_total, p_t2, ew_t1, sol,
+                           derived.errors, jacobian_errors)
 
 
-def _var_over_n(values: np.ndarray, n_total: list[int]) -> list[float]:
+def _var_over_n(values: np.ndarray, n_total: np.ndarray) -> np.ndarray:
     """Sample variance of each row of `values` over its combined size;
     records absent from `values` (the aggregate side) contribute exactly
     zero."""
-    s = values.sum(axis=1)
-    sq = (values**2).sum(axis=1)
-    return [float(sq[b] / n_total[b] - (s[b] / n_total[b]) ** 2) for b in range(len(values))]
+    return (values**2).sum(axis=1) / n_total - squares(values.sum(axis=1) / n_total)
 
 
 def sigma2_fo(pieces: InfluencePieces) -> SeEstimate:
-    return unwrap(influence_ses(SeStrategy.FO, [pieces])[0])
+    return unwrap(_ses(SeStrategy.FO, _InfluenceBlock.of(pieces))[0])
 
 
 def sigma2_po(pieces: InfluencePieces) -> SeEstimate:
-    return unwrap(influence_ses(SeStrategy.PO, [pieces])[0])
+    return unwrap(_ses(SeStrategy.PO, _InfluenceBlock.of(pieces))[0])
 
 
 def sigma2_cs(pieces: InfluencePieces) -> SeEstimate:
-    return unwrap(influence_ses(SeStrategy.CS, [pieces])[0])
+    return unwrap(_ses(SeStrategy.CS, _InfluenceBlock.of(pieces))[0])
 
 
-def influence_ses(strategy: SeStrategy, pieces: list) -> list:
-    """The fo, po or cs variance of each InfluencePieces of a block, or of
-    the MaicError in its place: a SeEstimate or the MaicError per replicate.
-    The pieces of a block share one method, so either all that hold their
-    weight-coefficient terms carry phi_alpha or none do (fixed weights)."""
-    def check(p):
-        unwrap(p)
-        if strategy is not SeStrategy.FO:
-            p.require_weight_terms()
-
-    out = [capture(check, p) for p in pieces]
-    ok = [b for b in range(len(pieces)) if out[b] is None]
-    if not ok:
-        return out
-    phi = np.stack([pieces[b].phi_mu1 for b in ok])
-    if strategy is not SeStrategy.FO and pieces[ok[0]].phi_alpha is not None:
-        phi = phi + np.stack([pieces[b].phi_alpha for b in ok])
-    var = _var_over_n(phi, [pieces[b].n_total for b in ok])
-    for v, b in zip(var, ok):
-        p = pieces[b]
-        sigma2 = v + p.var_phi_mu2
-        if strategy is SeStrategy.CS:
-            sigma2 = sigma2 + p.v_mu_x2 + 2.0 * np.sqrt(p.var_phi_mu2 * p.v_mu_x2)
-        out[b] = SeEstimate(strategy, sigma2, np.sqrt(sigma2 / p.n_total))
-    return out
+def _ses(strategy: SeStrategy, inf: _InfluenceBlock) -> list:
+    """The fo, po or cs variance of each study of a block from its stacked
+    influence pieces: a SeEstimate or the MaicError per study.  po and cs
+    need the weight-coefficient terms, so a study whose Jacobian is
+    singular gets its SingularJacobian."""
+    out = list(inf.errors)
+    if strategy is not SeStrategy.FO:
+        out = [e or j for e, j in zip(out, inf.jacobian_errors)]
+    phi = inf.phi_mu1
+    if strategy is not SeStrategy.FO and inf.phi_alpha is not None:
+        phi = phi + inf.phi_alpha
+    sigma2 = _var_over_n(phi, inf.n_total) + inf.var_phi_mu2
+    if strategy is SeStrategy.CS:
+        sigma2 = sigma2 + inf.v_mu_x2 + 2.0 * np.sqrt(inf.var_phi_mu2 * inf.v_mu_x2)
+    # a lone cs sum ends in a NumPy float; fo's and po's are Python floats
+    values = list(sigma2) if strategy is SeStrategy.CS else sigma2.tolist()
+    return [e or SeEstimate(strategy, v, se)
+            for e, v, se in zip(out, values, np.sqrt(sigma2 / inf.n_total))]
 
 
 def sigma2_sw(
@@ -394,61 +461,57 @@ def sigma2_sw(
     scale: Scale = Scale.IDENTITY,
 ) -> SeEstimate:
     """HC0 sandwich variance of the weighted mean(s), weights fixed."""
-    block = stack_ipd([ipd])
-    return unwrap(sw_block(block, *_derive(block, [agd], [model], [est], scale))[0])
+    block, agd_block, fits = _one(ipd, agd, model)
+    return unwrap(sw_block(block, _derive(block, agd_block, fits, [est], scale))[0])
 
 
-def sw_block(block: IpdBlock, w: np.ndarray, n_total: list[int], terms: list) -> list:
+def sw_block(block: IpdBlock, derived: _Derived) -> list:
     """sigma2_sw for each study of a block, from what _derive gives: a
     SeEstimate or the MaicError per study."""
-    ok = succeeded(terms)
-    out = list(terms)
-    if not ok:
-        return out
-    sub, w = block.take(ok), take_rows(w, ok)
-    sums = []
-    for i, (_, code, _, _) in enumerate(terms[ok[0]]):
-        wz = sub.arm_rows(w, code)
-        rz = sub.arm_rows(sub.y, code) - np.array([terms[b][i][2] for b in ok])[:, None]
-        sums.append((np.sum(wz**2 * rz**2, axis=1), np.sum(wz, axis=1)))
-    for j, b in enumerate(ok):
-        nt, sigma2 = n_total[b], 0.0
-        for (g, _, _, var_agd), (num, den) in zip(terms[b], sums):
-            sigma2 += nt * (g**2 * float(num[j] / den[j] ** 2))
-            sigma2 += var_agd
-        out[b] = SeEstimate(SeStrategy.SW, float(sigma2), np.sqrt(sigma2 / nt))
-    return out
+    sigma2 = 0.0
+    for sg, code, mu, var_agd in derived.pairs:
+        wz = block.arm_rows(derived.w, code)
+        rz = block.arm_rows(block.y, code) - mu[:, None]
+        num, den = np.sum(wz**2 * rz**2, axis=1), np.sum(wz, axis=1)
+        sigma2 = sigma2 + derived.n_total * (squares(sg) * (num / squares(den)))
+        sigma2 = sigma2 + var_agd
+    return [e or SeEstimate(SeStrategy.SW, v, se)
+            for e, v, se in zip(derived.errors, sigma2.tolist(),
+                                np.sqrt(sigma2 / derived.n_total))]
 
 
-def se_block(block: IpdBlock, agds, models, ests, scale: Scale, strategies,
-             records=None, jacobians: _MomentJacobians | None = None) -> dict:
+def se_block(block: IpdBlock, agd: AgdBlock, fits, ests, scale: Scale, strategies,
+             records=None, jacobians: _MomentJacobians | None = None,
+             shared: dict | None = None) -> dict:
     """Each requested strategy that applies to the estimates' method (see
     _APPLICABLE), in the order requested, mapped to a SeEstimate or the
     MaicError per study, for a block whose estimates share one method and
-    whose models share one moment spec.  The weights and pair terms are
+    whose fits share one moment spec.  The weights and pair terms are
     derived once for every strategy.
-    `records` holds the aggregate trial's raw records per replicate, which
-    full needs; without them full gives RequiresFullIpd.  `jacobians` holds
-    the moment Jacobians of the block's fits (_moment_jacobians), which a
-    weighted method's po, cs and full solve; fo's bits do not need them."""
+    `records` holds the aggregate trial's raw records, stacked (a
+    TrialRecords of (B, m) arrays), which full needs; without them full
+    gives RequiresFullIpd.  `jacobians` holds the moment Jacobians of the
+    block's fits (_moment_jacobians), which a weighted method's po, cs and
+    full solve; fo's bits do not need them.  `shared` is the arm pieces
+    store of these studies (_arm_piece)."""
     wanted = [s for s in strategies if s in _APPLICABLE[ests[0].method]]
     if not wanted:
         return {}
     if jacobians is None and not set(wanted) <= {SeStrategy.FO, SeStrategy.SW}:
         raise ValueError("a weighted method's po, cs and full solve its moment Jacobians")
-    derived = _derive(block, agds, models, ests, scale)
-    out, pieces = {}, None
+    derived = _derive(block, agd, fits, ests, scale, shared)
+    out, inf = {}, None
     for strategy in wanted:
         if strategy is SeStrategy.SW:
-            out[strategy] = sw_block(block, *derived)
+            out[strategy] = sw_block(block, derived)
             continue
-        if pieces is None:
-            pieces = _influence(block, *derived, jacobians)
+        if inf is None:
+            inf = _influence(block, derived, jacobians)
             jacobians = None  # the pieces hold what the rest reads: free the (B, n, k) arrays
         if strategy is SeStrategy.FULL:
-            out[strategy] = _full_ses(records, models, ests, scale, pieces)
+            out[strategy] = _full_ses(records, agd, fits, ests, scale, inf)
         else:
-            out[strategy] = influence_ses(strategy, pieces)
+            out[strategy] = _ses(strategy, inf)
     return out
 
 
@@ -460,51 +523,45 @@ def sigma2_full(
     est: Estimate,
     scale: Scale = Scale.IDENTITY,
 ) -> SeEstimate:
-    pieces = influence_block(stack_ipd([ipd]), [agd], [model], [est], scale)
-    return unwrap(_full_ses([agd_records], [model], [est], scale, pieces)[0])
+    block, agd_block, fits = _one(ipd, agd, model)
+    inf = influence_block(block, agd_block, fits, [est], scale)
+    records = agd_records and TrialRecords(agd_records.y[None], agd_records.z[None],
+                                           agd_records.x[None])
+    return unwrap(_full_ses(records, agd_block, fits, [est], scale, inf)[0])
 
 
-def _full_ses(records, models, ests, scale: Scale, pieces: list) -> list:
-    """sigma2_full for a block of maic-nab estimates whose influence pieces
-    (or their MaicErrors) are given: a SeEstimate or the MaicError per
-    replicate.  The full influence function of a replicate is phi_mu1 +
-    phi_alpha on its IPD rows and phi_mu2 + phi_mu_x2 on the aggregate
-    trial's records; sigma2 is its variance over both."""
-    def check(b):
-        if ests[b].method is not Method.MAIC_NAB:
-            raise ValueError("full influence benchmark is defined for maic-nab")
-        p = unwrap(pieces[b])
-        if records is None or records[b] is None:
-            raise RequiresFullIpd("full influence function needs the aggregate trial's records")
-        if p.n_total != len(p.phi_mu1) + len(records[b].y):
-            raise RequiresFullIpd(
-                "aggregate records inconsistent with the AGD summary sample sizes"
-            )
-        g2 = scale.g_prime(ests[b].mu2)
-        p.require_weight_terms()
-        return g2
-
-    out = [capture(check, b) for b in range(len(pieces))]
-    ok = succeeded(out)
-    if not ok:
+def _full_ses(records, agd: AgdBlock, fits, ests, scale: Scale, inf: _InfluenceBlock) -> list:
+    """sigma2_full for a block of maic-nab estimates from their stacked
+    influence pieces: a SeEstimate or the MaicError per study.  The full
+    influence function of a study is phi_mu1 + phi_alpha on its IPD rows
+    and phi_mu2 + phi_mu_x2 on the aggregate trial's records (`records`,
+    stacked); sigma2 is its variance over both."""
+    if ests[0].method is not Method.MAIC_NAB:
+        raise ValueError("full influence benchmark is defined for maic-nab")
+    out = list(inf.errors)
+    if records is None:
+        return [e or RequiresFullIpd("full influence function needs the aggregate trial's "
+                                     "records") for e in out]
+    mu2 = agd.y_mean[:, AGD_ARMS.index(ests[0].pairs[0][3])]
+    n_ipd = inf.phi_mu1.shape[1]
+    _file_first(out, inf.n_total != n_ipd + records.y.shape[1], lambda b: RequiresFullIpd(
+        "aggregate records inconsistent with the AGD summary sample sizes"))
+    if scale is Scale.LOGIT:
+        _file_first(out, ~((0.0 < mu2) & (mu2 < 1.0)),
+                    lambda b: capture(scale.g_prime, float(mu2[b])))
+    out = [e or j for e, j in zip(out, inf.jacobian_errors)]
+    if all(e is not None for e in out):
         return out
-    n_total = np.array([pieces[b].n_total for b in ok])[:, None]
-    ry = np.stack([records[b].y for b in ok])
-    z2 = np.stack([records[b].z for b in ok]) == 2
+    n_total = inf.n_total[:, None]
+    z2 = records.z == 2
     p_z2t2 = z2.sum(axis=1)[:, None] / n_total
-    g2 = np.array([out[b] for b in ok])[:, None]
-    mu2 = np.array([ests[b].mu2 for b in ok])[:, None]
-    phi_mu2 = g2 * (mu2 - ry) * z2 / p_z2t2
-
-    c2 = _centred_moments(np.stack([records[b].x for b in ok]), models, ok)
+    g2 = scale.g_prime(_valid(mu2, out))[:, None]
+    phi_mu2 = g2 * (mu2[:, None] - records.y) * z2 / p_z2t2
+    c2 = moment_matrix(records.x, fits.spec) - fits.centering[:, None, :]
     # ctilde already carries g'(mu1) and 1/J^{mu1}; only U^{muX2} remains
-    coef = np.array([-(pieces[b].ew_t1 / pieces[b].p_t2) for b in ok])[:, None, None]
-    sol = np.stack([pieces[b].j_alpha_inv_ctilde for b in ok])
-    phi_mu_x2 = np.matmul(coef * c2, sol[:, :, None])[:, :, 0]
-
-    phi = np.concatenate([np.stack([pieces[b].phi_mu1 for b in ok])
-                          + np.stack([pieces[b].phi_alpha for b in ok]),
-                          phi_mu2 + phi_mu_x2], axis=1)
-    for b, sigma2 in zip(ok, map(float, np.var(phi, axis=1))):
-        out[b] = SeEstimate(SeStrategy.FULL, sigma2, np.sqrt(sigma2 / phi.shape[1]))
-    return out
+    coef = (-(inf.ew_t1 / inf.p_t2))[:, None, None]
+    phi_mu_x2 = np.matmul(coef * c2, inf.solution[:, :, None])[:, :, 0]
+    phi = np.concatenate([inf.phi_mu1 + inf.phi_alpha, phi_mu2 + phi_mu_x2], axis=1)
+    sigma2 = np.var(phi, axis=1)
+    return [e or SeEstimate(SeStrategy.FULL, v, se)
+            for e, v, se in zip(out, sigma2.tolist(), np.sqrt(sigma2 / phi.shape[1]))]

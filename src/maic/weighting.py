@@ -16,9 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data_model import IpdBlock, IpdStudy, MomentSpec, stack_ipd, take_rows
-from .errors import (DegenerateCovariate, DimensionMismatch, EmptyWeights, NonConvergence, capture,
-                     unwrap)
+from .data_model import (IpdBlock, IpdStudy, MomentSpec, mean_rows, reduce_rows, squares,
+                         stack_ipd, take_rows)
+from .errors import (DegenerateCovariate, DimensionMismatch, EmptyWeights, MaicError,
+                     NonConvergence, unwrap)
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -67,6 +68,73 @@ class WeightModel:
         }
 
 
+@dataclass(frozen=True, eq=False)
+class FitBlock:
+    """The weight fits of a block of `size` studies, stacked as the solver
+    left them.  The fitted studies are the ascending block rows `rows`, and
+    row i of alpha (F, k), weights (F, n), moments (F, n, k), centering
+    (F, k), iterations, objective and each arm's ess (F,) is the fit of
+    study rows[i].  `errors` maps each study whose fit failed to its
+    MaicError; a study in neither has no fit.  The stages read the weights
+    and moments as they are, with no per-study copy."""
+
+    spec: MomentSpec
+    size: int
+    rows: np.ndarray
+    alpha: np.ndarray
+    weights: np.ndarray
+    moments: np.ndarray
+    centering: np.ndarray
+    iterations: np.ndarray
+    objective: np.ndarray
+    ess: dict
+    errors: dict
+
+    @classmethod
+    def of(cls, models) -> "FitBlock":
+        """The block of a list holding, per study, its WeightModel, None (no
+        fit) or the MaicError of its failed fit; the models share a spec."""
+        fitted = [m for m in models if isinstance(m, WeightModel)]
+        rows = np.array([b for b, m in enumerate(models) if isinstance(m, WeightModel)], dtype=int)
+        errors = {b: m for b, m in enumerate(models) if isinstance(m, MaicError)}
+        if not fitted:
+            return cls(None, len(models), rows, *[None] * 6, {}, errors)
+        arrays = [np.stack([getattr(m, f) for m in fitted]) if len(fitted) > 1
+                  else getattr(fitted[0], f)[None]
+                  for f in ("alpha1", "weights", "moments", "centering")]
+        return cls(fitted[0].spec, len(models), rows, *arrays,
+                   np.array([m.iterations for m in fitted]),
+                   np.array([m.objective for m in fitted]),
+                   {code: np.array([m.ess[code] for m in fitted]) for code in fitted[0].ess},
+                   errors)
+
+    def take(self, members) -> "FitBlock":
+        """The fits of the ascending fitted block rows `members` as a block
+        of their own; the block itself when it holds just those fits."""
+        if len(members) == self.size == len(self.rows):
+            return self
+        at = np.searchsorted(self.rows, members)
+        return FitBlock(self.spec, len(members), np.arange(len(members)),
+                        *(take_rows(a, at) for a in (self.alpha, self.weights, self.moments,
+                                                     self.centering, self.iterations,
+                                                     self.objective)),
+                        {code: take_rows(v, at) for code, v in self.ess.items()}, {})
+
+    def outcome(self, b: int):
+        """The WeightModel of study b, the MaicError of its failed fit, or
+        None without a fit."""
+        if b in self.errors:
+            return self.errors[b]
+        i = int(np.searchsorted(self.rows, b))
+        if i == len(self.rows) or self.rows[i] != b:
+            return None
+        return WeightModel(alpha1=self.alpha[i], centering=self.centering[i],
+                           moments=self.moments[i], weights=self.weights[i], spec=self.spec,
+                           converged=True, iterations=int(self.iterations[i]),
+                           objective=float(self.objective[i]),
+                           ess={code: float(v[i]) for code, v in self.ess.items()})
+
+
 def moment_matrix(x: np.ndarray, spec: MomentSpec) -> np.ndarray:
     """t(X): covariates for FIRST, covariates and their squares otherwise;
     x may carry leading block axes."""
@@ -98,18 +166,19 @@ def solve_weights(
     k = moment_matrix(ipd.x[:1], spec).shape[1]
     if len(target) != k:
         raise ValueError(f"target has length {len(target)}, expected {k}")
-    return unwrap(solve_weights_block(stack_ipd([ipd]), target[None], spec, cfg)[0])
+    return unwrap(solve_weights_block(stack_ipd([ipd]), target[None], spec, cfg).outcome(0))
 
 
 def solve_weights_block(block: IpdBlock, targets: np.ndarray, spec: MomentSpec,
-                        cfg: SolverConfig) -> list:
-    """solve_weights for each study of a block, one target row each: a
-    WeightModel or the MaicError per study."""
+                        cfg: SolverConfig) -> FitBlock:
+    """solve_weights for each study of a block, one target row each, as a
+    FitBlock: a study whose fit fails has its MaicError in `errors`."""
     if not block.x.shape[2]:
-        return [DimensionMismatch("the weights need at least one covariate")] * len(block)
+        failed = DimensionMismatch("the weights need at least one covariate")
+        return FitBlock.of([failed] * len(block))
     t = moment_matrix(block.x, spec)
-    span = t.max(axis=1) - t.min(axis=1)
-    degenerate = (span == 0) & (np.abs(t.mean(axis=1) - targets) > 1e-12)
+    t_max, t_min, t_sum = reduce_rows(t, np.maximum, np.minimum, np.add)
+    degenerate = (t_max - t_min == 0) & (np.abs(t_sum / t.shape[1] - targets) > 1e-12)
     solvable = np.flatnonzero(~degenerate.any(axis=1))
     c = take_rows(t - targets[:, None, :], solvable)
     c.flags.writeable = False  # each model's moments are a view of c
@@ -117,37 +186,32 @@ def solve_weights_block(block: IpdBlock, targets: np.ndarray, spec: MomentSpec,
     # effective sample sizes per arm, for the converged replicates only
     done = np.flatnonzero(converged)
     finished = block.take(solvable[done])
-    ess = {code: _ess(finished.arm_rows(take_rows(w, done), code)) for code in block.arms}
+    ess, valid = zip(*(_ess(finished.arm_rows(take_rows(w, done), code)) for code in block.arms))
+    valid = np.logical_and.reduce(valid)
 
-    def outcome(b):
-        if degenerate[b].any():
-            j = int(np.flatnonzero(degenerate[b])[0])
-            raise DegenerateCovariate(
-                f"moment coordinate {j} is constant in the IPD but its target differs"
-            )
-        s = int(np.searchsorted(solvable, b))
-        if not converged[s]:
-            worst = int(np.argmax(np.abs(residual[s])))
-            raise NonConvergence(
-                "weight solver failed to balance moments (target may lie outside "
-                "the convex hull of the IPD moments); worst imbalance at moment "
-                f"coordinate {worst} with residual max-norm "
-                f"{np.max(np.abs(residual[s])):.3g}",
-                residual=residual[s],
-            )
-        return WeightModel(
-            alpha1=alpha[s],
-            centering=targets[b],
-            moments=c[s],
-            weights=w[s],
-            spec=spec,
-            converged=True,
-            iterations=int(iterations[s]),
-            objective=float(q[s]),
-            ess={code: unwrap(arm[np.searchsorted(done, s)]) for code, arm in ess.items()},
+    errors = {}
+    for b in np.flatnonzero(degenerate.any(axis=1)).tolist():
+        j = int(np.flatnonzero(degenerate[b])[0])
+        errors[b] = DegenerateCovariate(
+            f"moment coordinate {j} is constant in the IPD but its target differs")
+    for s in np.flatnonzero(~converged).tolist():
+        worst = int(np.argmax(np.abs(residual[s])))
+        errors[int(solvable[s])] = NonConvergence(
+            "weight solver failed to balance moments (target may lie outside "
+            "the convex hull of the IPD moments); worst imbalance at moment "
+            f"coordinate {worst} with residual max-norm "
+            f"{np.max(np.abs(residual[s])):.3g}",
+            residual=residual[s],
         )
-
-    return [capture(outcome, b) for b in range(len(block))]
+    for s in done[~valid].tolist():
+        errors[int(solvable[s])] = EmptyWeights("weights must be nonnegative and not all zero")
+    keep = np.flatnonzero(valid)  # the converged fits whose every arm has an ESS
+    at = take_rows(done, keep)
+    rows = solvable[at]
+    return FitBlock(spec, len(block), rows, take_rows(alpha, at), take_rows(w, at),
+                    take_rows(c, at), take_rows(targets, rows), take_rows(iterations, at),
+                    take_rows(q, at),
+                    {code: take_rows(v, keep) for code, v in zip(block.arms, ess)}, errors)
 
 
 def _evaluate(c: np.ndarray, a: np.ndarray):
@@ -190,7 +254,7 @@ def _newton(c: np.ndarray, cfg: SolverConfig):
     n_rep, n, k = c.shape
     alpha = np.zeros((n_rep, k))
     w, q, _ = _evaluate(c, alpha)
-    residual = c.mean(axis=1)
+    residual = mean_rows(c)
     iterations = np.zeros(n_rep, dtype=int)
     converged = np.zeros(n_rep, dtype=bool)
     live = np.arange(n_rep)
@@ -204,7 +268,7 @@ def _newton(c: np.ndarray, cfg: SolverConfig):
             live, sw = live[usable], sw[usable]
         cl = take_rows(c, live)
         wc = take_rows(w, live)[:, :, None] * cl
-        grad = wc.mean(axis=1)
+        grad = mean_rows(wc)
         res = grad * n / sw[:, None]
         residual[live] = res
         done = np.abs(res).max(axis=1) <= cfg.grad_tol
@@ -252,7 +316,7 @@ def _newton(c: np.ndarray, cfg: SolverConfig):
             w1, q1, ok1, trial1 = full
             sw1 = w1.sum(axis=1)
             flat = np.flatnonzero(~accepted & ok1 & ~(sw1 <= 0))
-            res1 = (w1[flat][:, :, None] * take_rows(cl, flat)).mean(axis=1) * n / sw1[flat, None]
+            res1 = mean_rows(w1[flat][:, :, None] * take_rows(cl, flat)) * n / sw1[flat, None]
             tighter = flat[np.abs(res1).max(axis=1) < np.abs(residual[live[flat]]).max(axis=1)]
             took = live[tighter]
             alpha[took], w[took], q[took] = trial1[tighter], w1[tighter], q1[tighter]
@@ -275,21 +339,23 @@ def _balance(w: np.ndarray, c: np.ndarray):
 
 def effective_sample_size(weights) -> float:
     """(sum w)^2 / sum w^2: the importance-sampling effective sample size."""
-    return unwrap(_ess(np.asarray(weights, dtype=float)[None])[0])
-
-
-def _ess(w: np.ndarray) -> list:
-    """Effective sample size of each row of w, or EmptyWeights for a row
-    with a negative weight or none that is positive.  A zero weight (an
-    exponent that underflowed) is allowed."""
+    w = np.asarray(weights, dtype=float)[None]
     if w.shape[1] == 0:
-        return [EmptyWeights("effective sample size of an empty weight vector")] * len(w)
-    s = w.sum(axis=1)
-    sq = (w**2).sum(axis=1)
+        raise EmptyWeights("effective sample size of an empty weight vector")
+    ess, valid = _ess(w)
+    if not valid[0]:
+        raise EmptyWeights("weights must be nonnegative and not all zero")
+    return float(ess[0])
+
+
+def _ess(w: np.ndarray):
+    """The effective sample size of each row of w (NaN where invalid) and
+    whether the row is valid: no negative weight and one that is positive.
+    A zero weight (an exponent that underflowed) is allowed.  The squared
+    sum goes through Python's float pow, as a lone row's does."""
     valid = ~(w < 0).any(axis=1) & (w != 0).any(axis=1)
-    return [float(s[b] ** 2 / sq[b]) if valid[b]
-            else EmptyWeights("weights must be nonnegative and not all zero")
-            for b in range(len(w))]
+    return np.divide(squares(w.sum(axis=1)), (w**2).sum(axis=1), out=np.full(len(w), np.nan),
+                     where=valid), valid
 
 
 # overlap diagnostics: how many of the largest weights to list

@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import re
 import signal
 import urllib.request
@@ -11,14 +12,20 @@ from hypothesis import strategies as st
 
 from maic.data_model import (
     AgdArm,
+    AgdBlock,
     AgdStudy,
     IpdStudy,
     MomentSpec,
     OutcomeKind,
     load_agd,
     load_ipd,
+    mean_rows,
+    pooled_moments,
     pooled_target_moments,
+    reduce_rows,
+    stack_agd,
     stack_ipd,
+    var_rows,
 )
 from maic.errors import (
     DimensionMismatch,
@@ -723,3 +730,87 @@ class TestPooledTargetMoments:
             np.testing.assert_allclose(
                 pooled_target_moments(one, spec), pooled_target_moments(two, spec)
             )
+
+
+# arm fields that AgdArm refuses, each with the error class it raises
+REFUSED_ARMS = {
+    "n < 1": (dict(n=0), SchemaError),
+    "n > 2**53": (dict(n=2**53 + 1), SchemaError),
+    "negative y_var": (dict(y_var=-0.5), NegativeVariance),
+    "negative x_var": (dict(x_var=[1.0, -0.1]), NegativeVariance),
+    "y_var with n < 2": (dict(n=1, x_var=None), SchemaError),
+    "x_var with n < 2": (dict(n=1, y_var=None), SchemaError),
+}
+
+
+class TestAgdBlock:
+    @staticmethod
+    def arm_fields(**change) -> dict:
+        return {"n": 40, "y_mean": 0.4, "y_var": 0.24, "x_mean": [0.1, -0.2],
+                "x_var": [1.0, 0.5], **change}
+
+    @pytest.mark.parametrize("arm", ["active", "comparator"])
+    @pytest.mark.parametrize("case", list(REFUSED_ARMS))
+    def test_refuses_what_an_agd_arm_refuses(self, case, arm):
+        change, error = REFUSED_ARMS[case]
+        fields = self.arm_fields(**change)
+        with pytest.raises(error):
+            AgdArm(**{k: np.asarray(v, float) if k.startswith("x_") and v is not None else v
+                      for k, v in fields.items()})
+        # the block of a well-formed study and one whose `arm` has the defect
+        arms = [[self.arm_fields(), self.arm_fields()], [self.arm_fields(), self.arm_fields()]]
+        arms[1][("active", "comparator").index(arm)] = fields
+
+        def stacked(key, missing):
+            return [[missing if a[key] is None else a[key] for a in study] for study in arms]
+
+        nan2 = [np.nan, np.nan]
+        with pytest.raises(error):
+            AgdBlock(stacked("n", 0), stacked("y_mean", np.nan), stacked("y_var", np.nan),
+                     stacked("x_mean", nan2), stacked("x_var", nan2), ("x1", "x2"))
+
+    def test_a_study_without_a_comparator_has_n_zero_there(self):
+        one = make_agd(active=make_arm(n=30, x_mean=[0.5], x_var=[1.0]))
+        two = make_agd(active=make_arm(n=30, x_mean=[0.5], x_var=[1.0]),
+                       comparator=make_arm(n=20, y_var=None, x_mean=[0.1]))
+        block = stack_agd([one, two])
+        assert block.n.tolist() == [[30, 0], [30, 20]]
+        assert block.has_comparator.tolist() == [False, True]
+        assert block.n_total.tolist() == [30, 50]
+        assert np.isnan(block.y_var[1, 1]) and np.isnan(block.x_var[1, 1]).all()
+        for b, study in enumerate((one, two)):
+            assert pickle.dumps(block.study(b)) == pickle.dumps(study)
+            assert pickle.dumps(block.take([b]).study(0)) == pickle.dumps(study)
+
+    def test_pooled_moments_equal_each_study_alone(self, rng):
+        def arm(n):
+            return make_arm(n=n, x_mean=rng.normal(size=3), x_var=rng.uniform(0.5, 2, 3))
+
+        studies = [make_agd(active=arm(int(rng.integers(2, 90))),
+                            comparator=arm(int(rng.integers(2, 90))) if c else None,
+                            names=("a", "b", "c"))
+                   for c in (True, False, True, False)]
+        for spec in MomentSpec:
+            block = pooled_moments(stack_agd(studies), spec)
+            for row, study in zip(block, studies):
+                assert row.tobytes() == pooled_target_moments(study, spec).tobytes()
+
+
+@st.composite
+def row_stacks(draw):
+    """A (B, n, k) float array, k = 1 included, of mixed magnitudes."""
+    shape = tuple(draw(st.integers(lo, hi)) for lo, hi in ((1, 9), (2, 60), (1, 7)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+
+
+class TestRowReductions:
+    @settings(max_examples=300, deadline=None)
+    @given(a=row_stacks())
+    def test_equal_numpys_own_bit_for_bit(self, a):
+        assert mean_rows(a).tobytes() == a.mean(axis=1).tobytes()
+        assert var_rows(a).tobytes() == a.var(axis=1, ddof=1).tobytes()
+        low, high = reduce_rows(a, np.minimum, np.maximum)
+        assert (low.tobytes(), high.tobytes()) == (a.min(axis=1).tobytes(),
+                                                   a.max(axis=1).tobytes())

@@ -19,11 +19,12 @@ import pytest
 
 import maic
 from maic import data_model
-from maic.data_model import (MomentSpec, OutcomeKind, TrialRecords, pooled_target_moments,
-                             stack_ipd)
+from maic.data_model import (MomentSpec, OutcomeKind, TrialRecords, pooled_moments,
+                             pooled_target_moments, stack_agd, stack_ipd)
 from maic.errors import MaicError, NonConvergence, capture
 from maic.estimators import Method, Scale, bucher, estimate_block, maic_acb, maic_nab, naive, stc
-from maic.inference import build_comparison_report, negative_control_block, report_block
+from maic.inference import (build_comparison_report, negative_control_block,
+                            negative_control_test, report_block)
 from maic.simulation import (SIM_METHODS, Confounding, ScenarioConfig, replicate_datasets,
                              run_block, run_replicate)
 from maic.variance import (
@@ -38,7 +39,7 @@ from maic.variance import (
     sigma2_po,
     sigma2_sw,
 )
-from maic.weighting import SolverConfig, solve_weights, solve_weights_block
+from maic.weighting import FitBlock, SolverConfig, solve_weights, solve_weights_block
 
 from conftest import make_agd, make_arm, make_ipd
 
@@ -112,6 +113,11 @@ def same(a, b) -> bool:
     return pickle.dumps(a) == pickle.dumps(b)
 
 
+def stack_records(records) -> TrialRecords:
+    """The aggregate trial's records of the studies of a block, stacked."""
+    return TrialRecords(*(np.stack([getattr(r, f) for r in records]) for f in "yzx"))
+
+
 @pytest.mark.parametrize("size", [1, 3])
 @pytest.mark.parametrize("scale", list(Scale))
 @pytest.mark.parametrize("comparator", [True, False])
@@ -122,11 +128,22 @@ def test_blocks_equal_lone_results(rng, size, scale, comparator, singular):
     flags = [singular] if size == 1 else [False, singular, False]
     studies = [study(rng, scale, comparator, s) for s in flags]
     ipds, agds, records, models = (list(t) for t in zip(*studies))
-    block = stack_ipd(ipds)
+    block, agd = stack_ipd(ipds), stack_agd(agds)
+    fits, stacked = FitBlock.of(models), stack_records(records)
+    # the stages before the estimates: the pooled targets and the solves
+    targets = pooled_moments(agd, MomentSpec.FIRST)
+    assert all(same(t, pooled_target_moments(a, MomentSpec.FIRST)) for t, a in zip(targets, agds))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the singular Hessian
+        solved = solve_weights_block(block, targets, MomentSpec.FIRST, SolverConfig())
+    assert all(same(solved.outcome(b), model) for b, model in enumerate(models))
+    assert all(same(got, capture(negative_control_test, ipd, a, model, scale))
+               for got, ipd, a, model in zip(negative_control_block(block, agd, fits, scale),
+                                             ipds, agds, models))
     strategies = list(SeStrategy)[::-1]  # any requested order is kept
     for method in Method:
-        block_models = models if method.weighted else [None] * size
-        ests = estimate_block(block, agds, block_models, scale, method)
+        block_fits = fits if method.weighted else None
+        ests = estimate_block(block, agd, block_fits, scale, method)
         lone = [capture(LONE_ESTIMATE[method], *s[:2], s[3], scale) for s in studies]
         assert all(same(a, b) for a, b in zip(ests, lone)), method
         if any(isinstance(e, MaicError) for e in ests):
@@ -135,13 +152,13 @@ def test_blocks_equal_lone_results(rng, size, scale, comparator, singular):
             assert ((method.anchored and not comparator)
                     or (method is Method.STC and singular))
             continue
-        ses = se_block(block, agds, block_models, ests, scale, strategies, records,
-                       _moment_jacobians(block, agds, models) if method.weighted else None)
+        ses = se_block(block, agd, block_fits, ests, scale, strategies, stacked,
+                       _moment_jacobians(block, agd, fits) if method.weighted else None)
         assert list(ses) == [s for s in strategies if s in APPLICABLE[method]]
         for strategy, outcomes in ses.items():
-            for (ipd, agd, recs, _), model, est, got in zip(studies, block_models, ests,
-                                                            outcomes):
-                want = lone_se(strategy, ipd, agd, model, est, scale, recs)
+            for (ipd, a, recs, model), est, got in zip(studies, ests, outcomes):
+                model = model if method.weighted else None
+                want = lone_se(strategy, ipd, a, model, est, scale, recs)
                 assert same(got, want), (method, strategy)
         if singular and method.weighted:
             failed = [s for s, outs in ses.items() if isinstance(outs[size // 2], MaicError)]
@@ -160,18 +177,19 @@ class _NoEquality(np.ndarray):
     __ne__ = __eq__
 
 
-def run_stages(block, agds, models, scale, records):
+def run_stages(block, agd, fits, scale, records):
     """Every block stage on a block: the solves, each method's estimates,
     its SEs under every strategy, and the null check."""
-    targets = np.stack([pooled_target_moments(agd, MomentSpec.FIRST) for agd in agds])
-    out = [solve_weights_block(block, targets, MomentSpec.FIRST, SolverConfig()),
-           negative_control_block(block, agds, models, scale)]
+    targets = pooled_moments(agd, MomentSpec.FIRST)
+    solved = solve_weights_block(block, targets, MomentSpec.FIRST, SolverConfig())
+    out = [[solved.outcome(b) for b in range(len(block))],
+           negative_control_block(block, agd, fits, scale)]
     for method in Method:
-        ests = estimate_block(block, agds, models, scale, method)
+        ests = estimate_block(block, agd, fits, scale, method)
         out.append(ests)
         if not any(isinstance(e, MaicError) for e in ests):
-            out.append(se_block(block, agds, models, ests, scale, list(SeStrategy), records,
-                                _moment_jacobians(block, agds, models)
+            out.append(se_block(block, agd, fits, ests, scale, list(SeStrategy), records,
+                                _moment_jacobians(block, agd, fits)
                                 if method.weighted else None))
     return out
 
@@ -180,10 +198,10 @@ def run_stages(block, agds, models, scale, records):
 def test_block_stages_gather_arm_rows_by_index(rng, scale):
     studies = [study(rng, scale, comparator=True) for _ in range(3)]
     ipds, agds, records, models = (list(t) for t in zip(*studies))
-    block = stack_ipd(ipds)
-    want = run_stages(block, agds, models, scale, records)
+    block, agd, fits = stack_ipd(ipds), stack_agd(agds), FitBlock.of(models)
+    want = run_stages(block, agd, fits, scale, stack_records(records))
     block.z = block.z.view(_NoEquality)
-    got = run_stages(block, agds, models, scale, records)
+    got = run_stages(block, agd, fits, scale, stack_records(records))
     assert pickle.dumps(got) == pickle.dumps(want)
 
 
@@ -231,11 +249,11 @@ def test_each_weighted_method_reads_the_shared_jacobian_as_its_own(rng):
     studies = [study(rng, Scale.LOGIT, comparator=c, singular=s)
                for c, s in ((True, False), (False, False), (True, True), (False, False))]
     ipds, agds, records, models = (list(t) for t in zip(*studies))
-    block = stack_ipd(ipds)
+    block, agd, fits = stack_ipd(ipds), stack_agd(agds), FitBlock.of(models)
 
     def reports(methods):
-        return report_block(block, agds, models, methods, Scale.LOGIT, list(SeStrategy), 0.95,
-                            se_methods=methods, records=records)
+        return report_block(block, agd, fits, methods, Scale.LOGIT, list(SeStrategy), 0.95,
+                            se_methods=methods, records=stack_records(records))
 
     weighted = [Method.MAIC_NAB, Method.MAIC_ACB]
     both = reports(weighted)
@@ -253,17 +271,16 @@ def test_a_weighted_methods_po_cs_and_full_need_its_moment_jacobians(rng):
     # without them the influence path holds the weights fixed, which is fo
     # bit for bit and nothing else
     ipd, agd, records, model = study(rng, Scale.LOGIT, comparator=True)
-    block = stack_ipd([ipd])
+    block, agd, fits, records = stack_ipd([ipd]), stack_agd([agd]), FitBlock.of([model]), \
+        stack_records([records])
     for method in (Method.MAIC_NAB, Method.MAIC_ACB):
-        ests = estimate_block(block, [agd], [model], Scale.LOGIT, method)
+        ests = estimate_block(block, agd, fits, Scale.LOGIT, method)
         for strategy in APPLICABLE[method] - {SeStrategy.FO, SeStrategy.SW}:
             with pytest.raises(ValueError, match="moment Jacobians"):
-                se_block(block, [agd], [model], ests, Scale.LOGIT, [SeStrategy.SW, strategy],
-                         [records])
-        alone = se_block(block, [agd], [model], ests, Scale.LOGIT,
-                         [SeStrategy.SW, SeStrategy.FO])
-        solved = se_block(block, [agd], [model], ests, Scale.LOGIT, list(SeStrategy),
-                          [records], _moment_jacobians(block, [agd], [model]))
+                se_block(block, agd, fits, ests, Scale.LOGIT, [SeStrategy.SW, strategy], records)
+        alone = se_block(block, agd, fits, ests, Scale.LOGIT, [SeStrategy.SW, SeStrategy.FO])
+        solved = se_block(block, agd, fits, ests, Scale.LOGIT, list(SeStrategy), records,
+                          _moment_jacobians(block, agd, fits))
         assert list(alone) == [SeStrategy.SW, SeStrategy.FO]
         assert all(same(alone[s], solved[s]) for s in alone), method
 
@@ -276,9 +293,10 @@ def test_a_failed_fit_skips_the_weighted_stages_and_a_missing_fit_files_each(rng
     methods = list(Method)
 
     def reports(members, models):  # every method with its SEs, and the null check
-        return report_block(stack_ipd([ipds[b] for b in members]), [agds[b] for b in members],
-                            models, methods, Scale.LOGIT, list(SeStrategy), 0.95,
-                            se_methods=methods, records=[records[b] for b in members],
+        return report_block(stack_ipd([ipds[b] for b in members]),
+                            stack_agd([agds[b] for b in members]), FitBlock.of(models), methods,
+                            Scale.LOGIT, list(SeStrategy), 0.95, se_methods=methods,
+                            records=stack_records([records[b] for b in members]),
                             negative_control=True)
 
     fit, lost, none = reports([0, 1, 2], [fits[0], failed, None])
@@ -296,3 +314,20 @@ def test_a_failed_fit_skips_the_weighted_stages_and_a_missing_fit_files_each(rng
         assert {("bucher", "fo"), ("bucher", "sw")} <= set(report.ses)
     for report in (lost, none):
         assert set(report.estimates) == {m.value for m in methods if not m.weighted}
+
+
+def test_each_arm_piece_is_built_once_per_report(rng, monkeypatch):
+    # four (weights, arm) pieces exist: maic-nab, maic-acb and the null check
+    # read the fitted weights, bucher and naive unit weights, each on two arms
+    built, arm_mask = [], data_model.IpdBlock.arm_mask
+
+    def counting_mask(block, code):
+        built.append(code)
+        return arm_mask(block, code)
+
+    monkeypatch.setattr(data_model.IpdBlock, "arm_mask", counting_mask)
+    ipd, agd, _, model = study(rng, Scale.LOGIT, comparator=True)
+    report = build_comparison_report(ipd, agd, model, list(Method), Scale.LOGIT,
+                                     run_negative_control=True)
+    assert not report.errors and report.negative_control is not None
+    assert sorted(built) == [0, 0, 1, 1]

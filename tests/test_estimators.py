@@ -6,7 +6,7 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maic.data_model import IpdBlock, MomentSpec, OutcomeKind, stack_ipd
+from maic.data_model import IpdBlock, MomentSpec, OutcomeKind, stack_agd, stack_ipd
 from maic.errors import (
     BoundaryProportion,
     DimensionMismatch,
@@ -64,6 +64,19 @@ class TestScale:
         with pytest.raises(BoundaryProportion):
             Scale.LOGIT.g(u)
 
+    @settings(max_examples=100, deadline=None)
+    @given(u=st.lists(st.floats(1e-300, 1.0, exclude_max=True), min_size=1, max_size=30))
+    def test_an_array_of_means_maps_each_as_a_lone_mean(self, u):
+        # math.log per element: NumPy's SIMD log rounds some inputs differently
+        for scale in Scale:
+            for f in (scale.g, scale.g_prime):
+                got = f(np.array(u))
+                assert got.tobytes() == np.array([float(f(v)) for v in u]).tobytes()
+
+    def test_an_array_names_its_first_mean_outside_the_interval(self):
+        with pytest.raises(BoundaryProportion, match=r"got 1\.0$"):
+            Scale.LOGIT.g(np.array([0.5, 1.0, 0.0]))
+
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
@@ -110,6 +123,17 @@ def test_each_contrast_keeps_its_sum_order(data):
         delta0 = negative_control_test(ipd, agd, model, scale).delta0
         assert float(delta0).hex() == float(maic_nab(flipped, swapped, model, scale).delta).hex()
         assert float(delta0).hex() == float(g(m0) - g(m0a)).hex()
+
+
+@settings(max_examples=50, deadline=None)
+@given(b=st.integers(1, 50), k=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+def test_a_stacked_dot_equals_each_lone_dot(b, k, seed):
+    # stc predicts row @ gamma for a block with one stacked matmul
+    rng = np.random.default_rng(seed)
+    rows, gamma = (rng.normal(size=(b, k)) * 10.0 ** rng.integers(-3, 4, size=(b, 1))
+                   for _ in range(2))
+    got = np.matmul(rows[:, None, :], gamma[:, :, None])[:, 0, 0]
+    assert got.tobytes() == np.array([float(r @ g) for r, g in zip(rows, gamma)]).tobytes()
 
 
 class TestMaicNab:
@@ -343,7 +367,7 @@ class TestStc:
             except MaicError as e:
                 return e
 
-        block = stc_block(stack_ipd(studies), [agd] * len(studies), Scale.LOGIT)
+        block = stc_block(stack_ipd(studies), stack_agd([agd] * len(studies)), Scale.LOGIT)
         for got, want in zip(block, map(lone, studies)):
             assert type(got) is type(want)
             if isinstance(want, MaicError):

@@ -51,8 +51,8 @@ def failing_estimate_block(method, replicates):
     each of the block positions `replicates`."""
     real = inference.estimate_block
 
-    def estimate_block(*args):
-        out = real(*args)
+    def estimate_block(*args, **kwargs):
+        out = real(*args, **kwargs)
         if args[-1] is method:
             out = [BoundaryProportion("logit scale requires a mean in (0, 1), got 0.0")
                    if b in replicates else v for b, v in enumerate(out)]
@@ -642,12 +642,12 @@ class TestBlocks:
             ipd, agd, recs = simulation.replicate_datasets(cfg, i)
             for got in ((ipd.y, ipd.z, ipd.x), (block.y[b], block.z[b], block.x[b])):
                 assert all(a.tobytes() == r.tobytes() for a, r in zip(got, ref_ipd))
-            assert pickle.dumps(agd) == pickle.dumps(agds[b])
+            assert pickle.dumps(agd) == pickle.dumps(agds.study(b))
             for arm, (y_mean, y_var, x_mean, x_var) in zip(agd.arms, ref_arms):
                 assert (arm.n, arm.y_mean, arm.y_var) == (cfg.n_per_arm, y_mean, y_var)
                 assert (arm.x_mean.tobytes(), arm.x_var.tobytes()) == (x_mean.tobytes(),
                                                                       x_var.tobytes())
-            for got in ((recs.y, recs.z, recs.x), (records[b].y, records[b].z, records[b].x)):
+            for got in ((recs.y, recs.z, recs.x), (records.y[b], records.z[b], records.x[b])):
                 assert all(a.tobytes() == r.tobytes() for a, r in zip(got, ref_records))
 
     def test_lone_replicate_equals_its_place_in_a_block(self):
