@@ -104,14 +104,15 @@ def cmd_fit(args) -> int:
 
 
 def _parse_choices(flag: str, text: str, accepted: dict, also: str = "") -> list:
-    """The values of a comma list of the names in `accepted`; for any other
-    token, InvalidChoice naming the flag and listing the names, then `also`."""
+    """The values of a comma list of the names in `accepted`, each once, in
+    first-seen order; for any other token, InvalidChoice naming the flag and
+    listing the names, then `also`."""
     out = []
     for tok in filter(None, (t.strip() for t in text.split(","))):
         if tok not in accepted:
             raise InvalidChoice(f"{flag}: {tok!r} is not one of {', '.join(accepted)}{also}")
         out.append(accepted[tok])
-    return out
+    return list(dict.fromkeys(out))
 
 
 def _parse_strategies(text: str) -> list[SeStrategy]:

@@ -278,10 +278,6 @@ class IpdBlock:
     def n(self) -> int:
         return self.y.shape[1]
 
-    @property
-    def has_comparator(self) -> bool:
-        return 0 in self.arms
-
     def take(self, rows) -> "IpdBlock":
         """The studies at the ascending block rows `rows` as a block of
         their own; the block itself when all are taken."""
@@ -362,45 +358,13 @@ class AgdBlock:
     y_mean and y_var are (B, 2) and x_mean and x_var (B, 2, p).  A study
     that reports no comparator has n = 0 and a NaN y_mean there; an outcome
     variance an arm does not report is NaN, and so is a covariate variance
-    row it does not report (one holding a NaN).  The constructor refuses
-    what AgdArm refuses, with the same error classes."""
+    row it does not report (one holding a NaN).  The block checks nothing:
+    AgdArm checks the summaries that come from outside (stack_agd), and a
+    simulated replicate's summaries are valid as drawn (replicate_block)."""
 
     def __init__(self, n, y_mean, y_var, x_mean, x_var, covariate_names):
-        n = np.asarray(n, dtype=np.int64)
-        y_mean, y_var = np.asarray(y_mean, dtype=float), np.asarray(y_var, dtype=float)
-        x_mean, x_var = np.asarray(x_mean, dtype=float), np.asarray(x_var, dtype=float)
-        reported = ~np.isnan(y_mean)
-        reported[:, 0] = True  # every study reports its active arm
-        if (reported & (n < 1)).any() or (n < 0).any():
-            raise SchemaError("arm sample size must be positive")
-        if (n > 2**53).any():  # every stage converts n to a float, exact only up to 2**53
-            raise SchemaError("arm sample size n exceeds 2**53, beyond exact float conversion")
-        single = (n == 1)
-        if (y_var < 0).any():
-            raise NegativeVariance(f"y_var = {float(y_var[y_var < 0][0])} < 0")
-        if (single & ~np.isnan(y_var)).any():
-            raise SchemaError("n >= 2 required when y_var is supplied")
-        if x_var.shape != x_mean.shape:
-            raise DimensionMismatch("x_var length differs from x_mean")
-        if (x_var < 0).any():
-            raise NegativeVariance("x_var has a negative entry")
-        if x_var.shape[2] and (single & ~np.isnan(x_var).any(axis=2)).any():
-            raise SchemaError("n >= 2 required when x_var is supplied")
-        if x_mean.shape[2] != len(covariate_names):
-            raise DimensionMismatch(f"active arm has {x_mean.shape[2]} covariate means, "
-                                    f"expected {len(covariate_names)}")
-        self._set(n, y_mean, y_var, x_mean, x_var, covariate_names)
-
-    def _set(self, n, y_mean, y_var, x_mean, x_var, covariate_names) -> "AgdBlock":
         self.n, self.y_mean, self.y_var, self.x_mean, self.x_var = n, y_mean, y_var, x_mean, x_var
         self.covariate_names = tuple(covariate_names)
-        return self
-
-    @classmethod
-    def _checked(cls, *fields) -> "AgdBlock":
-        """The block of fields that passed the checks already: the rows of a
-        block, or the arms of AGD studies."""
-        return cls.__new__(cls)._set(*fields)
 
     def __len__(self) -> int:
         return len(self.n)
@@ -418,8 +382,8 @@ class AgdBlock:
         their own; the block itself when all are taken."""
         if len(rows) == len(self):
             return self
-        return AgdBlock._checked(self.n[rows], self.y_mean[rows], self.y_var[rows],
-                                 self.x_mean[rows], self.x_var[rows], self.covariate_names)
+        return AgdBlock(self.n[rows], self.y_mean[rows], self.y_var[rows], self.x_mean[rows],
+                        self.x_var[rows], self.covariate_names)
 
     def study(self, b: int) -> AgdStudy:
         """Study b as an AgdStudy."""
@@ -444,7 +408,7 @@ def stack_agd(agds) -> AgdBlock:
     n, y_mean, y_var, x_mean, x_var = zip(*(values(arm) for agd in agds
                                             for arm in (agd.active_arm, agd.comparator_arm)))
     shape = (len(agds), 2, len(nan))
-    return AgdBlock._checked(
+    return AgdBlock(
         np.array(n, dtype=np.int64).reshape(shape[:2]),
         *(np.array(v, dtype=float).reshape(shape[:2]) for v in (y_mean, y_var)),
         *(np.array(v, dtype=float).reshape(shape) for v in (x_mean, x_var)),
@@ -452,8 +416,8 @@ def stack_agd(agds) -> AgdBlock:
 
 
 # a decimal or scientific number in ASCII digits, or nan/inf; the columnar
-# parse rejects every other cell, including digit separators and non-ASCII
-# digits that float() would accept
+# parse rejects every other cell, and json_float every other string,
+# including digit separators and non-ASCII digits that float() would accept
 _NUMBER = re.compile(
     r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?|nan|inf(?:inity)?)",
     re.ASCII | re.IGNORECASE,
@@ -628,22 +592,28 @@ def _json_vector(value) -> list[float]:
 
 
 def json_int(value) -> int:
-    """A JSON value as an int: an int, an integral float or a digit string.
-    A boolean is a TypeError and a non-integral number a ValueError, so no
-    value is truncated."""
+    """A JSON value as an int: an int, an integral float or a string of
+    ASCII digits with an optional sign, spaces around it aside.  A boolean
+    is a TypeError, and a non-integral number or any other string a
+    ValueError, so no value is truncated and no digit separator or
+    non-ASCII digit is read."""
     if isinstance(value, bool):
         raise TypeError(f"expected an integer, got {value!r}")
-    if isinstance(value, float) and not value.is_integer():
+    if (isinstance(value, float) and not value.is_integer()
+            or isinstance(value, str) and not re.fullmatch(r"[+-]?[0-9]+", value.strip())):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 
 
 def json_float(value) -> float:
-    """A JSON value as a finite float: a number or a numeric string.  A
-    boolean is a TypeError, so true and false never load as 1.0 and 0.0,
-    and a non-finite value such as "nan" or "inf" a ValueError."""
+    """A JSON value as a finite float: a number or a string that load_ipd
+    would read as a number (_NUMBER).  A boolean is a TypeError, so true and
+    false never load as 1.0 and 0.0, and any other string or a non-finite
+    value such as "nan" or "inf" a ValueError."""
     if isinstance(value, bool):
         raise TypeError(f"expected a number, got {value!r}")
+    if isinstance(value, str) and not _NUMBER.fullmatch(value.strip()):
+        raise ValueError(f"expected a number, got {value!r}")
     number = float(value)
     if not math.isfinite(number):
         raise ValueError(f"expected a finite number, got {value!r}")

@@ -188,10 +188,11 @@ def report_block(block: IpdBlock, agd: AgdBlock, fits: FitBlock, methods, scale:
     Jacobian once for every weighted method, and each arm's weighted
     residuals once for every method and the null check on the same studies
     and weights.  `records` holds the aggregate trial's records, stacked
-    (a TrialRecords of (B, m) arrays), which full needs.  A level outside
-    (0, 1) is an InvalidLevel."""
+    (a TrialRecords of (B, m) arrays), which full needs.  A method named
+    twice runs once.  A level outside (0, 1) is an InvalidLevel."""
     check_level(level, "confidence level")
     z = norm_quantile((1.0 + level) / 2.0)
+    methods = list(dict.fromkeys(methods))
     reports = [ComparisonReport(scale=scale, level=level) for _ in range(len(block))]
 
     def file(key, members, outcomes) -> list[tuple]:

@@ -58,6 +58,8 @@ and weight fits (weighting.FitBlock), as arrays over the block, and return
 a result or the MaicError per study; the single-study functions are blocks
 of one.  Where a lone study squares a float, the block squares each element
 through Python's float pow (data_model.squares), as the lone study does.
+InfluencePieces is stacked too: influence_components returns a lone study's
+as a block of one, which sigma2_fo, sigma2_po and sigma2_cs read via _ses.
 """
 
 from __future__ import annotations
@@ -71,7 +73,6 @@ import numpy as np
 
 from .data_model import (
     AGD_ARMS,
-    AgdArm,
     AgdBlock,
     AgdStudy,
     IpdBlock,
@@ -116,54 +117,12 @@ class SeEstimate:
     se: float
 
 
-@dataclass(frozen=True)
-class InfluencePieces:
-    """Empirical influence components, already scaled by the link derivative
-    on the logit scale.
-
-    phi_mu1 and phi_alpha are per-IPD-record arrays (zero on the aggregate
-    side); variances are taken over the combined size n_total.  For anchored
-    estimates phi_mu1 and the outcome-covariate moment vector ctilde fold in
-    the comparator-arm analogues.  Weights held fixed (bucher, naive, the
-    null check) carry no weight-coefficient terms: phi_alpha, ew_t1 and
-    j_alpha_inv_ctilde are None, v_mu_x2 is zero, and po and cs equal fo.
-    When the moment Jacobian is singular, jacobian_error holds the
-    SingularJacobian that the strategies needing the weight-coefficient
-    terms (po, cs, full) raise; phi_alpha, v_mu_x2 and j_alpha_inv_ctilde
-    are then None.
-    """
-
-    phi_mu1: np.ndarray
-    phi_alpha: np.ndarray | None
-    var_phi_mu2: float
-    v_mu_x2: float | None
-    n_total: int
-    p_t2: float
-    ew_t1: float | None
-    j_alpha_inv_ctilde: np.ndarray | None
-    jacobian_error: SingularJacobian | None = None
-
-    def require_weight_terms(self) -> None:
-        """Raise the Jacobian error when the weight-coefficient terms are missing."""
-        if self.jacobian_error is not None:
-            raise self.jacobian_error
-
-
-def arm_outcome_variance(arm: AgdArm, outcome_kind: OutcomeKind) -> float:
-    """Reported outcome sample variance, with the Bernoulli fallback
-    ybar(1-ybar)*n/(n-1) when a binary arm of n >= 2 omits it."""
-    errors = [None]
-    (var,) = _outcome_variances(np.array([np.nan if arm.y_var is None else arm.y_var]),
-                                np.array([arm.n]), np.array([arm.y_mean]), outcome_kind, errors)
-    return float(unwrap(errors[0] or var))
-
-
 def _outcome_variances(y_var: np.ndarray, n: np.ndarray, ybar: np.ndarray,
                        outcome_kind: OutcomeKind, errors: list) -> np.ndarray:
-    """arm_outcome_variance of one arm of each study of a block, from its
-    reported variance (NaN when unreported), size and mean; a study whose
-    arm has no usable variance gets the MissingAgdVariance unless it has
-    an error already."""
+    """The outcome variance of one arm of each study of a block from its
+    reported variance (NaN when unreported), size and mean, with the binary
+    fallback ybar(1-ybar)*n/(n-1), which needs n >= 2; a study whose arm has
+    no usable variance gets the MissingAgdVariance unless it has an error."""
     missing = np.isnan(y_var)
     if not missing.any():
         return y_var
@@ -316,13 +275,18 @@ def _pair_influence(block: IpdBlock, derived: _Derived, c: np.ndarray | None = N
 
 
 @dataclass(frozen=True, eq=False)
-class _InfluenceBlock:
-    """The InfluencePieces of each study of a block, stacked: phi_mu1 and
-    phi_alpha (B, n), the scalar terms (B,) and j_alpha_inv_ctilde (B, k).
-    With fixed weights phi_alpha, ew_t1 and solution are None and v_mu_x2
-    is zero.  errors[b] is the MaicError that replaces study b's pieces,
-    and jacobian_errors[b] its SingularJacobian, which the strategies that
-    need the weight-coefficient terms raise (its v_mu_x2 is then NaN)."""
+class InfluencePieces:
+    """Empirical influence components of each study of a block, already
+    scaled by the link derivative on the logit scale: per-IPD-record phi_mu1
+    and phi_alpha (B, n), the scalar terms (B,) and j_alpha_inv_ctilde
+    (B, k).  Variances are taken over the combined size n_total.  For
+    anchored estimates phi_mu1 and ctilde fold in the comparator-arm
+    analogues.  With fixed weights (bucher, naive, the null check)
+    phi_alpha, ew_t1 and j_alpha_inv_ctilde are None, v_mu_x2 is zero, and
+    po and cs equal fo.  errors[b] is the MaicError that replaces study b's
+    pieces, and jacobian_errors[b] its SingularJacobian, which the
+    strategies that need the weight-coefficient terms (po, cs, full) raise
+    (its v_mu_x2 is then NaN)."""
 
     phi_mu1: np.ndarray
     phi_alpha: np.ndarray | None
@@ -331,36 +295,9 @@ class _InfluenceBlock:
     n_total: np.ndarray
     p_t2: np.ndarray
     ew_t1: np.ndarray | None
-    solution: np.ndarray | None
+    j_alpha_inv_ctilde: np.ndarray | None
     errors: list
     jacobian_errors: list
-
-    @classmethod
-    def of(cls, p: InfluencePieces) -> _InfluenceBlock:
-        """One study's pieces as a block of one."""
-        def one(v):
-            return None if v is None else np.asarray(v)[None]
-        return cls(one(p.phi_mu1), one(p.phi_alpha), one(p.var_phi_mu2),
-                   one(np.nan if p.v_mu_x2 is None else p.v_mu_x2), one(p.n_total), one(p.p_t2),
-                   one(p.ew_t1), one(p.j_alpha_inv_ctilde), [None], [p.jacobian_error])
-
-    def pieces(self, b: int):
-        """Study b's InfluencePieces, or its MaicError."""
-        if self.errors[b] is not None:
-            return self.errors[b]
-        weighted = self.ew_t1 is not None
-        solved = weighted and self.jacobian_errors[b] is None
-        return InfluencePieces(
-            phi_mu1=self.phi_mu1[b],
-            phi_alpha=self.phi_alpha[b] if solved else None,
-            var_phi_mu2=float(self.var_phi_mu2[b]),
-            v_mu_x2=(float(self.v_mu_x2[b]) if solved else None) if weighted else 0.0,
-            n_total=int(self.n_total[b]),
-            p_t2=float(self.p_t2[b]),
-            ew_t1=float(self.ew_t1[b]) if weighted else None,
-            j_alpha_inv_ctilde=self.solution[b] if solved else None,
-            jacobian_error=self.jacobian_errors[b],
-        )
 
 
 def influence_components(
@@ -375,12 +312,14 @@ def influence_components(
     Supported methods: maic-nab and maic-acb (fitted weights), bucher and
     naive (unit weights; `model` is not read).  Anchored estimates extend
     the weight-coefficient contribution with the comparator-arm analogue of
-    the outcome-covariate moment vector.
+    the outcome-covariate moment vector.  Returns the pieces as a block of
+    one, or raises the study's MaicError.
     """
-    return unwrap(influence_block(*_one(ipd, agd, model), [est], scale).pieces(0))
+    pieces = influence_block(*_one(ipd, agd, model), [est], scale)
+    return unwrap(pieces.errors[0] or pieces)
 
 
-def influence_block(block: IpdBlock, agd: AgdBlock, fits, ests, scale: Scale) -> _InfluenceBlock:
+def influence_block(block: IpdBlock, agd: AgdBlock, fits, ests, scale: Scale) -> InfluencePieces:
     """influence_components for each study of a block whose estimates share
     one method and whose fits share one moment spec."""
     return _influence(block, _derive(block, agd, fits, ests, scale),
@@ -388,8 +327,8 @@ def influence_block(block: IpdBlock, agd: AgdBlock, fits, ests, scale: Scale) ->
 
 
 def _influence(block: IpdBlock, derived: _Derived,
-               jac: _MomentJacobians | None = None) -> _InfluenceBlock:
-    """The stacked InfluencePieces of a block, from what _derive gives.  The
+               jac: _MomentJacobians | None = None) -> InfluencePieces:
+    """The InfluencePieces of a block, from what _derive gives.  The
     moment Jacobians `jac` of the fitted weights add the weight-coefficient
     terms, which solve them; without them (bucher, naive and the null check)
     the weights are held fixed and nothing is solved.  Every study's rows
@@ -401,7 +340,7 @@ def _influence(block: IpdBlock, derived: _Derived,
         var_phi_mu2 = var_phi_mu2 + pair[3]
     if jac is None:
         phi, _ = _pair_influence(block, derived)
-        return _InfluenceBlock(phi, None, var_phi_mu2, np.zeros(len(block)), n_total, p_t2,
+        return InfluencePieces(phi, None, var_phi_mu2, np.zeros(len(block)), n_total, p_t2,
                                None, None, derived.errors, [None] * len(block))
     phi, ctilde = _pair_influence(block, derived, jac.c)
     sol, jacobian_errors = _solve_neg_definite(jac, ctilde)
@@ -410,7 +349,7 @@ def _influence(block: IpdBlock, derived: _Derived,
     ew_t1 = derived.w.sum(axis=1) / n_total
     v = -(ew_t1 / p_t2) * dots
     v_mu_x2 = np.where([e is None for e in jacobian_errors], np.where(v < 0.0, 0.0, v), np.nan)
-    return _InfluenceBlock(phi, phi_alpha, var_phi_mu2, v_mu_x2, n_total, p_t2, ew_t1, sol,
+    return InfluencePieces(phi, phi_alpha, var_phi_mu2, v_mu_x2, n_total, p_t2, ew_t1, sol,
                            derived.errors, jacobian_errors)
 
 
@@ -422,18 +361,18 @@ def _var_over_n(values: np.ndarray, n_total: np.ndarray) -> np.ndarray:
 
 
 def sigma2_fo(pieces: InfluencePieces) -> SeEstimate:
-    return unwrap(_ses(SeStrategy.FO, _InfluenceBlock.of(pieces))[0])
+    return unwrap(_ses(SeStrategy.FO, pieces)[0])
 
 
 def sigma2_po(pieces: InfluencePieces) -> SeEstimate:
-    return unwrap(_ses(SeStrategy.PO, _InfluenceBlock.of(pieces))[0])
+    return unwrap(_ses(SeStrategy.PO, pieces)[0])
 
 
 def sigma2_cs(pieces: InfluencePieces) -> SeEstimate:
-    return unwrap(_ses(SeStrategy.CS, _InfluenceBlock.of(pieces))[0])
+    return unwrap(_ses(SeStrategy.CS, pieces)[0])
 
 
-def _ses(strategy: SeStrategy, inf: _InfluenceBlock) -> list:
+def _ses(strategy: SeStrategy, inf: InfluencePieces) -> list:
     """The fo, po or cs variance of each study of a block from its stacked
     influence pieces: a SeEstimate or the MaicError per study.  po and cs
     need the weight-coefficient terms, so a study whose Jacobian is
@@ -530,7 +469,7 @@ def sigma2_full(
     return unwrap(_full_ses(records, agd_block, fits, [est], scale, inf)[0])
 
 
-def _full_ses(records, agd: AgdBlock, fits, ests, scale: Scale, inf: _InfluenceBlock) -> list:
+def _full_ses(records, agd: AgdBlock, fits, ests, scale: Scale, inf: InfluencePieces) -> list:
     """sigma2_full for a block of maic-nab estimates from their stacked
     influence pieces: a SeEstimate or the MaicError per study.  The full
     influence function of a study is phi_mu1 + phi_alpha on its IPD rows
@@ -560,7 +499,7 @@ def _full_ses(records, agd: AgdBlock, fits, ests, scale: Scale, inf: _InfluenceB
     c2 = moment_matrix(records.x, fits.spec) - fits.centering[:, None, :]
     # ctilde already carries g'(mu1) and 1/J^{mu1}; only U^{muX2} remains
     coef = (-(inf.ew_t1 / inf.p_t2))[:, None, None]
-    phi_mu_x2 = np.matmul(coef * c2, inf.solution[:, :, None])[:, :, 0]
+    phi_mu_x2 = np.matmul(coef * c2, inf.j_alpha_inv_ctilde[:, :, None])[:, :, 0]
     phi = np.concatenate([inf.phi_mu1 + inf.phi_alpha, phi_mu2 + phi_mu_x2], axis=1)
     sigma2 = np.var(phi, axis=1)
     return [e or SeEstimate(SeStrategy.FULL, v, se)

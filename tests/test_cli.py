@@ -407,6 +407,19 @@ class TestCompare:
         doc = json.loads((out / "report.json").read_text())
         assert set(doc["methods"]["maic-nab"]["se"]) == {"fo", "po", "cs", "sw"}
 
+    def test_a_repeated_method_or_strategy_writes_the_report_of_one(self, io_pair, tmp_path):
+        ipd, agd = io_pair
+        pair = ["--ipd", str(ipd), "--agd", str(agd)]
+        assert main(["compare", *pair, "--methods", "maic-nab", "--se", "all",
+                     "--out", str(tmp_path / "one")]) == 0
+        assert main(["compare", *pair, "--methods", "maic-nab,maic-nab",
+                     "--se", "fo,po,cs,sw,fo", "--out", str(tmp_path / "two")]) == 0
+        for name in ("report.json", "report.csv"):
+            assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+        one, two = (json.loads((tmp_path / d / "manifest.json").read_text())["config"]
+                    for d in ("one", "two"))
+        assert two == one and two["methods"] == ["maic-nab"]
+
     def test_naive_alone_gets_unit_weight_ses(self, io_pair, tmp_path, capsys):
         # no MAIC method means no fitted weight model
         ipd, agd = io_pair

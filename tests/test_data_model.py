@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from maic.data_model import (
     AgdArm,
-    AgdBlock,
     AgdStudy,
     IpdStudy,
     MomentSpec,
@@ -646,7 +645,19 @@ class TestAgd:
         assert type(arm.y_mean) is float and type(arm.y_var) is float
         assert arm.x_mean.tolist() == [0.0, 0.5] and arm.x_var.tolist() == [2.0, 1.5]
 
-    @pytest.mark.parametrize("n", [90, 90.0, "90"])
+    @pytest.mark.parametrize("key, value", [
+        ("n", "1_0"), ("n", "\u0661\u0660"), ("n", "9e1"),
+        ("y_mean", "0.4_0"), ("y_mean", "\u0660.4"), ("y_var", "0.2\u0665"),
+        ("x_mean", ["\u0661"]), ("x_var", ["1_0"]),
+    ])
+    def test_a_numeric_string_the_ipd_reader_refuses_is_named(self, key, value):
+        # float() and int() read digit separators and non-ASCII digits; the
+        # AGD fields accept the strings load_ipd accepts and no others
+        d = {"n": 90, "y_mean": 0.4, "y_var": 0.24, "x_mean": [0.1], "x_var": [1.0], key: value}
+        with pytest.raises(SchemaError, match=f"'{key}'.*expected an? (integer|number), got"):
+            AgdArm.from_dict(d)
+
+    @pytest.mark.parametrize("n", [90, 90.0, "90", " +90 "])
     def test_integral_arm_size_loads_as_an_int(self, n):
         arm = AgdArm.from_dict({"n": n, "y_mean": 0.4, "y_var": 0.24, "x_mean": [0.1]})
         assert arm.n == 90 and type(arm.n) is int
@@ -757,17 +768,11 @@ class TestAgdBlock:
         with pytest.raises(error):
             AgdArm(**{k: np.asarray(v, float) if k.startswith("x_") and v is not None else v
                       for k, v in fields.items()})
-        # the block of a well-formed study and one whose `arm` has the defect
-        arms = [[self.arm_fields(), self.arm_fields()], [self.arm_fields(), self.arm_fields()]]
-        arms[1][("active", "comparator").index(arm)] = fields
-
-        def stacked(key, missing):
-            return [[missing if a[key] is None else a[key] for a in study] for study in arms]
-
-        nan2 = [np.nan, np.nan]
+        # a block holds what it is given, so the AGD document is checked
+        # where it enters, on either arm
+        arms = {"active": self.arm_fields(), "comparator": self.arm_fields(), arm: fields}
         with pytest.raises(error):
-            AgdBlock(stacked("n", 0), stacked("y_mean", np.nan), stacked("y_var", np.nan),
-                     stacked("x_mean", nan2), stacked("x_var", nan2), ("x1", "x2"))
+            AgdStudy.from_dict({"covariates": ["x1", "x2"], "arms": arms})
 
     def test_a_study_without_a_comparator_has_n_zero_there(self):
         one = make_agd(active=make_arm(n=30, x_mean=[0.5], x_var=[1.0]))

@@ -191,6 +191,15 @@ class TestComparisonReport:
         with pytest.raises(InvalidLevel, match="confidence level"):
             build_comparison_report(ipd, agd, None, [Method.STC], level=level)
 
+    def test_a_repeated_method_is_reported_once(self, rng):
+        # each method's SEs read its moment Jacobians once; a second copy of
+        # the method must not find them gone
+        ipd, agd, model = two_arm_problem(rng)
+        once = build_comparison_report(ipd, agd, model, [Method.MAIC_NAB, Method.BUCHER])
+        twice = build_comparison_report(ipd, agd, model, [Method.MAIC_NAB, Method.BUCHER,
+                                                          Method.MAIC_NAB])
+        assert twice.to_dict() == once.to_dict() and twice.rows() == once.rows()
+
     def test_all_methods_with_stc_point_only(self, rng):
         ipd, agd, model = two_arm_problem(rng)
         report = build_comparison_report(ipd, agd, model, ALL_METHODS)

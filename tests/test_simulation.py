@@ -111,6 +111,12 @@ class TestScenarioConfig:
         with pytest.raises(SchemaError, match=f"'{key}'"):
             ScenarioConfig.from_dict({key: value})
 
+    @pytest.mark.parametrize("key, value", [("seed", "1_0"), ("n_per_arm", "\u0661\u0660\u0660"),
+                                            ("alpha_slope", "0.5_0"), ("alpha_slope", "\u0661")])
+    def test_a_numeric_string_the_ipd_reader_refuses_is_named(self, key, value):
+        with pytest.raises(SchemaError, match=f"'{key}'"):
+            ScenarioConfig.from_dict({key: value})
+
     @pytest.mark.parametrize("value", [True, False])
     def test_a_boolean_slope_is_rejected(self, value):
         with pytest.raises(SchemaError, match="'alpha_slope'"):

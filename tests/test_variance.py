@@ -11,7 +11,7 @@ from maic.estimators import Estimate, Method, Scale, bucher, maic_acb, maic_nab,
 from maic.variance import (
     InfluencePieces,
     SeStrategy,
-    arm_outcome_variance,
+    _outcome_variances,
     influence_components,
     sigma2_cs,
     sigma2_fo,
@@ -37,20 +37,20 @@ def full_influence_arrays(
     (IPD rows first, then the aggregate trial's raw records), link-scaled,
     each zero on the other trial's rows: the reference for sigma2_full,
     which sums them without the zeros."""
-    pieces = influence_components(ipd, agd, model, est, scale)
+    pieces = influence_components(ipd, agd, model, est, scale)  # a block of one
     z2 = agd_records.z == 2
     phi_mu2 = (scale.g_prime(est.mu2) * (est.mu2 - agd_records.y) * z2
-               / (z2.sum() / pieces.n_total))
+               / (z2.sum() / pieces.n_total[0]))
     c2 = moment_matrix(agd_records.x, model.spec) - model.centering
     # ctilde already carries g'(mu1) and 1/J^{mu1}; only U^{muX2} remains.
     # The product runs as a batch of one, as in sigma2_full, so its bits match.
-    coef = -(pieces.ew_t1 / pieces.p_t2)
-    phi_mu_x2 = np.matmul((coef * c2)[None], pieces.j_alpha_inv_ctilde[None, :, None])[0, :, 0]
+    coef = -(pieces.ew_t1 / pieces.p_t2)[:, None, None]
+    phi_mu_x2 = np.matmul(coef * c2[None], pieces.j_alpha_inv_ctilde[:, :, None])[0, :, 0]
     zeros_ipd, zeros_t2 = np.zeros(ipd.n), np.zeros(len(agd_records.y))
     return {
         "phi_mu2": np.concatenate([zeros_ipd, phi_mu2]),
-        "phi_mu1": np.concatenate([pieces.phi_mu1, zeros_t2]),
-        "phi_alpha": np.concatenate([pieces.phi_alpha, zeros_t2]),
+        "phi_mu1": np.concatenate([pieces.phi_mu1[0], zeros_t2]),
+        "phi_alpha": np.concatenate([pieces.phi_alpha[0], zeros_t2]),
         "phi_mu_x2": np.concatenate([zeros_ipd, phi_mu_x2]),
     }
 
@@ -138,34 +138,48 @@ def random_problem(rng, n=80, p=2, binary=True, shift=0.3):
 
 
 def manual_pieces(phi_mu1, phi_alpha, var_phi_mu2, v_mu_x2, n_total):
+    """The pieces of one study, as the block of one that influence_components
+    returns."""
     k = 1
     return InfluencePieces(
-        phi_mu1=np.asarray(phi_mu1, float), phi_alpha=np.asarray(phi_alpha, float),
-        var_phi_mu2=var_phi_mu2, v_mu_x2=v_mu_x2, n_total=n_total,
-        p_t2=0.5, ew_t1=1.0, j_alpha_inv_ctilde=np.zeros(k),
+        phi_mu1=np.asarray(phi_mu1, float)[None], phi_alpha=np.asarray(phi_alpha, float)[None],
+        var_phi_mu2=np.array([var_phi_mu2]), v_mu_x2=np.array([v_mu_x2]),
+        n_total=np.array([n_total]), p_t2=np.array([0.5]), ew_t1=np.array([1.0]),
+        j_alpha_inv_ctilde=np.zeros((1, k)), errors=[None], jacobian_errors=[None],
     )
 
 
 class TestArmOutcomeVariance:
+    """_outcome_variances: the outcome variance every SE reads for one AGD
+    arm of each study of a block, from its reported variance (NaN when
+    unreported), size and mean."""
+
     def test_reported_variance_wins(self):
-        arm = make_arm(y_var=0.2)
-        assert arm_outcome_variance(arm, OutcomeKind.BINARY) == 0.2
+        errors = [None]
+        var = _outcome_variances(np.array([0.2]), np.array([50]), np.array([0.4]),
+                                 OutcomeKind.BINARY, errors)
+        assert var.tolist() == [0.2] and errors == [None]
 
     def test_bernoulli_fallback(self):
-        arm = make_arm(n=10, y_mean=0.4, y_var=None)
-        expected = 0.4 * 0.6 * 10 / 9
-        assert arm_outcome_variance(arm, OutcomeKind.BINARY) == pytest.approx(expected)
+        errors = [None]
+        var = _outcome_variances(np.array([np.nan]), np.array([10]), np.array([0.4]),
+                                 OutcomeKind.BINARY, errors)
+        assert var[0] == pytest.approx(0.4 * 0.6 * 10 / 9) and errors == [None]
 
     def test_bernoulli_fallback_needs_two_patients(self):
-        # ybar(1-ybar)*n/(n-1) divides by zero at n = 1
-        arm = make_arm(n=1, y_mean=0.4, y_var=None)
-        with pytest.raises(MissingAgdVariance, match="n >= 2"):
-            arm_outcome_variance(arm, OutcomeKind.BINARY)
+        # ybar(1-ybar)*n/(n-1) divides by zero at n = 1; the other study of
+        # the block keeps its fallback
+        errors = [None, None]
+        var = _outcome_variances(np.array([np.nan, np.nan]), np.array([1, 10]),
+                                 np.array([0.4, 0.4]), OutcomeKind.BINARY, errors)
+        assert isinstance(errors[0], MissingAgdVariance) and "n >= 2" in str(errors[0])
+        assert errors[1] is None and var[1] == pytest.approx(0.4 * 0.6 * 10 / 9)
 
     def test_continuous_without_variance_raises(self):
-        arm = make_arm(y_var=None)
-        with pytest.raises(MissingAgdVariance):
-            arm_outcome_variance(arm, OutcomeKind.CONTINUOUS)
+        errors = [None]
+        _outcome_variances(np.array([np.nan]), np.array([50]), np.array([0.4]),
+                           OutcomeKind.CONTINUOUS, errors)
+        assert isinstance(errors[0], MissingAgdVariance)
 
 
 class TestInfluenceComponents:
@@ -177,9 +191,9 @@ class TestInfluenceComponents:
         model = solve_weights(ipd, np.array([float(x.mean())]))
         est = maic_nab(ipd, agd, model)
         pieces = influence_components(ipd, agd, model, est)
-        np.testing.assert_allclose(pieces.phi_mu1, 0.0, atol=1e-12)
-        np.testing.assert_allclose(pieces.j_alpha_inv_ctilde, 0.0, atol=1e-12)
-        assert sigma2_fo(pieces).sigma2 == pytest.approx(pieces.var_phi_mu2)
+        np.testing.assert_allclose(pieces.phi_mu1[0], 0.0, atol=1e-12)
+        np.testing.assert_allclose(pieces.j_alpha_inv_ctilde[0], 0.0, atol=1e-12)
+        assert sigma2_fo(pieces).sigma2 == pytest.approx(pieces.var_phi_mu2[0])
         assert sigma2_po(pieces).sigma2 == pytest.approx(sigma2_fo(pieces).sigma2)
 
     def test_var_phi_mu2_arithmetic(self, rng):
@@ -191,24 +205,24 @@ class TestInfluenceComponents:
                                        x_mean=[float(x.mean())]))
         model = solve_weights(ipd, np.array([float(x.mean())]))
         pieces = influence_components(ipd, agd, model, maic_nab(ipd, agd, model))
-        assert pieces.n_total == 400
-        assert pieces.var_phi_mu2 == pytest.approx(1.0)
+        assert pieces.n_total[0] == 400
+        assert pieces.var_phi_mu2[0] == pytest.approx(1.0)
 
     def test_v_mu_x2_nonnegative(self, rng):
         for i in range(25):
             ipd, agd, model = random_problem(rng)
             est = maic_nab(ipd, agd, model)
             pieces = influence_components(ipd, agd, model, est)
-            assert pieces.v_mu_x2 >= 0.0
+            assert pieces.v_mu_x2[0] >= 0.0
 
     def test_naive_uses_unit_weights(self, rng):
         ipd, agd, model = random_problem(rng)
         est = naive(ipd, agd)
         pieces = influence_components(ipd, agd, model, est)
         mask = ipd.z == 1
-        j = mask.mean() * ipd.n / pieces.n_total
+        j = mask.mean() * ipd.n / pieces.n_total[0]
         expected = (ipd.y - est.mu1) * mask / j
-        np.testing.assert_allclose(pieces.phi_mu1, expected)
+        np.testing.assert_allclose(pieces.phi_mu1[0], expected)
 
 
 class TestUnweightedMethods:
@@ -231,7 +245,7 @@ class TestUnweightedMethods:
             assert float(direct.sigma2).hex() == float(relabelled.sigma2).hex()
             assert float(direct.se).hex() == float(relabelled.se).hex()
         # fixed weights carry no weight-coefficient terms: po and cs are fo
-        assert pieces.v_mu_x2 == 0.0
+        assert pieces.v_mu_x2[0] == 0.0
         assert pieces.phi_alpha is None and pieces.j_alpha_inv_ctilde is None
         fo = sigma2_fo(pieces)
         for fn in (sigma2_po, sigma2_cs):
@@ -342,9 +356,7 @@ class TestStrategies:
         n1 = mask.sum()
         n_total = ipd.n + agd.n_total
         expected = n_total * np.sum((y1 - y1.mean()) ** 2) / n1**2
-        expected += arm_outcome_variance(agd.active_arm, ipd.outcome_kind) / (
-            agd.active_arm.n / n_total
-        )
+        expected += agd.active_arm.y_var / (agd.active_arm.n / n_total)
         assert se.sigma2 == pytest.approx(expected)
 
     def test_fo_matches_classical_two_sample_variance(self, rng):
@@ -371,9 +383,9 @@ class TestStrategies:
         p_g = influence_components(ipd, agd, model, est_g, Scale.LOGIT)
         g1 = Scale.LOGIT.g_prime(est_i.mu1)
         g2 = Scale.LOGIT.g_prime(est_i.mu2)
-        np.testing.assert_allclose(p_g.phi_mu1, g1 * p_i.phi_mu1, rtol=1e-10)
-        assert p_g.var_phi_mu2 == pytest.approx(g2**2 * p_i.var_phi_mu2)
-        assert p_g.v_mu_x2 == pytest.approx(g1**2 * p_i.v_mu_x2)
+        np.testing.assert_allclose(p_g.phi_mu1[0], g1 * p_i.phi_mu1[0], rtol=1e-10)
+        assert p_g.var_phi_mu2[0] == pytest.approx(g2**2 * p_i.var_phi_mu2[0])
+        assert p_g.v_mu_x2[0] == pytest.approx(g1**2 * p_i.v_mu_x2[0])
 
     def test_anchored_adds_comparator_variance(self, rng):
         ipd, agd, model = random_problem(rng)
@@ -381,10 +393,8 @@ class TestStrategies:
         acb = maic_acb(ipd, agd, model)
         p_nab = influence_components(ipd, agd, model, nab)
         p_acb = influence_components(ipd, agd, model, acb)
-        extra = arm_outcome_variance(agd.comparator_arm, ipd.outcome_kind) / (
-            agd.comparator_arm.n / p_nab.n_total
-        )
-        assert p_acb.var_phi_mu2 == pytest.approx(p_nab.var_phi_mu2 + extra)
+        extra = agd.comparator_arm.y_var / (agd.comparator_arm.n / p_nab.n_total[0])
+        assert p_acb.var_phi_mu2[0] == pytest.approx(p_nab.var_phi_mu2[0] + extra)
 
 
 class TestFullInfluence:
