@@ -286,17 +286,20 @@ def _contrasts(method: Method, scale: Scale, contrast: Contrast, ipd_means: list
 
 
 # logistic IRLS controls: iteration cap, convergence threshold on the step
-# max-norm, and the coefficient size taken as (quasi-)complete separation
+# max-norm, and the linear predictor size taken as (quasi-)complete
+# separation (a fitted probability within about 1e-13 of 0 or 1)
 IRLS_MAX_ITER = 100
 IRLS_TOL = 1e-10
-IRLS_COEF_CAP = 30.0
+IRLS_ETA_CAP = 30.0
 
 
 def _irls(design: np.ndarray, y: np.ndarray):
     """Logistic regression by iteratively reweighted least squares for each
     replicate of a (B, n, k) design stack, in lockstep: the coefficients
-    (B, k) and the MaicError or None per replicate.  A coefficient beyond
-    IRLS_COEF_CAP is taken as complete (or quasi-complete) separation."""
+    (B, k) and the MaicError or None per replicate.  A linear predictor
+    beyond IRLS_ETA_CAP is taken as complete (or quasi-complete) separation:
+    unlike a coefficient, it does not move under an affine map of the
+    covariates."""
     gamma = np.zeros(design.shape[::2])
     errors = [None] * len(design)
     live = np.arange(len(design))
@@ -312,7 +315,8 @@ def _irls(design: np.ndarray, y: np.ndarray):
         step, singular = solve_each(hess, grad)
         # a singular replicate's step is 0, and it reports only its error
         gamma[live] = gamma[live] + step
-        diverged = ~singular & (np.abs(gamma[live]).max(axis=1) > IRLS_COEF_CAP)
+        # judged on the predictor before the step, which is already at hand
+        diverged = ~singular & (np.abs(eta).max(axis=1) > IRLS_ETA_CAP)
         done = ~singular & ~diverged & (np.abs(step).max(axis=1) < IRLS_TOL)
         for b in live[singular]:
             errors[b] = SingularDesign("singular design in logistic fit")

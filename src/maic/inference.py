@@ -9,7 +9,7 @@ from statistics import NormalDist
 from .data_model import AgdBlock, AgdStudy, IpdBlock, IpdStudy, stack_agd, stack_ipd, write_rows
 from .errors import InvalidLevel, MaicError, ZeroSe, succeeded, unwrap
 from .estimators import NULL_CHECK, Estimate, Method, Scale, _one, estimate_block
-from .variance import REPORT_STRATEGIES, SeEstimate, SeStrategy, _moment_jacobians, se_block
+from .variance import REPORT_STRATEGIES, SeEstimate, SeStrategy, se_block
 from .weighting import FitBlock, WeightModel, fit_diagnostics
 
 _NORM = NormalDist()
@@ -184,12 +184,14 @@ def report_block(block: IpdBlock, agd: AgdBlock, fits: FitBlock, methods, scale:
     that has estimates, each of the `strategies` that applies
     (variance.se_block) on its own, under <method>/<strategy>; and the null
     check, when asked, on the studies the MAIC methods ran on, under
-    negative_control.  The SE stage builds each fitted study's moment
-    Jacobian once for every weighted method, and each arm's weighted
-    residuals once for every method and the null check on the same studies
-    and weights.  `records` holds the aggregate trial's records, stacked
-    (a TrialRecords of (B, m) arrays), which full needs.  A method named
-    twice runs once.  A level outside (0, 1) is an InvalidLevel."""
+    negative_control.  The store of each set of studies holds what the
+    stages on them share: each arm's weighted residuals, built once for
+    every method and the null check on the same weights
+    (variance._arm_piece), and each fit's moment Jacobian, which se_block
+    builds the first time po, cs or full solves it.  `records` holds the
+    aggregate trial's records, stacked (a TrialRecords of (B, m) arrays),
+    which full needs.  A method named twice runs once.  A level outside
+    (0, 1) is an InvalidLevel."""
     check_level(level, "confidence level")
     z = norm_quantile((1.0 + level) / 2.0)
     methods = list(dict.fromkeys(methods))
@@ -226,15 +228,6 @@ def report_block(block: IpdBlock, agd: AgdBlock, fits: FitBlock, methods, scale:
                 reports[b].estimates[method.value] = est
     se_members = [(m, [b for b in everyone if m.value in reports[b].estimates])
                   for m in methods if m in se_methods]
-    # po, cs and full solve the moment Jacobian of each fit, and fo warns of
-    # its condition: built here once for every weighted method, each of which
-    # takes its rows and drops them once its influence terms are built
-    solved = sorted(set().union(*(members for m, members in se_members if m.weighted)))
-    whole = (_moment_jacobians(block.take(solved), agd.take(solved), fits.take(solved))
-             if solved and any(s is not SeStrategy.SW for s in strategies) else None)
-    jacobians = {m: whole.take([solved.index(b) for b in members])
-                 for m, members in se_members if m.weighted and whole is not None}
-    del whole
     for method, members in se_members:
         if not members:
             continue
@@ -242,7 +235,6 @@ def report_block(block: IpdBlock, agd: AgdBlock, fits: FitBlock, methods, scale:
         ses = se_block(block.take(members), agd.take(members),
                        fits.take(members) if method.weighted else None, ests, scale, strategies,
                        records=None if records is None else records.take(members),
-                       jacobians=jacobians.pop(method, None),
                        shared=shared.setdefault(tuple(members), {}))
         for strategy, outs in ses.items():
             key = (method.value, strategy.value)

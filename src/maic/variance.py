@@ -34,15 +34,14 @@ over and carries (FitBlock.moments).  Each (weights, arm) piece of it (the
 weighted arm mean, J^mu and the weighted residuals) depends on the weights
 and the arm alone, so a report builds it once for every method and the
 null check on the same studies (_arm_piece).  The moment Jacobian
-J_alpha = -sum_i w_i c_i c_i^T / N, w * c and J_alpha's condition number
-(with the COND_WARN warning) depend on the fit alone, so there is one per
-fit (_moment_jacobians): report_block's SE stage builds it once for every
-weighted method, each method solves its own right-hand side ctilde
-against it for po, cs and full, and se_block drops it once the influence
-pieces are built.  fo reads nothing it adds: without it, fo holds the
-weights fixed and gives the same bits.  So do bucher and naive, with unit
-weights and no fitted model, and the null check, whose SE is fo: they
-carry no weight-coefficient or target-mean terms.
+J_alpha = -sum_i w_i c_i c_i^T / N and its condition number depend on the
+fit alone, so there is one per fit (_moment_jacobians): se_block builds it
+the first time po, cs or full solves it, warns there when its condition
+number with a unit diagonal exceeds COND_WARN, and keeps it in the same
+store, where every weighted method solves its own right-hand side ctilde
+against it.  fo, sw, bucher, naive and the null check (whose SE is fo)
+build none: they carry no weight-coefficient or target-mean terms, and
+without the Jacobian fo holds the weights fixed and gives the same bits.
 
 se_block is the one map from strategy to computation: it owns which
 strategies apply to which method (none to stc; fo and sw to bucher and
@@ -80,7 +79,6 @@ from .data_model import (
     OutcomeKind,
     TrialRecords,
     squares,
-    take_rows,
 )
 from .errors import MissingAgdVariance, RequiresFullIpd, SingularJacobian, capture, unwrap
 from .estimators import (Estimate, Method, Scale, _block_weights, _file_first, _one, _valid,
@@ -138,39 +136,38 @@ def _outcome_variances(y_var: np.ndarray, n: np.ndarray, ybar: np.ndarray,
 
 @dataclass(frozen=True)
 class _MomentJacobians:
-    """The moment Jacobian of each fitted study of a block and what builds
-    it: the centred moments c (B, n, k) the fit solved over, w * c with w
-    the fitted weights, and J_alpha = -sum_i w_i c_i c_i^T / N (B, k, k)
-    with N the combined size; `finite` marks the studies whose J_alpha has a
-    finite condition number.  They depend on the fit alone, so a report's
-    SE stage builds them once for every weighted method."""
+    """The moment Jacobian J_alpha = -sum_i w_i c_i c_i^T / N (B, k, k) of
+    each fitted study of a block, with c the centred moments the fit solved
+    over, w its weights and N the combined size; `finite` marks the studies
+    whose J_alpha has a finite condition number.  They depend on the fit
+    alone, so se_block builds them once per arm pieces store, the first
+    time po, cs or full solves them."""
 
-    c: np.ndarray
-    wc: np.ndarray
     j_alpha: np.ndarray
     finite: np.ndarray
-
-    def take(self, rows) -> _MomentJacobians:
-        """The Jacobians of the block rows `rows`, ascending."""
-        return _MomentJacobians(*(take_rows(a, rows)
-                                  for a in (self.c, self.wc, self.j_alpha, self.finite)))
 
 
 def _moment_jacobians(block: IpdBlock, agd: AgdBlock, fits) -> _MomentJacobians:
     """The moment Jacobians of a block's studies from their fits (a
     FitBlock, each study fitted), with one warning per study whose
-    condition number exceeds COND_WARN."""
+    condition number exceeds COND_WARN both as built and with J_alpha
+    scaled to a unit diagonal: the scaling removes what the covariates'
+    units and offsets add, so only correlated moments warn.  `finite` and
+    the SingularJacobian read the unscaled number."""
     c = fits.moments
     wc = fits.weights[:, :, None] * c
     j_alpha = np.matmul(-wc.transpose(0, 2, 1), c) / (block.n + agd.n_total)[:, None, None]
     cond = np.linalg.cond(j_alpha)
-    for v in cond[np.isfinite(cond) & (cond > COND_WARN)]:
+    large = j_alpha[np.isfinite(cond) & (cond > COND_WARN)]
+    d = 1.0 / np.sqrt(-np.diagonal(large, axis1=1, axis2=2))
+    scaled = np.linalg.cond(large * d[:, :, None] * d[:, None, :])
+    for v in scaled[scaled > COND_WARN]:
         warnings.warn(
             f"moment Jacobian condition number {v:.3g} exceeds {COND_WARN:.0e}; "
             "heavily correlated covariates suspected",
-            stacklevel=3,
+            stacklevel=4,
         )
-    return _MomentJacobians(c, wc, j_alpha, np.isfinite(cond))
+    return _MomentJacobians(j_alpha, np.isfinite(cond))
 
 
 def _solve_neg_definite(jac: _MomentJacobians, rhs: np.ndarray):
@@ -322,15 +319,15 @@ def influence_components(
 def influence_block(block: IpdBlock, agd: AgdBlock, fits, ests, scale: Scale) -> InfluencePieces:
     """influence_components for each study of a block whose estimates share
     one method and whose fits share one moment spec."""
-    return _influence(block, _derive(block, agd, fits, ests, scale),
+    return _influence(block, _derive(block, agd, fits, ests, scale), fits,
                       _moment_jacobians(block, agd, fits) if ests[0].method.weighted else None)
 
 
-def _influence(block: IpdBlock, derived: _Derived,
-               jac: _MomentJacobians | None = None) -> InfluencePieces:
+def _influence(block: IpdBlock, derived: _Derived, fits,
+               jac: _MomentJacobians | None) -> InfluencePieces:
     """The InfluencePieces of a block, from what _derive gives.  The
-    moment Jacobians `jac` of the fitted weights add the weight-coefficient
-    terms, which solve them; without them (bucher, naive and the null check)
+    moment Jacobians `jac` of the fits add the weight-coefficient terms,
+    which solve them; without them (bucher, naive, the null check and fo)
     the weights are held fixed and nothing is solved.  Every study's rows
     are computed, each on its own; a study with an error keeps it."""
     n_total = derived.n_total
@@ -342,9 +339,9 @@ def _influence(block: IpdBlock, derived: _Derived,
         phi, _ = _pair_influence(block, derived)
         return InfluencePieces(phi, None, var_phi_mu2, np.zeros(len(block)), n_total, p_t2,
                                None, None, derived.errors, [None] * len(block))
-    phi, ctilde = _pair_influence(block, derived, jac.c)
+    phi, ctilde = _pair_influence(block, derived, fits.moments)
     sol, jacobian_errors = _solve_neg_definite(jac, ctilde)
-    phi_alpha = np.matmul(jac.wc, sol[:, :, None])[:, :, 0]
+    phi_alpha = np.matmul(derived.w[:, :, None] * fits.moments, sol[:, :, None])[:, :, 0]
     dots = np.matmul(ctilde[:, None, :], sol[:, :, None])[:, 0, 0]
     ew_t1 = derived.w.sum(axis=1) / n_total
     v = -(ew_t1 / p_t2) * dots
@@ -420,8 +417,7 @@ def sw_block(block: IpdBlock, derived: _Derived) -> list:
 
 
 def se_block(block: IpdBlock, agd: AgdBlock, fits, ests, scale: Scale, strategies,
-             records=None, jacobians: _MomentJacobians | None = None,
-             shared: dict | None = None) -> dict:
+             records=None, shared: dict | None = None) -> dict:
     """Each requested strategy that applies to the estimates' method (see
     _APPLICABLE), in the order requested, mapped to a SeEstimate or the
     MaicError per study, for a block whose estimates share one method and
@@ -429,15 +425,15 @@ def se_block(block: IpdBlock, agd: AgdBlock, fits, ests, scale: Scale, strategie
     derived once for every strategy.
     `records` holds the aggregate trial's raw records, stacked (a
     TrialRecords of (B, m) arrays), which full needs; without them full
-    gives RequiresFullIpd.  `jacobians` holds the moment Jacobians of the
-    block's fits (_moment_jacobians), which a weighted method's po, cs and
-    full solve; fo's bits do not need them.  `shared` is the arm pieces
-    store of these studies (_arm_piece)."""
+    gives RequiresFullIpd.  `shared` is the arm pieces store of these
+    studies (_arm_piece).  A weighted method's po, cs and full solve the
+    moment Jacobians of the block's fits (_moment_jacobians), which are
+    built, and warn, the first time any method on the store's studies needs
+    them and are kept in the store; fo and sw read nothing they add, so a
+    request of those alone builds none."""
     wanted = [s for s in strategies if s in _APPLICABLE[ests[0].method]]
     if not wanted:
         return {}
-    if jacobians is None and not set(wanted) <= {SeStrategy.FO, SeStrategy.SW}:
-        raise ValueError("a weighted method's po, cs and full solve its moment Jacobians")
     derived = _derive(block, agd, fits, ests, scale, shared)
     out, inf = {}, None
     for strategy in wanted:
@@ -445,8 +441,12 @@ def se_block(block: IpdBlock, agd: AgdBlock, fits, ests, scale: Scale, strategie
             out[strategy] = sw_block(block, derived)
             continue
         if inf is None:
-            inf = _influence(block, derived, jacobians)
-            jacobians = None  # the pieces hold what the rest reads: free the (B, n, k) arrays
+            jac = None
+            if derived.weighted and not set(wanted) <= {SeStrategy.FO, SeStrategy.SW}:
+                if "jacobians" not in derived.shared:
+                    derived.shared["jacobians"] = _moment_jacobians(block, agd, fits)
+                jac = derived.shared["jacobians"]
+            inf = _influence(block, derived, fits, jac)
         if strategy is SeStrategy.FULL:
             out[strategy] = _full_ses(records, agd, fits, ests, scale, inf)
         else:

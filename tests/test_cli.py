@@ -560,9 +560,60 @@ class TestCompare:
         out = tmp_path / "collinear"
         with pytest.warns(UserWarning, match="moment Jacobian condition number .* exceeds"):
             code = main(["compare", "--ipd", str(ipd), "--agd", str(agd),
-                         "--methods", "maic-nab", "--se", "fo", "--out", str(out)])
+                         "--methods", "maic-nab", "--se", "po", "--out", str(out)])
         assert code == 0
         assert (out / "report.json").exists()
+
+    def test_a_covariate_with_a_large_mean_does_not_warn_of_the_moment_jacobian(self, tmp_path):
+        # a raw calendar year and its square: the moment Jacobian's condition
+        # number exceeds 1e12 only through the moments' scales, and the
+        # centred year gives the same SEs without a warning
+        rng = np.random.default_rng(3)
+        age, year = rng.normal(60.0, 8.0, 200), 2015.0 + 3.0 * rng.integers(-3, 4, 200)
+        y, z = (rng.random(200) < 0.4).astype(int), np.repeat([1, 0], 100)
+        ses = []
+        for name, offset in (("raw", 0.0), ("centred", 2015.0)):
+            x = np.column_stack([age, year - offset])
+            ipd = tmp_path / f"{name}.csv"
+            with open(ipd, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["y", "z", "age", "year"])
+                writer.writerows(zip(y, z, *x.T.tolist()))
+            arm = {"n": 150, "y_mean": 0.45, "y_var": 0.25,
+                   "x_mean": [61.0, 2016.5 - offset], "x_var": [60.0, 31.5]}
+            agd = tmp_path / f"{name}.json"
+            agd.write_text(json.dumps({"covariates": ["age", "year"],
+                                       "arms": {"active": arm, "comparator": arm}}))
+            out = tmp_path / f"out-{name}"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["compare", "--ipd", str(ipd), "--agd", str(agd), "--moments",
+                             "first+second", "--methods", "maic-nab,maic-acb", "--se", "po",
+                             "--out", str(out)])
+            assert code == 0
+            report = json.loads((out / "report.json").read_text())
+            ses.append([m["se"]["po"]["se"] for m in report["methods"].values()])
+        assert ses[0] == pytest.approx(ses[1], rel=1e-9)
+
+    @pytest.mark.parametrize("se", ["fo", "sw", "fo,sw"])
+    def test_fo_and_sw_build_no_moment_jacobian(self, tmp_path, monkeypatch, se):
+        # neither solves the Jacobian, so neither builds it or warns of it
+        ipd, agd = self.collinear_pair(tmp_path)
+        calls = []
+        build = maic.variance._moment_jacobians
+        monkeypatch.setattr(maic.variance, "_moment_jacobians",
+                            lambda *a: calls.append(a) or build(*a))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["compare", "--ipd", str(ipd), "--agd", str(agd), "--methods",
+                         "maic-nab,maic-acb", "--se", se, "--negcontrol",
+                         "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert calls == []
+        with pytest.warns(UserWarning, match="moment Jacobian condition number"):
+            main(["compare", "--ipd", str(ipd), "--agd", str(agd), "--methods", "maic-nab",
+                  "--se", "po", "--out", str(tmp_path / "po")])
+        assert len(calls) == 1
 
     def test_the_moment_jacobian_warns_once_per_fit(self, tmp_path):
         # maic-nab and maic-acb solve the one Jacobian of the one fit

@@ -30,7 +30,6 @@ from maic.simulation import (SIM_METHODS, Confounding, ScenarioConfig, replicate
 from maic.variance import (
     REPORT_STRATEGIES,
     SeStrategy,
-    _moment_jacobians,
     influence_components,
     se_block,
     sigma2_cs,
@@ -152,8 +151,7 @@ def test_blocks_equal_lone_results(rng, size, scale, comparator, singular):
             assert ((method.anchored and not comparator)
                     or (method is Method.STC and singular))
             continue
-        ses = se_block(block, agd, block_fits, ests, scale, strategies, stacked,
-                       _moment_jacobians(block, agd, fits) if method.weighted else None)
+        ses = se_block(block, agd, block_fits, ests, scale, strategies, stacked)
         assert list(ses) == [s for s in strategies if s in APPLICABLE[method]]
         for strategy, outcomes in ses.items():
             for (ipd, a, recs, model), est, got in zip(studies, ests, outcomes):
@@ -188,9 +186,7 @@ def run_stages(block, agd, fits, scale, records):
         ests = estimate_block(block, agd, fits, scale, method)
         out.append(ests)
         if not any(isinstance(e, MaicError) for e in ests):
-            out.append(se_block(block, agd, fits, ests, scale, list(SeStrategy), records,
-                                _moment_jacobians(block, agd, fits)
-                                if method.weighted else None))
+            out.append(se_block(block, agd, fits, ests, scale, list(SeStrategy), records))
     return out
 
 
@@ -267,22 +263,26 @@ def test_each_weighted_method_reads_the_shared_jacobian_as_its_own(rng):
                          if k.split("/")[0] == method.value}, alone.errors)
 
 
-def test_a_weighted_methods_po_cs_and_full_need_its_moment_jacobians(rng):
-    # without them the influence path holds the weights fixed, which is fo
-    # bit for bit and nothing else
+def test_se_block_gives_the_same_bits_with_a_fresh_store_and_a_shared_one(rng):
+    # the store holds the arm pieces and the moment Jacobians that the first
+    # call builds; a call that finds them there reads them as its own, and
+    # fo and sw asked alone, which build no Jacobian, give the bits they give
+    # beside po, cs and full
     ipd, agd, records, model = study(rng, Scale.LOGIT, comparator=True)
     block, agd, fits, records = stack_ipd([ipd]), stack_agd([agd]), FitBlock.of([model]), \
         stack_records([records])
+    shared = {}
     for method in (Method.MAIC_NAB, Method.MAIC_ACB):
         ests = estimate_block(block, agd, fits, Scale.LOGIT, method)
-        for strategy in APPLICABLE[method] - {SeStrategy.FO, SeStrategy.SW}:
-            with pytest.raises(ValueError, match="moment Jacobians"):
-                se_block(block, agd, fits, ests, Scale.LOGIT, [SeStrategy.SW, strategy], records)
-        alone = se_block(block, agd, fits, ests, Scale.LOGIT, [SeStrategy.SW, SeStrategy.FO])
-        solved = se_block(block, agd, fits, ests, Scale.LOGIT, list(SeStrategy), records,
-                          _moment_jacobians(block, agd, fits))
-        assert list(alone) == [SeStrategy.SW, SeStrategy.FO]
-        assert all(same(alone[s], solved[s]) for s in alone), method
+        every = se_block(block, agd, fits, ests, Scale.LOGIT, list(SeStrategy), records)
+        for strategy in APPLICABLE[method]:
+            fresh = se_block(block, agd, fits, ests, Scale.LOGIT, [strategy], records)
+            stored = se_block(block, agd, fits, ests, Scale.LOGIT, [strategy], records,
+                              shared=shared)
+            assert list(fresh) == list(stored) == [strategy]
+            assert same(fresh[strategy], stored[strategy]), (method, strategy)
+            assert same(fresh[strategy], every[strategy]), (method, strategy)
+    assert "jacobians" in shared
 
 
 def test_a_failed_fit_skips_the_weighted_stages_and_a_missing_fit_files_each(rng):

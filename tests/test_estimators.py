@@ -401,3 +401,20 @@ class TestStc:
         agd = make_agd(active=make_arm(y_mean=0.5, x_mean=[0.0]))
         with pytest.raises(SeparationError):
             stc(ipd, agd)
+
+    def test_a_covariate_with_a_large_mean_fits_as_its_centred_copy(self):
+        # age and a raw calendar year: the intercept of the sound fit on the
+        # raw year lies far from zero, which is no sign of separation
+        rng = np.random.default_rng(5)
+        age, year = rng.normal(60.0, 8.0, 200), 2015.0 + rng.integers(-3, 4, 200)
+        v = 0.04 * (age - 60.0) + 0.15 * (year - 2015.0)
+        y = (rng.random(200) < 1.0 / (1.0 + np.exp(-v))).astype(float)
+        offset = np.array([60.0, 2015.0])
+        deltas = []
+        for shift in (np.zeros(2), offset):
+            ipd = make_ipd(y, np.ones(200, int), np.column_stack([age, year]) - shift,
+                           outcome_kind=OutcomeKind.BINARY)
+            agd = make_agd(active=make_arm(y_mean=0.45, x_mean=np.array([62.0, 2016.0]) - shift),
+                           names=("age", "year"))
+            deltas.append(stc(ipd, agd, Scale.LOGIT).delta)
+        assert deltas[0] == pytest.approx(deltas[1], rel=1e-9)

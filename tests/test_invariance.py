@@ -13,6 +13,7 @@ the sums.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,12 +30,10 @@ from maic.weighting import SolverConfig, solve_weights
 TOL = 1e3 * SolverConfig().grad_tol
 
 
-@st.composite
-def problems(draw):
-    """A binary-outcome IPD of 2 x 60 rows and p covariates, an AGD study
-    whose means lie inside its covariate cloud, a moment spec and a scale."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    p = draw(st.integers(1, 3))
+def problem(seed: int, p: int) -> tuple:
+    """A binary-outcome IPD of 2 x 60 rows and p covariates drawn from
+    `seed`, and an AGD study whose means lie inside its covariate cloud."""
+    rng = np.random.default_rng(seed)
     x = rng.normal(size=(120, p))
     z = np.repeat([1, 0], 60)
     v = x @ rng.uniform(-0.6, 0.6, p) + 0.5 * z
@@ -44,8 +43,14 @@ def problems(draw):
     arms = [AgdArm(80, float(rng.uniform(0.3, 0.7)), 0.24,
                    x.mean(axis=0) + rng.uniform(-0.3, 0.3, p),
                    x.var(axis=0, ddof=1) * rng.uniform(0.8, 1.2, p)) for _ in range(2)]
-    return (ipd, AgdStudy(*arms, names), draw(st.sampled_from(list(MomentSpec))),
-            draw(st.sampled_from(list(Scale))))
+    return ipd, AgdStudy(*arms, names)
+
+
+@st.composite
+def problems(draw):
+    """A problem(seed, p) with p in 1..3, a moment spec and a scale."""
+    return (*problem(draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 3))),
+            draw(st.sampled_from(list(MomentSpec))), draw(st.sampled_from(list(Scale))))
 
 
 def reported(ipd, agd, spec, scale) -> dict:
@@ -73,6 +78,16 @@ def assert_close(got, want, path="report"):
         assert got == want, path
 
 
+def moved(ipd, agd, a, b, perm) -> tuple:
+    """The IPD and AGD study with each covariate mapped to a x + b, then
+    the columns taken in the order `perm`."""
+    names = tuple(ipd.covariate_names[j] for j in perm)
+    moved_ipd = IpdStudy(ipd.y, ipd.z, (ipd.x * a + b)[:, perm], names, ipd.outcome_kind)
+    moved_agd = AgdStudy(*(AgdArm(arm.n, arm.y_mean, arm.y_var, (arm.x_mean * a + b)[perm],
+                                  (arm.x_var * a**2)[perm]) for arm in agd.arms), names)
+    return moved_ipd, moved_agd
+
+
 @settings(max_examples=40, deadline=None)
 @given(problem=problems(), data=st.data())
 def test_an_affine_map_and_a_permutation_of_the_covariates_change_nothing(problem, data):
@@ -82,11 +97,20 @@ def test_an_affine_map_and_a_permutation_of_the_covariates_change_nothing(proble
     a = a * 10.0 ** np.array(data.draw(st.lists(st.floats(-0.7, 0.7), min_size=p, max_size=p)))
     b = np.array(data.draw(st.lists(st.floats(-6.0, 6.0), min_size=p, max_size=p)))
     perm = data.draw(st.permutations(range(p)))
-    names = tuple(ipd.covariate_names[j] for j in perm)
-    moved_ipd = IpdStudy(ipd.y, ipd.z, (ipd.x * a + b)[:, perm], names, ipd.outcome_kind)
-    moved_agd = AgdStudy(*(AgdArm(arm.n, arm.y_mean, arm.y_var, (arm.x_mean * a + b)[perm],
-                                  (arm.x_var * a**2)[perm]) for arm in agd.arms), names)
-    assert_close(reported(moved_ipd, moved_agd, spec, scale), reported(ipd, agd, spec, scale))
+    assert_close(reported(*moved(ipd, agd, a, b, perm), spec, scale),
+                 reported(ipd, agd, spec, scale))
+
+
+@pytest.mark.parametrize("spec", list(MomentSpec))
+@pytest.mark.parametrize("seed", [53, 66])
+def test_a_shift_that_moves_stcs_coefficients_far_from_zero_changes_nothing(seed, spec):
+    # a draw the property once failed on: the shift b = 6 of a shrunk third
+    # covariate grows stc's intercept, and a divergence check on the raw
+    # coefficients took its sound logistic fit for separation
+    ipd, agd = problem(seed, 3)
+    a, b = np.array([-1.0, -1.0, -10.0**-0.6875]), np.array([0.0, 0.0, 6.0])
+    assert_close(reported(*moved(ipd, agd, a, b, range(3)), spec, Scale.IDENTITY),
+                 reported(ipd, agd, spec, Scale.IDENTITY))
 
 
 @settings(max_examples=40, deadline=None)
