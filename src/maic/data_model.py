@@ -191,10 +191,6 @@ class AgdStudy:
             out.append(self.comparator_arm)
         return out
 
-    @property
-    def n_total(self) -> int:
-        return sum(a.n for a in self.arms)
-
     def check_alignment(self, ipd: IpdStudy) -> None:
         """Covariate names (and order) must match the paired IPD study, and
         for a binary outcome every arm's y_mean must lie in [0, 1]."""

@@ -83,11 +83,6 @@ class Method(enum.Enum):
         """Weights the IPD arms with a fitted weight model (the MAIC methods)."""
         return self in (Method.MAIC_NAB, Method.MAIC_ACB)
 
-    @property
-    def anchored(self) -> bool:
-        """Contrasts through the common comparator arms."""
-        return any(code == 0 for _, code, _ in CONTRASTS[self].pairs)
-
 
 class Contrast(NamedTuple):
     """The signed (IPD arm code, AGD arm field) pairs a contrast reads.  It
@@ -155,19 +150,6 @@ def _weighted_means(block: IpdBlock, w: np.ndarray, code: int) -> np.ndarray:
     return (wz * block.arm_rows(block.y, code)).sum(axis=1) / wz.sum(axis=1)
 
 
-def arm_mean(block: IpdBlock, w: np.ndarray, code: int, weighted: bool,
-             shared: dict | None) -> np.ndarray:
-    """The weighted mean outcome of arm `code` under the weights w (fitted
-    when `weighted`, else unit), kept as "mu" in the store `shared` of the
-    pieces of each (weights, arm) of the block's studies, which every
-    estimate, SE and null check on those studies reads (variance._arm_piece
-    adds the rest); None keeps nothing."""
-    piece = {} if shared is None else shared.setdefault((weighted, code), {})
-    if "mu" not in piece:
-        piece["mu"] = _weighted_means(block, w, code)
-    return piece["mu"]
-
-
 def _block_weights(block: IpdBlock, fits, weighted: bool) -> np.ndarray:
     """The fitted weights (B, n) when `weighted` (the MAIC methods and the
     null check), else unit weights; `fits` (a FitBlock of the block's
@@ -211,13 +193,14 @@ def naive(ipd: IpdStudy, agd: AgdStudy, scale: Scale = Scale.IDENTITY) -> Estima
 
 
 def estimate_block(block: IpdBlock, agd: AgdBlock, fits, scale: Scale, method: Method,
-                   contrast: Contrast | None = None, shared: dict | None = None) -> list:
+                   contrast: Contrast | None = None) -> list:
     """Any method for each study of a block, with the AGD block: an Estimate
     or the MaicError per study.  `fits` is the FitBlock of the block's
     studies, each fitted; it is read only for the MAIC methods and may be
     None for the others.  The arm pairs are the method's (CONTRASTS) unless
-    `contrast` is given: the null check is maic-nab on NULL_CHECK.  `shared`
-    is the arm pieces store of the block's studies (arm_mean)."""
+    `contrast` is given: the null check is maic-nab on NULL_CHECK.  Each
+    Estimate keeps the means it read, which the SEs read in turn
+    (variance._derive)."""
     if method is Method.STC:
         return stc_block(block, agd, scale)
     contrast = contrast or CONTRASTS[method]
@@ -231,7 +214,7 @@ def estimate_block(block: IpdBlock, agd: AgdBlock, fits, scale: Scale, method: M
         _file_first(errors, agd.n[:, col] == 0,
                     lambda b: NoComparatorArm("AGD study has no comparator arm"))
         if code in block.arms:
-            ipd_means.append(arm_mean(block, w, code, method.weighted, shared))
+            ipd_means.append(_weighted_means(block, w, code))
         else:
             _file_first(errors, np.ones(len(block), dtype=bool),
                         lambda b: NoComparatorArm("IPD study has no comparator (z=0) records"))

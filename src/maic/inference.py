@@ -95,11 +95,12 @@ def negative_control_block(block: IpdBlock, agd: AgdBlock, fits, scale: Scale = 
                            alpha_level: float = 0.05, shared: dict | None = None) -> list:
     """negative_control_test for each study of a block: a NegControlResult or
     the MaicError per study.  It is maic-nab on the comparator pair
-    (estimators.NULL_CHECK) with se_block's fo; `shared` is the arm pieces
-    store of the block's studies (variance._arm_piece).  An alpha_level
-    outside (0, 1) is an InvalidLevel for the whole block."""
+    (estimators.NULL_CHECK) with se_block's fo, which reads the estimate's
+    means; `shared` is the arm pieces store of the block's studies
+    (variance._arm_piece), which only the fo reads.  An alpha_level outside
+    (0, 1) is an InvalidLevel for the whole block."""
     check_level(alpha_level, "alpha level")
-    out = estimate_block(block, agd, fits, scale, Method.MAIC_NAB, NULL_CHECK, shared=shared)
+    out = estimate_block(block, agd, fits, scale, Method.MAIC_NAB, NULL_CHECK)
     ok = succeeded(out)
     if not ok:
         return out
@@ -111,7 +112,7 @@ def negative_control_block(block: IpdBlock, agd: AgdBlock, fits, scale: Scale = 
         if isinstance(se, MaicError):
             out[b] = se
             continue
-        delta0, se0 = out[b].delta, float(se.se)
+        delta0, se0 = out[b].delta, se.se
         z0, p = _wald_or_null(delta0, se0)
         out[b] = NegControlResult(delta0, se0, z0, p, abs(z0) > zcrit, alpha_level)
     return out
@@ -184,9 +185,10 @@ def report_block(block: IpdBlock, agd: AgdBlock, fits: FitBlock, methods, scale:
     that has estimates, each of the `strategies` that applies
     (variance.se_block) on its own, under <method>/<strategy>; and the null
     check, when asked, on the studies the MAIC methods ran on, under
-    negative_control.  The store of each set of studies holds what the
-    stages on them share: each arm's weighted residuals, built once for
-    every method and the null check on the same weights
+    negative_control.  The SEs read the means each estimate holds.  The
+    store of each set of studies holds what the SE stages on them share:
+    each arm's SE pieces (its weight sum and weighted residuals), built once
+    for every method and the null check on the same weights
     (variance._arm_piece), and each fit's moment Jacobian, which se_block
     builds the first time po, cs or full solves it.  `records` holds the
     aggregate trial's records, stacked (a TrialRecords of (B, m) arrays),
@@ -219,15 +221,14 @@ def report_block(block: IpdBlock, agd: AgdBlock, fits: FitBlock, methods, scale:
     # a stage that reads the weights runs apart on the studies without a fit
     weighted = [g for g in (fitted, sorted(set(everyone) - set(fitted) - set(fits.errors)))
                 if g]
-    shared = {}  # the arm pieces store of each set of studies
     for method in methods:
         for members in weighted if method.weighted else [everyone]:
             for b, est in file(method.value, members,
-                               estimate_block(*inputs(members, method.weighted), scale, method,
-                                              shared=shared.setdefault(tuple(members), {}))):
+                               estimate_block(*inputs(members, method.weighted), scale, method)):
                 reports[b].estimates[method.value] = est
     se_members = [(m, [b for b in everyone if m.value in reports[b].estimates])
                   for m in methods if m in se_methods]
+    shared = {}  # the arm pieces store of each set of studies
     for method, members in se_members:
         if not members:
             continue

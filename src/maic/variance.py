@@ -30,10 +30,12 @@ is maic-nab on the comparator pair (estimators.NULL_CHECK).  One core
 (_derive, _pair_influence, _var_over_n) maps IPD weights and a pair list
 to the per-record phi, the AGD-variance term and, for the MAIC methods,
 ctilde over the centred moments t(X_i) - target that the weight fit solved
-over and carries (FitBlock.moments).  Each (weights, arm) piece of it (the
-weighted arm mean, J^mu and the weighted residuals) depends on the weights
-and the arm alone, so a report builds it once for every method and the
-null check on the same studies (_arm_piece).  The moment Jacobian
+over and carries (FitBlock.moments).  The IPD and AGD means of each pair
+are the ones its Estimate read, so no mean is computed again and no
+boundary check repeated.  Each (weights, arm) piece of the core (J^mu and
+the weighted residuals) depends on the weights and the arm alone, so a
+report builds it once for every method and the null check on the same
+studies (_arm_piece).  The moment Jacobian
 J_alpha = -sum_i w_i c_i c_i^T / N and its condition number depend on the
 fit alone, so there is one per fit (_moment_jacobians): se_block builds it
 the first time po, cs or full solves it, warns there when its condition
@@ -80,9 +82,8 @@ from .data_model import (
     TrialRecords,
     squares,
 )
-from .errors import MissingAgdVariance, RequiresFullIpd, SingularJacobian, capture, unwrap
-from .estimators import (Estimate, Method, Scale, _block_weights, _file_first, _one, _valid,
-                         arm_mean)
+from .errors import MissingAgdVariance, RequiresFullIpd, SingularJacobian, unwrap
+from .estimators import Estimate, Method, Scale, _block_weights, _file_first, _one
 from .weighting import WeightModel, moment_matrix, solve_each
 
 COND_WARN = 1e12
@@ -187,7 +188,8 @@ class _Derived(NamedTuple):
     (B, n), the combined sizes (B,), per arm pair of the contrast its
     (sign * g'(IPD mean), IPD arm code, IPD mean, AGD variance term), each
     term (B,), the MaicError or None per study, whether the weights are
-    fitted, and the arm pieces store (_arm_piece)."""
+    fitted, and the arm pieces store (_arm_piece).  The means are the
+    estimates' own."""
 
     w: np.ndarray
     n_total: np.ndarray
@@ -200,13 +202,13 @@ class _Derived(NamedTuple):
 def _derive(block: IpdBlock, agd: AgdBlock, fits, ests, scale: Scale,
             shared: dict | None = None) -> _Derived:
     """_Derived of a block whose estimates share one method and one
-    contrast, read off the first estimate.  The IPD means are the weighted
-    arm means the estimates read and the AGD means the block's; a study
-    whose mean leaves (0, 1) on the logit scale gets the BoundaryProportion
-    and one whose arm has no usable variance the MissingAgdVariance, pair
-    by pair, in that order.  The AGD term is the variance contribution of
-    the reported AGD arm mean over the combined size.  `shared` holds the
-    arm pieces of the block's studies that other calls on the same studies
+    contrast, read off the first estimate.  The IPD and AGD means of each
+    pair are the ones each study's Estimate read (Estimate.pairs), so they
+    are not recomputed; an Estimate exists only where they lie in the
+    scale's domain.  A study whose AGD arm has no usable variance gets the
+    MissingAgdVariance.  The AGD term is the variance contribution of the
+    reported AGD arm mean over the combined size.  `shared` holds the arm
+    pieces of the block's studies that other calls on the same studies
     have built; they depend only on the weights and the arm."""
     method = ests[0].method
     if method is Method.STC:
@@ -217,38 +219,33 @@ def _derive(block: IpdBlock, agd: AgdBlock, fits, ests, scale: Scale,
     signs, codes, _, arms, _ = zip(*ests[0].pairs)
     cols, agd_row = [AGD_ARMS.index(arm) for arm in arms], len(arms)
     # the IPD means of the pairs, then their AGD means: (2 * pairs, B)
-    mu = np.array([arm_mean(block, w, code, method.weighted, shared) for code in codes]
-                  + [agd.y_mean[:, col] for col in cols])
-    outside = None
-    if scale is Scale.LOGIT and not (inside := (0.0 < mu) & (mu < 1.0)).all():
-        outside = ~inside
+    mu = np.array([[est.pairs[i][side] for est in ests] for side in (2, 4)
+                   for i in range(agd_row)])
     errors, variances = [None] * len(block), []
     for i, col in enumerate(cols):
-        for row in (i, agd_row + i) if outside is not None else ():
-            _file_first(errors, outside[row], lambda b: capture(scale.g_prime, float(mu[row, b])))
         variances.append(_outcome_variances(agd.y_var[:, col], agd.n[:, col], mu[agd_row + i],
                                             block.outcome_kind, errors))
-    g = scale.g_prime(_valid(mu, errors))
+    g = scale.g_prime(mu)
     g_agd = squares(g[agd_row:])
     pairs = [(signs[i] * g[i], codes[i], mu[i],
               g_agd[i] * variances[i] / (agd.n[:, cols[i]] / n_total)) for i in range(agd_row)]
     return _Derived(w, n_total, pairs, errors, method.weighted, shared)
 
 
-def _arm_piece(block: IpdBlock, w: np.ndarray, code: int, weighted: bool, shared: dict,
-               n_total: np.ndarray, c: np.ndarray | None = None) -> dict:
-    """The pieces of arm `code` under the weights w (fitted when `weighted`,
-    else unit) for each study of a block, built once per store `shared` and
-    read by every SE and null check on the same studies: to the weighted
-    mean outcome "mu" (estimators.arm_mean) it adds J^mu = the arm's weight
-    sum over the combined size "j" (B, 1), the weighted residuals "resid"
-    and resid / j "r" (B, n) and, given the centred moments c, c^T resid
-    over the combined size "ct" (B, k)."""
-    piece = shared[(weighted, code)]
+def _arm_piece(block: IpdBlock, w: np.ndarray, code: int, mu: np.ndarray, weighted: bool,
+               shared: dict, n_total: np.ndarray, c: np.ndarray | None = None) -> dict:
+    """The SE pieces of arm `code`, whose weighted mean outcome is mu (B,),
+    under the weights w (fitted when `weighted`, else unit) for each study
+    of a block, built once per store `shared` and read by every SE and null
+    check on the same studies: J^mu = the arm's weight sum over the
+    combined size "j" (B, 1), the weighted residuals "resid" and resid / j
+    "r" (B, n) and, given the centred moments c, c^T resid over the
+    combined size "ct" (B, k)."""
+    piece = shared.setdefault((weighted, code), {})
     if "r" not in piece:
         mask = block.arm_mask(code)
         piece["j"] = (w * mask).sum(axis=1)[:, None] / n_total[:, None]
-        piece["resid"] = (block.y - piece["mu"][:, None]) * w * mask
+        piece["resid"] = (block.y - mu[:, None]) * w * mask
         piece["r"] = piece["resid"] / piece["j"]
     if c is not None and "ct" not in piece:
         piece["ct"] = (np.matmul(c.transpose(0, 2, 1), piece["resid"][:, :, None])[:, :, 0]
@@ -262,8 +259,8 @@ def _pair_influence(block: IpdBlock, derived: _Derived, c: np.ndarray | None = N
     a block."""
     phi = np.zeros(block.y.shape)
     ctilde = None if c is None else np.zeros((len(block), c.shape[2]))
-    for sg, code, _, _ in derived.pairs:
-        piece = _arm_piece(block, derived.w, code, derived.weighted, derived.shared,
+    for sg, code, mu, _ in derived.pairs:
+        piece = _arm_piece(block, derived.w, code, mu, derived.weighted, derived.shared,
                            derived.n_total, c)
         phi += sg[:, None] * piece["r"]
         if c is not None:
@@ -309,8 +306,10 @@ def influence_components(
     Supported methods: maic-nab and maic-acb (fitted weights), bucher and
     naive (unit weights; `model` is not read).  Anchored estimates extend
     the weight-coefficient contribution with the comparator-arm analogue of
-    the outcome-covariate moment vector.  Returns the pieces as a block of
-    one, or raises the study's MaicError.
+    the outcome-covariate moment vector.  `est` must be the library's
+    estimate on these studies and scale: its means are read, not
+    recomputed.  Returns the pieces as a block of one, or raises the
+    study's MaicError.
     """
     pieces = influence_block(*_one(ipd, agd, model), [est], scale)
     return unwrap(pieces.errors[0] or pieces)
@@ -383,10 +382,8 @@ def _ses(strategy: SeStrategy, inf: InfluencePieces) -> list:
     sigma2 = _var_over_n(phi, inf.n_total) + inf.var_phi_mu2
     if strategy is SeStrategy.CS:
         sigma2 = sigma2 + inf.v_mu_x2 + 2.0 * np.sqrt(inf.var_phi_mu2 * inf.v_mu_x2)
-    # a lone cs sum ends in a NumPy float; fo's and po's are Python floats
-    values = list(sigma2) if strategy is SeStrategy.CS else sigma2.tolist()
     return [e or SeEstimate(strategy, v, se)
-            for e, v, se in zip(out, values, np.sqrt(sigma2 / inf.n_total))]
+            for e, v, se in zip(out, sigma2.tolist(), np.sqrt(sigma2 / inf.n_total).tolist())]
 
 
 def sigma2_sw(
@@ -396,7 +393,9 @@ def sigma2_sw(
     est: Estimate,
     scale: Scale = Scale.IDENTITY,
 ) -> SeEstimate:
-    """HC0 sandwich variance of the weighted mean(s), weights fixed."""
+    """HC0 sandwich variance of the weighted mean(s), weights fixed.  `est`
+    must be the library's estimate on these studies and scale: its means
+    are read, not recomputed."""
     block, agd_block, fits = _one(ipd, agd, model)
     return unwrap(sw_block(block, _derive(block, agd_block, fits, [est], scale))[0])
 
@@ -413,7 +412,7 @@ def sw_block(block: IpdBlock, derived: _Derived) -> list:
         sigma2 = sigma2 + var_agd
     return [e or SeEstimate(SeStrategy.SW, v, se)
             for e, v, se in zip(derived.errors, sigma2.tolist(),
-                                np.sqrt(sigma2 / derived.n_total))]
+                                np.sqrt(sigma2 / derived.n_total).tolist())]
 
 
 def se_block(block: IpdBlock, agd: AgdBlock, fits, ests, scale: Scale, strategies,
@@ -448,7 +447,7 @@ def se_block(block: IpdBlock, agd: AgdBlock, fits, ests, scale: Scale, strategie
                 jac = derived.shared["jacobians"]
             inf = _influence(block, derived, fits, jac)
         if strategy is SeStrategy.FULL:
-            out[strategy] = _full_ses(records, agd, fits, ests, scale, inf)
+            out[strategy] = _full_ses(records, fits, ests, scale, inf)
         else:
             out[strategy] = _ses(strategy, inf)
     return out
@@ -462,14 +461,17 @@ def sigma2_full(
     est: Estimate,
     scale: Scale = Scale.IDENTITY,
 ) -> SeEstimate:
+    """The full influence-function variance of a maic-nab estimate, given
+    the aggregate trial's records.  `est` must be the library's estimate on
+    these studies and scale: its means are read, not recomputed."""
     block, agd_block, fits = _one(ipd, agd, model)
     inf = influence_block(block, agd_block, fits, [est], scale)
     records = agd_records and TrialRecords(agd_records.y[None], agd_records.z[None],
                                            agd_records.x[None])
-    return unwrap(_full_ses(records, agd_block, fits, [est], scale, inf)[0])
+    return unwrap(_full_ses(records, fits, [est], scale, inf)[0])
 
 
-def _full_ses(records, agd: AgdBlock, fits, ests, scale: Scale, inf: InfluencePieces) -> list:
+def _full_ses(records, fits, ests, scale: Scale, inf: InfluencePieces) -> list:
     """sigma2_full for a block of maic-nab estimates from their stacked
     influence pieces: a SeEstimate or the MaicError per study.  The full
     influence function of a study is phi_mu1 + phi_alpha on its IPD rows
@@ -481,20 +483,17 @@ def _full_ses(records, agd: AgdBlock, fits, ests, scale: Scale, inf: InfluencePi
     if records is None:
         return [e or RequiresFullIpd("full influence function needs the aggregate trial's "
                                      "records") for e in out]
-    mu2 = agd.y_mean[:, AGD_ARMS.index(ests[0].pairs[0][3])]
+    mu2 = np.array([est.mu2 for est in ests])
     n_ipd = inf.phi_mu1.shape[1]
     _file_first(out, inf.n_total != n_ipd + records.y.shape[1], lambda b: RequiresFullIpd(
         "aggregate records inconsistent with the AGD summary sample sizes"))
-    if scale is Scale.LOGIT:
-        _file_first(out, ~((0.0 < mu2) & (mu2 < 1.0)),
-                    lambda b: capture(scale.g_prime, float(mu2[b])))
     out = [e or j for e, j in zip(out, inf.jacobian_errors)]
     if all(e is not None for e in out):
         return out
     n_total = inf.n_total[:, None]
     z2 = records.z == 2
     p_z2t2 = z2.sum(axis=1)[:, None] / n_total
-    g2 = scale.g_prime(_valid(mu2, out))[:, None]
+    g2 = scale.g_prime(mu2)[:, None]
     phi_mu2 = g2 * (mu2[:, None] - records.y) * z2 / p_z2t2
     c2 = moment_matrix(records.x, fits.spec) - fits.centering[:, None, :]
     # ctilde already carries g'(mu1) and 1/J^{mu1}; only U^{muX2} remains
@@ -503,4 +502,4 @@ def _full_ses(records, agd: AgdBlock, fits, ests, scale: Scale, inf: InfluencePi
     phi = np.concatenate([inf.phi_mu1 + inf.phi_alpha, phi_mu2 + phi_mu_x2], axis=1)
     sigma2 = np.var(phi, axis=1)
     return [e or SeEstimate(SeStrategy.FULL, v, se)
-            for e, v, se in zip(out, sigma2.tolist(), np.sqrt(sigma2 / phi.shape[1]))]
+            for e, v, se in zip(out, sigma2.tolist(), np.sqrt(sigma2 / phi.shape[1]).tolist())]

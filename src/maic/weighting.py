@@ -204,7 +204,8 @@ def solve_weights_block(block: IpdBlock, targets: np.ndarray, spec: MomentSpec,
             residual=residual[s],
         )
     for s in done[~valid].tolist():
-        errors[int(solvable[s])] = EmptyWeights("weights must be nonnegative and not all zero")
+        errors[int(solvable[s])] = EmptyWeights(
+            "weights must be finite, nonnegative and not all zero")
     keep = np.flatnonzero(valid)  # the converged fits whose every arm has an ESS
     at = take_rows(done, keep)
     rows = solvable[at]
@@ -344,16 +345,16 @@ def effective_sample_size(weights) -> float:
         raise EmptyWeights("effective sample size of an empty weight vector")
     ess, valid = _ess(w)
     if not valid[0]:
-        raise EmptyWeights("weights must be nonnegative and not all zero")
+        raise EmptyWeights("weights must be finite, nonnegative and not all zero")
     return float(ess[0])
 
 
 def _ess(w: np.ndarray):
     """The effective sample size of each row of w (NaN where invalid) and
-    whether the row is valid: no negative weight and one that is positive.
-    A zero weight (an exponent that underflowed) is allowed.  The squared
-    sum goes through Python's float pow, as a lone row's does."""
-    valid = ~(w < 0).any(axis=1) & (w != 0).any(axis=1)
+    whether the row is valid: every weight finite and nonnegative, and one
+    positive.  A zero weight (an exponent that underflowed) is allowed.  The
+    squared sum goes through Python's float pow, as a lone row's does."""
+    valid = np.isfinite(w).all(axis=1) & ~(w < 0).any(axis=1) & (w != 0).any(axis=1)
     return np.divide(squares(w.sum(axis=1)), (w**2).sum(axis=1), out=np.full(len(w), np.nan),
                      where=valid), valid
 

@@ -482,7 +482,6 @@ class TestAgd:
         study = load_agd(p)
         assert study.comparator_arm is None
         assert study.active_arm.n == 90
-        assert study.n_total == 90
 
     def test_negative_x_var(self):
         with pytest.raises(NegativeVariance):

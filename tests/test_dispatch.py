@@ -18,11 +18,12 @@ import numpy as np
 import pytest
 
 import maic
-from maic import data_model
+from maic import data_model, estimators
 from maic.data_model import (MomentSpec, OutcomeKind, TrialRecords, pooled_moments,
                              pooled_target_moments, stack_agd, stack_ipd)
 from maic.errors import MaicError, NonConvergence, capture
-from maic.estimators import Method, Scale, bucher, estimate_block, maic_acb, maic_nab, naive, stc
+from maic.estimators import (CONTRASTS, NULL_CHECK, Method, Scale, bucher, estimate_block,
+                             maic_acb, maic_nab, naive, stc)
 from maic.inference import (build_comparison_report, negative_control_block,
                             negative_control_test, report_block)
 from maic.simulation import (SIM_METHODS, Confounding, ScenarioConfig, replicate_datasets,
@@ -148,7 +149,7 @@ def test_blocks_equal_lone_results(rng, size, scale, comparator, singular):
         if any(isinstance(e, MaicError) for e in ests):
             # a single-arm AGD fails the anchored methods; a constant
             # covariate leaves stc's outcome-model design rank deficient
-            assert ((method.anchored and not comparator)
+            assert ((len(CONTRASTS[method].pairs) > 1 and not comparator)
                     or (method is Method.STC and singular))
             continue
         ses = se_block(block, agd, block_fits, ests, scale, strategies, stacked)
@@ -314,6 +315,41 @@ def test_a_failed_fit_skips_the_weighted_stages_and_a_missing_fit_files_each(rng
         assert {("bucher", "fo"), ("bucher", "sw")} <= set(report.ses)
     for report in (lost, none):
         assert set(report.estimates) == {m.value for m in methods if not m.weighted}
+
+
+@pytest.mark.parametrize("scale", list(Scale))
+def test_se_block_reads_each_estimates_means_and_computes_none(rng, monkeypatch, scale):
+    # the estimates hold their IPD means; no SE, and not the null check's
+    # fo, forms a weighted arm mean again
+    ipd, agd, records, model = study(rng, scale, comparator=True)
+    block, agd, fits, records = stack_ipd([ipd]), stack_agd([agd]), FitBlock.of([model]), \
+        stack_records([records])
+    runs = [(method, None) for method in Method if APPLICABLE[method]] \
+        + [(Method.MAIC_NAB, NULL_CHECK)]
+    ests = {run: estimate_block(block, agd, fits if run[0].weighted else None, scale, *run)
+            for run in runs}
+    calls = []
+    means = estimators._weighted_means
+    monkeypatch.setattr(estimators, "_weighted_means", lambda *a: calls.append(a) or means(*a))
+    for (method, contrast), run_ests in ests.items():
+        strategies = list(SeStrategy) if contrast is None else [SeStrategy.FO]
+        ses = se_block(block, agd, fits if method.weighted else None, run_ests, scale,
+                       strategies, records)
+        assert list(ses) == [s for s in strategies if s in APPLICABLE[method]]
+        assert not any(isinstance(se, MaicError) for outs in ses.values() for se in outs)
+    assert calls == []
+
+
+@pytest.mark.parametrize("scale", list(Scale))
+def test_every_se_estimate_holds_builtin_floats(rng, scale):
+    ipd, agd, records, model = study(rng, scale, comparator=True)
+    report = build_comparison_report(ipd, agd, model, list(Method), scale, REPORT_STRATEGIES)
+    full = sigma2_full(ipd, agd, records, model, maic_nab(ipd, agd, model, scale), scale)
+    # four SEs each for the MAIC methods, two each for bucher and naive, and
+    # maic-nab's full
+    ses = [*report.ses.values(), full]
+    assert not report.errors and len(ses) == 13
+    assert all(type(se.sigma2) is float and type(se.se) is float for se in ses)
 
 
 def test_each_arm_piece_is_built_once_per_report(rng, monkeypatch):

@@ -158,7 +158,7 @@ class TestNegativeControl:
                                               mu0_agd=float(rng.uniform(0.3, 0.7)))
             result = negative_control_test(ipd, agd, model, scale)
             arm, w, cmp = agd.comparator_arm, model.weights, ipd.z == 0
-            n_total = ipd.n + agd.n_total
+            n_total = ipd.n + agd.active_arm.n + agd.comparator_arm.n
             mu0 = float((w[cmp] * ipd.y[cmp]).sum() / w[cmp].sum())
             mask = cmp.astype(float)
             phi0 = scale.g_prime(mu0) * ((ipd.y - mu0) * w * mask / ((w * mask).sum() / n_total))

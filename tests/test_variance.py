@@ -354,7 +354,7 @@ class TestStrategies:
         mask = ipd.z == 1
         y1 = ipd.y[mask]
         n1 = mask.sum()
-        n_total = ipd.n + agd.n_total
+        n_total = ipd.n + agd.active_arm.n + agd.comparator_arm.n
         expected = n_total * np.sum((y1 - y1.mean()) ** 2) / n1**2
         expected += agd.active_arm.y_var / (agd.active_arm.n / n_total)
         assert se.sigma2 == pytest.approx(expected)

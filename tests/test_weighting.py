@@ -251,6 +251,11 @@ class TestEffectiveSampleSize:
             with pytest.raises(EmptyWeights):
                 effective_sample_size(bad)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_weight_is_empty_weights(self, bad):
+        with pytest.raises(EmptyWeights, match="finite, nonnegative and not all zero"):
+            effective_sample_size([bad, 1.0])
+
     def test_weight_underflowing_to_zero_after_a_converged_solve(self, rng):
         # the record at -800 gets weight exp(-800 a), which underflows to 0.0
         x = np.concatenate([rng.normal(size=200), [-800.0]])[:, None]
