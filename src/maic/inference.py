@@ -1,5 +1,5 @@
 """Wald intervals and tests, the negative-control check, and report_block, the
-one report assembly of a `maic compare` run and of a simulation block."""
+one stage runner of a `maic compare` run and of a simulation block."""
 
 from __future__ import annotations
 
@@ -87,7 +87,10 @@ def negative_control_test(
     """Compare the weighted IPD comparator mean with the reported AGD
     comparator mean.  The SE is fo on the comparator pair, which holds the
     fitted weights fixed and so omits the weight-estimation and target-mean
-    terms; the test size may fall on either side of alpha_level."""
+    terms; the test size may fall on either side of alpha_level.  An
+    alpha_level outside (0, 1), or too near 0 or 1 for its normal quantile
+    to be finite, is an InvalidLevel."""
+    check_level(alpha_level, "alpha level")
     return unwrap(negative_control_block(*_one(ipd, agd, model), scale, alpha_level)[0])
 
 
@@ -97,33 +100,33 @@ def negative_control_block(block: IpdBlock, agd: AgdBlock, fits, scale: Scale = 
     the MaicError per study.  It is maic-nab on the comparator pair
     (estimators.NULL_CHECK) with se_block's fo, which reads the estimate's
     means; `shared` is the arm pieces store of the block's studies
-    (variance._arm_piece), which only the fo reads.  An alpha_level outside
-    (0, 1) is an InvalidLevel for the whole block."""
-    check_level(alpha_level, "alpha level")
+    (variance._arm_piece), which only the fo reads.  alpha_level must pass
+    check_level, as negative_control_test checks."""
     out = estimate_block(block, agd, fits, scale, Method.MAIC_NAB, NULL_CHECK)
     ok = succeeded(out)
     if not ok:
         return out
     (ses,) = se_block(block.take(ok), agd.take(ok), fits.take(ok), [out[b] for b in ok], scale,
-                      [SeStrategy.FO],
-                      shared=shared if len(ok) == len(block) else None).values()
+                      [SeStrategy.FO], shared=shared if len(ok) == len(block) else None).values()
     zcrit = norm_quantile(1.0 - alpha_level / 2.0)
     for se, b in zip(ses, ok):
         if isinstance(se, MaicError):
             out[b] = se
-            continue
-        delta0, se0 = out[b].delta, se.se
-        z0, p = _wald_or_null(delta0, se0)
-        out[b] = NegControlResult(delta0, se0, z0, p, abs(z0) > zcrit, alpha_level)
+        else:
+            z0, p = _wald_or_null(out[b].delta, se.se)
+            out[b] = NegControlResult(out[b].delta, se.se, z0, p, abs(z0) > zcrit, alpha_level)
     return out
 
 
 @dataclass
 class ComparisonReport:
-    """All requested methods and SE strategies for one IPD/AGD pair."""
+    """All requested methods and SE strategies for one IPD/AGD pair.  `level`
+    is the confidence level of the Wald intervals in `cis`; the report that
+    prints them sets both (build_comparison_report), and a simulated
+    replicate's report carries neither."""
 
     scale: Scale
-    level: float
+    level: float | None = None
     estimates: dict[str, Estimate] = field(default_factory=dict)
     ses: dict[tuple[str, str], SeEstimate] = field(default_factory=dict)
     cis: dict[tuple[str, str], tuple[float, float]] = field(default_factory=dict)
@@ -173,7 +176,7 @@ class ComparisonReport:
 
 
 def report_block(block: IpdBlock, agd: AgdBlock, fits: FitBlock, methods, scale: Scale,
-                 strategies, level: float, se_methods, records=None,
+                 strategies, se_methods, records=None,
                  negative_control: bool = False) -> list[ComparisonReport]:
     """A ComparisonReport per study of a block, each equal to the study's
     report in a block of one; `fits` holds each study's weight fit, the
@@ -192,12 +195,8 @@ def report_block(block: IpdBlock, agd: AgdBlock, fits: FitBlock, methods, scale:
     (variance._arm_piece), and each fit's moment Jacobian, which se_block
     builds the first time po, cs or full solves it.  `records` holds the
     aggregate trial's records, stacked (a TrialRecords of (B, m) arrays),
-    which full needs.  A method named twice runs once.  A level outside
-    (0, 1) is an InvalidLevel."""
-    check_level(level, "confidence level")
-    z = norm_quantile((1.0 + level) / 2.0)
-    methods = list(dict.fromkeys(methods))
-    reports = [ComparisonReport(scale=scale, level=level) for _ in range(len(block))]
+    which full needs.  The reports hold no Wald interval or p-value."""
+    reports = [ComparisonReport(scale=scale) for _ in range(len(block))]
 
     def file(key, members, outcomes) -> list[tuple]:
         """File each MaicError under `key`; the (member, outcome) pairs left."""
@@ -213,7 +212,7 @@ def report_block(block: IpdBlock, agd: AgdBlock, fits: FitBlock, methods, scale:
         """The IPD and AGD blocks of members, with their fits when the stage
         reads the weights and every member has one (else None)."""
         return (block.take(members), agd.take(members),
-                fits.take(members) if weighted and members == fitted else None)
+                fits.take(members) if weighted and set(members) <= set(fitted) else None)
 
     everyone = list(range(len(block)))
     file("weights", list(fits.errors), fits.errors.values())
@@ -226,29 +225,23 @@ def report_block(block: IpdBlock, agd: AgdBlock, fits: FitBlock, methods, scale:
             for b, est in file(method.value, members,
                                estimate_block(*inputs(members, method.weighted), scale, method)):
                 reports[b].estimates[method.value] = est
-    se_members = [(m, [b for b in everyone if m.value in reports[b].estimates])
-                  for m in methods if m in se_methods]
     shared = {}  # the arm pieces store of each set of studies
-    for method, members in se_members:
+    for method in (m for m in methods if m in se_methods):
+        members = [b for b in everyone if method.value in reports[b].estimates]
         if not members:
             continue
         ests = [reports[b].estimates[method.value] for b in members]
-        ses = se_block(block.take(members), agd.take(members),
-                       fits.take(members) if method.weighted else None, ests, scale, strategies,
+        ses = se_block(*inputs(members, method.weighted), ests, scale, strategies,
                        records=None if records is None else records.take(members),
                        shared=shared.setdefault(tuple(members), {}))
         for strategy, outs in ses.items():
             key = (method.value, strategy.value)
             for b, se in file("/".join(key), members, outs):
-                delta = reports[b].estimates[method.value].delta
                 reports[b].ses[key] = se
-                reports[b].cis[key] = _interval(delta, se.se, z)
-                reports[b].p_values[key] = _wald_or_null(delta, se.se)[1]
     for members in weighted if negative_control else []:
-        for b, result in file("negative_control", members,
-                              negative_control_block(*inputs(members, True), scale,
-                                                     shared=shared.setdefault(tuple(members),
-                                                                              {}))):
+        results = negative_control_block(*inputs(members, True), scale,
+                                         shared=shared.setdefault(tuple(members), {}))
+        for b, result in file("negative_control", members, results):
             reports[b].negative_control = result
     return reports
 
@@ -259,11 +252,21 @@ def build_comparison_report(ipd: IpdStudy, agd: AgdStudy, model: WeightModel | N
                             level: float = 0.95,
                             run_negative_control: bool = False) -> ComparisonReport:
     """The report_block of this one study, with SEs for every method, plus
-    the fit diagnostics when a model is given."""
+    the fit diagnostics when a model is given.  After the AGD's alignment
+    with the IPD, it checks the level: one outside (0, 1), or too near 0 or
+    1 for its normal quantile to be finite, is an InvalidLevel, even where
+    no interval reads it.  A method named twice is reported once.  Each SE
+    gets its Wald interval at `level` and its Wald p-value (1 where the SE
+    is 0)."""
     agd.check_alignment(ipd)
-    (report,) = report_block(stack_ipd([ipd]), stack_agd([agd]), FitBlock.of([model]), methods,
-                             scale, strategies, level, methods,
+    check_level(level, "confidence level")
+    (report,) = report_block(stack_ipd([ipd]), stack_agd([agd]), FitBlock.of([model]),
+                             list(dict.fromkeys(methods)), scale, strategies, methods,
                              negative_control=run_negative_control)
+    report.level, z = level, norm_quantile((1.0 + level) / 2.0)
+    for (m, s), se in report.ses.items():
+        report.cis[m, s] = _interval(report.estimates[m].delta, se.se, z)
+        report.p_values[m, s] = _wald_or_null(report.estimates[m].delta, se.se)[1]
     if model is not None:
         report.diagnostics = {"ess": {str(k): v for k, v in model.ess.items()},
                               **fit_diagnostics(model, ipd)}

@@ -153,7 +153,10 @@ class PooledSample:
 
 
 def _expit(v):
-    return 1.0 / (1.0 + np.exp(-v))
+    """1 / (1 + exp(-v)); where exp(-v) overflows, 1 / (1 + inf) is the 0 it
+    tends to, so the overflow is not warned of."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-v))
 
 
 # the (trial, arm) cells each replicate fills, in subsampling order; a row's
@@ -364,7 +367,7 @@ def run_block(cfg: ScenarioConfig, indices) -> list[ReplicateResult]:
     block, agd, records = replicate_block(cfg, indices)
     fits = solve_weights_block(block, pooled_moments(agd, MomentSpec.FIRST), MomentSpec.FIRST,
                                _SOLVER)
-    reports = report_block(block, agd, fits, SIM_METHODS, cfg.scale, tuple(SeStrategy), 0.95,
+    reports = report_block(block, agd, fits, SIM_METHODS, cfg.scale, tuple(SeStrategy),
                            (Method.MAIC_NAB,), records=records, negative_control=True)
     return [ReplicateResult({m: est.delta for m, est in r.estimates.items()},
                             {s: se.se for (_, s), se in r.ses.items()},

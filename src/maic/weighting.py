@@ -353,9 +353,18 @@ def _ess(w: np.ndarray):
     """The effective sample size of each row of w (NaN where invalid) and
     whether the row is valid: every weight finite and nonnegative, and one
     positive.  A zero weight (an exponent that underflowed) is allowed.  The
-    squared sum goes through Python's float pow, as a lone row's does."""
+    squared sum goes through Python's float pow, as a lone row's does.  A
+    valid row whose squared sum overflows (the squared sum of nonnegative
+    weights bounds their sum of squares) or whose sum of squares falls below
+    the normal floats is summed again over w / w.max(), which is in range:
+    the ESS does not depend on the weights' scale."""
     valid = np.isfinite(w).all(axis=1) & ~(w < 0).any(axis=1) & (w != 0).any(axis=1)
-    return np.divide(squares(w.sum(axis=1)), (w**2).sum(axis=1), out=np.full(len(w), np.nan),
+    with np.errstate(over="ignore", invalid="ignore"):  # rows out of range are not read
+        total, sq = w.sum(axis=1), (w**2).sum(axis=1)
+        for b in np.flatnonzero(valid & ~((total * total < np.inf) & (sq >= np.finfo(float).tiny))):
+            v = w[b] / w[b].max()
+            total[b], sq[b] = v.sum(), (v**2).sum()
+    return np.divide(squares(np.where(valid, total, 0.0)), sq, out=np.full(len(w), np.nan),
                      where=valid), valid
 
 

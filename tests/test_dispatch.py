@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import maic
-from maic import data_model, estimators
+from maic import data_model, estimators, inference
 from maic.data_model import (MomentSpec, OutcomeKind, TrialRecords, pooled_moments,
                              pooled_target_moments, stack_agd, stack_ipd)
 from maic.errors import MaicError, NonConvergence, capture
@@ -249,7 +249,7 @@ def test_each_weighted_method_reads_the_shared_jacobian_as_its_own(rng):
     block, agd, fits = stack_ipd(ipds), stack_agd(agds), FitBlock.of(models)
 
     def reports(methods):
-        return report_block(block, agd, fits, methods, Scale.LOGIT, list(SeStrategy), 0.95,
+        return report_block(block, agd, fits, methods, Scale.LOGIT, list(SeStrategy),
                             se_methods=methods, records=stack_records(records))
 
     weighted = [Method.MAIC_NAB, Method.MAIC_ACB]
@@ -296,7 +296,7 @@ def test_a_failed_fit_skips_the_weighted_stages_and_a_missing_fit_files_each(rng
     def reports(members, models):  # every method with its SEs, and the null check
         return report_block(stack_ipd([ipds[b] for b in members]),
                             stack_agd([agds[b] for b in members]), FitBlock.of(models), methods,
-                            Scale.LOGIT, list(SeStrategy), 0.95, se_methods=methods,
+                            Scale.LOGIT, list(SeStrategy), se_methods=methods,
                             records=stack_records([records[b] for b in members]),
                             negative_control=True)
 
@@ -338,6 +338,21 @@ def test_se_block_reads_each_estimates_means_and_computes_none(rng, monkeypatch,
         assert list(ses) == [s for s in strategies if s in APPLICABLE[method]]
         assert not any(isinstance(se, MaicError) for outs in ses.values() for se in outs)
     assert calls == []
+
+
+def test_a_simulated_block_files_no_wald_interval_or_p_value(monkeypatch):
+    # a replicate keeps only its SEs; the one Wald test each replicate runs is
+    # the null check's
+    counts = {"_interval": 0, "_wald_or_null": 0}
+    for name in counts:
+        def counted(*a, _name=name, _f=getattr(inference, name)):
+            counts[_name] += 1
+            return _f(*a)
+        monkeypatch.setattr(inference, name, counted)
+    results = run_block(ScenarioConfig(p=5, n_per_arm=40, seed=3), range(8))
+    assert counts == {"_interval": 0,
+                      "_wald_or_null": sum(r.negcontrol_reject is not None for r in results)}
+    assert counts["_wald_or_null"] > 0
 
 
 @pytest.mark.parametrize("scale", list(Scale))

@@ -235,6 +235,28 @@ class TestSubsample:
         )
 
 
+def quadrature_delta(cfg, n_oracle, nodes=100):
+    """true_delta's contrast, and its Monte Carlo SE at n_oracle rows, by
+    Gauss-Hermite quadrature.  The selection index a1 . x and the active
+    arm's outcome index (b1 + b3) . x are multiples of v = x1 + ... + x4
+    (test_matches_an_independent_quadrature asserts it), and v is N(0, 6.4)
+    under the covariance .8*I + .2 (four variances of 1, twelve covariances
+    of .2).  So each mean is a 1-D ratio E[s(v) e(v)] / E[s(v)], s the
+    selection probability and e the outcome probability.  The SE is the
+    delta method's over the n_oracle * P(trial 2) rows the oracle keeps."""
+    a1, b1, b3 = simulation._config_vectors(cfg)
+    t, w = np.polynomial.hermite.hermgauss(nodes)
+    v = math.sqrt(2 * 6.4) * t
+    s = w / (1.0 + np.exp(-(ALPHA0 + a1[0] * v)))
+    e1, e2 = (1.0 / (1.0 + np.exp(-(BETA0 + BETA2 + shift + (b1 + b3)[0] * v)))
+              for shift in (0.0, BETA4))
+    m1, m2 = s @ e1 / s.sum(), s @ e2 / s.sum()
+    h = cfg.scale.g_prime(m1) * e1 - cfg.scale.g_prime(m2) * e2
+    var = s @ (h - s @ h / s.sum()) ** 2 / s.sum()
+    kept = n_oracle * s.sum() / math.sqrt(math.pi)
+    return cfg.scale.g(m1) - cfg.scale.g(m2), math.sqrt(var / kept)
+
+
 class TestTrueDelta:
     def test_no_confounding_identity_closed_form(self):
         cfg = cfg_with(confounding=Confounding.NONE)
@@ -312,6 +334,25 @@ class TestTrueDelta:
         with pytest.raises(InsufficientCell, match="no aggregate-trial row; raise n_oracle"):
             true_delta(cfg, n_oracle=1, rng=np.random.default_rng(0))
 
+    def test_a_steep_selection_slope_overflows_no_exp_warning(self):
+        # exp(-v) overflows for v below about -709, where expit is 0 either way
+        cfg = cfg_with(alpha_slope=1000)
+        with np.errstate(over="ignore"):
+            want = self.reference_true_delta(cfg, 10_000, np.random.default_rng(5))
+        assert true_delta(cfg, n_oracle=10_000, rng=np.random.default_rng(5)) == want
+        assert math.isfinite(true_delta(cfg, n_oracle=10_000))
+
+    @pytest.mark.parametrize("confounding", list(Confounding))
+    def test_matches_an_independent_quadrature(self, confounding):
+        cfg = cfg_with(confounding=confounding, scale=Scale.LOGIT)
+        a1, b1, b3 = simulation._config_vectors(cfg)
+        first_four = np.array([1.0] * 4 + [0.0] * (cfg.p - 4))
+        for index in (a1, b1 + b3):  # the quadrature's premise
+            assert np.array_equal(index, index[0] * first_four), confounding
+        want, mc_se = quadrature_delta(cfg, 2_000_000)
+        # without confounding the outcome index is 0, so the SE is too
+        assert abs(true_delta(cfg) - want) <= 4 * mc_se + 1e-12
+
     def test_moderate_oracle_is_stable(self):
         cfg = cfg_with(scale=Scale.LOGIT)
         a = true_delta(cfg, n_oracle=1_000_000, rng=np.random.default_rng(1))
@@ -371,6 +412,13 @@ class TestRunReplicate:
         assert "negative_control" in results[0].errors
         assert results[0].negcontrol_reject is None
         assert not {"variance", "negcontrol"} & set(results[0].errors)
+
+    def test_a_steep_selection_slope_draws_without_an_exp_warning(self):
+        # trial membership is all but the sign of x1 + ... + x4, so the IPD
+        # cannot reach the aggregate trial's means and the fit fails by name
+        r = run_replicate(cfg_with(alpha_slope=1000), 0)
+        assert r.errors["weights"].startswith("NonConvergence: ")
+        assert set(r.deltas) == {"bucher", "stc"}
 
     def test_tight_oversampling_still_fills_cells(self):
         # factor 1 draws exactly 4n, often short in a cell; regeneration

@@ -256,6 +256,19 @@ class TestEffectiveSampleSize:
         with pytest.raises(EmptyWeights, match="finite, nonnegative and not all zero"):
             effective_sample_size([bad, 1.0])
 
+    @pytest.mark.parametrize("w", [[np.inf, -np.inf], [-np.inf, 1.0, np.inf]])
+    def test_opposite_infinite_weights_are_empty_weights_without_a_warning(self, w):
+        with pytest.raises(EmptyWeights, match="finite, nonnegative and not all zero"):
+            effective_sample_size(w)
+
+    @pytest.mark.parametrize("w", [[1e200, 1e200], [1e-200], [1e308, 1e308]]
+                             + [[s, s, 2 * s] for s in (5e-324, 1e-300, 1e-200, 1e300, 5e307)])
+    def test_weights_at_the_ends_of_the_float_range(self, w):
+        # the squared sum or the sum of squares of these weights leaves the
+        # float range; the ESS does not depend on the weights' scale
+        w = np.array(w)
+        assert effective_sample_size(w) == effective_sample_size(w / w.max())
+
     def test_weight_underflowing_to_zero_after_a_converged_solve(self, rng):
         # the record at -800 gets weight exp(-800 a), which underflows to 0.0
         x = np.concatenate([rng.normal(size=200), [-800.0]])[:, None]
