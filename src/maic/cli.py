@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .data_model import (MomentSpec, OutcomeKind, load_agd, load_ipd, pooled_target_moments,
-                         write_rows)
+                         read_input, write_rows)
 from .errors import (InvalidChoice, MaicError, MissingVariance, NonConvergence, NonFiniteResult,
                      SchemaError, SeparationError)
 from .estimators import Method, Scale
@@ -41,19 +41,13 @@ def write_json(path: Path, obj) -> None:
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
-def _sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def write_manifest(out_dir: Path, command: str, config: dict, inputs: list, seed=None) -> None:
     write_json(out_dir / "manifest.json", {
         "command": command,
         "config": config,
-        "input_digests": {str(p): _sha256(p) for p in inputs},
+        # each input is read again through the loaders' reader, which refused
+        # a pipe up front: a pipe would read back here as empty input
+        "input_digests": {str(p): hashlib.sha256(read_input(p)).hexdigest() for p in inputs},
         "version": __version__,
         "seed": seed,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),

@@ -10,8 +10,10 @@ construction and validated eagerly; covariates are aligned by declared name.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import enum
+import io
 import json
 import math
 import os
@@ -420,114 +422,113 @@ _NUMBER = re.compile(
 )
 
 
+def read_input(path) -> bytes:
+    """The bytes of the input file at `path`, read once.  Anything but a
+    regular file is a SchemaError, named before it is opened: the manifest
+    digests each input by reading it again, which a pipe cannot give twice
+    and a device need not give the same.  The bytes must be UTF-8 text after
+    an optional byte-order mark (as spreadsheets write); the first byte that
+    is not is a SchemaError naming its line and column."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise SchemaError(f"{path}: not a regular file; a pipe or device is not read, "
+                          "copy it to a file first")
+    with open(path, "rb") as fh:
+        data = fh.read()
+    bom = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    try:
+        str(memoryview(data)[bom:], "utf-8")
+    except UnicodeDecodeError as e:
+        at = bom + e.start
+        line, column = data.count(b"\n", 0, at) + 1, at - data.rfind(b"\n", 0, at)
+        raise SchemaError(f"{path}:{line}: not UTF-8 text (byte {data[at]:#04x} "
+                          f"at column {column})") from None
+    return data
+
+
+def _text(data: bytes, newline=None) -> io.TextIOWrapper:
+    """A text stream over an input's bytes (read_input), a byte-order mark
+    dropped; with newline=None, as open() gives, lines that end in CR or
+    CRLF read as ending in LF."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=newline)
+
+
 def load_ipd(path, outcome_kind: OutcomeKind = OutcomeKind.CONTINUOUS) -> IpdStudy:
     """Load an IPD study from a headered CSV file with the outcome in
     column `y`, the arm code in column `z` and a covariate in every other
     column, in file order; each row has one cell per header name.
-    csv.reader reads the header; numpy's reader then opens the path itself,
-    skips the lines the header took and parses the rows in chunks.
+    The file is read once (read_input).  csv.reader reads the header from
+    its bytes in memory; numpy's reader then parses the rows from the same
+    bytes, skipping the lines the header took, and is never given a path,
+    which it would decompress by its suffix or fetch as a URL.
     The cells IpdStudy rejects (non-finite values, arm codes other than 0/1
     and, for a binary outcome, outcomes not coded 0/1), missing or
     non-numeric cells are named by file, line and column, and rows with more
-    cells than the header has names by file and line.  numpy's reader would
-    decompress a path by its suffix, so a file named *.gz, *.bz2, *.xz or
-    *.lzma is a SchemaError; it is given the absolute path, which no URL
-    parse reads as a host to fetch from.  The path is opened twice, so
-    anything but a regular file (a pipe, whose first rows the header read
-    would take, or a device) is a SchemaError too.
+    cells than the header has names by file and line.
     """
-    suffix = os.path.splitext(path)[1]
-    if suffix in (".gz", ".bz2", ".xz", ".lzma"):
-        raise SchemaError(f"{path}: a compressed file ({suffix}) is not read; decompress it first")
-    if not stat.S_ISREG(os.stat(path).st_mode):
-        raise SchemaError(f"{path}: not a regular file; a pipe or device is not read, "
-                          "copy it to a file first")
-    # utf-8-sig: a leading byte-order mark, as spreadsheets write, is dropped
+    data = read_input(path)
+    reader = csv.reader(_text(data, newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise EmptyStudy(f"{path}: empty file")
+    index = {}
+    for i, name in enumerate(name.strip() for name in header):
+        if name in index:
+            raise SchemaError(f"{path}: column {name!r} appears more than once in the header")
+        index[name] = i
+    for col in ("y", "z"):
+        if col not in index:
+            raise MissingColumn(f"{path}: column {col!r} not found")
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise EmptyStudy(f"{path}: empty file")
-            index = {}
-            for i, name in enumerate(name.strip() for name in header):
-                if name in index:
-                    raise SchemaError(
-                        f"{path}: column {name!r} appears more than once in the header")
-                index[name] = i
-            for col in ("y", "z"):
-                if col not in index:
-                    raise MissingColumn(f"{path}: column {col!r} not found")
-            try:
-                with warnings.catch_warnings():
-                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                    data = np.loadtxt(os.path.abspath(path), delimiter=",", ndmin=2,
-                                      comments=None, quotechar='"', encoding="utf-8-sig",
-                                      skiprows=reader.line_num)
-            except ValueError as e:
-                _raise_first_bad_cell(path, list(index), outcome_kind, str(e))
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
-    if len(data) == 0:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(_text(data), delimiter=",", ndmin=2, comments=None,
+                              quotechar='"', skiprows=reader.line_num)
+    except ValueError as e:
+        _raise_first_bad_cell(path, data, list(index), outcome_kind, str(e))
+    if len(rows) == 0:
         raise EmptyStudy(f"{path}: IPD study has no data rows")
-    if data.shape[1] != len(index):
-        _raise_first_bad_cell(path, list(index), outcome_kind,
-                              f"{data.shape[1]} columns under {len(index)} header names")
+    if rows.shape[1] != len(index):
+        _raise_first_bad_cell(path, data, list(index), outcome_kind,
+                              f"{rows.shape[1]} columns under {len(index)} header names")
     covariates = [c for c in index if c not in ("y", "z")]
     try:
         # contiguous copies (take copies in C order): a strided view would change
         # reduction order downstream
-        return IpdStudy(np.ascontiguousarray(data[:, index["y"]]), data[:, index["z"]],
-                        data.take([index[c] for c in covariates], axis=1),
+        return IpdStudy(np.ascontiguousarray(rows[:, index["y"]]), rows[:, index["z"]],
+                        rows.take([index[c] for c in covariates], axis=1),
                         tuple(covariates), outcome_kind)
     except (NonNumericValue, InvalidArmCode) as e:
-        _raise_first_bad_cell(path, list(index), outcome_kind, str(e))
+        _raise_first_bad_cell(path, data, list(index), outcome_kind, str(e))
     except EmptyStudy as e:
         raise EmptyStudy(f"{path}: {e}") from None
 
 
-def _not_utf8(path) -> SchemaError:
-    """The SchemaError for a text file that does not decode as UTF-8,
-    naming its first line that does not and the offending byte."""
-    with open(path, "rb") as fh:
-        for number, line in enumerate(fh, 1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError as e:
-                return SchemaError(f"{path}:{number}: not UTF-8 text (byte "
-                                   f"{line[e.start]:#04x} at column {e.start + 1})")
-    return SchemaError(f"{path}: not UTF-8 text")
-
-
-def _raise_first_bad_cell(path, names, outcome_kind, message):
-    """Re-read the file row by row and raise the error for its first bad
-    row or cell, on its physical line; the checks reject everything the
-    columnar parse, its column count and IpdStudy reject."""
+def _raise_first_bad_cell(path, data, names, outcome_kind, message):
+    """Read the file's bytes `data` row by row and raise the error for its
+    first bad row or cell, on its physical line; the checks reject
+    everything the columnar parse, its column count and IpdStudy reject."""
     binary = outcome_kind is OutcomeKind.BINARY
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            if not row:
-                continue
-            where = f"{path}:{reader.line_num}"
-            if len(row) > len(names):
-                raise SchemaError(f"{where}: {len(row)} cells under {len(names)} header names")
-            for i, col in enumerate(names):
-                raw = row[i].strip() if i < len(row) else ""
-                if raw == "":
-                    raise NonNumericValue(f"{where}: missing value in {col!r}")
-                if not _NUMBER.fullmatch(raw):
-                    raise NonNumericValue(f"{where}: non-numeric value {raw!r} in {col!r}")
-                value = float(raw)
-                if not math.isfinite(value):
-                    raise NonNumericValue(f"{where}: non-finite value {raw!r} in {col!r}")
-                if col == "z" and value not in (0.0, 1.0):
-                    raise InvalidArmCode(f"{where}: arm code {value} not in {{0, 1}}")
-                if col == "y" and binary and value not in (0.0, 1.0):
-                    raise NonNumericValue(
-                        f"{where}: binary outcome {raw!r} not coded 0/1 in {col!r}"
-                    )
+    reader = csv.reader(_text(data, newline=""))
+    next(reader)
+    for row in reader:
+        if not row:
+            continue
+        where = f"{path}:{reader.line_num}"
+        if len(row) > len(names):
+            raise SchemaError(f"{where}: {len(row)} cells under {len(names)} header names")
+        for i, col in enumerate(names):
+            raw = row[i].strip() if i < len(row) else ""
+            if raw == "":
+                raise NonNumericValue(f"{where}: missing value in {col!r}")
+            if not _NUMBER.fullmatch(raw):
+                raise NonNumericValue(f"{where}: non-numeric value {raw!r} in {col!r}")
+            value = float(raw)
+            if not math.isfinite(value):
+                raise NonNumericValue(f"{where}: non-finite value {raw!r} in {col!r}")
+            if col == "z" and value not in (0.0, 1.0):
+                raise InvalidArmCode(f"{where}: arm code {value} not in {{0, 1}}")
+            if col == "y" and binary and value not in (0.0, 1.0):
+                raise NonNumericValue(f"{where}: binary outcome {raw!r} not coded 0/1 in {col!r}")
     raise NonNumericValue(f"{path}: {message}")
 
 
@@ -617,16 +618,14 @@ def json_float(value) -> float:
 
 
 def load_json_object(path, read):
-    """read(doc) for the JSON object `doc` a file holds.  Invalid JSON or
-    another top-level value is a SchemaError naming the file, and any
-    MaicError `read` raises is raised again with the file prefixed."""
-    with open(path, encoding="utf-8-sig") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"{path}: invalid JSON ({e})") from None
-        except UnicodeDecodeError:
-            raise _not_utf8(path) from None
+    """read(doc) for the JSON object `doc` a file holds (read_input).
+    Invalid JSON or another top-level value is a SchemaError naming the
+    file, and any MaicError `read` raises is raised again with the file
+    prefixed."""
+    try:
+        doc = json.load(_text(read_input(path)))
+    except json.JSONDecodeError as e:
+        raise SchemaError(f"{path}: invalid JSON ({e})") from None
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: top-level JSON value must be an object")
     try:

@@ -121,13 +121,10 @@ class FitBlock:
                         {code: take_rows(v, at) for code, v in self.ess.items()}, {})
 
     def outcome(self, b: int):
-        """The WeightModel of study b, the MaicError of its failed fit, or
-        None without a fit."""
+        """The WeightModel of study b or the MaicError of its failed fit."""
         if b in self.errors:
             return self.errors[b]
         i = int(np.searchsorted(self.rows, b))
-        if i == len(self.rows) or self.rows[i] != b:
-            return None
         return WeightModel(alpha1=self.alpha[i], centering=self.centering[i],
                            moments=self.moments[i], weights=self.weights[i], spec=self.spec,
                            converged=True, iterations=int(self.iterations[i]),

@@ -2,6 +2,7 @@ import builtins
 import contextlib
 import copy
 import csv
+import hashlib
 import io
 import json
 import os
@@ -21,7 +22,7 @@ from maic import errors
 from maic.cli import main
 from maic.errors import MaicError
 
-from test_data_model import not_utf8_file
+from test_data_model import REFUSED, not_utf8_file, piped
 
 
 @pytest.fixture
@@ -873,6 +874,43 @@ class TestNotUtf8:
         assert code == 1
         assert "Traceback" not in err
         assert err.startswith(f"error: SchemaError: {path}:{line}: not UTF-8 text")
+
+
+class TestOnlyRegularFiles:
+    """The manifest digests each input by reading it again, so an input that
+    is not a regular file is refused before anything is analysed: a pipe
+    would be digested as the empty input it has become."""
+
+    def test_the_manifest_digests_the_bytes_that_were_read(self, io_pair, tmp_path):
+        ipd, agd = io_pair
+        out = tmp_path / "out"
+        assert main(["fit", "--ipd", str(ipd), "--agd", str(agd), "--out", str(out)]) == 0
+        digests = json.loads((out / "manifest.json").read_text())["input_digests"]
+        assert digests == {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in (ipd, agd)}
+
+    @pytest.mark.parametrize("kind", ["agd", "config"])
+    def test_a_piped_input_exits_1_naming_it(self, io_pair, tmp_path, capsys, kind):
+        ipd, agd = io_pair
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"p": 4, "n_per_arm": 20, "replicates": 2}))
+        out = tmp_path / "out"
+        with piped((agd if kind == "agd" else config).read_bytes()) as path:
+            if kind == "agd":
+                argv = ["compare", "--ipd", str(ipd), "--agd", path, "--out", str(out)]
+            else:
+                argv = ["simulate", "--config", path, "--out", str(out)]
+            code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: SchemaError: {path}: {REFUSED}\n"
+        assert not (out / "manifest.json").exists()
+
+    def test_a_device_as_agd_exits_1_naming_it(self, io_pair, tmp_path, capsys):
+        ipd, _ = io_pair
+        code = main(["compare", "--ipd", str(ipd), "--agd", "/dev/null",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: SchemaError: /dev/null: {REFUSED}\n"
 
 
 class TestParserReuse:

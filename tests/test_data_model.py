@@ -1,8 +1,13 @@
+import bz2
+import contextlib
+import gzip
 import json
+import lzma
 import os
 import pickle
 import re
 import signal
+import sys
 import urllib.request
 
 import numpy as np
@@ -247,13 +252,53 @@ class TestLoadIpdLayouts:
         with pytest.raises(MaicError, match="^" + re.escape(f"{p}:{line}: {message}") + "$"):
             load_ipd(p)
 
-    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
-    def test_a_file_named_as_compressed_is_named(self, tmp_path, suffix):
-        # numpy's reader would decompress it by its suffix, and fail unnamed
-        p = write(tmp_path / f"ipd.csv{suffix}", PLAIN)
+    @pytest.mark.parametrize("suffix, compress, byte, column", [
+        (".gz", lambda b: gzip.compress(b, mtime=0), 0x8B, 2),
+        (".bz2", bz2.compress, 0xE3, 12),
+        (".xz", lzma.compress, 0xFD, 1),
+        (".lzma", lambda b: lzma.compress(b, format=lzma.FORMAT_ALONE), 0x80, 4),
+    ], ids=[".gz", ".bz2", ".xz", ".lzma"])
+    def test_a_file_named_as_compressed_is_named(self, tmp_path, suffix, compress, byte,
+                                                 column):
+        # the suffix means nothing to the loader: compressed bytes are not
+        # UTF-8 text, named by file and line, and text loads as text
+        p = tmp_path / f"ipd.csv{suffix}"
+        p.write_bytes(compress(PLAIN.encode()))
         with pytest.raises(SchemaError, match="^" + re.escape(
-                f"{p}: a compressed file ({suffix}) is not read; decompress it first") + "$"):
+                f"{p}:1: not UTF-8 text (byte {byte:#04x} at column {column})") + "$"):
             load_ipd(p)
+        plain = load_ipd(write(tmp_path / "plain.csv", PLAIN))
+        study = load_ipd(write(p, PLAIN))
+        assert study.covariate_names == plain.covariate_names
+        for got, want in ((study.y, plain.y), (study.z, plain.z), (study.x, plain.x)):
+            assert got.tobytes() == want.tobytes() and got.dtype == want.dtype
+
+    def test_the_path_is_opened_once_and_numpy_is_given_no_path(self, tmp_path, monkeypatch):
+        # numpy's reader would decompress a path by its suffix or fetch one
+        # that reads as a URL; it parses the bytes the loader read instead
+        p = write(tmp_path / "ipd.csv", PLAIN)
+        opened, listening = [], [True]
+
+        def audit(event, args):
+            if listening[0] and event == "open" and isinstance(args[0], (str, bytes, os.PathLike)):
+                opened.append(os.path.realpath(args[0]))
+
+        given = []
+        loadtxt = np.loadtxt
+
+        def spy(fname, *args, **kwargs):
+            given.append(fname)
+            return loadtxt(fname, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        sys.addaudithook(audit)  # a hook stays for the process; it listens only here
+        try:
+            study = load_ipd(p)
+        finally:
+            listening[0] = False
+        assert opened.count(os.path.realpath(p)) == 1
+        assert len(given) == 1 and not isinstance(given[0], (str, bytes, os.PathLike))
+        assert study.x.tobytes() == np.array([[0.2], [-0.1]]).tobytes()
 
     def test_a_pipe_is_named_before_it_is_opened(self, tmp_path):
         # the header read would take the pipe's first rows from numpy's reader;
@@ -321,6 +366,46 @@ def not_utf8_file(tmp_path, kind):
     return path, data[:data.index(b"\xe9")].count(b"\n") + 1
 
 
+@contextlib.contextmanager
+def piped(data: bytes):
+    """The /dev/fd path of a pipe that holds `data` and has no writer left."""
+    r, w = os.pipe()
+    try:
+        os.write(w, data)
+        os.close(w)
+        yield f"/dev/fd/{r}"
+    finally:
+        os.close(r)
+
+
+REFUSED = "not a regular file; a pipe or device is not read, copy it to a file first"
+LOADERS = {"ipd": load_ipd, "agd": load_agd, "scenario": ScenarioConfig.from_json_file}
+
+
+class TestOnlyRegularFiles:
+    """Every input is read through one reader that refuses anything but a
+    regular file by name: the manifest digests each input by reading it
+    again, which a pipe cannot give twice."""
+
+    @pytest.mark.parametrize("kind", LOADERS)
+    def test_a_device_is_refused_by_name(self, kind):
+        with pytest.raises(SchemaError, match="^" + re.escape(f"/dev/null: {REFUSED}") + "$"):
+            LOADERS[kind]("/dev/null")
+
+    @pytest.mark.parametrize("kind, data", [
+        ("ipd", PLAIN.encode()), ("agd", json.dumps(make_agd().to_dict()).encode()),
+        ("scenario", b'{"p": 4}'),
+    ], ids=list(LOADERS))
+    def test_a_pipe_that_holds_a_valid_input_is_refused_by_name(self, kind, data):
+        with piped(data) as path:
+            with pytest.raises(SchemaError, match="^" + re.escape(f"{path}: {REFUSED}") + "$"):
+                LOADERS[kind](path)
+
+    def test_a_directory_is_refused_by_name(self, tmp_path):
+        with pytest.raises(SchemaError, match="^" + re.escape(f"{tmp_path}: {REFUSED}") + "$"):
+            load_agd(tmp_path)
+
+
 class TestNotUtf8:
     @pytest.mark.parametrize("kind, load", [
         ("ipd_header", load_ipd), ("ipd_row", load_ipd), ("agd", load_agd),
@@ -331,6 +416,15 @@ class TestNotUtf8:
         with pytest.raises(SchemaError, match="^" + re.escape(f"{path}:{line}: not UTF-8 text")
                            + ".*0xe9"):
             load(path)
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_invalid_json_is_named_on_its_line(tmp_path, ending):
+    p = tmp_path / "agd.json"
+    p.write_bytes(ending.join(["{", '  "covariates": ["x1"],', '  "arms": oops', "}"]).encode())
+    with pytest.raises(SchemaError, match="^" + re.escape(
+            f"{p}: invalid JSON (Expecting value: line 3 column 11")):
+        load_agd(p)
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

@@ -138,6 +138,13 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match=field):
             cfg_with(**{field: value})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_a_direct_non_finite_slope_is_named(self, value):
+        # from_dict's json_float rejects these first, so only a direct
+        # construction reaches the config's own guard
+        with pytest.raises(ValueError, match="^alpha_slope must be finite"):
+            ScenarioConfig(alpha_slope=value)
+
     @pytest.mark.parametrize("key, value", [
         ("n_per_arm", 0), ("seed", -1), ("confounding", "bogus"), ("scale", "probit"),
         ("replicates", "many"), ("p", 3), ("replicates", [1]), ("seed", float("inf")),
