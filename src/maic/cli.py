@@ -33,11 +33,13 @@ from .weighting import SolverConfig, fit_diagnostics, overlap_diagnostics, solve
 def write_json(path: Path, obj) -> None:
     # json writes the shortest repr of each float, which reads back to the
     # same double; the text is built first, so a NaN or an infinity, which
-    # strict JSON cannot carry, leaves no partial file
+    # strict JSON cannot carry, leaves no partial file; the directory is made
+    # only then, so each command's --out appears with its first result
     try:
         text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as e:
         raise NonFiniteResult(f"{path}: the result holds a non-finite number ({e})") from None
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
@@ -52,12 +54,6 @@ def write_manifest(out_dir: Path, command: str, config: dict, inputs: list, seed
         "seed": seed,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     })
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _load_pair(args):
@@ -82,12 +78,12 @@ def _fit_weights(args, ipd, agd):
 
 
 def cmd_fit(args) -> int:
-    out = _out_dir(args)
     ipd, agd = _load_pair(args)
     model = _fit_weights(args, ipd, agd)
     doc = model.to_dict()
     doc["diagnostics"] = {**fit_diagnostics(model, ipd),
                           "largest_weights": overlap_diagnostics(model, ipd).largest_weights}
+    out = Path(args.out)
     write_json(out / "model.json", doc)
     write_rows(out / "weights.csv", [{"index": i, "arm": int(z), "weight": repr(float(w))}
                                      for i, (z, w) in enumerate(zip(ipd.z, model.weights))],
@@ -121,7 +117,6 @@ def cmd_compare(args) -> int:
     methods = _parse_choices("--methods", args.methods, {m.value: m for m in Method})
     strategies = _parse_strategies(args.se)
     check_level(args.level, "--level")
-    out = _out_dir(args)
     ipd, agd = _load_pair(args)
     scale = Scale(args.scale)
     # the null check reads the fitted weights, so --negcontrol fits them too
@@ -131,6 +126,7 @@ def cmd_compare(args) -> int:
         ipd, agd, model, methods, scale, strategies, level=args.level,
         run_negative_control=args.negcontrol,
     )
+    out = Path(args.out)
     write_json(out / "report.json", report.to_dict())
     report.write_csv(out / "report.csv")
     write_manifest(out, "compare", {
@@ -144,11 +140,11 @@ def cmd_compare(args) -> int:
 
 def cmd_negcontrol(args) -> int:
     check_level(args.alpha, "--alpha")
-    out = _out_dir(args)
     ipd, agd = _load_pair(args)
     scale = Scale(args.scale)
     model = _fit_weights(args, ipd, agd)
     result = negative_control_test(ipd, agd, model, scale, alpha_level=args.alpha)
+    out = Path(args.out)
     write_json(out / "negcontrol.json", result.to_dict())
     write_manifest(out, "negcontrol", {
         "scale": scale.value, "moments": args.moments, "alpha": args.alpha,
@@ -160,7 +156,6 @@ def cmd_negcontrol(args) -> int:
 def cmd_simulate(args) -> int:
     if args.threads < 1:
         raise InvalidChoice(f"--threads must be at least 1, got {args.threads}")
-    out = _out_dir(args)
     cfg = ScenarioConfig.from_json_file(args.config)
     if args.seed is not None:
         try:
@@ -171,6 +166,7 @@ def cmd_simulate(args) -> int:
         report = run_study(cfg, threads=args.threads)
     except (MemoryError, ValueError) as e:  # numpy refuses an array the sizes ask for
         raise SchemaError(f"{args.config}: numpy refuses the scenario's arrays: {e}") from None
+    out = Path(args.out)
     write_json(out / "report.json", report.to_dict())
     rows = report.tidy_rows()
     write_rows(out / "report.csv", rows, list(rows[0]))

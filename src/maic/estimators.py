@@ -4,7 +4,10 @@ Five methods are provided: weighted comparison of active arms (maic_nab),
 its anchored variant using the common comparator (maic_acb), the anchored
 unadjusted contrast (bucher), outcome-regression extrapolation (stc), and
 the unadjusted active-arm contrast (naive).  Each reports on the identity
-scale or after a logit link transform.
+scale or after a logit link transform.  The package's one array logistic,
+_expit, serves the IRLS and the simulation; stc's prediction takes each
+study's math.exp (_scalar_expit), whose bits the references hold and which
+NumPy's SIMD exp does not always give.
 """
 
 from __future__ import annotations
@@ -291,7 +294,7 @@ def _irls(design: np.ndarray, y: np.ndarray):
             break
         d = take_rows(design, live)
         eta = np.matmul(d, gamma[live][:, :, None])[:, :, 0]
-        mu = 1.0 / (1.0 + np.exp(-eta))
+        mu = _expit(eta)
         wt = mu * (1.0 - mu)
         grad = np.matmul(d.transpose(0, 2, 1), (take_rows(y, live) - mu)[:, :, None])[:, :, 0]
         hess = np.matmul((d * wt[:, :, None]).transpose(0, 2, 1), d)
@@ -325,7 +328,14 @@ def _least_squares(design: np.ndarray, y: np.ndarray):
     return gamma, errors
 
 
-def _expit(v: float) -> float:
+def _expit(v):
+    """1 / (1 + exp(-v)) of an array; where exp(-v) overflows, 1 / (1 + inf) is
+    the 0 it tends to, so the overflow is not warned of."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-v))
+
+
+def _scalar_expit(v: float) -> float:
     """1 / (1 + exp(-v)) of a lone float through math.exp."""
     try:
         return 1.0 / (1.0 + math.exp(-v))
@@ -371,6 +381,6 @@ def stc_block(block: IpdBlock, agd: AgdBlock, scale: Scale = Scale.IDENTITY) -> 
     gamma, errors = (_irls if binary else _least_squares)(design, y)
     mu1 = np.matmul(rows[:, None, :], gamma[:, :, None])[:, 0, 0]
     if binary:
-        mu1 = np.array([_expit(v) for v in mu1.tolist()])
+        mu1 = np.array([_scalar_expit(v) for v in mu1.tolist()])
     return _contrasts(Method.STC, scale, CONTRASTS[Method.STC], [mu1], [agd.y_mean[:, 0]],
                       errors)

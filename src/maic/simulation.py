@@ -4,10 +4,11 @@ subsampling, a deterministic replication engine, and bias/coverage metrics.
 Covariates are equicorrelated standard normals (covariance .8*I + .2),
 trial membership follows a logistic model in the first four covariates,
 treatment is randomized within trial, and the binary outcome follows a
-logistic model with a trial-by-covariate interaction.  Confounding is
-dialed through the coefficient vectors; each replicate subsamples a fixed
-number of patients per (trial, arm) cell, collapses the second trial to
-aggregate summaries, and runs every estimator and SE strategy.
+logistic model with a trial-by-covariate interaction; both logistics are
+estimators._expit, the package's one array logistic.  Confounding is dialed
+through the coefficient vectors; each replicate subsamples a fixed number
+of patients per (trial, arm) cell, collapses the second trial to aggregate
+summaries, and runs every estimator and SE strategy.
 
 Replicate r of a study draws from an independent RNG stream keyed by
 (seed, r).  Replicates run in blocks.  Each replicate draws its covariates,
@@ -51,7 +52,7 @@ from .data_model import (
     var_rows,
 )
 from .errors import InsufficientCell, SchemaError
-from .estimators import Method, Scale
+from .estimators import Method, Scale, _expit
 from .inference import norm_quantile, report_block
 from .variance import SeStrategy
 from .weighting import SolverConfig, solve_weights_block
@@ -152,13 +153,6 @@ class PooledSample:
     x: np.ndarray
 
 
-def _expit(v):
-    """1 / (1 + exp(-v)); where exp(-v) overflows, 1 / (1 + inf) is the 0 it
-    tends to, so the overflow is not warned of."""
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-v))
-
-
 # the (trial, arm) cells each replicate fills, in subsampling order; a row's
 # cell code is its cell's index here
 _CELLS = ((1, 0), (1, 1), (2, 0), (2, 2))
@@ -222,28 +216,27 @@ def subsample_by_arm(
     return PooledSample(y=pop.y[sel], z=pop.z[sel], t=pop.t[sel], x=pop.x[sel])
 
 
-def true_delta(cfg: ScenarioConfig, n_oracle: int = 2_000_000, rng=None) -> float:
+def true_delta(cfg: ScenarioConfig, n_oracle: int = 2_000_000) -> float:
     """Oracle contrast in the aggregate-trial population, from counterfactual
     outcome probabilities on a large simulated draw.
 
-    The stream holds, in order, every covariate normal, then every row's
-    shared normal, then every row's selection uniform.  It is drawn in chunks
-    of ORACLE_CHUNK_ROWS rows in stream order, and chunked draws equal one
-    draw.  The two linear predictors read only the covariates with a nonzero
-    coefficient (the first four in every scenario), so each chunk keeps only
-    those columns: the first pass mixes in each chunk's shared normals in
-    place, the second pops each chunk into the read columns of one zeroed
-    (rows, p) buffer, draws its uniforms and keeps the trial-2 rows' linear
-    predictor.  An unread column adds a zero product either way, and the
-    products keep their shape, so they are the bits of a pass over all of x.
-    NumPy's pairwise sum depends on the array length, so the means are taken
-    once over all kept rows; the result is the same bits as one full-length
-    pass."""
+    Its stream, keyed by (cfg.seed, 0xFFFFFFFF), holds, in order, every
+    covariate normal, then every row's shared normal, then every row's
+    selection uniform.  It is drawn in chunks of ORACLE_CHUNK_ROWS rows in
+    stream order, and chunked draws equal one draw.  The two linear predictors
+    read only the covariates with a nonzero coefficient (the first four in
+    every scenario), so each chunk keeps only those columns: the first pass
+    mixes in each chunk's shared normals in place, the second pops each chunk
+    into the read columns of one zeroed (rows, p) buffer, draws its uniforms
+    and keeps the trial-2 rows' linear predictor.  An unread column adds a
+    zero product either way, and the products keep their shape, so they are
+    the bits of a pass over all of x.  NumPy's pairwise sum depends on the
+    array length, so the means are taken once over all kept rows; the result
+    is the same bits as one full-length pass."""
     if n_oracle < 1:
         raise ValueError(f"n_oracle must be at least 1: the oracle is a mean over its draw, "
                          f"got {n_oracle}")
-    if rng is None:
-        rng = np.random.default_rng([cfg.seed, 0xFFFFFFFF])
+    rng = np.random.default_rng([cfg.seed, 0xFFFFFFFF])
     a1, b1, b3 = _config_vectors(cfg)
     read = np.flatnonzero((a1 != 0) | (b1 + b3 != 0))
     sizes = [min(ORACLE_CHUNK_ROWS, n_oracle - i) for i in range(0, n_oracle, ORACLE_CHUNK_ROWS)]

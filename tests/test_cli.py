@@ -332,7 +332,7 @@ class TestCompare:
         assert code == 2
         assert "Traceback" not in err
         assert f"NonFiniteResult: {out / 'report.json'}: " in err
-        assert not (out / "report.json").exists()
+        assert not out.exists()
 
     def test_se_full_is_rejected_by_name(self, io_pair, tmp_path, capsys):
         # full needs the aggregate trial's raw records, which compare never has
@@ -911,6 +911,46 @@ class TestOnlyRegularFiles:
                      "--out", str(tmp_path / "out")])
         assert code == 1
         assert capsys.readouterr().err == f"error: SchemaError: /dev/null: {REFUSED}\n"
+
+
+class TestOutOnlyWithResults:
+    """--out is made with the first result written, so a run refused on its
+    inputs or stopped by a numerical failure leaves no directory behind."""
+
+    @pytest.mark.parametrize("command", ["fit", "compare", "negcontrol"])
+    @pytest.mark.parametrize("fault, code, named", [
+        pytest.param("csv cell", 1, "NonNumericValue: {ipd}:42: non-numeric value 'abc'",
+                     id="csv-cell"),
+        pytest.param("agd json", 1, "SchemaError: {agd}: invalid JSON", id="agd-json"),
+        pytest.param("no convergence", 2, "\nbalance residual: [", id="no-convergence"),
+    ])
+    def test_a_failed_pair_command_leaves_no_out(self, io_pair, tmp_path, capsys, command,
+                                                 fault, code, named):
+        ipd, agd = io_pair
+        if fault == "csv cell":
+            ipd.write_text(ipd.read_text() + "1,1,abc,0.2\n")
+        elif fault == "agd json":
+            agd.write_text(agd.read_text()[:-1])
+        else:
+            doc = json.loads(agd.read_text())
+            for arm in doc["arms"].values():
+                arm["x_mean"] = [50.0, 50.0]
+            agd.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main([command, "--ipd", str(ipd), "--agd", str(agd), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named.format(ipd=ipd, agd=agd) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_a_piped_config_leaves_no_out(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"p": 4, "n_per_arm": 20, "replicates": 2}))
+        out = tmp_path / "out"
+        with piped(config.read_bytes()) as path:
+            assert main(["simulate", "--config", path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: SchemaError: {path}: {REFUSED}\n"
+        assert not out.exists()
 
 
 class TestParserReuse:

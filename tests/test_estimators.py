@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -418,3 +420,76 @@ class TestStc:
                            names=("age", "year"))
             deltas.append(stc(ipd, agd, Scale.LOGIT).delta)
         assert deltas[0] == pytest.approx(deltas[1], rel=1e-9)
+
+
+# near-collinear, separated IPD on which an IRLS step drives the linear
+# predictor past exp's range: x2 is c * x1 up to about 1e-6 and y splits on x1
+OVERFLOWING_FITS = {
+    SingularDesign: (
+        [[1106.4136435593755, -406.66429416072214, -0.03380745197056406],
+         [1107.4014188434157, -407.02736391167775, -0.010758533612009819],
+         [-880.8763209876428, 323.7676430433263, -0.02639238544117709],
+         [-542.870310961526, 199.532929611241, -0.013173348591014341],
+         [117.91170856503255, -43.338670496840805, 0.014098698295294091],
+         [1113.947295172944, -409.43328266718777, -0.0020750234692704316],
+         [553.9015139408144, -203.5874784442508, 0.033417675861574826],
+         [359.83740259062597, -132.2588771404396, 0.0045509126153503695]],
+        [1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0]),
+    SeparationError: (
+        [[-0.1350106925783254, -0.3203758444536331, 2.015789842010275e-05],
+         [-1.6694475668146644, -3.961543107210832, 0.0001914346798210389],
+         [-1.0401490333276129, -2.4682387831821093, 0.0001468946360927459],
+         [-1.8733519201504796, -4.445401300977711, -7.467101764635209e-05],
+         [-1.833569783752378, -4.350999625579668, 9.966926916323365e-05],
+         [-0.5052537580550436, -1.1989502263072058, -0.00012118417706936341],
+         [1.1762031175990104, 2.791090565702327, -0.00022427114117469122],
+         [2.388888997156954, 5.668753499541405, -6.0134048363810045e-05]],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0]),
+}
+
+
+def stc_without_warnings(x, y):
+    """stc on the logit scale of a binary IPD active arm (x, y) against AGD
+    means at its column medians, inside its support, with every warning an
+    error."""
+    x = np.asarray(x, float)
+    ipd = make_ipd(y, np.ones(len(y), int), x, outcome_kind=OutcomeKind.BINARY)
+    agd = make_agd(active=make_arm(y_mean=0.45, x_mean=np.median(x, axis=0)),
+                   names=("x1", "x2", "x3"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return stc(ipd, agd, Scale.LOGIT)
+
+
+@pytest.mark.parametrize("error, message", [
+    (SingularDesign, "singular design in logistic fit"),
+    (SeparationError, "logistic fit diverged (complete separation suspected)"),
+])
+def test_a_predictor_beyond_exps_range_ends_in_its_error_without_a_warning(error, message):
+    with pytest.raises(error, match="^" + re.escape(message) + "$"):
+        stc_without_warnings(*OVERFLOWING_FITS[error])
+
+
+@st.composite
+def steep_near_collinear(draw):
+    """A binary IPD active arm whose x2 is c * x1 up to noise 1e-10 to 1e-7 of
+    x1's scale, with x3 at any scale and y from a steep predictor in x1: most
+    are separated, and a few in a hundred take an IRLS step far past exp's
+    range."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(6, 30))
+    scale = 10.0 ** draw(st.floats(-4, 3))
+    x = rng.normal(size=(n, 3)) * scale * np.array([1.0, 1.0, 10.0 ** draw(st.floats(-6, 2))])
+    x[:, 1] = (draw(st.floats(-2, 2)) * x[:, 0]
+               + 10.0 ** draw(st.floats(-10, -7)) * scale * rng.normal(size=n))
+    eta = 10.0 ** draw(st.floats(0, 1)) * x[:, 0] / scale + rng.normal()
+    return x, (eta > rng.logistic(size=n)).astype(float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(steep_near_collinear())
+def test_a_steep_near_collinear_fit_ends_in_an_estimate_or_its_error_without_a_warning(xy):
+    try:
+        assert isinstance(stc_without_warnings(*xy), estimators.Estimate)
+    except MaicError:
+        pass

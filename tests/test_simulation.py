@@ -276,8 +276,10 @@ class TestTrueDelta:
         assert true_delta(cfg, n_oracle=10_000) == pytest.approx(-0.5, abs=1e-12)
 
     @staticmethod
-    def reference_true_delta(cfg, n_oracle, rng):
-        """The oracle as first written, copying x[t2] before the product."""
+    def reference_true_delta(cfg, n_oracle):
+        """The oracle as first written, copying x[t2] before the product, on
+        the oracle's own stream."""
+        rng = np.random.default_rng([cfg.seed, 0xFFFFFFFF])
         a1, b1, b3 = simulation._config_vectors(cfg)
         x = math.sqrt(0.8) * rng.standard_normal((n_oracle, cfg.p))
         x += math.sqrt(0.2) * rng.standard_normal((n_oracle, 1))
@@ -296,25 +298,24 @@ class TestTrueDelta:
         # covariate a zero coefficient, so the oracle reads none
         chunk = simulation.ORACLE_CHUNK_ROWS
         for p, seed, alpha_slope in ((4, 1, 0.7), (7, 2, 0.7), (12, 3, None), (12, 4, 0.0)):
-            cfg = cfg_with(confounding=confounding, scale=scale, p=p, alpha_slope=alpha_slope)
+            cfg = cfg_with(confounding=confounding, scale=scale, p=p, alpha_slope=alpha_slope,
+                           seed=seed)
             for n in (chunk - 1, chunk, chunk + 1, 3 * chunk + 17):
-                got = true_delta(cfg, n_oracle=n, rng=np.random.default_rng(seed))
-                want = self.reference_true_delta(cfg, n, np.random.default_rng(seed))
-                assert got == want, (p, n)
+                assert true_delta(cfg, n_oracle=n) == self.reference_true_delta(cfg, n), (p, n)
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())
     def test_equals_reference_formula_near_chunk_multiples(self, data):
         chunk = data.draw(st.sampled_from([simulation.ORACLE_CHUNK_ROWS, 100]))
         n = data.draw(st.integers(1, 3)) * chunk + data.draw(st.integers(-3, 3))
-        seed = data.draw(st.integers(0, 2**32 - 1))
-        cfg = cfg_with(p=data.draw(st.integers(4, 12)),
+        cfg = cfg_with(seed=data.draw(st.integers(0, 2**32 - 1)),
+                       p=data.draw(st.integers(4, 12)),
                        confounding=data.draw(st.sampled_from(list(Confounding))),
                        scale=data.draw(st.sampled_from(list(Scale))),
                        alpha_slope=data.draw(st.sampled_from([None, 0.0, 0.7])))
         with mock.patch.object(simulation, "ORACLE_CHUNK_ROWS", chunk):
-            got = true_delta(cfg, n_oracle=n, rng=np.random.default_rng(seed))
-        assert got == self.reference_true_delta(cfg, n, np.random.default_rng(seed))
+            got = true_delta(cfg, n_oracle=n)
+        assert got == self.reference_true_delta(cfg, n)
 
     @pytest.mark.parametrize("p", [5, 12])
     def test_oracle_holds_only_the_columns_it_reads(self, p):
@@ -336,18 +337,18 @@ class TestTrueDelta:
 
     @pytest.mark.parametrize("scale", list(Scale))
     def test_a_draw_without_aggregate_trial_rows_is_named(self, scale):
-        # seed 0's one row falls in trial 1
-        cfg = cfg_with(scale=scale)
+        # seed 2's one row falls in trial 1
+        cfg = cfg_with(scale=scale, seed=2)
         with pytest.raises(InsufficientCell, match="no aggregate-trial row; raise n_oracle"):
-            true_delta(cfg, n_oracle=1, rng=np.random.default_rng(0))
+            true_delta(cfg, n_oracle=1)
 
     def test_a_steep_selection_slope_overflows_no_exp_warning(self):
         # exp(-v) overflows for v below about -709, where expit is 0 either way
-        cfg = cfg_with(alpha_slope=1000)
+        cfg = cfg_with(alpha_slope=1000, seed=5)
         with np.errstate(over="ignore"):
-            want = self.reference_true_delta(cfg, 10_000, np.random.default_rng(5))
-        assert true_delta(cfg, n_oracle=10_000, rng=np.random.default_rng(5)) == want
-        assert math.isfinite(true_delta(cfg, n_oracle=10_000))
+            want = self.reference_true_delta(cfg, 10_000)
+        assert true_delta(cfg, n_oracle=10_000) == want
+        assert math.isfinite(true_delta(cfg_with(alpha_slope=1000), n_oracle=10_000))
 
     @pytest.mark.parametrize("confounding", list(Confounding))
     def test_matches_an_independent_quadrature(self, confounding):
@@ -361,9 +362,8 @@ class TestTrueDelta:
         assert abs(true_delta(cfg) - want) <= 4 * mc_se + 1e-12
 
     def test_moderate_oracle_is_stable(self):
-        cfg = cfg_with(scale=Scale.LOGIT)
-        a = true_delta(cfg, n_oracle=1_000_000, rng=np.random.default_rng(1))
-        b = true_delta(cfg, n_oracle=1_000_000, rng=np.random.default_rng(2))
+        a = true_delta(cfg_with(scale=Scale.LOGIT, seed=1), n_oracle=1_000_000)
+        b = true_delta(cfg_with(scale=Scale.LOGIT, seed=2), n_oracle=1_000_000)
         assert a == pytest.approx(b, abs=5e-4)
 
 
