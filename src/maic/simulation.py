@@ -12,12 +12,14 @@ summaries, and runs every estimator and SE strategy.
 
 Replicate r of a study draws from an independent RNG stream keyed by
 (seed, r).  Replicates run in blocks.  Each replicate draws its covariates,
-cells and outcome uniforms and picks its subsample on its own stream; then,
-for the whole block at once, the kept rows' outcomes are computed, trial 1
-is split off as one stacked IPD block (with the row indices of each arm,
-found once), trial 2's arms are collapsed to one stacked AGD block of means
-and variances, the weights are solved, and inference.report_block assembles
-the rest from the IPD block, the AGD block and the solver's own stacks.  The
+cells and outcome uniforms and picks its subsample on its own stream, and
+gathers each trial's kept rows, in row order, straight into that trial's
+slot of the block's stacks; then, for the whole block at once, the kept
+rows' outcomes are computed, trial 1's slot becomes the stacked IPD block
+(with the row indices of each arm, found once), trial 2's arms are
+collapsed to one stacked AGD block of means and variances, the weights are
+solved, and inference.report_block assembles the rest from the IPD block,
+the AGD block and the solver's own stacks.  The
 study's oracle contrast (true_delta) is a pure function of the config that
 holds only the covariates its linear predictors read; with more than one
 worker process it runs as the first pool task, beside the blocks.  The
@@ -77,6 +79,12 @@ _SCENARIO = {
     Confounding.SEVERE: (0.30, 0.25, 0.15),
 }
 
+# the largest |alpha_slope|: the trial-assignment index sums four products of
+# the slope and a covariate, and a covariate mixes two standard normals that
+# NumPy's ziggurat keeps below 14 in absolute value, so it stays below 25 and
+# the index below 1e308, short of the largest float
+ALPHA_SLOPE_MAX = 1e306
+
 
 def _config_vectors(cfg: "ScenarioConfig"):
     """The trial-assignment, prognostic and interaction coefficient vectors
@@ -114,6 +122,10 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be at least {floor}: {why}")
         if self.alpha_slope is not None and not math.isfinite(self.alpha_slope):
             raise ValueError(f"alpha_slope must be finite, got {self.alpha_slope}")
+        if self.alpha_slope is not None and abs(self.alpha_slope) > ALPHA_SLOPE_MAX:
+            raise ValueError(f"alpha_slope must be at most {ALPHA_SLOPE_MAX:g} in absolute "
+                             "value: beyond it the trial-assignment index can overflow, "
+                             f"got {self.alpha_slope:g}")
 
     def to_dict(self) -> dict:
         """The fields by name, enums as their values."""
@@ -186,10 +198,10 @@ def _outcome(cfg: ScenarioConfig, x: np.ndarray, z: np.ndarray, u: np.ndarray) -
     return (u < _expit(lin)).astype(float)
 
 
-def _pick(cell: np.ndarray, n_per_arm: int, rng: np.random.Generator) -> np.ndarray:
-    """The ascending row indices of a uniform subsample of exactly n_per_arm
-    rows per cell, drawn cell by cell; InsufficientCell at the first short
-    cell."""
+def _pick(cell: np.ndarray, n_per_arm: int, rng: np.random.Generator) -> list:
+    """The row indices of a uniform subsample of exactly n_per_arm rows per
+    cell, drawn cell by cell: one array per cell, in _CELLS order, in draw
+    order; InsufficientCell at the first short cell."""
     keep = []
     for code, (t, z) in enumerate(_CELLS):
         idx = np.flatnonzero(cell == code)
@@ -198,7 +210,7 @@ def _pick(cell: np.ndarray, n_per_arm: int, rng: np.random.Generator) -> np.ndar
                 f"cell (trial={t}, arm={z}) has {len(idx)} < {n_per_arm} members"
             )
         keep.append(rng.choice(idx, size=n_per_arm, replace=False))
-    return np.sort(np.concatenate(keep))
+    return keep
 
 
 def generate_population(cfg: ScenarioConfig, n_star: int, rng: np.random.Generator) -> PooledSample:
@@ -212,7 +224,7 @@ def subsample_by_arm(
     pop: PooledSample, n_per_arm: int, rng: np.random.Generator
 ) -> PooledSample:
     """Uniform subsample of exactly n_per_arm patients per (trial, arm) cell."""
-    sel = _pick(2 * (pop.t - 1) + (pop.z > 0), n_per_arm, rng)
+    sel = np.sort(np.concatenate(_pick(2 * (pop.t - 1) + (pop.z > 0), n_per_arm, rng)))
     return PooledSample(y=pop.y[sel], z=pop.z[sel], t=pop.t[sel], x=pop.x[sel])
 
 
@@ -289,46 +301,45 @@ ORACLE_CHUNK_ROWS = 1 << 16
 
 def replicate_block(cfg: ScenarioConfig, indices) -> tuple[IpdBlock, AgdBlock, TrialRecords]:
     """Draw and subsample each replicate of a block on its own (seed, r)
-    stream, redrawing with twice the oversampling while a cell is short;
-    then, stacked over the block, compute the kept rows' outcomes, split off
-    trial 1 as the stacked IPD and collapse trial 2's arms to aggregate
-    summaries.  Returns the IPD block, the AGD block and the aggregate
-    trial's raw records, stacked (B, 2 * n_per_arm)."""
+    stream, redrawing with twice the oversampling while a cell is short, and
+    gather each trial's kept rows, in row order, straight into its slot of
+    the block's stacks: trial 1 in slot 0, trial 2 in slot 1.  Then, stacked
+    over the block, compute the kept rows' outcomes and collapse trial 2's
+    arms to aggregate summaries.  Returns the IPD block, the AGD block and
+    the aggregate trial's raw records, stacked (B, 2 * n_per_arm)."""
     a1 = _config_vectors(cfg)[0]
-    kept = []
-    for r in indices:
+    n_rep, m, p = len(indices), 2 * cfg.n_per_arm, cfg.p
+    # C-contiguous, so each trial's slot is a C-contiguous block
+    x = np.empty((2, n_rep, m, p))
+    cell = np.empty((2, n_rep, m), dtype=int)
+    u = np.empty((2, n_rep, m))
+    for b, r in enumerate(indices):
         rng = np.random.default_rng([cfg.seed, r])
         factor = cfg.oversample_factor
         for _ in range(12):
-            x, cell, u = _draw(cfg, a1, factor * 4 * cfg.n_per_arm, rng)
+            drawn = _draw(cfg, a1, factor * 4 * cfg.n_per_arm, rng)
             try:
-                sel = _pick(cell, cfg.n_per_arm, rng)
+                picks = _pick(drawn[1], cfg.n_per_arm, rng)
                 break
             except InsufficientCell:
                 factor *= 2
         else:
             raise InsufficientCell("could not fill all cells after repeated oversampling")
-        kept.append((x[sel], cell[sel], u[sel]))
-    x, cell, u = (np.stack(a) for a in zip(*kept))
+        for trial in (0, 1):
+            sel = np.sort(np.concatenate(picks[2 * trial:2 * trial + 2]))
+            # mode="clip" writes straight into out; the indices are in range
+            for src, dst in zip(drawn, (x, cell, u)):
+                np.take(src, sel, axis=0, out=dst[trial, b], mode="clip")
     _, z = _trial_arm(cell)
     y = _outcome(cfg, x, z, u)
+    ipd = IpdBlock(y[0], z[0], x[0], OutcomeKind.BINARY)
+    records = TrialRecords(y[1], z[1], x[1])
 
-    n_rep = len(kept)
-
-    def rows(mask, *arrays):
-        """The rows at mask of each array, in row order: the same number
-        per replicate, so (B, m, ...) arrays gathered by flat index."""
-        idx = np.flatnonzero(mask).reshape(n_rep, -1)
-        return [a.reshape((-1,) + a.shape[2:])[idx] for a in arrays]
-
-    t1 = cell < 2
-    ipd = IpdBlock(*rows(t1, y, z, x), OutcomeKind.BINARY)
-    records = TrialRecords(*rows(~t1, y, z, x))
-
-    # arm means and ddof=1 variances: the active arm, then the comparator
-    ya, xa = zip(*(rows(cell == _CELLS.index(c), y, x) for c in ((2, 2), (2, 0))))
-    ya, xa = np.stack(ya, axis=1), np.concatenate(xa, axis=2)
-    p = cfg.p
+    # arm means and ddof=1 variances: the active arm, then the comparator,
+    # from flat indices (B, 2, n_per_arm) into the records' rows
+    arms = np.stack([np.flatnonzero(z[1] == code).reshape(n_rep, -1) for code in (2, 0)], axis=1)
+    ya = y[1].reshape(-1).take(arms)
+    xa = x[1].reshape(-1, p).take(arms.reshape(2 * n_rep, -1), axis=0)
     agd = AgdBlock(np.full((n_rep, 2), cfg.n_per_arm), ya.mean(axis=2), ya.var(axis=2, ddof=1),
                    mean_rows(xa).reshape(n_rep, 2, p), var_rows(xa).reshape(n_rep, 2, p),
                    tuple(f"x{j + 1}" for j in range(p)))

@@ -801,6 +801,17 @@ class TestSimulate:
         assert "Traceback" not in err
         assert f"SchemaError: {cfg}: " in err and key in err
 
+    @pytest.mark.parametrize("value", [1e308, -1e308])
+    def test_a_slope_whose_index_can_overflow_exits_1(self, tmp_path, capsys, value):
+        cfg = self._config(tmp_path, alpha_slope=value)
+        out = tmp_path / "steep"
+        code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        assert f"SchemaError: {cfg}: " in err and "alpha_slope" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("text, why", [
         ('{"p": 4,', "invalid JSON"), ("[1, 2]", "must be an object"),
     ])

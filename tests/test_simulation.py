@@ -145,6 +145,18 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="^alpha_slope must be finite"):
             ScenarioConfig(alpha_slope=value)
 
+    @pytest.mark.parametrize("value", [1e308, -1e308, 1.01e306])
+    def test_a_slope_whose_index_can_overflow_is_named(self, value):
+        with pytest.raises(SchemaError, match=r"^alpha_slope must be at most 1e\+306 in absolute"):
+            ScenarioConfig.from_dict({"alpha_slope": value})
+
+    @pytest.mark.parametrize("value", [simulation.ALPHA_SLOPE_MAX, -simulation.ALPHA_SLOPE_MAX])
+    def test_the_steepest_accepted_slope_draws_without_an_overflow(self, value):
+        # RuntimeWarnings fail the test, so the index and the oracle stay finite
+        cfg = cfg_with(alpha_slope=value, n_per_arm=20)
+        assert run_replicate(cfg, 0).deltas
+        assert math.isfinite(true_delta(cfg, n_oracle=10_000))
+
     @pytest.mark.parametrize("key, value", [
         ("n_per_arm", 0), ("seed", -1), ("confounding", "bogus"), ("scale", "probit"),
         ("replicates", "many"), ("p", 3), ("replicates", [1]), ("seed", float("inf")),
@@ -690,15 +702,11 @@ class TestBlocks:
             # the same draws were consumed, up to the first short cell
             assert rng.random() == ref_rng.random()
 
-    @pytest.mark.parametrize("p", [4, 7])
-    def test_lone_datasets_equal_their_slots_in_the_block(self, p):
-        # 2 patients per arm from 16 draws: some replicates fill every cell
-        # at once and some redraw with twice the oversampling
-        cfg = cfg_with(p=p, n_per_arm=2, oversample_factor=2, replicates=10, seed=p)
-        indices = [0, 1, 2, 4, 6, 9]
+    def assert_slots_equal_the_reference(self, cfg, indices):
+        """Each slot of the block of `indices`, and each lone replicate, equals
+        reference_replicate bit for bit; returns the reference's factors."""
         block, agds, records = simulation.replicate_block(cfg, indices)
         refs = [self.reference_replicate(cfg, i) for i in indices]
-        assert {factor for *_, factor in refs} == {2, 4}
         for b, (i, (ref_ipd, ref_arms, ref_records, _)) in enumerate(zip(indices, refs)):
             ipd, agd, recs = simulation.replicate_datasets(cfg, i)
             for got in ((ipd.y, ipd.z, ipd.x), (block.y[b], block.z[b], block.x[b])):
@@ -710,6 +718,24 @@ class TestBlocks:
                                                                       x_var.tobytes())
             for got in ((recs.y, recs.z, recs.x), (records.y[b], records.z[b], records.x[b])):
                 assert all(a.tobytes() == r.tobytes() for a, r in zip(got, ref_records))
+        return {factor for *_, factor in refs}
+
+    @pytest.mark.parametrize("p", [4, 7])
+    def test_lone_datasets_equal_their_slots_in_the_block(self, p):
+        # 2 patients per arm from 16 draws: some replicates fill every cell
+        # at once and some redraw with twice the oversampling
+        cfg = cfg_with(p=p, n_per_arm=2, oversample_factor=2, replicates=10, seed=p)
+        assert self.assert_slots_equal_the_reference(cfg, [0, 1, 2, 4, 6, 9]) == {2, 4}
+
+    def test_a_realistic_block_equals_the_reference_slot_by_slot(self):
+        cfg = cfg_with(p=5, n_per_arm=300, confounding=Confounding.SEVERE, replicates=3, seed=8)
+        assert self.assert_slots_equal_the_reference(cfg, [0, 1, 2]) == {4}
+
+    def test_the_stacks_are_c_contiguous(self):
+        # a strided stack would make every arm_rows reshape a copy
+        block, _, records = simulation.replicate_block(cfg_with(n_per_arm=20), [0, 1, 2])
+        for a in (block.y, block.z, block.x, records.y, records.z, records.x):
+            assert a.flags.c_contiguous
 
     def test_lone_replicate_equals_its_place_in_a_block(self):
         cfg = self.failing_cfg()
