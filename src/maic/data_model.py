@@ -339,10 +339,11 @@ def mean_rows(a: np.ndarray) -> np.ndarray:
     return reduce_rows(a, np.add)[0] / a.shape[1]
 
 
-def var_rows(a: np.ndarray) -> np.ndarray:
-    """a.var(axis=1, ddof=1) of a (B, n, k) array, bit for bit: NumPy's
-    steps, the squared deviations from mean_rows summed by reduce_rows."""
-    d = a - mean_rows(a)[:, None, :]
+def var_rows(a: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """a.var(axis=1, ddof=1) of a (B, n, k) array whose mean_rows is mean, bit
+    for bit: NumPy's steps, the squared deviations from mean summed by
+    reduce_rows."""
+    d = a - mean[:, None, :]
     return reduce_rows(np.multiply(d, d, out=d), np.add)[0] / (a.shape[1] - 1)
 
 

@@ -1,14 +1,18 @@
 """Monte Carlo study: joint two-trial data generation, fixed-per-arm
 subsampling, a deterministic replication engine, and bias/coverage metrics.
 
+A config's Dgp (ScenarioConfig.dgp) is the one description of its
+data-generating process: the replicate sampler and the oracle read every
+number of it there, and mix their covariates through its one Dgp.mix.
 Covariates are equicorrelated standard normals (covariance .8*I + .2),
-trial membership follows a logistic model in the first four covariates,
+trial membership follows a logistic model in the selection slopes,
 treatment is randomized within trial, and the binary outcome follows a
 logistic model with a trial-by-covariate interaction; both logistics are
-estimators._expit, the package's one array logistic.  Confounding is dialed
-through the coefficient vectors; each replicate subsamples a fixed number
-of patients per (trial, arm) cell, collapses the second trial to aggregate
-summaries, and runs every estimator and SE strategy.
+estimators._expit, the package's one array logistic.  Confounding names
+preset slope vectors on the first four covariates; each replicate
+subsamples a fixed number of patients per (trial, arm) cell, collapses the
+second trial to aggregate summaries, and runs every estimator and SE
+strategy.
 
 Replicate r of a study draws from an independent RNG stream keyed by
 (seed, r).  Replicates run in blocks.  Each replicate draws its covariates,
@@ -59,20 +63,14 @@ from .inference import norm_quantile, report_block
 from .variance import SeStrategy
 from .weighting import SolverConfig, solve_weights_block
 
-BETA0 = -1.0
-BETA2 = 0.1
-BETA4 = 0.5
-ALPHA0 = 0.0
-
-
 class Confounding(enum.Enum):
     NONE = "none"
     MODERATE = "moderate"
     SEVERE = "severe"
 
 
-# (trial-assignment slope, prognostic slope, interaction slope) on the
-# first four covariates; zero elsewhere
+# each preset's (selection slope, prognostic slope, interaction slope) on
+# the first four covariates; zero elsewhere
 _SCENARIO = {
     Confounding.NONE: (0.25, 0.0, 0.0),
     Confounding.MODERATE: (0.25, 0.15, 0.1),
@@ -86,15 +84,31 @@ _SCENARIO = {
 ALPHA_SLOPE_MAX = 1e306
 
 
-def _config_vectors(cfg: "ScenarioConfig"):
-    """The trial-assignment, prognostic and interaction coefficient vectors
-    (p,) of a config: the scenario's slopes on the first four covariates,
-    the trial-assignment slope replaced by alpha_slope when it is set."""
-    a, b1, b3 = _SCENARIO[cfg.confounding]
-    if cfg.alpha_slope is not None:
-        a = cfg.alpha_slope
-    return tuple(np.array([v] * 4 + [0.0] * (cfg.p - 4), dtype=float)
-                 for v in (a, b1, b3))
+@dataclass(frozen=True, eq=False)
+class Dgp:
+    """A scenario's data-generating process, which the sampler and the oracle
+    both read.  Each covariate mixes its own standard normal with one shared
+    normal of variance `shared` (mix), so the covariance is
+    (1 - shared) * I + shared.  A row joins trial 2 with probability
+    expit(x . selection).  Its outcome's linear predictor is
+    intercept + x . prognostic, plus x . interaction + treated_shift under
+    either treatment, plus arm2_shift under the aggregate trial's own."""
+
+    selection: np.ndarray    # (p,)
+    prognostic: np.ndarray   # (p,)
+    interaction: np.ndarray  # (p,)
+    intercept: float = -1.0
+    treated_shift: float = 0.1
+    arm2_shift: float = 0.5
+    shared: float = 0.2
+
+    def mix(self, eps: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """The covariates of the standard normals eps (n, k), in place:
+        sqrt(1 - shared) eps + sqrt(shared) u, with u one normal per row drawn
+        next on rng."""
+        eps *= math.sqrt(1.0 - self.shared)
+        eps += math.sqrt(self.shared) * rng.standard_normal((len(eps), 1))
+        return eps
 
 
 @dataclass(frozen=True)
@@ -126,6 +140,15 @@ class ScenarioConfig:
             raise ValueError(f"alpha_slope must be at most {ALPHA_SLOPE_MAX:g} in absolute "
                              "value: beyond it the trial-assignment index can overflow, "
                              f"got {self.alpha_slope:g}")
+
+    @property
+    def dgp(self) -> Dgp:
+        """The scenario's Dgp: its preset's slopes on the first four
+        covariates, the selection slope replaced by alpha_slope when set."""
+        slopes = _SCENARIO[self.confounding]
+        if self.alpha_slope is not None:
+            slopes = (self.alpha_slope, *slopes[1:])
+        return Dgp(*(np.array([v] * 4 + [0.0] * (self.p - 4), dtype=float) for v in slopes))
 
     def to_dict(self) -> dict:
         """The fields by name, enums as their values."""
@@ -170,15 +193,12 @@ class PooledSample:
 _CELLS = ((1, 0), (1, 1), (2, 0), (2, 2))
 
 
-def _draw(cfg: ScenarioConfig, a1: np.ndarray, n_star: int, rng: np.random.Generator):
-    """n_star rows of the scenario DGP up to the outcome: covariates (n_star,
-    p), cell codes and the outcome uniforms, in the DGP's stream order; a1
-    is the config's trial-assignment vector (_config_vectors)."""
-    # X = sqrt(.8) eps + sqrt(.2) u gives covariance .8*I + .2 exactly
-    x = rng.standard_normal((n_star, cfg.p))
-    x *= math.sqrt(0.8)
-    x += math.sqrt(0.2) * rng.standard_normal((n_star, 1))
-    trial2 = rng.random(n_star) < _expit(ALPHA0 + x @ a1)
+def _draw(dgp: Dgp, n_star: int, rng: np.random.Generator):
+    """n_star rows of dgp up to the outcome: covariates (n_star, p), cell
+    codes and the outcome uniforms, in the DGP's stream order.  Every DGP
+    number comes from dgp."""
+    x = dgp.mix(rng.standard_normal((n_star, len(dgp.selection))), rng)
+    trial2 = rng.random(n_star) < _expit(x @ dgp.selection)
     treated = rng.random(n_star) < 0.5
     return x, 2 * trial2 + treated, rng.random(n_star)
 
@@ -189,12 +209,12 @@ def _trial_arm(cell: np.ndarray):
     return t, t * (cell & 1)
 
 
-def _outcome(cfg: ScenarioConfig, x: np.ndarray, z: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Binary outcomes of rows with covariates x (..., p), arm codes z and
-    outcome uniforms u, over any leading axes; each row's arithmetic is the
-    same wherever it sits."""
-    _, b1, b3 = _config_vectors(cfg)
-    lin = BETA0 + x @ b1 + (z > 0) * (x @ b3 + BETA2) + (z == 2) * BETA4
+def _outcome(dgp: Dgp, x: np.ndarray, z: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Binary outcomes of dgp for rows with covariates x (..., p), arm codes z
+    and outcome uniforms u, over any leading axes; each row's arithmetic is
+    the same wherever it sits."""
+    lin = (dgp.intercept + x @ dgp.prognostic + (z > 0) * (x @ dgp.interaction + dgp.treated_shift)
+           + (z == 2) * dgp.arm2_shift)
     return (u < _expit(lin)).astype(float)
 
 
@@ -214,10 +234,11 @@ def _pick(cell: np.ndarray, n_per_arm: int, rng: np.random.Generator) -> list:
 
 
 def generate_population(cfg: ScenarioConfig, n_star: int, rng: np.random.Generator) -> PooledSample:
-    """Simulate n_star unconstrained observations from the scenario DGP."""
-    x, cell, u = _draw(cfg, _config_vectors(cfg)[0], n_star, rng)
+    """Simulate n_star unconstrained observations from the scenario's Dgp."""
+    dgp = cfg.dgp
+    x, cell, u = _draw(dgp, n_star, rng)
     t, z = _trial_arm(cell)
-    return PooledSample(y=_outcome(cfg, x, z, u), z=z, t=t, x=x)
+    return PooledSample(y=_outcome(dgp, x, z, u), z=z, t=t, x=x)
 
 
 def subsample_by_arm(
@@ -230,7 +251,7 @@ def subsample_by_arm(
 
 def true_delta(cfg: ScenarioConfig, n_oracle: int = 2_000_000) -> float:
     """Oracle contrast in the aggregate-trial population, from counterfactual
-    outcome probabilities on a large simulated draw.
+    outcome probabilities on a large simulated draw of the scenario's Dgp.
 
     Its stream, keyed by (cfg.seed, 0xFFFFFFFF), holds, in order, every
     covariate normal, then every row's shared normal, then every row's
@@ -238,38 +259,38 @@ def true_delta(cfg: ScenarioConfig, n_oracle: int = 2_000_000) -> float:
     stream order, and chunked draws equal one draw.  The two linear predictors
     read only the covariates with a nonzero coefficient (the first four in
     every scenario), so each chunk keeps only those columns: the first pass
-    mixes in each chunk's shared normals in place, the second pops each chunk
-    into the read columns of one zeroed (rows, p) buffer, draws its uniforms
-    and keeps the trial-2 rows' linear predictor.  An unread column adds a
-    zero product either way, and the products keep their shape, so they are
-    the bits of a pass over all of x.  NumPy's pairwise sum depends on the
-    array length, so the means are taken once over all kept rows; the result
-    is the same bits as one full-length pass."""
+    mixes in each chunk's shared normals in place (Dgp.mix), the second pops
+    each chunk into the read columns of one zeroed (rows, p) buffer, draws
+    its uniforms and keeps the trial-2 rows' linear predictor.  An unread
+    column adds a zero product either way, and the products keep their
+    shape, so they are the bits of a pass over all of x.  NumPy's pairwise
+    sum depends on the array length, so the means are taken once over all
+    kept rows; the result is the same bits as one full-length pass."""
     if n_oracle < 1:
         raise ValueError(f"n_oracle must be at least 1: the oracle is a mean over its draw, "
                          f"got {n_oracle}")
     rng = np.random.default_rng([cfg.seed, 0xFFFFFFFF])
-    a1, b1, b3 = _config_vectors(cfg)
-    read = np.flatnonzero((a1 != 0) | (b1 + b3 != 0))
+    dgp = cfg.dgp
+    # the active arm's outcome index, less its intercept and shifts
+    index = dgp.prognostic + dgp.interaction
+    read = np.flatnonzero((dgp.selection != 0) | (index != 0))
     sizes = [min(ORACLE_CHUNK_ROWS, n_oracle - i) for i in range(0, n_oracle, ORACLE_CHUNK_ROWS)]
-    # X = sqrt(.8) eps + sqrt(.2) u, as in _draw
     chunks = [rng.standard_normal((m, cfg.p))[:, read] for m in sizes]
     for xc in chunks:
-        xc *= math.sqrt(0.8)
-        xc += math.sqrt(0.2) * rng.standard_normal((len(xc), 1))
+        dgp.mix(xc, rng)
     buf = np.zeros((sizes[0], cfg.p))
     kept = []
     for m in sizes:
         x = buf[:m]
         x[:, read] = chunks.pop(0)
-        t2 = rng.random(m) < _expit(ALPHA0 + x @ a1)
-        kept.append((x @ (b1 + b3))[t2])
-    active = np.concatenate(kept) + BETA0 + BETA2
+        t2 = rng.random(m) < _expit(x @ dgp.selection)
+        kept.append((x @ index)[t2])
+    active = np.concatenate(kept) + dgp.intercept + dgp.treated_shift
     if not len(active):
         raise InsufficientCell(f"the oracle's {n_oracle} rows hold no aggregate-trial "
                                "row; raise n_oracle")
-    m1 = float(_expit(active).mean())            # had they received the IPD treatment
-    m2 = float(_expit(active + BETA4).mean())    # their own trial's treatment
+    m1 = float(_expit(active).mean())                   # had they received the IPD treatment
+    m2 = float(_expit(active + dgp.arm2_shift).mean())  # their own trial's treatment
     return cfg.scale.g(m1) - cfg.scale.g(m2)
 
 
@@ -307,7 +328,7 @@ def replicate_block(cfg: ScenarioConfig, indices) -> tuple[IpdBlock, AgdBlock, T
     over the block, compute the kept rows' outcomes and collapse trial 2's
     arms to aggregate summaries.  Returns the IPD block, the AGD block and
     the aggregate trial's raw records, stacked (B, 2 * n_per_arm)."""
-    a1 = _config_vectors(cfg)[0]
+    dgp = cfg.dgp
     n_rep, m, p = len(indices), 2 * cfg.n_per_arm, cfg.p
     # C-contiguous, so each trial's slot is a C-contiguous block
     x = np.empty((2, n_rep, m, p))
@@ -317,7 +338,7 @@ def replicate_block(cfg: ScenarioConfig, indices) -> tuple[IpdBlock, AgdBlock, T
         rng = np.random.default_rng([cfg.seed, r])
         factor = cfg.oversample_factor
         for _ in range(12):
-            drawn = _draw(cfg, a1, factor * 4 * cfg.n_per_arm, rng)
+            drawn = _draw(dgp, factor * 4 * cfg.n_per_arm, rng)
             try:
                 picks = _pick(drawn[1], cfg.n_per_arm, rng)
                 break
@@ -331,7 +352,7 @@ def replicate_block(cfg: ScenarioConfig, indices) -> tuple[IpdBlock, AgdBlock, T
             for src, dst in zip(drawn, (x, cell, u)):
                 np.take(src, sel, axis=0, out=dst[trial, b], mode="clip")
     _, z = _trial_arm(cell)
-    y = _outcome(cfg, x, z, u)
+    y = _outcome(dgp, x, z, u)
     ipd = IpdBlock(y[0], z[0], x[0], OutcomeKind.BINARY)
     records = TrialRecords(y[1], z[1], x[1])
 
@@ -340,8 +361,9 @@ def replicate_block(cfg: ScenarioConfig, indices) -> tuple[IpdBlock, AgdBlock, T
     arms = np.stack([np.flatnonzero(z[1] == code).reshape(n_rep, -1) for code in (2, 0)], axis=1)
     ya = y[1].reshape(-1).take(arms)
     xa = x[1].reshape(-1, p).take(arms.reshape(2 * n_rep, -1), axis=0)
+    xa_mean = mean_rows(xa)
     agd = AgdBlock(np.full((n_rep, 2), cfg.n_per_arm), ya.mean(axis=2), ya.var(axis=2, ddof=1),
-                   mean_rows(xa).reshape(n_rep, 2, p), var_rows(xa).reshape(n_rep, 2, p),
+                   xa_mean.reshape(n_rep, 2, p), var_rows(xa, xa_mean).reshape(n_rep, 2, p),
                    tuple(f"x{j + 1}" for j in range(p)))
     return ipd, agd, records
 

@@ -15,10 +15,6 @@ from maic.cli import write_json
 from maic.errors import BoundaryProportion, InsufficientCell, SchemaError, SingularJacobian
 from maic.estimators import Method, Scale
 from maic.simulation import (
-    ALPHA0,
-    BETA0,
-    BETA2,
-    BETA4,
     Confounding,
     ScenarioConfig,
     generate_population,
@@ -181,10 +177,35 @@ class TestScenarioConfig:
             ScenarioConfig.from_json_file(path)
 
     def test_scenario_signal_on_first_four(self):
-        a1, b1, b3 = simulation._config_vectors(cfg_with(p=6, confounding=Confounding.SEVERE))
-        np.testing.assert_allclose(a1, [0.3, 0.3, 0.3, 0.3, 0.0, 0.0])
-        np.testing.assert_allclose(b1, [0.25, 0.25, 0.25, 0.25, 0.0, 0.0])
-        np.testing.assert_allclose(b3, [0.15, 0.15, 0.15, 0.15, 0.0, 0.0])
+        # every number of the DGP, written out by value: each preset's
+        # (selection, prognostic, interaction) slope on the first four
+        # covariates, the selection slope replaced by alpha_slope when set
+        presets = {Confounding.NONE: (0.25, 0.0, 0.0),
+                   Confounding.MODERATE: (0.25, 0.15, 0.1),
+                   Confounding.SEVERE: (0.3, 0.25, 0.15)}
+        for confounding, (a, b1, b3) in presets.items():
+            for alpha_slope in (None, 0.0, 0.7):
+                for p in (4, 6):
+                    dgp = cfg_with(p=p, confounding=confounding, alpha_slope=alpha_slope).dgp
+                    zeros = [0.0] * (p - 4)
+                    a_used = a if alpha_slope is None else alpha_slope
+                    for got, v in ((dgp.selection, a_used), (dgp.prognostic, b1),
+                                   (dgp.interaction, b3)):
+                        assert got.dtype == np.float64
+                        assert got.tolist() == [v] * 4 + zeros, (confounding, alpha_slope, p)
+                    assert (dgp.intercept, dgp.treated_shift, dgp.arm2_shift,
+                            dgp.shared) == (-1.0, 0.1, 0.5, 0.2)
+                    # the mix scales by these two roots, bit for bit
+                    assert (math.sqrt(1.0 - dgp.shared), math.sqrt(dgp.shared)) == (
+                        math.sqrt(0.8), math.sqrt(0.2))
+
+    def test_the_dgp_is_no_user_setting(self):
+        cfg = cfg_with()
+        with pytest.raises(AttributeError):
+            cfg.dgp = cfg.dgp
+        assert "dgp" not in cfg.to_dict()
+        with pytest.raises(SchemaError, match="dgp"):
+            ScenarioConfig.from_dict({"dgp": {}})
 
 
 class TestGeneratePopulation:
@@ -256,24 +277,33 @@ class TestSubsample:
 
 def quadrature_delta(cfg, n_oracle, nodes=100):
     """true_delta's contrast, and its Monte Carlo SE at n_oracle rows, by
-    Gauss-Hermite quadrature.  The selection index a1 . x and the active
-    arm's outcome index (b1 + b3) . x are multiples of v = x1 + ... + x4
-    (test_matches_an_independent_quadrature asserts it), and v is N(0, 6.4)
-    under the covariance .8*I + .2 (four variances of 1, twelve covariances
-    of .2).  So each mean is a 1-D ratio E[s(v) e(v)] / E[s(v)], s the
-    selection probability and e the outcome probability.  The SE is the
-    delta method's over the n_oracle * P(trial 2) rows the oracle keeps."""
-    a1, b1, b3 = simulation._config_vectors(cfg)
-    t, w = np.polynomial.hermite.hermgauss(nodes)
-    v = math.sqrt(2 * 6.4) * t
-    s = w / (1.0 + np.exp(-(ALPHA0 + a1[0] * v)))
-    e1, e2 = (1.0 / (1.0 + np.exp(-(BETA0 + BETA2 + shift + (b1 + b3)[0] * v)))
-              for shift in (0.0, BETA4))
-    m1, m2 = s @ e1 / s.sum(), s @ e2 / s.sum()
+    Gauss-Hermite quadrature.  The selection index selection . x and the
+    active arm's outcome index (prognostic + interaction) . x are multiples
+    of v = x1 + ... + x4 (test_matches_an_independent_quadrature asserts
+    it), and v is N(0, 4 + 12 shared), N(0, 6.4), under the covariance
+    .8*I + .2 (four variances of 1, twelve covariances of .2).  So each mean
+    is a 1-D ratio E[s(v) e(v)] / E[s(v)], s the selection probability and e
+    the outcome probability.  The SE is the delta method's over the
+    n_oracle * P(trial 2) rows the oracle keeps."""
+    share, m1, m2, s, e1, e2 = quadrature_pieces(cfg, nodes)
     h = cfg.scale.g_prime(m1) * e1 - cfg.scale.g_prime(m2) * e2
     var = s @ (h - s @ h / s.sum()) ** 2 / s.sum()
-    kept = n_oracle * s.sum() / math.sqrt(math.pi)
-    return cfg.scale.g(m1) - cfg.scale.g(m2), math.sqrt(var / kept)
+    return cfg.scale.g(m1) - cfg.scale.g(m2), math.sqrt(var / (n_oracle * share))
+
+
+def quadrature_pieces(cfg, nodes=100):
+    """quadrature_delta's Gauss-Hermite pieces, with every coefficient read
+    from cfg.dgp: P(trial 2), the trial-2 means m1 (had they received the
+    IPD treatment) and m2 (their own treatment), and at each node the
+    weighted selection probability s and the two outcome probabilities."""
+    dgp = cfg.dgp
+    t, w = np.polynomial.hermite.hermgauss(nodes)
+    v = math.sqrt(2 * (4 + 12 * dgp.shared)) * t
+    s = w / (1.0 + np.exp(-(dgp.selection[0] * v)))
+    e1, e2 = (1.0 / (1.0 + np.exp(-(dgp.intercept + dgp.treated_shift + shift
+                                    + (dgp.prognostic + dgp.interaction)[0] * v)))
+              for shift in (0.0, dgp.arm2_shift))
+    return s.sum() / math.sqrt(math.pi), s @ e1 / s.sum(), s @ e2 / s.sum(), s, e1, e2
 
 
 class TestTrueDelta:
@@ -292,14 +322,14 @@ class TestTrueDelta:
         """The oracle as first written, copying x[t2] before the product, on
         the oracle's own stream."""
         rng = np.random.default_rng([cfg.seed, 0xFFFFFFFF])
-        a1, b1, b3 = simulation._config_vectors(cfg)
-        x = math.sqrt(0.8) * rng.standard_normal((n_oracle, cfg.p))
-        x += math.sqrt(0.2) * rng.standard_normal((n_oracle, 1))
-        t2 = rng.random(n_oracle) < 1.0 / (1.0 + np.exp(-(ALPHA0 + x @ a1)))
+        dgp = cfg.dgp
+        x = math.sqrt(1.0 - dgp.shared) * rng.standard_normal((n_oracle, cfg.p))
+        x += math.sqrt(dgp.shared) * rng.standard_normal((n_oracle, 1))
+        t2 = rng.random(n_oracle) < 1.0 / (1.0 + np.exp(-(x @ dgp.selection)))
         xt2 = x[t2]
-        active = xt2 @ (b1 + b3) + BETA0 + BETA2
+        active = xt2 @ (dgp.prognostic + dgp.interaction) + dgp.intercept + dgp.treated_shift
         m1 = float((1.0 / (1.0 + np.exp(-active))).mean())
-        m2 = float((1.0 / (1.0 + np.exp(-(active + BETA4)))).mean())
+        m2 = float((1.0 / (1.0 + np.exp(-(active + dgp.arm2_shift)))).mean())
         return cfg.scale.g(m1) - cfg.scale.g(m2)
 
     @pytest.mark.parametrize("confounding", list(Confounding))
@@ -365,13 +395,26 @@ class TestTrueDelta:
     @pytest.mark.parametrize("confounding", list(Confounding))
     def test_matches_an_independent_quadrature(self, confounding):
         cfg = cfg_with(confounding=confounding, scale=Scale.LOGIT)
-        a1, b1, b3 = simulation._config_vectors(cfg)
+        dgp = cfg.dgp
         first_four = np.array([1.0] * 4 + [0.0] * (cfg.p - 4))
-        for index in (a1, b1 + b3):  # the quadrature's premise
+        for index in (dgp.selection, dgp.prognostic + dgp.interaction):  # the premise
             assert np.array_equal(index, index[0] * first_four), confounding
         want, mc_se = quadrature_delta(cfg, 2_000_000)
         # without confounding the outcome index is 0, so the SE is too
         assert abs(true_delta(cfg) - want) <= 4 * mc_se + 1e-12
+
+    @pytest.mark.parametrize("confounding", list(Confounding))
+    def test_the_sampler_draws_the_oracles_dgp(self, confounding):
+        # the sampler's selection and active-arm outcome against the
+        # quadrature that test_matches_an_independent_quadrature ties to the
+        # oracle, so a term added to the sampler's outcome model alone fails
+        cfg, n = cfg_with(confounding=confounding), 400_000
+        pop = generate_population(cfg, n, np.random.default_rng(12))
+        share, _, m2, *_ = quadrature_pieces(cfg)
+        t2 = pop.t == 2
+        assert abs(t2.mean() - share) <= 4 * math.sqrt(share * (1 - share) / n)
+        cell = pop.y[t2 & (pop.z == 2)]
+        assert abs(cell.mean() - m2) <= 4 * math.sqrt(m2 * (1 - m2) / len(cell))
 
     def test_moderate_oracle_is_stable(self):
         a = true_delta(cfg_with(scale=Scale.LOGIT, seed=1), n_oracle=1_000_000)
@@ -638,13 +681,15 @@ class TestBlocks:
 
     @staticmethod
     def reference_population(cfg, n_star, rng):
-        """The DGP as first written: t, z and y over every drawn row."""
-        a1, b1, b3 = simulation._config_vectors(cfg)
-        x = math.sqrt(0.8) * rng.standard_normal((n_star, cfg.p))
-        x += math.sqrt(0.2) * rng.standard_normal((n_star, 1))
-        t = np.where(rng.random(n_star) < 1.0 / (1.0 + np.exp(-(ALPHA0 + x @ a1))), 2, 1)
+        """The DGP as first written, on the config's Dgp: t, z and y over
+        every drawn row."""
+        dgp = cfg.dgp
+        x = math.sqrt(1.0 - dgp.shared) * rng.standard_normal((n_star, cfg.p))
+        x += math.sqrt(dgp.shared) * rng.standard_normal((n_star, 1))
+        t = np.where(rng.random(n_star) < 1.0 / (1.0 + np.exp(-(x @ dgp.selection))), 2, 1)
         z = np.where(rng.random(n_star) < 0.5, t, 0)
-        lin = BETA0 + x @ b1 + (z > 0) * (x @ b3 + BETA2) + (z == 2) * BETA4
+        lin = (dgp.intercept + x @ dgp.prognostic
+               + (z > 0) * (x @ dgp.interaction + dgp.treated_shift) + (z == 2) * dgp.arm2_shift)
         y = (rng.random(n_star) < 1.0 / (1.0 + np.exp(-lin))).astype(float)
         return y, z, t, x
 
