@@ -464,11 +464,11 @@ def load_ipd(path, outcome_kind: OutcomeKind = OutcomeKind.CONTINUOUS) -> IpdStu
     The cells IpdStudy rejects (non-finite values, arm codes other than 0/1
     and, for a binary outcome, outcomes not coded 0/1), missing or
     non-numeric cells are named by file, line and column, and rows with more
-    cells than the header has names by file and line.
+    cells than the header has names, or a field longer than csv reads
+    (_csv_rows), by file and line.
     """
     data = read_input(path)
-    reader = csv.reader(_text(data, newline=""))
-    header = next(reader, None)
+    line, header = next(_csv_rows(path, data), (0, None))
     if header is None:
         raise EmptyStudy(f"{path}: empty file")
     index = {}
@@ -483,7 +483,7 @@ def load_ipd(path, outcome_kind: OutcomeKind = OutcomeKind.CONTINUOUS) -> IpdStu
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             rows = np.loadtxt(_text(data), delimiter=",", ndmin=2, comments=None,
-                              quotechar='"', skiprows=reader.line_num)
+                              quotechar='"', skiprows=line)
     except ValueError as e:
         _raise_first_bad_cell(path, data, list(index), outcome_kind, str(e))
     if len(rows) == 0:
@@ -504,17 +504,30 @@ def load_ipd(path, outcome_kind: OutcomeKind = OutcomeKind.CONTINUOUS) -> IpdStu
         raise EmptyStudy(f"{path}: {e}") from None
 
 
+def _csv_rows(path, data):
+    """(line, row) for each row csv.reader reads from an input's bytes
+    (read_input), line the physical line it ends on.  A row csv refuses (a
+    field longer than its size limit) is a SchemaError naming the file and
+    line."""
+    reader = csv.reader(_text(data, newline=""))
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as e:
+        raise SchemaError(f"{path}:{reader.line_num}: unreadable CSV ({e})") from None
+
+
 def _raise_first_bad_cell(path, data, names, outcome_kind, message):
     """Read the file's bytes `data` row by row and raise the error for its
     first bad row or cell, on its physical line; the checks reject
     everything the columnar parse, its column count and IpdStudy reject."""
     binary = outcome_kind is OutcomeKind.BINARY
-    reader = csv.reader(_text(data, newline=""))
-    next(reader)
-    for row in reader:
+    rows = _csv_rows(path, data)
+    next(rows)
+    for line, row in rows:
         if not row:
             continue
-        where = f"{path}:{reader.line_num}"
+        where = f"{path}:{line}"
         if len(row) > len(names):
             raise SchemaError(f"{where}: {len(row)} cells under {len(names)} header names")
         for i, col in enumerate(names):
@@ -620,12 +633,15 @@ def json_float(value) -> float:
 
 def load_json_object(path, read):
     """read(doc) for the JSON object `doc` a file holds (read_input).
-    Invalid JSON or another top-level value is a SchemaError naming the
-    file, and any MaicError `read` raises is raised again with the file
-    prefixed."""
+    JSON the parser cannot read or another top-level value is a SchemaError
+    naming the file, and any MaicError `read` raises is raised again with
+    the file prefixed.  Beyond invalid JSON, the parser refuses an integer
+    literal past int()'s digit limit (a ValueError) and nesting past the
+    recursion limit."""
+    data = read_input(path)  # outside the try: a path with a NUL byte is a ValueError
     try:
-        doc = json.load(_text(read_input(path)))
-    except json.JSONDecodeError as e:
+        doc = json.load(_text(data))
+    except (ValueError, RecursionError) as e:
         raise SchemaError(f"{path}: invalid JSON ({e})") from None
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: top-level JSON value must be an object")

@@ -353,7 +353,7 @@ def stc(ipd: IpdStudy, agd: AgdStudy, scale: Scale = Scale.IDENTITY) -> Estimate
     When the AGD means lie outside the IPD covariate range the prediction
     extrapolates; a warning is emitted rather than refusing.
     """
-    return unwrap(stc_block(stack_ipd([ipd]), stack_agd([agd]), scale)[0])
+    return unwrap(estimate_block(*_one(ipd, agd, None), scale, Method.STC)[0])
 
 
 def stc_block(block: IpdBlock, agd: AgdBlock, scale: Scale = Scale.IDENTITY) -> list:
@@ -374,7 +374,7 @@ def stc_block(block: IpdBlock, agd: AgdBlock, scale: Scale = Scale.IDENTITY) -> 
         warnings.warn(
             "AGD covariate means lie outside the IPD active-arm support; "
             "the outcome model is extrapolating",
-            stacklevel=3,
+            stacklevel=4,
         )
     rows = np.concatenate([np.ones((len(block), 1)), xbar2], axis=1)
     binary = block.outcome_kind is OutcomeKind.BINARY

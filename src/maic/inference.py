@@ -95,19 +95,18 @@ def negative_control_test(
 
 
 def negative_control_block(block: IpdBlock, agd: AgdBlock, fits, scale: Scale = Scale.IDENTITY,
-                           alpha_level: float = 0.05, shared: dict | None = None) -> list:
+                           alpha_level: float = 0.05) -> list:
     """negative_control_test for each study of a block: a NegControlResult or
     the MaicError per study.  It is maic-nab on the comparator pair
     (estimators.NULL_CHECK) with se_block's fo, which reads the estimate's
-    means; `shared` is the arm pieces store of the block's studies
-    (variance._arm_piece), which only the fo reads.  alpha_level must pass
-    check_level, as negative_control_test checks."""
+    means.  alpha_level must pass check_level, as negative_control_test
+    checks."""
     out = estimate_block(block, agd, fits, scale, Method.MAIC_NAB, NULL_CHECK)
     ok = succeeded(out)
     if not ok:
         return out
     (ses,) = se_block(block.take(ok), agd.take(ok), fits.take(ok), [out[b] for b in ok], scale,
-                      [SeStrategy.FO], shared=shared if len(ok) == len(block) else None).values()
+                      [SeStrategy.FO]).values()
     zcrit = norm_quantile(1.0 - alpha_level / 2.0)
     for se, b in zip(ses, ok):
         if isinstance(se, MaicError):
@@ -188,12 +187,8 @@ def report_block(block: IpdBlock, agd: AgdBlock, fits: FitBlock, methods, scale:
     that has estimates, each of the `strategies` that applies
     (variance.se_block) on its own, under <method>/<strategy>; and the null
     check, when asked, on the studies the MAIC methods ran on, under
-    negative_control.  The SEs read the means each estimate holds.  The
-    store of each set of studies holds what the SE stages on them share:
-    each arm's SE pieces (its weight sum and weighted residuals), built once
-    for every method and the null check on the same weights
-    (variance._arm_piece), and each fit's moment Jacobian, which se_block
-    builds the first time po, cs or full solves it.  `records` holds the
+    negative_control.  The SEs read the means each estimate holds, and po,
+    cs and full the moment Jacobian each fit owns.  `records` holds the
     aggregate trial's records, stacked (a TrialRecords of (B, m) arrays),
     which full needs.  The reports hold no Wald interval or p-value."""
     reports = [ComparisonReport(scale=scale) for _ in range(len(block))]
@@ -225,22 +220,19 @@ def report_block(block: IpdBlock, agd: AgdBlock, fits: FitBlock, methods, scale:
             for b, est in file(method.value, members,
                                estimate_block(*inputs(members, method.weighted), scale, method)):
                 reports[b].estimates[method.value] = est
-    shared = {}  # the arm pieces store of each set of studies
     for method in (m for m in methods if m in se_methods):
         members = [b for b in everyone if method.value in reports[b].estimates]
         if not members:
             continue
         ests = [reports[b].estimates[method.value] for b in members]
         ses = se_block(*inputs(members, method.weighted), ests, scale, strategies,
-                       records=None if records is None else records.take(members),
-                       shared=shared.setdefault(tuple(members), {}))
+                       records=None if records is None else records.take(members))
         for strategy, outs in ses.items():
             key = (method.value, strategy.value)
             for b, se in file("/".join(key), members, outs):
                 reports[b].ses[key] = se
     for members in weighted if negative_control else []:
-        results = negative_control_block(*inputs(members, True), scale,
-                                         shared=shared.setdefault(tuple(members), {}))
+        results = negative_control_block(*inputs(members, True), scale)
         for b, result in file("negative_control", members, results):
             reports[b].negative_control = result
     return reports

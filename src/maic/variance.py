@@ -32,18 +32,15 @@ to the per-record phi, the AGD-variance term and, for the MAIC methods,
 ctilde over the centred moments t(X_i) - target that the weight fit solved
 over and carries (FitBlock.moments).  The IPD and AGD means of each pair
 are the ones its Estimate read, so no mean is computed again and no
-boundary check repeated.  Each (weights, arm) piece of the core (J^mu and
-the weighted residuals) depends on the weights and the arm alone, so a
-report builds it once for every method and the null check on the same
-studies (_arm_piece).  The moment Jacobian
-J_alpha = -sum_i w_i c_i c_i^T / N and its condition number depend on the
-fit alone, so there is one per fit (_moment_jacobians): se_block builds it
-the first time po, cs or full solves it, warns there when its condition
-number with a unit diagonal exceeds COND_WARN, and keeps it in the same
-store, where every weighted method solves its own right-hand side ctilde
-against it.  fo, sw, bucher, naive and the null check (whose SE is fo)
-build none: they carry no weight-coefficient or target-mean terms, and
-without the Jacobian fo holds the weights fixed and gives the same bits.
+boundary check repeated.  The moment Jacobian
+J_alpha = -sum_i w_i c_i c_i^T / N depends on the fit alone, so the fit
+owns it (weighting.FitBlock.jacobian), builds it the first time po, cs or
+full reads it, and warns there when its condition number with a unit
+diagonal exceeds weighting.COND_WARN; every weighted method solves its own
+right-hand side ctilde against it.  fo, sw, bucher, naive and the null
+check (whose SE is fo) read none: they carry no weight-coefficient or
+target-mean terms, and without the Jacobian fo holds the weights fixed and
+gives the same bits.
 
 se_block is the one map from strategy to computation: it owns which
 strategies apply to which method (none to stc; fo and sw to bucher and
@@ -57,16 +54,16 @@ The *_block functions run the studies of one stacked IPD block
 (data_model.IpdBlock) with their stacked AGD summaries (data_model.AgdBlock)
 and weight fits (weighting.FitBlock), as arrays over the block, and return
 a result or the MaicError per study; the single-study functions are blocks
-of one.  Where a lone study squares a float, the block squares each element
-through Python's float pow (data_model.squares), as the lone study does.
-InfluencePieces is stacked too: influence_components returns a lone study's
-as a block of one, which sigma2_fo, sigma2_po and sigma2_cs read via _ses.
+of one, and sigma2_sw and sigma2_full are se_block's.  Where a lone study
+squares a float, the block squares each element through Python's float pow
+(data_model.squares), as the lone study does.  InfluencePieces is stacked
+too: influence_components returns a lone study's as a block of one, which
+sigma2_fo, sigma2_po and sigma2_cs read via _ses.
 """
 
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -85,8 +82,6 @@ from .data_model import (
 from .errors import MissingAgdVariance, RequiresFullIpd, SingularJacobian, unwrap
 from .estimators import Estimate, Method, Scale, _block_weights, _file_first, _one
 from .weighting import WeightModel, moment_matrix, solve_each
-
-COND_WARN = 1e12
 
 
 class SeStrategy(enum.Enum):
@@ -135,86 +130,28 @@ def _outcome_variances(y_var: np.ndarray, n: np.ndarray, ybar: np.ndarray,
     return np.where(missing, ybar * (1.0 - ybar) * n / np.maximum(n - 1, 1), y_var)
 
 
-@dataclass(frozen=True)
-class _MomentJacobians:
-    """The moment Jacobian J_alpha = -sum_i w_i c_i c_i^T / N (B, k, k) of
-    each fitted study of a block, with c the centred moments the fit solved
-    over, w its weights and N the combined size; `finite` marks the studies
-    whose J_alpha has a finite condition number.  They depend on the fit
-    alone, so se_block builds them once per arm pieces store, the first
-    time po, cs or full solves them."""
-
-    j_alpha: np.ndarray
-    finite: np.ndarray
-
-
-def _moment_jacobians(block: IpdBlock, agd: AgdBlock, fits) -> _MomentJacobians:
-    """The moment Jacobians of a block's studies from their fits (a
-    FitBlock, each study fitted), with one warning per study whose
-    condition number exceeds COND_WARN both as built and with J_alpha
-    scaled to a unit diagonal: the scaling removes what the covariates'
-    units and offsets add, so only correlated moments warn.  `finite` and
-    the SingularJacobian read the unscaled number."""
-    c = fits.moments
-    wc = fits.weights[:, :, None] * c
-    j_alpha = np.matmul(-wc.transpose(0, 2, 1), c) / (block.n + agd.n_total)[:, None, None]
-    cond = np.linalg.cond(j_alpha)
-    large = j_alpha[np.isfinite(cond) & (cond > COND_WARN)]
-    d = 1.0 / np.sqrt(-np.diagonal(large, axis1=1, axis2=2))
-    scaled = np.linalg.cond(large * d[:, :, None] * d[:, None, :])
-    for v in scaled[scaled > COND_WARN]:
-        warnings.warn(
-            f"moment Jacobian condition number {v:.3g} exceeds {COND_WARN:.0e}; "
-            "heavily correlated covariates suspected",
-            stacklevel=4,
-        )
-    return _MomentJacobians(j_alpha, np.isfinite(cond))
-
-
-def _solve_neg_definite(jac: _MomentJacobians, rhs: np.ndarray):
-    """Solve J_alpha @ x = rhs for each (negative definite) moment Jacobian
-    of a block: x, and a SingularJacobian or None per replicate."""
-    errors = [None if f else SingularJacobian("moment Jacobian is singular") for f in jac.finite]
-    finite = np.flatnonzero(jac.finite)
-    x = np.zeros_like(rhs)
-    x[finite], singular = solve_each(jac.j_alpha[finite], rhs[finite])
-    for b in finite[singular]:
-        errors[b] = SingularJacobian("moment Jacobian is singular")
-    return x, errors
-
-
 class _Derived(NamedTuple):
     """What the influence and sw paths share for a block: the weights
     (B, n), the combined sizes (B,), per arm pair of the contrast its
     (sign * g'(IPD mean), IPD arm code, IPD mean, AGD variance term), each
-    term (B,), the MaicError or None per study, whether the weights are
-    fitted, and the arm pieces store (_arm_piece).  The means are the
+    term (B,), and the MaicError or None per study.  The means are the
     estimates' own."""
 
     w: np.ndarray
     n_total: np.ndarray
     pairs: list
     errors: list
-    weighted: bool
-    shared: dict
 
 
-def _derive(block: IpdBlock, agd: AgdBlock, fits, ests, scale: Scale,
-            shared: dict | None = None) -> _Derived:
+def _derive(block: IpdBlock, agd: AgdBlock, fits, ests, scale: Scale) -> _Derived:
     """_Derived of a block whose estimates share one method and one
     contrast, read off the first estimate.  The IPD and AGD means of each
     pair are the ones each study's Estimate read (Estimate.pairs), so they
     are not recomputed; an Estimate exists only where they lie in the
     scale's domain.  A study whose AGD arm has no usable variance gets the
     MissingAgdVariance.  The AGD term is the variance contribution of the
-    reported AGD arm mean over the combined size.  `shared` holds the arm
-    pieces of the block's studies that other calls on the same studies
-    have built; they depend only on the weights and the arm."""
-    method = ests[0].method
-    if method is Method.STC:
-        raise ValueError("stc is an outcome-model estimator and weights no records")
-    w = _block_weights(block, fits, method.weighted)
-    shared = {} if shared is None else shared
+    reported AGD arm mean over the combined size."""
+    w = _block_weights(block, fits, ests[0].method.weighted)
     n_total = block.n + agd.n_total
     signs, codes, _, arms, _ = zip(*ests[0].pairs)
     cols, agd_row = [AGD_ARMS.index(arm) for arm in arms], len(arms)
@@ -229,42 +166,26 @@ def _derive(block: IpdBlock, agd: AgdBlock, fits, ests, scale: Scale,
     g_agd = squares(g[agd_row:])
     pairs = [(signs[i] * g[i], codes[i], mu[i],
               g_agd[i] * variances[i] / (agd.n[:, cols[i]] / n_total)) for i in range(agd_row)]
-    return _Derived(w, n_total, pairs, errors, method.weighted, shared)
-
-
-def _arm_piece(block: IpdBlock, w: np.ndarray, code: int, mu: np.ndarray, weighted: bool,
-               shared: dict, n_total: np.ndarray, c: np.ndarray | None = None) -> dict:
-    """The SE pieces of arm `code`, whose weighted mean outcome is mu (B,),
-    under the weights w (fitted when `weighted`, else unit) for each study
-    of a block, built once per store `shared` and read by every SE and null
-    check on the same studies: J^mu = the arm's weight sum over the
-    combined size "j" (B, 1), the weighted residuals "resid" and resid / j
-    "r" (B, n) and, given the centred moments c, c^T resid over the
-    combined size "ct" (B, k)."""
-    piece = shared.setdefault((weighted, code), {})
-    if "r" not in piece:
-        mask = block.arm_mask(code)
-        piece["j"] = (w * mask).sum(axis=1)[:, None] / n_total[:, None]
-        piece["resid"] = (block.y - mu[:, None]) * w * mask
-        piece["r"] = piece["resid"] / piece["j"]
-    if c is not None and "ct" not in piece:
-        piece["ct"] = (np.matmul(c.transpose(0, 2, 1), piece["resid"][:, :, None])[:, :, 0]
-                       / n_total[:, None])
-    return piece
+    return _Derived(w, n_total, pairs, errors)
 
 
 def _pair_influence(block: IpdBlock, derived: _Derived, c: np.ndarray | None = None):
     """Per-record phi (B, n) and, when the centred moments c (B, n, k) are
     given, ctilde (B, k), summed over the signed arm pairs of each study of
-    a block."""
+    a block.  Each pair's arm gives J^mu, its weight sum over the combined
+    size (B, 1), and its weighted residuals (B, n); phi adds the residuals
+    over J^mu, and ctilde c^T times them over the combined size and J^mu."""
+    n_total = derived.n_total[:, None]
     phi = np.zeros(block.y.shape)
     ctilde = None if c is None else np.zeros((len(block), c.shape[2]))
     for sg, code, mu, _ in derived.pairs:
-        piece = _arm_piece(block, derived.w, code, mu, derived.weighted, derived.shared,
-                           derived.n_total, c)
-        phi += sg[:, None] * piece["r"]
+        mask = block.arm_mask(code)
+        j = (derived.w * mask).sum(axis=1)[:, None] / n_total
+        resid = (block.y - mu[:, None]) * derived.w * mask
+        phi += sg[:, None] * (resid / j)
         if c is not None:
-            ctilde += (sg[:, None] * piece["ct"]) / piece["j"]
+            ct = np.matmul(c.transpose(0, 2, 1), resid[:, :, None])[:, :, 0] / n_total
+            ctilde += (sg[:, None] * ct) / j
     return phi, ctilde
 
 
@@ -311,40 +232,53 @@ def influence_components(
     recomputed.  Returns the pieces as a block of one, or raises the
     study's MaicError.
     """
-    pieces = influence_block(*_one(ipd, agd, model), [est], scale)
+    _refuse_inapplicable(est, SeStrategy.FO)
+    block, agd_block, fits = _one(ipd, agd, model)
+    pieces = _influence(block, _derive(block, agd_block, fits, [est], scale), fits,
+                        est.method.weighted)
     return unwrap(pieces.errors[0] or pieces)
 
 
-def influence_block(block: IpdBlock, agd: AgdBlock, fits, ests, scale: Scale) -> InfluencePieces:
-    """influence_components for each study of a block whose estimates share
-    one method and whose fits share one moment spec."""
-    return _influence(block, _derive(block, agd, fits, ests, scale), fits,
-                      _moment_jacobians(block, agd, fits) if ests[0].method.weighted else None)
+def _refuse_inapplicable(est: Estimate, strategy: SeStrategy) -> None:
+    """The ValueError of a lone study's SE entry when `strategy` cannot
+    apply to est's method: stc has no SE, and full is maic-nab's alone."""
+    if est.method is Method.STC:
+        raise ValueError("stc is an outcome-model estimator and weights no records")
+    if strategy is SeStrategy.FULL and est.method is not Method.MAIC_NAB:
+        raise ValueError("full influence benchmark is defined for maic-nab")
 
 
-def _influence(block: IpdBlock, derived: _Derived, fits,
-               jac: _MomentJacobians | None) -> InfluencePieces:
-    """The InfluencePieces of a block, from what _derive gives.  The
-    moment Jacobians `jac` of the fits add the weight-coefficient terms,
-    which solve them; without them (bucher, naive, the null check and fo)
-    the weights are held fixed and nothing is solved.  Every study's rows
-    are computed, each on its own; a study with an error keeps it."""
+def _influence(block: IpdBlock, derived: _Derived, fits, solve: bool) -> InfluencePieces:
+    """The InfluencePieces of a block, from what _derive gives.  With
+    `solve`, the weight-coefficient terms solve the moment Jacobian of each
+    fit (FitBlock.jacobian, over the combined size); without it (bucher,
+    naive, the null check and fo) the weights are held fixed and nothing is
+    solved.  Every study's rows are computed, each on its own; a study with
+    an error keeps it, and one whose Jacobian is singular gets its
+    SingularJacobian in jacobian_errors."""
     n_total = derived.n_total
     p_t2 = (n_total - block.n) / n_total  # the aggregate trial's share
     var_phi_mu2 = 0.0  # summed from 0, pair by pair, as a lone sum is
     for pair in derived.pairs:
         var_phi_mu2 = var_phi_mu2 + pair[3]
-    if jac is None:
+    if not solve:
         phi, _ = _pair_influence(block, derived)
         return InfluencePieces(phi, None, var_phi_mu2, np.zeros(len(block)), n_total, p_t2,
                                None, None, derived.errors, [None] * len(block))
     phi, ctilde = _pair_influence(block, derived, fits.moments)
-    sol, jacobian_errors = _solve_neg_definite(jac, ctilde)
+    product, finite = fits.jacobian
+    at = np.flatnonzero(finite)
+    sol = np.zeros_like(ctilde)
+    sol[at], singular = solve_each(product[at] / n_total[at, None, None], ctilde[at])
+    solved = finite.copy()
+    solved[at[singular]] = False
+    jacobian_errors = [None if ok else SingularJacobian("moment Jacobian is singular")
+                       for ok in solved.tolist()]
     phi_alpha = np.matmul(derived.w[:, :, None] * fits.moments, sol[:, :, None])[:, :, 0]
     dots = np.matmul(ctilde[:, None, :], sol[:, :, None])[:, 0, 0]
     ew_t1 = derived.w.sum(axis=1) / n_total
     v = -(ew_t1 / p_t2) * dots
-    v_mu_x2 = np.where([e is None for e in jacobian_errors], np.where(v < 0.0, 0.0, v), np.nan)
+    v_mu_x2 = np.where(solved, np.where(v < 0.0, 0.0, v), np.nan)
     return InfluencePieces(phi, phi_alpha, var_phi_mu2, v_mu_x2, n_total, p_t2, ew_t1, sol,
                            derived.errors, jacobian_errors)
 
@@ -396,8 +330,17 @@ def sigma2_sw(
     """HC0 sandwich variance of the weighted mean(s), weights fixed.  `est`
     must be the library's estimate on these studies and scale: its means
     are read, not recomputed."""
-    block, agd_block, fits = _one(ipd, agd, model)
-    return unwrap(sw_block(block, _derive(block, agd_block, fits, [est], scale))[0])
+    return _lone_se(SeStrategy.SW, ipd, agd, None, model, est, scale)
+
+
+def _lone_se(strategy: SeStrategy, ipd: IpdStudy, agd: AgdStudy, records, model, est: Estimate,
+             scale: Scale) -> SeEstimate:
+    """se_block's `strategy` for a lone study, as a block of one, or its
+    MaicError raised; a strategy that cannot apply to est's method is a
+    ValueError (_refuse_inapplicable)."""
+    _refuse_inapplicable(est, strategy)
+    (ses,) = se_block(*_one(ipd, agd, model), [est], scale, [strategy], records).values()
+    return unwrap(ses[0])
 
 
 def sw_block(block: IpdBlock, derived: _Derived) -> list:
@@ -416,7 +359,7 @@ def sw_block(block: IpdBlock, derived: _Derived) -> list:
 
 
 def se_block(block: IpdBlock, agd: AgdBlock, fits, ests, scale: Scale, strategies,
-             records=None, shared: dict | None = None) -> dict:
+             records=None) -> dict:
     """Each requested strategy that applies to the estimates' method (see
     _APPLICABLE), in the order requested, mapped to a SeEstimate or the
     MaicError per study, for a block whose estimates share one method and
@@ -424,28 +367,21 @@ def se_block(block: IpdBlock, agd: AgdBlock, fits, ests, scale: Scale, strategie
     derived once for every strategy.
     `records` holds the aggregate trial's raw records, stacked (a
     TrialRecords of (B, m) arrays), which full needs; without them full
-    gives RequiresFullIpd.  `shared` is the arm pieces store of these
-    studies (_arm_piece).  A weighted method's po, cs and full solve the
-    moment Jacobians of the block's fits (_moment_jacobians), which are
-    built, and warn, the first time any method on the store's studies needs
-    them and are kept in the store; fo and sw read nothing they add, so a
-    request of those alone builds none."""
+    gives RequiresFullIpd.  A weighted method's po, cs and full solve the
+    moment Jacobian each fit owns (FitBlock.jacobian); fo and sw read
+    nothing it adds, so a request of those alone reads none."""
     wanted = [s for s in strategies if s in _APPLICABLE[ests[0].method]]
     if not wanted:
         return {}
-    derived = _derive(block, agd, fits, ests, scale, shared)
+    derived = _derive(block, agd, fits, ests, scale)
     out, inf = {}, None
     for strategy in wanted:
         if strategy is SeStrategy.SW:
             out[strategy] = sw_block(block, derived)
             continue
         if inf is None:
-            jac = None
-            if derived.weighted and not set(wanted) <= {SeStrategy.FO, SeStrategy.SW}:
-                if "jacobians" not in derived.shared:
-                    derived.shared["jacobians"] = _moment_jacobians(block, agd, fits)
-                jac = derived.shared["jacobians"]
-            inf = _influence(block, derived, fits, jac)
+            inf = _influence(block, derived, fits, ests[0].method.weighted
+                             and not set(wanted) <= {SeStrategy.FO, SeStrategy.SW})
         if strategy is SeStrategy.FULL:
             out[strategy] = _full_ses(records, fits, ests, scale, inf)
         else:
@@ -464,11 +400,9 @@ def sigma2_full(
     """The full influence-function variance of a maic-nab estimate, given
     the aggregate trial's records.  `est` must be the library's estimate on
     these studies and scale: its means are read, not recomputed."""
-    block, agd_block, fits = _one(ipd, agd, model)
-    inf = influence_block(block, agd_block, fits, [est], scale)
     records = agd_records and TrialRecords(agd_records.y[None], agd_records.z[None],
                                            agd_records.x[None])
-    return unwrap(_full_ses(records, fits, [est], scale, inf)[0])
+    return _lone_se(SeStrategy.FULL, ipd, agd, records, model, est, scale)
 
 
 def _full_ses(records, fits, ests, scale: Scale, inf: InfluencePieces) -> list:
@@ -477,8 +411,6 @@ def _full_ses(records, fits, ests, scale: Scale, inf: InfluencePieces) -> list:
     influence function of a study is phi_mu1 + phi_alpha on its IPD rows
     and phi_mu2 + phi_mu_x2 on the aggregate trial's records (`records`,
     stacked); sigma2 is its variance over both."""
-    if ests[0].method is not Method.MAIC_NAB:
-        raise ValueError("full influence benchmark is defined for maic-nab")
     out = list(inf.errors)
     if records is None:
         return [e or RequiresFullIpd("full influence function needs the aggregate trial's "

@@ -11,6 +11,7 @@ model is never estimated; centering on the target removes it.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -20,6 +21,10 @@ from .data_model import (IpdBlock, IpdStudy, MomentSpec, mean_rows, reduce_rows,
                          stack_ipd, take_rows)
 from .errors import (DegenerateCovariate, DimensionMismatch, EmptyWeights, MaicError,
                      NonConvergence, unwrap)
+
+# the condition number beyond which a fit's moment Jacobian warns
+COND_WARN = 1e12
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -76,7 +81,8 @@ class FitBlock:
     (F, k), iterations, objective and each arm's ess (F,) is the fit of
     study rows[i].  `errors` maps each study whose fit failed to its
     MaicError; a study in neither has no fit.  The stages read the weights
-    and moments as they are, with no per-study copy."""
+    and moments as they are, with no per-study copy, and the moment Jacobian
+    (jacobian) is the block's own."""
 
     spec: MomentSpec
     size: int
@@ -119,6 +125,31 @@ class FitBlock:
                                                      self.centering, self.iterations,
                                                      self.objective)),
                         {code: take_rows(v, at) for code, v in self.ess.items()}, {})
+
+    @functools.cached_property
+    def jacobian(self) -> tuple[np.ndarray, np.ndarray]:
+        """-(w c)^T c (F, k, k) over each fit's weights w and centred moments
+        c, the moment Jacobian J_alpha = -sum_i w_i c_i c_i^T / N times the
+        combined size N, which the po, cs and full SEs divide by N and solve;
+        and whether its condition number is finite.  It is built on its first
+        read, not by the solver, so a run whose SEs solve none (a fit, fo, sw,
+        the null check) builds none.  Each fit whose condition number exceeds
+        COND_WARN both as built and scaled to a unit diagonal warns once: the
+        scaling removes what the covariates' units and offsets add, so only
+        correlated moments warn."""
+        wc = self.weights[:, :, None] * self.moments
+        product = np.matmul(-wc.transpose(0, 2, 1), self.moments)
+        cond = np.linalg.cond(product)
+        large = product[np.isfinite(cond) & (cond > COND_WARN)]
+        d = 1.0 / np.sqrt(-np.diagonal(large, axis1=1, axis2=2))
+        scaled = np.linalg.cond(large * d[:, :, None] * d[:, None, :])
+        for v in scaled[scaled > COND_WARN]:
+            warnings.warn(
+                f"moment Jacobian condition number {v:.3g} exceeds {COND_WARN:.0e}; "
+                "heavily correlated covariates suspected",
+                stacklevel=4,
+            )
+        return product, np.isfinite(cond)
 
     def outcome(self, b: int):
         """The WeightModel of study b or the MaicError of its failed fit."""
@@ -184,7 +215,7 @@ def solve_weights_block(block: IpdBlock, targets: np.ndarray, spec: MomentSpec,
     done = np.flatnonzero(converged)
     finished = block.take(solvable[done])
     ess, valid = zip(*(_ess(finished.arm_rows(take_rows(w, done), code)) for code in block.arms))
-    valid = np.logical_and.reduce(valid)
+    valid = np.array(valid)  # (arms, converged fits)
 
     errors = {}
     for b in np.flatnonzero(degenerate.any(axis=1)).tolist():
@@ -200,10 +231,11 @@ def solve_weights_block(block: IpdBlock, targets: np.ndarray, spec: MomentSpec,
             f"{np.max(np.abs(residual[s])):.3g}",
             residual=residual[s],
         )
-    for s in done[~valid].tolist():
-        errors[int(solvable[s])] = EmptyWeights(
-            "weights must be finite, nonnegative and not all zero")
-    keep = np.flatnonzero(valid)  # the converged fits whose every arm has an ESS
+    for i in np.flatnonzero(~valid.all(axis=0)).tolist():
+        code = list(block.arms)[int(np.argmin(valid[:, i]))]  # the first arm without an ESS
+        errors[int(solvable[done[i]])] = EmptyWeights(
+            f"weights of arm z={code} must be finite, nonnegative and not all zero")
+    keep = np.flatnonzero(valid.all(axis=0))  # the converged fits whose every arm has an ESS
     at = take_rows(done, keep)
     rows = solvable[at]
     return FitBlock(spec, len(block), rows, take_rows(alpha, at), take_rows(w, at),

@@ -22,7 +22,7 @@ from maic import errors
 from maic.cli import main
 from maic.errors import MaicError
 
-from test_data_model import REFUSED, not_utf8_file, piped
+from test_data_model import REFUSED, UNREADABLE_JSON, not_utf8_file, piped
 
 
 @pytest.fixture
@@ -242,6 +242,25 @@ class TestFit:
         with open(out / "weights.csv", newline="") as fh:
             weights = [float(r["weight"]) for r in csv.DictReader(fh)]
         assert weights.count(0.0) == 1 and weights[-1] == 0.0
+
+    def test_an_arm_whose_every_weight_underflows_exits_1_naming_it(self, tmp_path, capsys):
+        # the fit converges, but every weight of the comparator rows at -1500
+        # underflows to 0, so that arm has no effective sample size
+        rng = np.random.default_rng(3)
+        x = np.concatenate([rng.normal(size=200), np.full(50, -1500.0)])
+        ipd = tmp_path / "far.csv"
+        ipd.write_text("y,z,x1\n" + "".join(f"{i % 2},{int(i < 200)},{v}\n"
+                                             for i, v in enumerate(x.tolist())))
+        agd = tmp_path / "far.json"
+        agd.write_text(json.dumps({"covariates": ["x1"], "arms": {
+            "active": {"n": 50, "y_mean": 0.5, "y_var": 0.25, "x_mean": [1.0]}}}))
+        out = tmp_path / "empty"
+        code = main(["fit", "--ipd", str(ipd), "--agd", str(agd), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == ("error: EmptyWeights: weights of arm z=0 must be finite, nonnegative "
+                       "and not all zero\n")
+        assert not out.exists()
 
 
 class TestCompare:
@@ -601,9 +620,9 @@ class TestCompare:
         # neither solves the Jacobian, so neither builds it or warns of it
         ipd, agd = self.collinear_pair(tmp_path)
         calls = []
-        build = maic.variance._moment_jacobians
-        monkeypatch.setattr(maic.variance, "_moment_jacobians",
-                            lambda *a: calls.append(a) or build(*a))
+        build = maic.weighting.FitBlock.jacobian.func
+        monkeypatch.setattr(maic.weighting.FitBlock, "jacobian",
+                            property(lambda fits: calls.append(fits) or build(fits)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(["compare", "--ipd", str(ipd), "--agd", str(agd), "--methods",
@@ -885,6 +904,37 @@ class TestNotUtf8:
         assert code == 1
         assert "Traceback" not in err
         assert err.startswith(f"error: SchemaError: {path}:{line}: not UTF-8 text")
+
+
+class TestUnreadableInputs:
+    """An input that Python's JSON or CSV parser cannot read exits 1 naming
+    the file, before --out is made."""
+
+    @pytest.mark.parametrize("kind, case", [
+        ("agd", "nested"), ("agd", "digits"), ("config", "nested"), ("config", "digits"),
+        ("ipd", "header"), ("ipd", "row"),
+    ])
+    def test_it_exits_1_naming_the_file(self, io_pair, tmp_path, capsys, kind, case):
+        ipd, agd = io_pair
+        path = tmp_path / f"bad-{kind}"
+        if kind == "ipd":
+            long = "x" * 200_000
+            path.write_text(f"y,z,x1,{long}\n1,1,0.1,0.2\n" if case == "header"
+                            else f"y,z,x1,x2\n1,1,0.1,0.2\n0,0,0.3,{long}\n")
+            ipd = path
+        else:
+            path.write_text(UNREADABLE_JSON[case])
+            agd = path
+        out = tmp_path / "out"
+        if kind == "config":
+            code = main(["simulate", "--config", str(path), "--out", str(out)])
+        else:
+            code = main(["fit", "--ipd", str(ipd), "--agd", str(agd), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: SchemaError: {path}:")
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestOnlyRegularFiles:

@@ -174,6 +174,24 @@ class TestLoadIpd:
                 f"{p}: column {name!r} appears more than once in the header")):
             load_ipd(p)
 
+    def test_a_header_name_beyond_csvs_field_limit_is_named(self, tmp_path):
+        p = write(tmp_path / "ipd.csv", "y,z," + "x" * 200_000 + "\n1,1,0.2\n")
+        with pytest.raises(SchemaError, match="^" + re.escape(
+                f"{p}:1: unreadable CSV (field larger than field limit (131072))") + "$"):
+            load_ipd(p)
+
+    def test_a_bad_row_beyond_csvs_field_limit_is_named(self, tmp_path):
+        # numpy's reader refuses the cell, and the scan for the bad cell
+        # reaches its row
+        p = write(tmp_path / "ipd.csv", "y,z,x1\n1,1,0.2\n0,0," + "x" * 200_000 + "\n")
+        with pytest.raises(SchemaError, match="^" + re.escape(
+                f"{p}:3: unreadable CSV (field larger than field limit (131072))") + "$"):
+            load_ipd(p)
+
+    def test_a_long_numeric_cell_loads(self, tmp_path):
+        p = write(tmp_path / "ipd.csv", "y,z,x1\n1,1,0.2\n0,0,0.25" + "0" * 200_000 + "\n")
+        assert load_ipd(p).x.tolist() == [[0.2], [0.25]]
+
     def test_leading_byte_order_mark_is_dropped(self, tmp_path):
         # spreadsheets save "CSV UTF-8" with a BOM before the first header name
         text = "y,z,x1\n1,1,0.2\n0,0,-0.1\n"
@@ -425,6 +443,21 @@ def test_invalid_json_is_named_on_its_line(tmp_path, ending):
     with pytest.raises(SchemaError, match="^" + re.escape(
             f"{p}: invalid JSON (Expecting value: line 3 column 11")):
         load_agd(p)
+
+
+# documents Python's JSON parser refuses with other than a JSONDecodeError:
+# one nested past the recursion limit, and an integer literal past the
+# 4,300-digit limit of int() on a string
+UNREADABLE_JSON = {"nested": "[" * 200_000, "digits": '{"n": ' + "1" * 5000 + "}"}
+
+
+@pytest.mark.parametrize("case", UNREADABLE_JSON)
+@pytest.mark.parametrize("kind", ["agd", "scenario"])
+def test_json_the_parser_cannot_read_is_named(tmp_path, kind, case):
+    p = tmp_path / f"{kind}.json"
+    p.write_text(UNREADABLE_JSON[case])
+    with pytest.raises(SchemaError, match="^" + re.escape(f"{p}: invalid JSON (")):
+        LOADERS[kind](p)
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

@@ -264,26 +264,25 @@ def test_each_weighted_method_reads_the_shared_jacobian_as_its_own(rng):
                          if k.split("/")[0] == method.value}, alone.errors)
 
 
-def test_se_block_gives_the_same_bits_with_a_fresh_store_and_a_shared_one(rng):
-    # the store holds the arm pieces and the moment Jacobians that the first
-    # call builds; a call that finds them there reads them as its own, and
-    # fo and sw asked alone, which build no Jacobian, give the bits they give
-    # beside po, cs and full
+def test_se_block_gives_the_same_bits_from_a_fresh_fit_and_one_that_built_its_jacobian(rng):
+    # a fit keeps the moment Jacobian that its first po, cs or full builds; a
+    # later call on the same fit reads it as its own, and fo and sw asked
+    # alone, which read no Jacobian, give the bits they give beside po, cs
+    # and full
     ipd, agd, records, model = study(rng, Scale.LOGIT, comparator=True)
-    block, agd, fits, records = stack_ipd([ipd]), stack_agd([agd]), FitBlock.of([model]), \
-        stack_records([records])
-    shared = {}
+    block, agd, records = stack_ipd([ipd]), stack_agd([agd]), stack_records([records])
+    built = FitBlock.of([model])
     for method in (Method.MAIC_NAB, Method.MAIC_ACB):
-        ests = estimate_block(block, agd, fits, Scale.LOGIT, method)
-        every = se_block(block, agd, fits, ests, Scale.LOGIT, list(SeStrategy), records)
+        ests = estimate_block(block, agd, built, Scale.LOGIT, method)
+        every = se_block(block, agd, built, ests, Scale.LOGIT, list(SeStrategy), records)
         for strategy in APPLICABLE[method]:
-            fresh = se_block(block, agd, fits, ests, Scale.LOGIT, [strategy], records)
-            stored = se_block(block, agd, fits, ests, Scale.LOGIT, [strategy], records,
-                              shared=shared)
-            assert list(fresh) == list(stored) == [strategy]
-            assert same(fresh[strategy], stored[strategy]), (method, strategy)
+            fresh = se_block(block, agd, FitBlock.of([model]), ests, Scale.LOGIT, [strategy],
+                             records)
+            kept = se_block(block, agd, built, ests, Scale.LOGIT, [strategy], records)
+            assert list(fresh) == list(kept) == [strategy]
+            assert same(fresh[strategy], kept[strategy]), (method, strategy)
             assert same(fresh[strategy], every[strategy]), (method, strategy)
-    assert "jacobians" in shared
+    assert "jacobian" in vars(built)
 
 
 def test_a_failed_fit_skips_the_weighted_stages_and_a_missing_fit_files_each(rng):
@@ -367,9 +366,9 @@ def test_every_se_estimate_holds_builtin_floats(rng, scale):
     assert all(type(se.sigma2) is float and type(se.se) is float for se in ses)
 
 
-def test_each_arm_piece_is_built_once_per_report(rng, monkeypatch):
-    # four (weights, arm) pieces exist: maic-nab, maic-acb and the null check
-    # read the fitted weights, bucher and naive unit weights, each on two arms
+def test_each_se_call_builds_each_arm_piece_once(rng, monkeypatch):
+    # fo, po, cs and full read one influence computation, which builds the
+    # piece of each arm its contrast reads once; sw reads none
     built, arm_mask = [], data_model.IpdBlock.arm_mask
 
     def counting_mask(block, code):
@@ -377,8 +376,12 @@ def test_each_arm_piece_is_built_once_per_report(rng, monkeypatch):
         return arm_mask(block, code)
 
     monkeypatch.setattr(data_model.IpdBlock, "arm_mask", counting_mask)
-    ipd, agd, _, model = study(rng, Scale.LOGIT, comparator=True)
-    report = build_comparison_report(ipd, agd, model, list(Method), Scale.LOGIT,
-                                     run_negative_control=True)
-    assert not report.errors and report.negative_control is not None
-    assert sorted(built) == [0, 0, 1, 1]
+    ipd, agd, records, model = study(rng, Scale.LOGIT, comparator=True)
+    block, agd, fits = stack_ipd([ipd]), stack_agd([agd]), FitBlock.of([model])
+    for method in (m for m in Method if APPLICABLE[m]):
+        ests = estimate_block(block, agd, fits, Scale.LOGIT, method)
+        built.clear()
+        ses = se_block(block, agd, fits, ests, Scale.LOGIT, list(SeStrategy),
+                       stack_records([records]))
+        assert not any(isinstance(se, MaicError) for outs in ses.values() for se in outs)
+        assert built == [code for _, code, _ in CONTRASTS[method].pairs], method

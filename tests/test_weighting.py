@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 import warnings
 
 import numpy as np
@@ -277,6 +278,33 @@ class TestEffectiveSampleSize:
         assert np.count_nonzero(model.weights == 0.0) == 1
         assert balance_check(model, ipd, np.array([1.0]))[1] <= 1e-10
         assert model.ess[1] == effective_sample_size(model.weights)
+
+
+def empty_comparator_arm(rng, x_comparator=-1500.0):
+    """200 N(0,1) active rows and 50 comparator rows at x_comparator: with
+    -1500, the fit to the target 1.0 converges, but every comparator weight
+    exp(-1501 a) underflows to 0."""
+    x = np.concatenate([rng.normal(size=200), np.full(50, x_comparator)])[:, None]
+    return make_ipd(rng.normal(size=250), np.repeat([1, 0], [200, 50]), x)
+
+
+EMPTY_ARM = "^weights of arm z=0 must be finite, nonnegative and not all zero$"
+
+
+class TestEmptyArm:
+    def test_an_arm_whose_every_weight_underflows_is_named(self, rng):
+        with pytest.raises(EmptyWeights, match=EMPTY_ARM):
+            solve_weights(empty_comparator_arm(rng), np.array([1.0]))
+
+    def test_the_other_studies_of_a_block_keep_their_fits(self, rng):
+        ipds = [empty_comparator_arm(rng, x) for x in (0.5, -1500.0, -0.5)]
+        targets = np.array([[0.2], [1.0], [0.1]])
+        fits = outcomes(solve_weights_block(stack_ipd(ipds), targets, MomentSpec.FIRST,
+                                            SolverConfig()))
+        assert isinstance(fits[1], EmptyWeights) and re.match(EMPTY_ARM, str(fits[1]))
+        for b in (0, 2):
+            alone = solve_weights(ipds[b], targets[b])
+            assert pickle.dumps(fits[b]) == pickle.dumps(alone)
 
 
 class TestOverlapDiagnostics:
